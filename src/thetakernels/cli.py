@@ -22,13 +22,14 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import jets, kernels
-from .curves import build_curve, curve_from_spec
+from .curves import _parse_complex, build_curve, curve_from_spec
 from .errors import (PointOnTheta, QuadratureNonConvergent,
                      ThetaKernelsError)
 from .kernels import (bergman_a_period, bergman_kernel, finiteness_probe,
@@ -112,20 +113,10 @@ def load_curve(config: RunConfig):
 
 def _config(args) -> RunConfig:
     return RunConfig(
-        curve_path=getattr(args, "curve", None),
-        theta_tol=getattr(args, "theta_tol", None) or args.tol
-        or DEFAULTS["theta_tol"],
-        quadrature_tol=getattr(args, "quadrature_tol", None)
-        or DEFAULTS["quadrature_tol"],
-        collision_tol=getattr(args, "collision_tol", None)
-        or DEFAULTS["collision_tol"],
-        order=getattr(args, "order", None) or DEFAULTS["order"],
-        samples=getattr(args, "samples", None) or DEFAULTS["samples"],
-        seed=args.seed if getattr(args, "seed", None) is not None
-        else DEFAULTS["seed"],
-        out=getattr(args, "out", None),
-        fmt=getattr(args, "format", None) or "json",
-    )
+        curve_path=args.curve, theta_tol=args.theta_tol,
+        quadrature_tol=args.quadrature_tol, collision_tol=args.collision_tol,
+        order=args.order, samples=args.samples, seed=args.seed,
+        out=args.out, fmt=args.format)
 
 
 # ----------------------------------------------------------------------
@@ -194,9 +185,7 @@ def cmd_eval(args) -> int:
     what = args.what
     if what == "theta":
         if args.omega:
-            om = RiemannMatrix(np.array(json.loads(args.omega), dtype=float) * 1j
-                               if _is_real_matrix(args.omega)
-                               else _parse_cmatrix(args.omega))
+            om = RiemannMatrix(parse_omega(args.omega))
         else:
             om = load_curve(config).omega
         z = parse_complex_vector(args.z)
@@ -235,15 +224,24 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def _is_real_matrix(text: str) -> bool:
-    data = json.loads(text)
-    return all(not isinstance(v, (list, tuple)) for row in data for v in row)
+def parse_omega(text: str):
+    """Period matrix from JSON rows of plain numbers or [re, im] pairs.
 
-
-def _parse_cmatrix(text: str):
+    A matrix of plain numbers only is read as i times itself (a purely
+    imaginary Omega).  Raises ValueError when the input is not a matrix.
+    """
     data = json.loads(text)
-    return np.array([[complex(v[0], v[1]) if isinstance(v, (list, tuple))
-                      else complex(v) for v in row] for row in data])
+    if not (isinstance(data, list) and data
+            and all(isinstance(row, list) for row in data)):
+        raise ValueError("--omega must be a JSON matrix (a list of rows)")
+    try:
+        m = np.array([[_parse_complex(v) for v in row] for row in data])
+    except TypeError as exc:
+        raise ValueError(f"--omega entries must be numbers or [re, im] "
+                         f"pairs: {exc}") from None
+    if not any(isinstance(v, list) for row in data for v in row):
+        m = m.real * 1j
+    return m
 
 
 # ----------------------------------------------------------------------
@@ -260,10 +258,8 @@ def _suite_theta(config: RunConfig):
     rng = np.random.default_rng(config.seed)
     checks = []
     val = theta_value([0.0], RiemannMatrix([[1j]]), tol=config.theta_tol)
-    import math as _math
-    from scipy.special import gamma as _gamma
     checks.append(_check("lemniscatic_value",
-                         abs(val.value - _math.pi ** 0.25 / _gamma(0.75)),
+                         abs(val.value - math.pi ** 0.25 / math.gamma(0.75)),
                          1e-12))
     for g in (1, 2, 3):
         a = rng.standard_normal((g, g))
@@ -397,6 +393,8 @@ def _suite_gauss(config: RunConfig, curve):
 
 def _suite_jets(config: RunConfig):
     n = config.order
+    if n < 8:  # rescaling_torsor_k3 compares jets through order 8
+        raise ValueError("verify jets needs --order >= 8")
     checks = []
 
     def poly(coeffs):
@@ -516,6 +514,13 @@ def cmd_verify(args) -> int:
 # Entry point
 # ----------------------------------------------------------------------
 
+def _positive_float(text: str) -> float:
+    value = float(text)
+    if not value > 0:
+        raise argparse.ArgumentTypeError(f"must be positive, got {text}")
+    return value
+
+
 def make_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="thetakernels",
@@ -524,15 +529,18 @@ def make_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--curve", help="path to a curve spec JSON file")
-        p.add_argument("--tol", type=float, help="theta truncation tolerance")
-        p.add_argument("--theta-tol", dest="theta_tol", type=float)
-        p.add_argument("--quadrature-tol", dest="quadrature_tol", type=float)
-        p.add_argument("--collision-tol", dest="collision_tol", type=float)
-        p.add_argument("--seed", type=int)
-        p.add_argument("--samples", type=int)
-        p.add_argument("--order", type=int)
+        p.add_argument("--theta-tol", "--tol", dest="theta_tol",
+                       type=_positive_float, default=DEFAULTS["theta_tol"],
+                       help="theta truncation tolerance")
+        p.add_argument("--quadrature-tol", dest="quadrature_tol",
+                       type=_positive_float, default=DEFAULTS["quadrature_tol"])
+        p.add_argument("--collision-tol", dest="collision_tol",
+                       type=_positive_float, default=DEFAULTS["collision_tol"])
+        p.add_argument("--seed", type=int, default=DEFAULTS["seed"])
+        p.add_argument("--samples", type=int, default=DEFAULTS["samples"])
+        p.add_argument("--order", type=int, default=DEFAULTS["order"])
         p.add_argument("--out", help="also write the report to this path")
-        p.add_argument("--format", choices=["json", "csv"])
+        p.add_argument("--format", choices=["json", "csv"], default="json")
 
     p = sub.add_parser("periods", help="period matrices of a curve")
     common(p)

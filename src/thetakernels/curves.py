@@ -14,12 +14,12 @@ side is chosen deterministically.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 import threading
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import roots_jacobi
 
 from .errors import (DegreeTooSmall, InadmissiblePoint, NonSquarefree,
                      PathThroughBranchPoint, QuadratureNonConvergent)
@@ -30,6 +30,32 @@ DEFAULT_QUADRATURE_TOL = 1e-11
 DEFAULT_MARGIN_FACTOR = 1e-3
 _MIN_NODES = 32
 _MAX_NODES = 4096
+
+
+# ----------------------------------------------------------------------
+# Quadrature rules
+# ----------------------------------------------------------------------
+
+@functools.cache
+def _gauss_legendre(m):
+    """Nodes (ascending) and weights of the m-point Gauss-Legendre rule on
+    [-1, 1], computed once per order and returned as read-only arrays."""
+    nodes, weights = np.polynomial.legendre.leggauss(m)
+    nodes.flags.writeable = False
+    weights.flags.writeable = False
+    return nodes, weights
+
+
+def _half_gauss_legendre(m):
+    """m-node Gauss rule for int_0^1 tau^(-1/2) F(tau) dtau.
+
+    With tau = s^2 the integral is int_{-1}^{1} F(s^2) ds, so the rule
+    is the positive half of the 2m-point Gauss-Legendre rule, folded:
+    nodes s_i^2 (ascending) with doubled weights.  It is exact for
+    polynomials F of degree < 2m, like the Gauss-Jacobi rule it equals.
+    """
+    s, w = _gauss_legendre(2 * m)
+    return s[m:] ** 2, 2.0 * w[m:]
 
 
 # ----------------------------------------------------------------------
@@ -253,7 +279,7 @@ class HyperellipticCurve:
         else:
             raise QuadratureNonConvergent(
                 f"period quadrature did not converge at {_MAX_NODES} nodes")
-        self._segments_cache = self._segment_integrals(n)
+        self._segments_cache = seg
         omega = np.linalg.solve(A, B)
         self.symmetry_residual = float(np.max(np.abs(omega - omega.T)))
         omega = 0.5 * (omega + omega.T)
@@ -372,7 +398,7 @@ class HyperellipticCurve:
         prev = None
         m = 12
         while m <= 384:
-            nodes, weights = np.polynomial.legendre.leggauss(m)
+            nodes, weights = _gauss_legendre(m)
             ts = 0.5 * (nodes + 1.0)
             ys, y_end = self._track_y(z0, z1, y0, ts)
             x = z0 + ts * (z1 - z0)
@@ -399,7 +425,11 @@ class HyperellipticCurve:
         return total, y
 
     def _first_piece_from_branch(self, b0, x1, tol):
-        """Singular piece from the base branch point, Gauss-Jacobi quadrature."""
+        """Singular piece from the base branch point.
+
+        The integrand is tau^(-1/2) times a smooth function of the path
+        parameter tau, integrated by :func:`_half_gauss_legendre`.
+        """
         others = self.branch_points[np.abs(self.branch_points - b0) > 1e-14]
         lead = self.lead
 
@@ -412,8 +442,7 @@ class HyperellipticCurve:
         prev = None
         m = 16
         while m <= 2048:
-            nodes, weights = roots_jacobi(m, 0.0, -0.5)
-            taus = 0.5 * (nodes + 1.0)
+            taus, weights = _half_gauss_legendre(m)
             ts, vals = _refine_samples(h, np.concatenate(([0.0], taus, [1.0])))
             gvals = _continued_sqrt(vals)
             sel = np.searchsorted(ts, taus)
@@ -422,8 +451,7 @@ class HyperellipticCurve:
             powers = np.vander(x, self.genus, increasing=True).T
             root_pref = np.sqrt(complex(x1 - b0))
             integrand = (self.diff_norm @ powers) / (root_pref * gv)
-            # int_0^1 tau^(-1/2) F dtau = (1/sqrt 2) sum w_i F((1+s_i)/2)
-            integral = (x1 - b0) / math.sqrt(2.0) * (integrand @ weights)
+            integral = (x1 - b0) * (integrand @ weights)
             y_end = root_pref * gvals[-1]
             if prev is not None and np.max(np.abs(integral - prev)) <= tol:
                 return integral, y_end

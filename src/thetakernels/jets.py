@@ -18,6 +18,7 @@ weight, so "monic" means a_j = 0 for j < d and a_d = Id.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -424,19 +425,20 @@ class DiffOperator:
         n = self.order
         exact = self.q[0][0][0].exact if self.q else True
         conv = QC.of if exact else complex
+        zero = conv(0)
         c = [conv(v) for v in initial]
         facts = [1]
         for k in range(1, order_n + n + 1):
             facts.append(facts[-1] * k)
         # Taylor coefficients of f up to order_n; c[k] = f^(k)(0)/k!
-        c = [ci * _scalar_like_ring(exact, Fraction(1, facts[k]))
+        c = [ci * _scalar_like(zero, Fraction(1, facts[k]))
              for k, ci in enumerate(c)]
         for j in range(order_n - n + 1):
             # t^j coefficient of f^(n) equals sum_i [q_i f^(n-i)]_j
-            rhs = _zero_ring(exact)
+            rhs = zero
             for i in range(1, n + 1):
                 qi = self.q[i - 1][0][0]
-                acc = _zero_ring(exact)
+                acc = zero
                 for a in range(j + 1):
                     if a > qi.n:
                         break
@@ -444,11 +446,11 @@ class DiffOperator:
                     # [f^(n-i)]_b = c[b + n - i] * (b+n-i)! / b!
                     idx = b + n - i
                     if idx < len(c):
-                        acc = acc + qi.c[a] * c[idx] * _scalar_like_ring(
-                            exact, Fraction(facts[idx], facts[b]))
+                        acc = acc + qi.c[a] * c[idx] * _scalar_like(
+                            zero, Fraction(facts[idx], facts[b]))
                 rhs = rhs + acc
             # c[j + n] = rhs * j! / (j+n)!
-            c.append(rhs * _scalar_like_ring(exact, Fraction(facts[j], facts[j + n])))
+            c.append(rhs * _scalar_like(zero, Fraction(facts[j], facts[j + n])))
         return Series(c[:order_n + 1], order_n)
 
 
@@ -457,14 +459,6 @@ def _sum_series(items):
     for x in items[1:]:
         acc = acc + x
     return acc
-
-
-def _zero_ring(exact):
-    return QC() if exact else 0j
-
-
-def _scalar_like_ring(exact, frac: Fraction):
-    return QC(frac) if exact else complex(frac)
 
 
 # ----------------------------------------------------------------------
@@ -493,7 +487,8 @@ def kernel_to_operator(s: JetKernel) -> DiffOperator:
             d = mat
             for _ in range(k):
                 d = _mat_deriv(d)
-            factor = Fraction(_factorial(n), _factorial(n - j)) * _binom(n - j, i)
+            factor = Fraction(math.factorial(n), math.factorial(n - j)) \
+                * math.comb(n - j, i)
             acc = _mat_add(acc, _mat_scale(d, _scalar_like(
                 mat[0][0].c[0], factor)))
         cs.append(acc)
@@ -524,29 +519,16 @@ def operator_to_kernel(L: DiffOperator, order: int = None) -> JetKernel:
             d = a[jp]
             for _ in range(j - jp):
                 d = _mat_deriv(d)
-            factor = (Fraction(_factorial(n), _factorial(n - jp))
-                      * _binom(n - jp, n - j))
+            factor = (Fraction(math.factorial(n), math.factorial(n - jp))
+                      * math.comb(n - jp, n - j))
             acc = _mat_add(acc, _mat_scale(d, _scalar_like(
                 some.c[0], -factor)))
         a.append(_mat_scale(acc, _scalar_like(
-            some.c[0], Fraction(_factorial(n - j), _factorial(n)))))
+            some.c[0], Fraction(math.factorial(n - j), math.factorial(n)))))
     m = order or (n + 1)
     while len(a) < m:
         a.append(_mat_zero(r, nser, exact))
     return JetKernel(r, n + 1, n + 1, a[:m])
-
-
-def _factorial(k):
-    out = 1
-    for i in range(2, k + 1):
-        out *= i
-    return out
-
-
-def _binom(n, k):
-    if k < 0 or k > n:
-        return 0
-    return _factorial(n) // (_factorial(k) * _factorial(n - k))
 
 
 # ----------------------------------------------------------------------
@@ -564,16 +546,17 @@ class ConnectionJet:
         """Flat section v with v(0) = initial, v' = Gamma v."""
         exact = self.gamma[0][0].exact
         conv = QC.of if exact else complex
+        zero = conv(0)
         cols = [[conv(v)] for v in initial]   # cols[a] = coeff list of v_a
         for k in range(order_n):
             new = []
             for a in range(self.rank):
-                acc = _zero_ring(exact)
+                acc = zero
                 for b in range(self.rank):
                     gab = self.gamma[a][b]
                     for i in range(min(k, gab.n) + 1):
                         acc = acc + gab.c[i] * cols[b][k - i]
-                new.append(acc * _scalar_like_ring(exact, Fraction(1, k + 1)))
+                new.append(acc * _scalar_like(zero, Fraction(1, k + 1)))
             for a in range(self.rank):
                 cols[a].append(new[a])
         return [Series(col, order_n) for col in cols]

@@ -14,7 +14,6 @@ weight (w1, w2) picks up chart_scale^w1 * chart_scale^w2).
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -26,11 +25,10 @@ from .errors import (ConstraintViolation, NoNonsingularOddCharacteristic,
                      NotOnThetaSmoothLocus, OnDiagonal, PointOnTheta,
                      SeriesOrderInsufficient, SquareRootBranchUnresolvable)
 from .series import Series
-from .theta import (Characteristic, RiemannMatrix, ScaledComplex,
-                    log_theta_hessian, theta_batch, theta_gradient)
+from .theta import (DEFAULT_TOL, THETA_FLOOR, Characteristic, RiemannMatrix,
+                    ScaledComplex, derivative_indices, log_theta_hessian,
+                    theta_batch, theta_gradient)
 
-DEFAULT_TOL = 1e-12
-THETA_FLOOR = 1e-8
 GRADIENT_FLOOR = 1e-8
 
 
@@ -109,14 +107,6 @@ def select_odd_characteristic(curve: HyperellipticCurve,
         "all odd characteristics have vanishing gradient")
 
 
-def _abel(curve, p):
-    return curve.abel_map(p)
-
-
-def _omega_values(curve, p):
-    return curve.eval_differentials(p)
-
-
 def _h_factor(curve, delta: Characteristic, p: SurfacePoint, tol=DEFAULT_TOL):
     """Square root of sum_i d_i theta[delta](0) omega_i(p), branch cached.
 
@@ -165,43 +155,13 @@ def prime_form(curve: HyperellipticCurve, delta: Characteristic,
     """
     if abs(x.x - y.x) < 1e-13 and x.sheet == y.sheet:
         raise OnDiagonal("prime form evaluated at coinciding points")
-    w = _abel(curve, x) - _abel(curve, y)
+    w = curve.abel_map(x) - curve.abel_map(y)
     th, _ = _theta_char_value(w, curve.omega, delta, tol)
     hx = _h_factor(curve, delta, x, tol)
     hy = _h_factor(curve, delta, y, tol)
     val = th.mantissa * math.exp(th.exponent) / (hx * hy)
     return KernelValue(value=complex(val), weight=(-0.5, -0.5),
                        chart_x=_chart(x), chart_y=_chart(y))
-
-
-def log_theta_hessian_char(e, omega: RiemannMatrix, char: Characteristic,
-                           tol=DEFAULT_TOL, floor=THETA_FLOOR):
-    """Hessian of log theta[char] at e (see theta.log_theta_hessian)."""
-    g = omega.dim
-    derivs = [(0,) * g]
-    for i in range(g):
-        d = [0] * g
-        d[i] = 1
-        derivs.append(tuple(d))
-    pairs = []
-    for i in range(g):
-        for j in range(i, g):
-            d = [0] * g
-            d[i] += 1
-            d[j] += 1
-            derivs.append(tuple(d))
-            pairs.append((i, j))
-    vals, _, scale = theta_batch(e, omega, char, derivs, tol)
-    th = vals[0]
-    if abs(th) < floor * scale:
-        raise PointOnTheta("argument on the divisor of theta[char]")
-    grad = np.array(vals[1:1 + g])
-    c = np.empty((g, g), dtype=complex)
-    for (i, j), v in zip(pairs, vals[1 + g:]):
-        cij = (th * v - grad[i] * grad[j]) / (th * th)
-        c[i, j] = cij
-        c[j, i] = cij
-    return c
 
 
 def bergman_kernel(curve: HyperellipticCurve, x: SurfacePoint,
@@ -217,11 +177,10 @@ def bergman_kernel(curve: HyperellipticCurve, x: SurfacePoint,
         raise OnDiagonal("Bergman kernel evaluated at coinciding points")
     if delta is None:
         delta = select_odd_characteristic(curve, tol)
-    w = _abel(curve, x) - _abel(curve, y)
-    hess = log_theta_hessian_char(w, curve.omega, delta, tol)
-    ox = _omega_values(curve, x)
-    oy = _omega_values(curve, y)
-    val = -complex(ox @ hess @ oy)
+    w = curve.abel_map(x) - curve.abel_map(y)
+    hess = log_theta_hessian(w, curve.omega, tol, char=delta)
+    val = -complex(curve.eval_differentials(x) @ hess
+                   @ curve.eval_differentials(y))
     return KernelValue(value=val, weight=(1.0, 1.0),
                        chart_x=_chart(x), chart_y=_chart(y))
 
@@ -243,7 +202,7 @@ def szego_kernel(curve: HyperellipticCurve, e, x: SurfacePoint,
     theta_e = ScaledComplex.make(vals[0], expo_e)
     if delta is None:
         delta = select_odd_characteristic(curve, tol)
-    w = _abel(curve, y) - _abel(curve, x)
+    w = curve.abel_map(y) - curve.abel_map(x)
     num, _ = _theta_char_value(w + e, omega, char0, tol)
     ef = prime_form(curve, delta, x, y, tol)
     val = num.ratio(theta_e) / ef.value
@@ -293,25 +252,11 @@ def _theta_compose(v0, omega, char, zser, order, tol=DEFAULT_TOL):
     Uses the exact third-order Taylor jet of theta at v0; the neglected
     fourth-order remainder only affects series coefficients beyond t^3.
     """
-    g = omega.dim
-    derivs = []
-    index_list = []
-    for total in range(4):
-        for comb in itertools.combinations_with_replacement(range(g), total):
-            d = [0] * g
-            for i in comb:
-                d[i] += 1
-            derivs.append(tuple(d))
-            index_list.append(comb)
+    combs, derivs = derivative_indices(omega.dim, 3)
     vals, expo, _ = theta_batch(v0, omega, char, derivs, tol)
     out = Series.zero(order, exact=False)
-    for comb, v in zip(index_list, vals):
-        mult = 1.0
-        counts = {}
-        for i in comb:
-            counts[i] = counts.get(i, 0) + 1
-        for c in counts.values():
-            mult *= math.factorial(c)
+    for comb, d, v in zip(combs, derivs, vals):
+        mult = math.prod(math.factorial(k) for k in d)
         term = Series.const(v / mult, order, exact=False)
         for i in comb:
             term = term * zser[i]
@@ -431,26 +376,15 @@ def gauss_limit_check(omega_or_curve, e0, direction, steps: int = 6,
         raise NotOnThetaSmoothLocus("theta gradient vanishes at e0")
     target = -np.outer(grad0, grad0)
 
+    combs, derivs = derivative_indices(g, 2)
+
     def m_matrix(t):
         e = e0 + t * direction
-        derivs = [(0,) * g]
-        for i in range(g):
-            d = [0] * g
-            d[i] = 1
-            derivs.append(tuple(d))
-        pairs = []
-        for i in range(g):
-            for j in range(i, g):
-                d = [0] * g
-                d[i] += 1
-                d[j] += 1
-                derivs.append(tuple(d))
-                pairs.append((i, j))
         vals, _, _ = theta_batch(e, omega, Characteristic.zero(g), derivs, tol)
         th = vals[0]
         grad = np.array(vals[1:1 + g])
         m = np.empty((g, g), dtype=complex)
-        for (i, j), v in zip(pairs, vals[1 + g:]):
+        for (i, j), v in zip(combs[1 + g:], vals[1 + g:]):
             mij = th * v - grad[i] * grad[j]
             m[i, j] = mij
             m[j, i] = mij

@@ -9,6 +9,7 @@ truncates at the minimum order of the operands.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 
@@ -257,7 +258,7 @@ class Series:
             term = term * x
             if term.is_zero():
                 break
-            out = out + term * _scalar_like(self.c[0], coeff / math_factorial(k))
+            out = out + term * _scalar_like(self.c[0], coeff / math.factorial(k))
             coeff *= (alpha - k)
         return out
 
@@ -334,13 +335,6 @@ class Series:
         shown = ", ".join(repr(x) for x in self.c[:5])
         more = ", ..." if self.n > 4 else ""
         return f"Series([{shown}{more}], n={self.n})"
-
-
-def math_factorial(k: int) -> int:
-    out = 1
-    for i in range(2, k + 1):
-        out *= i
-    return out
 
 
 def _nonzero(x) -> bool:

@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special as _sp
 
 from .errors import NotPositiveDefinite, PointOnTheta, ToleranceTooSmall
 
@@ -240,6 +239,26 @@ def lattice_points(omega: RiemannMatrix, center, radius: float):
 # Truncation radius from the Gaussian tail bound
 # ----------------------------------------------------------------------
 
+def _upper_gamma(s: float, x: float) -> float:
+    """Upper incomplete gamma function Gamma(s, x) for half-integer s >= 1/2.
+
+    Starts from Gamma(1, x) = exp(-x) or Gamma(1/2, x) = sqrt(pi) erfc(sqrt x)
+    and climbs with Gamma(a+1, x) = a Gamma(a, x) + x^a exp(-x).  Every
+    term is positive, so each step costs at most a few ulps of relative
+    error.  Values below the normal double range (x beyond about 708)
+    underflow.
+    """
+    e = math.exp(-x)
+    if float(s).is_integer():
+        a, val = 1.0, e
+    else:
+        a, val = 0.5, math.sqrt(math.pi) * math.erfc(math.sqrt(x))
+    while a < s:
+        val = a * val + x ** a * e
+        a += 1.0
+    return val
+
+
 def _tail_bound(omega: RiemannMatrix, R: float, order: int, norm_c: float) -> float:
     """Upper bound for the truncated tail of the (derivative) theta sum.
 
@@ -255,7 +274,7 @@ def _tail_bound(omega: RiemannMatrix, R: float, order: int, norm_c: float) -> fl
     pref = 0.5 * g * (2.0 / rho) ** g
     for j in range(order + 1):
         s = 0.5 * (g + j)
-        gam = _sp.gammaincc(s, r0 * r0) * _sp.gamma(s)
+        gam = _upper_gamma(s, r0 * r0)
         shift = (R / r0) ** j          # (||u|| + rho/2)^j vs ||u||^j slack
         comb = math.comb(order, j) * (norm_c ** (order - j) if order > j else 1.0)
         total += comb * smin ** (-j) * shift * pref * gam
@@ -341,43 +360,41 @@ def theta_value(z, omega: RiemannMatrix, char: Characteristic = None,
     return theta(ThetaRequest(z, char, tuple(deriv), tol), omega)
 
 
-def _hessian_derivs(g: int):
-    """Multi-indices: value, gradient, upper-triangle Hessian (in order)."""
-    derivs = [(0,) * g]
-    for i in range(g):
-        d = [0] * g
-        d[i] = 1
-        derivs.append(tuple(d))
-    pairs = []
-    for i in range(g):
-        for j in range(i, g):
-            d = [0] * g
-            d[i] += 1
-            d[j] += 1
-            derivs.append(tuple(d))
-            pairs.append((i, j))
-    return derivs, pairs
+def derivative_indices(g: int, order: int):
+    """Partial derivatives of total order <= ``order``, in the order value,
+    gradient, upper-triangle Hessian, third order.
+
+    Returns ``(combs, derivs)``: ``combs[k]`` lists the differentiated
+    variables (``(0, 1)`` for d_0 d_1) and ``derivs[k]`` is the matching
+    multi-index for :func:`theta_batch`.
+    """
+    combs = [c for k in range(order + 1)
+             for c in itertools.combinations_with_replacement(range(g), k)]
+    derivs = [tuple(c.count(i) for i in range(g)) for c in combs]
+    return combs, derivs
 
 
 def log_theta_hessian(e, omega: RiemannMatrix, tol: float = DEFAULT_TOL,
-                      floor: float = THETA_FLOOR):
-    """Matrix of second logarithmic derivatives of theta at e.
+                      floor: float = THETA_FLOOR, char: Characteristic = None):
+    """Matrix of second logarithmic derivatives of theta[char] at e.
 
-    c_ij = (theta * theta_ij - theta_i * theta_j) / theta^2.  Raises
-    :class:`PointOnTheta` when |theta(e)| is below ``floor`` times the
-    largest term of the sum, i.e. when e lies on the theta divisor to
-    working precision.
+    c_ij = (theta * theta_ij - theta_i * theta_j) / theta^2, with the zero
+    characteristic by default.  Raises :class:`PointOnTheta` when
+    |theta(e)| is below ``floor`` times the largest term of the sum,
+    i.e. when e lies on the theta divisor to working precision.
     """
     g = omega.dim
-    derivs, pairs = _hessian_derivs(g)
-    vals, _, scale = theta_batch(e, omega, Characteristic.zero(g), derivs, tol)
+    if char is None:
+        char = Characteristic.zero(g)
+    combs, derivs = derivative_indices(g, 2)
+    vals, _, scale = theta_batch(e, omega, char, derivs, tol)
     th = vals[0]
     if abs(th) < floor * scale:
         raise PointOnTheta(f"|theta(e)| = {abs(th):.3e} under floor "
                            f"{floor:g} * {scale:.3e}")
     grad = np.array(vals[1:1 + g])
     c = np.empty((g, g), dtype=complex)
-    for (i, j), v in zip(pairs, vals[1 + g:]):
+    for (i, j), v in zip(combs[1 + g:], vals[1 + g:]):
         cij = (th * v - grad[i] * grad[j]) / (th * th)
         c[i, j] = cij
         c[j, i] = cij
@@ -386,15 +403,11 @@ def log_theta_hessian(e, omega: RiemannMatrix, tol: float = DEFAULT_TOL,
 
 def theta_gradient(e, omega: RiemannMatrix, char: Characteristic = None,
                    tol: float = DEFAULT_TOL):
-    """(theta(e), grad theta(e), scale) sharing one lattice enumeration."""
+    """(theta(e), grad theta(e), exponent, scale) from one lattice enumeration."""
     g = omega.dim
     if char is None:
         char = Characteristic.zero(g)
-    derivs = [(0,) * g]
-    for i in range(g):
-        d = [0] * g
-        d[i] = 1
-        derivs.append(tuple(d))
+    _, derivs = derivative_indices(g, 1)
     vals, exponent, scale = theta_batch(e, omega, char, derivs, tol)
     return vals[0], np.array(vals[1:]), exponent, scale
 

@@ -87,6 +87,28 @@ class TestProbeCommand:
         assert res.returncode == 2
 
 
+class TestArgumentContracts:
+    @pytest.mark.parametrize("args", [
+        ["probe", "--curve", "CURVE", "--samples", "0"],
+        ["probe", "--curve", "CURVE", "--tol", "0"],
+        ["eval", "theta", "--omega", "5", "--z", "0"],
+        ["verify", "jets", "--order", "1"],
+    ])
+    def test_bad_input_exits_2(self, curve_file, args):
+        res = run_cli([curve_file if a == "CURVE" else a for a in args])
+        assert res.returncode == 2
+        assert "Traceback" not in res.stderr
+
+    def test_import_leaves_scipy_unloaded(self):
+        code = ("import sys, thetakernels.cli; "
+                "print(sorted(m for m in sys.modules "
+                "if m.split('.')[0] == 'scipy'))")
+        res = subprocess.run([sys.executable, "-c", code],
+                             capture_output=True, text=True)
+        assert res.returncode == 0
+        assert res.stdout.strip() == "[]"
+
+
 class TestEvalCommand:
     def test_theta_value(self):
         res = run_cli(["eval", "theta", "--omega", "[[[0,1]]]", "--z", "0"])

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from thetakernels.curves import (build_curve, curve_from_spec,
+from thetakernels.curves import (_gauss_legendre, _half_gauss_legendre,
+                                 build_curve, curve_from_spec,
                                  lattice_coordinates, reduce_mod_lattice)
 from thetakernels.errors import (DegreeTooSmall, InadmissiblePoint,
                                  NonSquarefree)
@@ -117,6 +118,25 @@ class TestPeriods:
                 / agm(math.sqrt(b2 - b0), math.sqrt(b1 - b0))
             assert abs(tau - tau_agm) < 1e-9
             done += 1
+
+
+class TestQuadratureRules:
+    @pytest.mark.parametrize("m", [16, 32])
+    def test_half_rule_exact_below_degree_2m(self, m):
+        # int_0^1 tau^(-1/2) tau^k dtau = 1 / (k + 1/2)
+        taus, weights = _half_gauss_legendre(m)
+        assert len(taus) == m and np.all(np.diff(taus) > 0)
+        for k in range(2 * m):
+            exact = 1.0 / (k + 0.5)
+            assert abs(weights @ taus ** k - exact) <= 1e-12 * exact, k
+
+    def test_rule_memoised_read_only(self):
+        nodes, weights = _gauss_legendre(24)
+        assert _gauss_legendre(24)[0] is nodes
+        with pytest.raises(ValueError):
+            nodes[0] = 0.0
+        with pytest.raises(ValueError):
+            weights[0] = 0.0
 
 
 class TestSurfacePoints:

@@ -1,16 +1,17 @@
 import itertools
 import math
 
+import mpmath
 import numpy as np
 import pytest
-from scipy.special import gamma
 
 from thetakernels.errors import (NotPositiveDefinite, PointOnTheta,
                                  ToleranceTooSmall)
 from thetakernels.theta import (Characteristic, RiemannMatrix, ScaledComplex,
-                                ThetaRequest, lattice_points,
-                                log_theta_hessian, second_order_theta_basis,
-                                theta, theta_value)
+                                ThetaRequest, _truncation_radius,
+                                _upper_gamma, derivative_indices,
+                                lattice_points, log_theta_hessian,
+                                second_order_theta_basis, theta, theta_value)
 
 
 def brute_theta(z, omega, char=None, deriv=None, box=10):
@@ -100,7 +101,7 @@ class TestThetaValues:
         oracle = brute_theta([0.0], [[1j]])
         assert abs(val - oracle) < 1e-12
         # closed form: pi^(1/4) / Gamma(3/4)
-        assert abs(val - math.pi ** 0.25 / gamma(0.75)) < 1e-12
+        assert abs(val - math.pi ** 0.25 / math.gamma(0.75)) < 1e-12
         assert abs(val - 1.08643481121331) < 1e-12
 
     def test_matches_brute_force_g2(self):
@@ -170,8 +171,7 @@ class TestThetaValues:
     def test_truncation_certificate(self):
         # doubling the radius beyond the error-bound radius changes the
         # (scaled) sum by no more than tol, over 50 random (z, Omega)
-        from thetakernels.theta import (_enumerate_ellipsoid,
-                                        _truncation_radius)
+        from thetakernels.theta import _enumerate_ellipsoid
         rng = np.random.default_rng(17)
         tol = 1e-12
         for g in (1, 2, 3):
@@ -201,6 +201,64 @@ class TestThetaValues:
             ThetaRequest((0j,), Characteristic.zero(1), (0,), -1.0)
 
 
+class TestTailBound:
+    @pytest.mark.parametrize("s", [k / 2 for k in range(1, 16)])
+    def test_upper_gamma_matches_mpmath(self, s):
+        # relative 1e-12 while exp(-x) is a normal double; beyond x ~ 708
+        # the value (< 1e-289) underflows and is checked absolutely
+        xs = np.concatenate([np.geomspace(1e-8, 700.0, 120),
+                             np.linspace(700.0, 1000.0, 31)[1:]])
+        for x in map(float, xs):
+            ref = float(mpmath.gammainc(s, x))
+            got = _upper_gamma(s, x)
+            if x <= 700.0:
+                assert abs(got - ref) <= 1e-12 * ref, (s, x)
+            else:
+                assert abs(got - ref) <= 1e-300, (s, x)
+
+    # steps of 0.25 beyond the starting radius rho/2 + sqrt((g+N)/2) + 1/2,
+    # recorded with the earlier library incomplete gamma; rows are (Omega, N),
+    # columns (tol, ||c||) over TOLS x NORMS
+    OMEGAS = [
+        [[1j]],
+        [[0.3 + 1.1j]],
+        [[0.1 + 1.2j, 0.3 + 0.4j], [0.3 + 0.4j, -0.2 + 0.9j]],
+        [[2j, 0.5j, 0.1], [0.5j, 1.5j, 0.2 + 0.3j],
+         [0.1, 0.2 + 0.3j, 0.4 + 0.8j]],
+    ]
+    TOLS = (1e-6, 1e-10, 1e-12)
+    NORMS = (0.0, 0.5, 2.0)
+    STEPS = [
+        [10, 10, 10, 14, 14, 14, 16, 16, 16],
+        [10, 10, 10, 14, 14, 14, 16, 16, 16],
+        [10, 11, 11, 14, 14, 15, 16, 16, 16],
+        [11, 11, 12, 15, 15, 15, 16, 17, 17],
+        [9, 9, 9, 14, 14, 14, 16, 16, 16],
+        [10, 10, 10, 14, 14, 14, 16, 16, 16],
+        [10, 10, 11, 14, 14, 15, 16, 16, 16],
+        [11, 11, 12, 15, 15, 15, 16, 17, 17],
+        [10, 10, 10, 14, 14, 14, 16, 16, 16],
+        [10, 10, 10, 14, 14, 14, 16, 16, 16],
+        [11, 11, 11, 15, 15, 15, 16, 17, 17],
+        [12, 12, 12, 15, 15, 16, 17, 17, 17],
+        [10, 10, 10, 14, 14, 14, 16, 16, 16],
+        [11, 11, 11, 14, 14, 15, 16, 16, 16],
+        [11, 11, 12, 15, 15, 15, 17, 17, 17],
+        [12, 12, 13, 16, 16, 16, 17, 17, 17],
+    ]
+
+    def test_truncation_radii_pinned(self):
+        rows = iter(self.STEPS)
+        for entries in self.OMEGAS:
+            om = RiemannMatrix(entries)
+            for order in range(4):
+                r = om.shortest / 2.0 + math.sqrt(0.5 * (om.dim + order)) + 0.5
+                got = [(_truncation_radius(om, order, tol, nc) - r) / 0.25
+                       for tol in self.TOLS for nc in self.NORMS]
+                assert np.allclose(got, next(rows), rtol=0, atol=1e-9), \
+                    (entries, order)
+
+
 class TestScaledComplex:
     def test_normalization(self):
         x = ScaledComplex.make(123.456 - 7j, 2.0)
@@ -222,6 +280,15 @@ class TestScaledComplex:
 
 
 class TestLogThetaHessian:
+    def test_derivative_order(self):
+        combs, derivs = derivative_indices(3, 2)
+        assert combs[1:4] == [(0,), (1,), (2,)]
+        assert combs[4:] == [(0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)]
+        assert derivs[:5] == [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1),
+                              (2, 0, 0)]
+        assert derivs[5] == (1, 1, 0)
+        assert len(derivative_indices(3, 3)[0]) == 20
+
     def test_g1_against_finite_differences(self):
         om = RiemannMatrix([[1j]])
         e = np.array([0.5 + 0j])
