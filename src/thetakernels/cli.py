@@ -180,9 +180,26 @@ def _probe_csv_header(g: int) -> str:
     return ",".join(cols)
 
 
+#: Options each evaluator needs, by evaluator name.
+EVAL_NEEDS = {
+    "theta": ("z",),
+    "szego": ("e", "x1", "x2"),
+    "klein": ("e", "x1", "x2"),
+    "bergman": ("x1", "x2"),
+    "wirtinger": ("e", "x1"),
+}
+
+
 def cmd_eval(args) -> int:
     config = _config(args)
     what = args.what
+    if what not in EVAL_NEEDS:
+        sys.stderr.write(f"unknown evaluator {what!r}\n")
+        return 2
+    missing = [f"--{name}" for name in EVAL_NEEDS[what]
+               if getattr(args, name) is None]
+    if missing:
+        raise ValueError(f"eval {what} needs {' and '.join(missing)}")
     if what == "theta":
         if args.omega:
             om = RiemannMatrix(parse_omega(args.omega))
@@ -199,7 +216,7 @@ def cmd_eval(args) -> int:
     if what == "wirtinger":
         e = parse_complex_vector(args.e)
         p = curve.point(parse_complex_scalar(args.x1), args.sheet1)
-        val = wirtinger_connection(curve, e, p, order=max(8, 6),
+        val = wirtinger_connection(curve, e, p, order=config.order,
                                    tol=config.theta_tol)
         emit({"what": "wirtinger", "e": [cplx(v) for v in e],
               "x": cplx(p.x), "sheet": p.sheet, "value": cplx(val)}, config)
@@ -211,12 +228,9 @@ def cmd_eval(args) -> int:
     elif what == "szego":
         kv = szego_kernel(curve, parse_complex_vector(args.e), x, y,
                           tol=config.theta_tol)
-    elif what == "klein":
+    else:
         e = parse_complex_vector(args.e)
         kv = klein_kernel(curve, [e, -e], x, y, tol=config.theta_tol)
-    else:
-        sys.stderr.write(f"unknown evaluator {what!r}\n")
-        return 2
     emit({"what": what, "value": cplx(kv.value), "weight": list(kv.weight),
           "chart_x": [cplx(kv.chart_x[0]), kv.chart_x[1], kv.chart_x[2]],
           "chart_y": [cplx(kv.chart_y[0]), kv.chart_y[1], kv.chart_y[2]]},
@@ -234,11 +248,7 @@ def parse_omega(text: str):
     if not (isinstance(data, list) and data
             and all(isinstance(row, list) for row in data)):
         raise ValueError("--omega must be a JSON matrix (a list of rows)")
-    try:
-        m = np.array([[_parse_complex(v) for v in row] for row in data])
-    except TypeError as exc:
-        raise ValueError(f"--omega entries must be numbers or [re, im] "
-                         f"pairs: {exc}") from None
+    m = np.array([[_parse_complex(v) for v in row] for row in data])
     if not any(isinstance(v, list) for row in data for v in row):
         m = m.real * 1j
     return m
@@ -565,14 +575,32 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--x2", help="second point x-coordinate")
     p.add_argument("--sheet1", type=int, default=1)
     p.add_argument("--sheet2", type=int, default=1)
-    p.set_defaults(func=cmd_eval)
+    # the series order of eval wirtinger; verify jets keeps DEFAULTS["order"]
+    p.set_defaults(func=cmd_eval, order=8)
 
     return parser
 
 
+#: Options whose values may start with "-" (a complex number such as
+#: -1.9+0.4j, which argparse would otherwise read as an option).
+VALUE_OPTIONS = ("--z", "--e", "--x1", "--x2")
+
+
+def _attach_values(argv):
+    """Rewrite "--x2 -1.9+0.4j" as "--x2=-1.9+0.4j" for VALUE_OPTIONS."""
+    out = []
+    for token in argv:
+        if out and out[-1] in VALUE_OPTIONS and token.startswith("-"):
+            out[-1] += "=" + token
+        else:
+            out.append(token)
+    return out
+
+
 def main(argv=None) -> int:
     parser = make_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_values(
+        sys.argv[1:] if argv is None else argv))
     try:
         return args.func(args)
     except PointOnTheta as exc:

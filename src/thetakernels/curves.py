@@ -156,6 +156,7 @@ class HyperellipticCurve:
         self._lock = threading.Lock()
         self._abel_cache = {}
         self._h_branch_cache = {}
+        self._theta_memo = {}   # odd characteristic, theta gradients at 0
         self._compute_periods()
 
     # -- construction -----------------------------------------------------
@@ -608,11 +609,16 @@ def curve_from_spec(spec: dict, **kwargs) -> HyperellipticCurve:
 
 
 def _parse_complex(c):
-    if isinstance(c, (list, tuple)):
-        if len(c) != 2:
-            raise ValueError(f"complex entries must be [re, im], got {c}")
-        return complex(float(c[0]), float(c[1]))
-    return complex(c)
+    """A number or an [re, im] pair as a complex; ValueError otherwise."""
+    try:
+        if isinstance(c, (list, tuple)):
+            if len(c) != 2:
+                raise ValueError(f"complex entries must be [re, im], got {c}")
+            return complex(float(c[0]), float(c[1]))
+        return complex(c)
+    except TypeError:
+        raise ValueError(f"entries must be numbers or [re, im] pairs, "
+                         f"got {c!r}") from None
 
 
 def period_matrices(curve: HyperellipticCurve):

@@ -93,18 +93,47 @@ def is_on_theta(e, omega: RiemannMatrix, tol=DEFAULT_TOL, floor=THETA_FLOOR) -> 
 
 def select_odd_characteristic(curve: HyperellipticCurve,
                               tol=DEFAULT_TOL) -> Characteristic:
-    """First odd characteristic (lexicographic) with nonsingular gradient."""
-    omega = curve.omega
-    g = omega.dim
-    for char in Characteristic.all(g):
-        if char.parity != 1:
-            continue
-        th, grad, _, scale = theta_gradient(np.zeros(g, complex), omega,
-                                            char=char, tol=tol)
-        if np.linalg.norm(grad) > GRADIENT_FLOOR * max(scale, 1.0):
-            return char
-    raise NoNonsingularOddCharacteristic(
-        "all odd characteristics have vanishing gradient")
+    """First odd characteristic (lexicographic) with nonsingular gradient,
+    chosen once per (curve, tol)."""
+    def first_nonsingular():
+        for char in Characteristic.all(curve.genus):
+            if char.parity != 1:
+                continue
+            grad, scale = _gradient_at_zero(curve, char, tol)
+            if np.linalg.norm(grad) > GRADIENT_FLOOR * max(scale, 1.0):
+                return char
+        raise NoNonsingularOddCharacteristic(
+            "all odd characteristics have vanishing gradient")
+
+    return _curve_memo(curve, ("odd", tol), first_nonsingular)
+
+
+def _gradient_at_zero(curve, char: Characteristic, tol):
+    """(grad theta[char](0), scale), computed once per (curve, char, tol);
+    the gradient is a read-only array."""
+    def compute():
+        _, grad, _, scale = theta_gradient(np.zeros(curve.genus, complex),
+                                           curve.omega, char=char, tol=tol)
+        grad.flags.writeable = False
+        return grad, scale
+
+    return _curve_memo(curve, ("gradient", char, tol), compute)
+
+
+def _curve_memo(curve, key, compute):
+    """curve._theta_memo[key], from compute() on a miss.
+
+    compute() runs outside curve._lock; when two threads miss at once,
+    both compute the same deterministic value and the first one stored
+    is returned to both.
+    """
+    with curve._lock:
+        hit = curve._theta_memo.get(key)
+    if hit is None:
+        value = compute()
+        with curve._lock:
+            hit = curve._theta_memo.setdefault(key, value)
+    return hit
 
 
 def _h_factor(curve, delta: Characteristic, p: SurfacePoint, tol=DEFAULT_TOL):
@@ -114,8 +143,7 @@ def _h_factor(curve, delta: Characteristic, p: SurfacePoint, tol=DEFAULT_TOL):
     cached points force the continuous branch, so limit families along a
     path get a consistent half-density.
     """
-    _, grad, _, scale = theta_gradient(np.zeros(curve.genus, complex),
-                                       curve.omega, char=delta, tol=tol)
+    grad, _ = _gradient_at_zero(curve, delta, tol)
     om_raw = curve.eval_differentials(
         SurfacePoint(p.x, p.sheet, p.y, chart_scale=1.0))
     s2 = complex(grad @ om_raw)
@@ -124,24 +152,23 @@ def _h_factor(curve, delta: Characteristic, p: SurfacePoint, tol=DEFAULT_TOL):
             f"gradient half-density vanishes at x={p.x}")
     h = complex(np.sqrt(s2))
     key_char = (tuple(delta.alpha), tuple(delta.beta))
-    cache = curve._h_branch_cache.setdefault(key_char, {})
     key = (round(p.x.real, 10), round(p.x.imag, 10), p.sheet)
     with curve._lock:
+        cache = curve._h_branch_cache.setdefault(key_char, {})
         cached = cache.get(key)
-    if cached is not None:
-        h = cached
-    else:
-        best = None
-        best_d = 0.25 * curve.scale
-        for (xr, xi, sh), hv in list(cache.items()):
-            if sh != p.sheet:
-                continue
-            d = abs(complex(xr, xi) - p.x)
-            if d < best_d:
-                best, best_d = hv, d
-        if best is not None and abs(-h - best) < abs(h - best):
-            h = -h
-        with curve._lock:
+        if cached is not None:
+            h = cached
+        else:
+            best = None
+            best_d = 0.25 * curve.scale
+            for (xr, xi, sh), hv in cache.items():
+                if sh != p.sheet:
+                    continue
+                d = abs(complex(xr, xi) - p.x)
+                if d < best_d:
+                    best, best_d = hv, d
+            if best is not None and abs(-h - best) < abs(h - best):
+                h = -h
             cache[key] = h
     return h * math.sqrt(p.chart_scale)
 
@@ -294,8 +321,7 @@ def wirtinger_connection(curve: HyperellipticCurve, e, p: SurfacePoint,
     num_plus, ep = _theta_compose(e, omega, char0, w, order, tol)
     num_minus, em = _theta_compose(-e, omega, char0, w, order, tol)
     # H(t) = sum_i d_i theta[delta](0) omega_i(t): the squared half-density
-    _, grad, _, _ = theta_gradient(np.zeros(curve.genus, complex), omega,
-                                   char=delta, tol=tol)
+    grad, _ = _gradient_at_zero(curve, delta, tol)
     hplus = Series.zero(order, exact=False)
     hminus = Series.zero(order, exact=False)
     for i in range(curve.genus):
@@ -450,6 +476,48 @@ class ProbeReport:
         }
 
 
+#: Rows per tile of the collision filter: its three float64 tile-sized
+#: temporaries stay near 16 MB whatever the sample count.
+_PAIR_TILE = 836
+
+
+def _collision_candidates(coords, collision_tol):
+    """Pairs (i, j), i < j, in ascending order, that may satisfy
+    ||c_i - c_j|| < collision_tol * max(||c_i||, ||c_j||, 1e-300).
+
+    Squared distances are summed component by component over square
+    tiles of rows.  The squared threshold is widened by a relative 1e-6
+    and raised to the smallest normal double, so rounding and underflow
+    can only add candidates, never drop a pair that passes the exact test.
+    """
+    parts = np.concatenate([coords.real, coords.imag], axis=1)
+    norms = np.sqrt(np.sum(parts * parts, axis=1))
+    thr = collision_tol * np.maximum(norms, 1e-300)
+    bound = np.maximum(thr * thr, np.finfo(float).tiny) * (1.0 + 1e-6)
+    n = len(parts)
+    ii, jj = [], []
+    for i0 in range(0, n, _PAIR_TILE):
+        rows = slice(i0, i0 + _PAIR_TILE)
+        for j0 in range(i0, n, _PAIR_TILE):
+            cols = slice(j0, j0 + _PAIR_TILE)
+            sq = np.zeros((len(parts[rows]), len(parts[cols])))
+            for x in parts.T:
+                d = np.subtract.outer(x[rows], x[cols])
+                d *= d
+                sq += d
+            # not (sq > bound), so a NaN distance stays a candidate
+            i, j = np.nonzero(
+                ~(sq > np.maximum.outer(bound[rows], bound[cols])))
+            i += i0
+            j += j0
+            upper = j > i
+            ii.append(i[upper])
+            jj.append(j[upper])
+    ii, jj = np.concatenate(ii), np.concatenate(jj)
+    order = np.lexsort((jj, ii))
+    return zip(ii[order].tolist(), jj[order].tolist())
+
+
 def finiteness_probe(curve: HyperellipticCurve, n_samples: int,
                      collision_tol: float = 1e-6, seed: int = 0,
                      floor: float = THETA_FLOOR, tol=DEFAULT_TOL,
@@ -461,6 +529,11 @@ def finiteness_probe(curve: HyperellipticCurve, n_samples: int,
     divisor.  Every pair closer than ``collision_tol`` relative to the
     coordinate norms is reported and classified as trivial when
     e' = +-e modulo the lattice within ``lattice_tol``.
+
+    Pairs are found by a candidate filter with bounded memory (see
+    :func:`_collision_candidates`) followed by the exact relative test
+    on the candidates only, in ascending (i, j) order; the report is
+    the one a test of every pair gives.
     """
     if n_samples < 2:
         raise ValueError("need at least two samples")
@@ -490,24 +563,23 @@ def finiteness_probe(curve: HyperellipticCurve, n_samples: int,
             coords.append(np.array([c[i, j] for i in range(g)
                                     for j in range(i, g)]))
     collisions = []
-    n = len(points)
-    for i in range(n):
-        for j in range(i + 1, n):
-            norm = max(np.linalg.norm(coords[i]), np.linalg.norm(coords[j]))
-            dist = float(np.linalg.norm(coords[i] - coords[j]))
-            if dist >= collision_tol * max(norm, 1e-300):
-                continue
-            kind = "nontrivial"
-            for sign, name in ((-1.0, "equal"), (1.0, "negation")):
-                v = points[i] + sign * points[j]
-                a, b = lattice_coordinates(v, omega)
-                allc = np.concatenate([a, b])
-                if np.max(np.abs(allc - np.round(allc))) < lattice_tol:
-                    kind = name
-                    break
-            collisions.append(Collision(
-                i=i, j=j, relative_distance=dist / max(norm, 1e-300),
-                trivial=kind != "nontrivial", kind=kind))
+    norms = [np.linalg.norm(c) for c in coords]
+    for i, j in _collision_candidates(np.array(coords), collision_tol):
+        norm = max(norms[i], norms[j])
+        dist = float(np.linalg.norm(coords[i] - coords[j]))
+        if dist >= collision_tol * max(norm, 1e-300):
+            continue
+        kind = "nontrivial"
+        for sign, name in ((-1.0, "equal"), (1.0, "negation")):
+            v = points[i] + sign * points[j]
+            a, b = lattice_coordinates(v, omega)
+            allc = np.concatenate([a, b])
+            if np.max(np.abs(allc - np.round(allc))) < lattice_tol:
+                kind = name
+                break
+        collisions.append(Collision(
+            i=i, j=j, relative_distance=dist / max(norm, 1e-300),
+            trivial=kind != "nontrivial", kind=kind))
     return ProbeReport(
         genus=g, n_samples=n_samples, seed=seed,
         collision_tol=collision_tol, floor=floor, n_rejected=rejected,

@@ -188,38 +188,46 @@ class ScaledComplex:
 # ----------------------------------------------------------------------
 
 def _enumerate_ellipsoid(T, center, radius):
-    """Integer vectors n with ||T (n + center)|| <= radius, T upper triangular."""
+    """Integer vectors n with ||T (n + center)|| <= radius, T upper triangular.
+
+    Fincke-Pohst enumeration, one coordinate at a time from the last row
+    of T up, carried out for all partial vectors of a level at once.
+    Returns an (N, g) integer array whose rows are in lexicographic
+    order.  Raises ValueError when a coordinate bound is not finite or
+    exceeds 2**53 in absolute value.
+    """
     g = T.shape[0]
-    out = []
-    vec = [0] * g
-
-    def descend(i, rem2, partial):
-        # partial[k] = sum_{j>i} T[k, j] * (n_j + center_j) for k <= i
-        if rem2 < 0:
-            return
+    vecs = np.zeros((1, g), dtype=np.int64)
+    rem2 = np.array([radius * radius])
+    # partial[:, k] = sum_{j>i} T[k, j] * (n_j + center_j) for k <= i
+    partial = np.zeros((1, g))
+    for i in range(g - 1, -1, -1):
         t = T[i, i]
-        s = partial[i]
         c = center[i]
-        rad = math.sqrt(rem2) / abs(t)
-        mid = -s / t - c
-        lo = math.ceil(mid - rad - 1e-12)
-        hi = math.floor(mid + rad + 1e-12)
-        for n in range(lo, hi + 1):
-            u = t * (n + c) + s
-            rem2_next = rem2 - u * u
-            if rem2_next < -1e-12 * max(1.0, rem2):
-                continue
-            vec[i] = n
-            if i == 0:
-                out.append(tuple(vec))
-            else:
-                nxt = partial.copy()
-                nxt[:i] += T[:i, i] * (n + c)
-                descend(i - 1, max(rem2_next, 0.0), nxt)
-
-    descend(g - 1, radius * radius, np.zeros(g))
-    out.sort()
-    return out
+        rad = np.sqrt(rem2) / abs(t)
+        mid = -partial[:, i] / t - c
+        lo = np.ceil(mid - rad - 1e-12)
+        hi = np.floor(mid + rad + 1e-12)
+        # a double holds every integer below 2**53; NaN fails the test too
+        if not np.all(np.maximum(np.abs(lo), np.abs(hi)) < 2.0 ** 53):
+            raise ValueError("lattice enumeration range is not finite "
+                             "or exceeds 2**53")
+        counts = np.maximum(hi - lo + 1, 0).astype(np.int64)
+        parent = np.repeat(np.arange(len(lo)), counts)
+        # n runs from lo to hi within each parent's block
+        first = np.cumsum(counts) - counts
+        n = np.arange(len(parent)) + np.repeat(lo - first, counts)
+        rem2 = rem2[parent]
+        u = t * (n + c) + partial[parent, i]
+        rem2_next = rem2 - u * u
+        keep = rem2_next >= -1e-12 * np.maximum(1.0, rem2)
+        parent, n = parent[keep], n[keep]
+        rem2 = np.maximum(rem2_next[keep], 0.0)
+        vecs = vecs[parent]
+        vecs[:, i] = n
+        partial = partial[parent]
+        partial[:, :i] += T[:i, i] * (n + c)[:, None]
+    return vecs[np.lexsort(vecs.T[::-1])]
 
 
 def lattice_points(omega: RiemannMatrix, center, radius: float):
@@ -231,8 +239,7 @@ def lattice_points(omega: RiemannMatrix, center, radius: float):
     if radius <= 0:
         raise ValueError("radius must be positive")
     center = np.asarray(center, dtype=float)
-    return [np.array(p, dtype=int) for p in
-            _enumerate_ellipsoid(omega.chol, center, radius)]
+    return list(_enumerate_ellipsoid(omega.chol, center, radius))
 
 
 # ----------------------------------------------------------------------
@@ -323,9 +330,9 @@ def theta_batch(z, omega: RiemannMatrix, char: Characteristic, derivs,
     order = max(int(sum(d)) for d in derivs)
     radius = _truncation_radius(omega, order, tol, float(np.linalg.norm(c)))
     pts = _enumerate_ellipsoid(omega.chol, alpha + c, radius)
-    if not pts:
+    if len(pts) == 0:
         return [0j for _ in derivs], exponent, 0.0
-    na = np.array(pts, dtype=float) + alpha
+    na = pts + alpha
     quad = np.einsum("ij,jk,ik->i", na, omega.entries, na)
     lin = na @ (z + beta)
     terms = np.exp(1j * math.pi * quad + _TWO_PI_I * lin - exponent)

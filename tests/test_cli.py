@@ -1,16 +1,24 @@
 import json
+import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+import thetakernels
+
 CURVE_SPEC = '{"f": [0, -1, 0, 1]}\n'
+
+# child interpreters import the same copy of the package as the tests
+ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
+    os.path.dirname(os.path.dirname(thetakernels.__file__)),
+    os.environ.get("PYTHONPATH")])))
 
 
 def run_cli(args, **kwargs):
     return subprocess.run([sys.executable, "-m", "thetakernels.cli"] + args,
-                          capture_output=True, text=True, **kwargs)
+                          capture_output=True, text=True, env=ENV, **kwargs)
 
 
 @pytest.fixture()
@@ -104,7 +112,7 @@ class TestArgumentContracts:
                 "print(sorted(m for m in sys.modules "
                 "if m.split('.')[0] == 'scipy'))")
         res = subprocess.run([sys.executable, "-c", code],
-                             capture_output=True, text=True)
+                             capture_output=True, text=True, env=ENV)
         assert res.returncode == 0
         assert res.stdout.strip() == "[]"
 
@@ -139,3 +147,73 @@ class TestEvalCommand:
         rep = json.loads(res.stdout)
         assert abs(complex(*rep["value"])
                    - (0.40809817348537 + 0.17383322084278j)) < 1e-8
+
+
+def assert_one_error_line(res):
+    assert res.returncode == 2
+    assert "Traceback" not in res.stderr
+    lines = res.stderr.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+
+
+class TestEvalInputContracts:
+    def test_theta_without_z(self):
+        assert_one_error_line(run_cli(["eval", "theta", "--omega", "[[1]]"]))
+
+    @pytest.mark.parametrize("what,args", [
+        ("szego", ["--x1", "2.0", "--x2", "-2.0"]),
+        ("szego", ["--e", "0.3+0.1j", "--x2", "-2.0"]),
+        ("klein", ["--e", "0.3+0.1j", "--x1", "2.0"]),
+        ("bergman", ["--x1", "2.0"]),
+        ("wirtinger", ["--e", "0.3+0.1j"]),
+        ("wirtinger", ["--x1", "2.0"]),
+    ])
+    def test_kernel_without_point_or_class(self, curve_file, what, args):
+        assert_one_error_line(run_cli(["eval", what, "--curve", curve_file]
+                                      + args))
+
+    def test_non_numeric_coefficient(self, tmp_path):
+        from thetakernels.curves import curve_from_spec
+        with pytest.raises(ValueError):
+            curve_from_spec({"f": [None, -1, 0, 1]})
+        bad = tmp_path / "null.json"
+        bad.write_text('{"f": [null, -1, 0, 1]}')
+        assert_one_error_line(run_cli(["periods", "--curve", str(bad)]))
+
+    def test_wirtinger_honours_order(self, curve_file, monkeypatch, capsys):
+        from thetakernels import cli
+        base = ["eval", "wirtinger", "--curve", curve_file,
+                "--e", "0.31+0.17j", "--x1", "2.0"]
+        orders = []
+        real = cli.wirtinger_connection
+
+        def recording(*args, order, **kwargs):
+            orders.append(order)
+            return real(*args, order=order, **kwargs)
+
+        monkeypatch.setattr(cli, "wirtinger_connection", recording)
+        for extra in ([], ["--order", "8"], ["--order", "20"]):
+            assert cli.main(base + extra) == 0
+        assert orders == [8, 8, 20]
+        out = capsys.readouterr().out
+        assert out.count('"what": "wirtinger"') == 3
+        assert_one_error_line(run_cli(base + ["--order", "5"]))
+
+    @pytest.mark.parametrize("args", [
+        ["eval", "theta", "--omega", "[[[0.2,1.1]]]", "--z", "-0.1+0.2j"],
+        ["eval", "szego", "--curve", "CURVE", "--e", "-0.3-0.1j",
+         "--x1", "-1.9+0.4j", "--x2", "2.2-0.3j"],
+        ["eval", "bergman", "--curve", "CURVE", "--x1", "2.2+0.3j",
+         "--x2", "-1.9+0.4j"],
+    ])
+    def test_negative_complex_value_as_separate_token(self, curve_file, args):
+        args = [curve_file if a == "CURVE" else a for a in args]
+        joined = []
+        for a in args:
+            if joined and joined[-1] in ("--z", "--e", "--x1", "--x2"):
+                joined[-1] += "=" + a
+            else:
+                joined.append(a)
+        separate, attached = run_cli(args), run_cli(joined)
+        assert separate.returncode == 0 and attached.returncode == 0
+        assert separate.stdout == attached.stdout

@@ -1,6 +1,11 @@
+import importlib
+import sys
+import threading
+
 import numpy as np
 import pytest
 
+from thetakernels.curves import build_curve, lattice_coordinates
 from thetakernels.errors import (ConstraintViolation,
                                  NotOnThetaSmoothLocus, OnDiagonal,
                                  PointOnTheta)
@@ -11,6 +16,9 @@ from thetakernels.kernels import (bergman_a_period, bergman_kernel,
                                   prime_form, select_odd_characteristic,
                                   szego_kernel, wirtinger_connection)
 from thetakernels.theta import Characteristic, theta_batch
+
+kernels_module = importlib.import_module("thetakernels.kernels")
+theta_module = importlib.import_module("thetakernels.theta")
 
 
 def weierstrass_p(z, tau, nterms=20):
@@ -395,6 +403,131 @@ class TestFinitenessProbe:
             finiteness_probe(lemniscatic, 1)
 
 
+def all_pairs_collisions(rep, omega, lattice_tol=1e-6):
+    """The scalar test of every pair, as (i, j, relative_distance,
+    trivial, kind) tuples: the reference the candidate filter must match."""
+    coords = [np.asarray(c) for c in rep.coordinates]
+    points = [np.asarray(p) for p in rep.points]
+    out = []
+    n = len(points)
+    for i in range(n):
+        for j in range(i + 1, n):
+            norm = max(np.linalg.norm(coords[i]), np.linalg.norm(coords[j]))
+            dist = float(np.linalg.norm(coords[i] - coords[j]))
+            if dist >= rep.collision_tol * max(norm, 1e-300):
+                continue
+            kind = "nontrivial"
+            for sign, name in ((-1.0, "equal"), (1.0, "negation")):
+                a, b = lattice_coordinates(points[i] + sign * points[j], omega)
+                allc = np.concatenate([a, b])
+                if np.max(np.abs(allc - np.round(allc))) < lattice_tol:
+                    kind = name
+                    break
+            out.append((i, j, dist / max(norm, 1e-300), kind != "nontrivial",
+                        kind))
+    return out
+
+
+class TestCollisionFilter:
+    @staticmethod
+    def probe(curve, n, collision_tol):
+        rng = np.random.default_rng(11)
+        g = curve.genus
+        u = (rng.uniform(-0.4, 0.4, g)
+             + curve.omega.entries @ rng.uniform(-0.4, 0.4, g))
+        return finiteness_probe(curve, n, collision_tol=collision_tol, seed=5,
+                                extra_points=[u, -u, u + 1.0])
+
+    @pytest.mark.parametrize("collision_tol", [2.0, 0.3])
+    def test_matches_all_pairs(self, genus2, collision_tol):
+        n = 60
+        rep = self.probe(genus2, n, collision_tol)
+        got = [(c.i, c.j, c.relative_distance, c.trivial, c.kind)
+               for c in rep.collisions]
+        assert got == all_pairs_collisions(rep, genus2.omega)
+        pairs = (n + 3) * (n + 2) // 2
+        if collision_tol == 2.0:
+            assert len(got) > 1800
+        else:
+            assert 0 < len(got) < pairs // 2
+        kinds = {(c.i, c.j): c.kind for c in rep.collisions}
+        assert kinds[(n, n + 1)] == "negation"
+        assert kinds[(n, n + 2)] == "equal"
+        assert kinds[(n + 1, n + 2)] == "negation"
+
+    def test_tile_size_leaves_report_unchanged(self, genus2, monkeypatch):
+        want = self.probe(genus2, 40, 0.3).to_dict()
+        monkeypatch.setattr(kernels_module, "_PAIR_TILE", 7)
+        assert self.probe(genus2, 40, 0.3).to_dict() == want
+
+    def test_exact_test_rejects_candidates_in_the_margin(self, lemniscatic,
+                                                         monkeypatch):
+        # Klein coordinates 1, 1 - d_out, 1 - d_in with d_out 3e-7 (relative)
+        # outside the tolerance and d_in as far inside: the filter's 1e-6
+        # margin passes (0, 1) on, and the exact test must drop it.
+        tol = 1e-3
+        values = iter([1.0, 1.0 - tol * (1 + 3e-7), 1.0 - tol * (1 - 3e-7)])
+        monkeypatch.setattr(kernels_module, "log_theta_hessian",
+                            lambda *args, **kwargs: np.array([[next(values)]]))
+        rep = finiteness_probe(lemniscatic, 3, collision_tol=tol, seed=0)
+        assert list(kernels_module._collision_candidates(
+            np.array(rep.coordinates), tol)) == [(0, 1), (0, 2), (1, 2)]
+        assert [(c.i, c.j) for c in rep.collisions] == [(0, 2), (1, 2)]
+        assert [(c.i, c.j, c.relative_distance, c.trivial, c.kind)
+                for c in rep.collisions] == \
+            all_pairs_collisions(rep, lemniscatic.omega)
+
+    @pytest.mark.parametrize("scale", [1e-200, 1.0, 1e100])
+    @pytest.mark.parametrize("collision_tol", [1e-160, 1e-6, 0.5])
+    def test_candidates_cover_every_pair_that_passes(self, scale,
+                                                     collision_tol):
+        rng = np.random.default_rng(3)
+        coords = scale * (rng.standard_normal((30, 3))
+                          + 1j * rng.standard_normal((30, 3)))
+        coords[5] = coords[2]
+        coords[9] = coords[4] * (1 + 0.4 * collision_tol)
+        cand = list(kernels_module._collision_candidates(coords, collision_tol))
+        assert cand == sorted(set(cand)) and all(i < j for i, j in cand)
+        for i in range(30):
+            for j in range(i + 1, 30):
+                norm = max(np.linalg.norm(coords[i]), np.linalg.norm(coords[j]))
+                dist = float(np.linalg.norm(coords[i] - coords[j]))
+                if dist < collision_tol * max(norm, 1e-300):
+                    assert (i, j) in cand
+        assert (2, 5) in cand and (4, 9) in cand
+
+
+class TestOddCharacteristicMemo:
+    @staticmethod
+    def count_theta_batch(monkeypatch):
+        calls = []
+        real = theta_module.theta_batch
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(theta_module, "theta_batch", counted)
+        monkeypatch.setattr(kernels_module, "theta_batch", counted)
+        return calls
+
+    def test_second_selection_makes_no_theta_call(self, monkeypatch):
+        curve = build_curve([0, -1, 0, 0, 0, 1])
+        first = select_odd_characteristic(curve)
+        calls = self.count_theta_batch(monkeypatch)
+        assert select_odd_characteristic(curve) == first
+        assert calls == []
+
+    def test_prime_form_reuses_the_gradient(self, monkeypatch):
+        curve = build_curve([0, -1, 0, 0, 0, 1])
+        delta = select_odd_characteristic(curve)
+        x, y = curve.point(2.2 + 0.3j, 1), curve.point(-1.9 + 0.4j, -1)
+        want = prime_form(curve, delta, x, y).value
+        calls = self.count_theta_batch(monkeypatch)
+        assert prime_form(curve, delta, x, y).value == want
+        assert len(calls) == 1   # the numerator theta[delta](A(x) - A(y))
+
+
 class TestConcurrency:
     def test_parallel_kernel_evaluations_agree(self, lemniscatic):
         # pure evaluations over an immutable curve are thread-safe
@@ -408,6 +541,45 @@ class TestConcurrency:
             parallel = list(pool.map(
                 lambda xy: szego_kernel(c, e, xy[0], xy[1]).value, pts))
         assert np.allclose(serial, parallel, rtol=1e-12)
+
+    def test_first_use_from_four_threads(self):
+        # no serial warm-up: the odd characteristic, its gradient, the
+        # Abel images and the half-density branches are all first computed
+        # by racing threads.  The points lie more than 0.25 apart on each
+        # sheet, so no branch choice depends on which point came first.
+        coeffs = [0, -1, 0, 0, 0, 1]
+        e = np.array([0.3 + 0.1j, -0.2 + 0.05j])
+        xs = [(1.6 + 0.4 * k, -1.6 - 0.4 * k) for k in range(4)]
+
+        def values(curve, order):
+            out = {}
+            for k in order:
+                x = curve.point(xs[k][0], 1)
+                y = curve.point(xs[k][1], -1)
+                out[k] = szego_kernel(curve, e, x, y).value
+            return out
+
+        serial = values(build_curve(coeffs), range(4))
+        curve = build_curve(coeffs)
+        barrier = threading.Barrier(4, timeout=60)
+        results = [None] * 4
+
+        def worker(t):
+            barrier.wait()
+            results[t] = values(curve, [(t + k) % 4 for k in range(4)])
+
+        threads = [threading.Thread(target=worker, args=(t,)) for t in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(th.is_alive() for th in threads)
+        assert results == [serial] * 4
 
 
 class TestKernelValueCovariance:

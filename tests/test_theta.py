@@ -4,13 +4,16 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from thetakernels.errors import (NotPositiveDefinite, PointOnTheta,
                                  ToleranceTooSmall)
 from thetakernels.theta import (Characteristic, RiemannMatrix, ScaledComplex,
-                                ThetaRequest, _truncation_radius,
-                                _upper_gamma, derivative_indices,
-                                lattice_points, log_theta_hessian,
+                                ThetaRequest, _enumerate_ellipsoid,
+                                _truncation_radius, _upper_gamma,
+                                derivative_indices, lattice_points,
+                                log_theta_hessian,
                                 second_order_theta_basis, theta, theta_value)
 
 
@@ -92,6 +95,72 @@ class TestLatticePoints:
         pts = lattice_points(om, [0.1, -0.2], 4.0)
         tups = [tuple(int(c) for c in p) for p in pts]
         assert tups == sorted(tups)
+
+
+def recursive_enumeration(T, center, radius):
+    """The recursive Fincke-Pohst enumeration that the vectorised one
+    replaced, kept verbatim as an oracle: a sorted list of tuples."""
+    g = T.shape[0]
+    out = []
+    vec = [0] * g
+
+    def descend(i, rem2, partial):
+        if rem2 < 0:
+            return
+        t = T[i, i]
+        s = partial[i]
+        c = center[i]
+        rad = math.sqrt(rem2) / abs(t)
+        mid = -s / t - c
+        lo = math.ceil(mid - rad - 1e-12)
+        hi = math.floor(mid + rad + 1e-12)
+        for n in range(lo, hi + 1):
+            u = t * (n + c) + s
+            rem2_next = rem2 - u * u
+            if rem2_next < -1e-12 * max(1.0, rem2):
+                continue
+            vec[i] = n
+            if i == 0:
+                out.append(tuple(vec))
+            else:
+                nxt = partial.copy()
+                nxt[:i] += T[:i, i] * (n + c)
+                descend(i - 1, max(rem2_next, 0.0), nxt)
+
+    descend(g - 1, radius * radius, np.zeros(g))
+    out.sort()
+    return out
+
+
+class TestEnumerationProperty:
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_matches_recursive_enumeration(self, data):
+        g = data.draw(st.integers(1, 4), label="g")
+        a = np.array(data.draw(st.lists(st.floats(-2, 2), min_size=g * g,
+                                        max_size=g * g), label="a"))
+        shift = data.draw(st.floats(0.25, 2), label="shift")
+        spd = a.reshape(g, g) @ a.reshape(g, g).T + shift * np.eye(g)
+        T = np.linalg.cholesky(math.pi * spd).T
+        center = np.array(data.draw(st.lists(
+            st.one_of(st.floats(-3, 3), st.sampled_from([0.0, 0.5, -0.5])),
+            min_size=g, max_size=g), label="center"))
+        if data.draw(st.booleans(), label="radius on a lattice point"):
+            n = np.array(data.draw(st.lists(st.integers(-2, 2), min_size=g,
+                                            max_size=g), label="n"))
+            radius = float(np.linalg.norm(T @ (n + center))) or 1.0
+        else:
+            radius = data.draw(st.floats(0.01, 3.5), label="radius")
+        got = _enumerate_ellipsoid(T, center, radius)
+        assert got.shape[1] == g
+        assert [tuple(v) for v in got.tolist()] == \
+            recursive_enumeration(T, center, radius)
+
+    def test_unbounded_center_is_a_value_error(self):
+        T = RiemannMatrix(1j * np.eye(2)).chol
+        for bad in (math.nan, math.inf, 1e17):
+            with pytest.raises(ValueError):
+                _enumerate_ellipsoid(T, np.array([0.0, bad]), 2.0)
 
 
 class TestThetaValues:
