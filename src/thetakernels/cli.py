@@ -15,12 +15,15 @@ Report schemas (stable):
   relative_distance, trivial, kind}], n_nontrivial}; (csv): one row per
   sample with columns e_re_*/e_im_* then the upper-triangle Klein
   coordinates c_re_ij/c_im_ij.
-* ``eval``: {what, value, ...} with chart metadata for kernel values.
+* ``eval``: {what, value, ...} with chart metadata for kernel values;
+  ``eval theta`` also reports {mantissa, exponent} with value =
+  mantissa * exp(exponent), and value is null when it overflows a double.
 """
 
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
 import math
 import sys
@@ -66,6 +69,15 @@ class RunConfig:
 def cplx(z) -> list:
     z = complex(z)
     return [z.real, z.imag]
+
+
+def plain_value(scaled):
+    """cplx of a ScaledComplex's plain value, or None if it is not a finite double."""
+    try:
+        z = scaled.value
+    except OverflowError:
+        return None
+    return cplx(z) if cmath.isfinite(z) else None
 
 
 def cmat(m) -> list:
@@ -208,7 +220,7 @@ def cmd_eval(args) -> int:
         z = parse_complex_vector(args.z)
         val = theta_value(z, om, tol=config.theta_tol)
         emit({"what": "theta", "z": [cplx(v) for v in z],
-              "value": cplx(val.value),
+              "value": plain_value(val),
               "mantissa": cplx(val.mantissa), "exponent": val.exponent},
              config)
         return 0
@@ -299,9 +311,10 @@ def _suite_theta(config: RunConfig):
     for _ in range(10):
         z = rng.standard_normal(2) + 1j * rng.uniform(-0.3, 0.3, 2)
         w = rng.standard_normal(2) + 1j * rng.uniform(-0.3, 0.3, 2)
-        lhs = theta_value(z + w, om).value * theta_value(z - w, om).value
-        tz = second_order_theta_basis(z, om)
-        tw = second_order_theta_basis(w, om)
+        lhs = (theta_value(z + w, om, tol=config.theta_tol).value
+               * theta_value(z - w, om, tol=config.theta_tol).value)
+        tz = second_order_theta_basis(z, om, tol=config.theta_tol)
+        tw = second_order_theta_basis(w, om, tol=config.theta_tol)
         rhs = sum(a_.value * b_.value for a_, b_ in zip(tz, tw))
         ratios.append(lhs / rhs)
     ratios = np.array(ratios)
@@ -316,37 +329,38 @@ def _suite_kernels(config: RunConfig, curve):
     delta = select_odd_characteristic(curve, config.theta_tol)
     x = curve.point(2.2 + 0.3j, 1)
     y = curve.point(-1.9 + 0.4j, -1)
-    e1 = prime_form(curve, delta, x, y).value
-    e2 = prime_form(curve, delta, y, x).value
+    tol = config.theta_tol
+    e1 = prime_form(curve, delta, x, y, tol=tol).value
+    e2 = prime_form(curve, delta, y, x, tol=tol).value
     checks.append(_check("prime_form_antisymmetry",
                          abs(e1 + e2) / abs(e1), 1e-9))
     p = curve.point(2.0, 1)
     vals = []
     for sep in (2e-3, 1e-3):
         q = curve.point(2.0 + sep, 1)
-        vals.append(prime_form(curve, delta, p, q).value / (p.x - q.x))
+        vals.append(prime_form(curve, delta, p, q, tol=tol).value / (p.x - q.x))
     checks.append(_check("prime_form_diagonal",
                          abs(2 * vals[1] - vals[0] - 1.0), 1e-6))
     vals = []
     for sep in (2e-3, 1e-3):
         q = curve.point(2.0 + sep, 1)
-        vals.append(bergman_kernel(curve, p, q, delta=delta).value
+        vals.append(bergman_kernel(curve, p, q, delta=delta, tol=tol).value
                     * (p.x - q.x) ** 2)
     checks.append(_check("bergman_biresidue",
                          abs((4 * vals[1] - vals[0]) / 3 - 1.0), 1e-6))
-    wb1 = bergman_kernel(curve, x, y, delta=delta).value
-    wb2 = bergman_kernel(curve, y, x, delta=delta).value
+    wb1 = bergman_kernel(curve, x, y, delta=delta, tol=tol).value
+    wb2 = bergman_kernel(curve, y, x, delta=delta, tol=tol).value
     checks.append(_check("bergman_symmetry", abs(wb1 - wb2) / abs(wb1), 1e-9))
     worst = 0.0
     for k in range(curve.genus):
         worst = max(worst, abs(bergman_a_period(curve, x, k, 256,
-                                                delta=delta)))
+                                                delta=delta, tol=tol)))
     checks.append(_check("bergman_a_periods", worst, 1e-7))
     e = np.full(curve.genus, 0.3) + 1j * np.linspace(0.1, 0.2, curve.genus)
     vals = []
     for sep in (2e-3, 1e-3):
         q = curve.point(2.0 + sep, 1)
-        vals.append(szego_kernel(curve, e, p, q, delta=delta).value
+        vals.append(szego_kernel(curve, e, p, q, delta=delta, tol=tol).value
                     * (p.x - q.x))
     checks.append(_check("szego_residue", abs(2 * vals[1] - vals[0] - 1.0),
                          1e-6))
@@ -392,9 +406,10 @@ def _suite_gauss(config: RunConfig, curve):
         rng = np.random.default_rng(config.seed)
         start = rng.standard_normal(g) * 0.3 + 1j * rng.standard_normal(g) * 0.2
         e0 = find_theta_zero(om, start, rng.standard_normal(g)
-                             + 0.3j * rng.standard_normal(g))
+                             + 0.3j * rng.standard_normal(g),
+                             tol=config.theta_tol)
         direction = rng.standard_normal(g) + 1j * rng.standard_normal(g)
-    rep = gauss_limit_check(om, e0, direction, steps=8)
+    rep = gauss_limit_check(om, e0, direction, steps=8, tol=config.theta_tol)
     checks = [_check("gauss_square_limit", rep.max_relative_deviation, 1e-5)]
     if g > 1:
         checks.append(_check("gauss_rank_one", rep.singular_value_ratio, 1e-4))

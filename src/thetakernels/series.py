@@ -5,12 +5,20 @@ t^(n+1).  The default coefficient field is :class:`QC` (Gaussian
 rationals, exact); plain ``complex`` coefficients give a floating mode
 for interoperability with numerically computed curve data.  Arithmetic
 truncates at the minimum order of the operands.
+
+Exact products, reciprocals and scalar multiples run on an integer
+kernel: the operands are lifted to Gaussian-integer numerators over one
+common denominator, combined with plain ``int`` arithmetic, and one
+normalised :class:`~fractions.Fraction` is built per output part.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+
+
+_ZERO = Fraction(0)
 
 
 class QC:
@@ -27,26 +35,28 @@ class QC:
         if isinstance(x, QC):
             return x
         if isinstance(x, complex):
-            return QC(Fraction(x.real), Fraction(x.imag))
-        return QC(Fraction(x))
+            return _qc(Fraction(x.real), Fraction(x.imag))
+        return _qc(Fraction(x), _ZERO)
 
     def __add__(self, other):
         o = QC.of(other)
-        return QC(self.re + o.re, self.im + o.im)
+        return _qc(self.re + o.re, self.im + o.im)
 
     __radd__ = __add__
 
     def __sub__(self, other):
         o = QC.of(other)
-        return QC(self.re - o.re, self.im - o.im)
+        return _qc(self.re - o.re, self.im - o.im)
 
     def __rsub__(self, other):
         return QC.of(other) - self
 
     def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return _qc(self.re * other, self.im * other)
         o = QC.of(other)
-        return QC(self.re * o.re - self.im * o.im,
-                  self.re * o.im + self.im * o.re)
+        return _qc(self.re * o.re - self.im * o.im,
+                   self.re * o.im + self.im * o.re)
 
     __rmul__ = __mul__
 
@@ -55,14 +65,14 @@ class QC:
         d = o.re * o.re + o.im * o.im
         if d == 0:
             raise ZeroDivisionError("division by zero QC")
-        return QC((self.re * o.re + self.im * o.im) / d,
-                  (o.re * self.im - o.im * self.re) / d)
+        return _qc((self.re * o.re + self.im * o.im) / d,
+                   (o.re * self.im - o.im * self.re) / d)
 
     def __rtruediv__(self, other):
         return QC.of(other) / self
 
     def __neg__(self):
-        return QC(-self.re, -self.im)
+        return _qc(-self.re, -self.im)
 
     def __pow__(self, n: int):
         if n < 0:
@@ -96,6 +106,97 @@ class QC:
         if self.im == 0:
             return f"QC({self.re})"
         return f"QC({self.re}, {self.im})"
+
+
+def _qc(re: Fraction, im: Fraction) -> QC:
+    """QC from parts that are already Fractions, without re-wrapping them."""
+    z = object.__new__(QC)
+    z.re = re
+    z.im = im
+    return z
+
+
+# -- Gaussian-integer kernel -------------------------------------------------
+#
+# A list of QC values is lifted to numerators re[k] + i im[k] (ints) over
+# one common denominator; the kernels below work on such lifts and only
+# the final conversion back builds Fractions (one gcd per part).
+
+def _lift(coeffs):
+    """(re, im, den) with coeffs[k] == (re[k] + i im[k]) / den, or None.
+
+    None unless every coefficient is a QC (float and mixed series keep
+    the scalar loops).
+    """
+    ratios = []
+    for x in coeffs:
+        if type(x) is not QC:
+            return None
+        ratios.append(x.re.as_integer_ratio())
+        ratios.append(x.im.as_integer_ratio())
+    den = math.lcm(*[d for _, d in ratios])
+    nums = [p * (den // d) for p, d in ratios]
+    return nums[0::2], nums[1::2], den
+
+
+def _lower(re, im, den):
+    """The QC values (re[k] + i im[k]) / den."""
+    return [_qc(Fraction(r, den) if r else _ZERO,
+                Fraction(i, den) if i else _ZERO) for r, i in zip(re, im)]
+
+
+def _convolve(ar, ai, br, bi, n):
+    """Gaussian-integer product of two coefficient lists modulo t^(n+1)."""
+    cr = [0] * (n + 1)
+    ci = [0] * (n + 1)
+    nonzero_b = [(j, br[j], bi[j]) for j in range(n + 1) if br[j] or bi[j]]
+    for i in range(n + 1):
+        xr, xi = ar[i], ai[i]
+        if not (xr or xi):
+            continue
+        for j, yr, yi in nonzero_b:
+            k = i + j
+            if k > n:
+                break
+            cr[k] += xr * yr - xi * yi
+            ci[k] += xr * yi + xi * yr
+    return cr, ci
+
+
+def _reciprocal_lift(re, im, den, n):
+    """QC coefficients of 1/f for f = (re + i im) / den with re[0] + i im[0] != 0.
+
+    With A = f * den and a = A_0, the coefficients of 1/A are
+    b_k / a^(k+1) for the Gaussian integers b_0 = 1 and
+    b_k = -sum_{j=1..k} A_j a^(j-1) b_(k-j); 1/f = den / A.
+    """
+    a_re, a_im = re[0], im[0]
+    scaled_re, scaled_im = [0] * (n + 1), [0] * (n + 1)
+    p_re, p_im = 1, 0                     # a^(j-1)
+    for j in range(1, n + 1):
+        scaled_re[j] = re[j] * p_re - im[j] * p_im
+        scaled_im[j] = re[j] * p_im + im[j] * p_re
+        p_re, p_im = p_re * a_re - p_im * a_im, p_re * a_im + p_im * a_re
+    b_re, b_im = [1] + [0] * n, [0] * (n + 1)
+    for k in range(1, n + 1):
+        sr = si = 0
+        for j in range(1, k + 1):
+            xr, xi = scaled_re[j], scaled_im[j]
+            if xr or xi:
+                yr, yi = b_re[k - j], b_im[k - j]
+                sr += xr * yr - xi * yi
+                si += xr * yi + xi * yr
+        b_re[k], b_im[k] = -sr, -si
+    # 1/f_k = den b_k / a^(k+1) = den b_k conj(a)^(k+1) / |a|^(2k+2)
+    norm = a_re * a_re + a_im * a_im
+    q_re, q_im, q_den = a_re * den, -a_im * den, norm
+    out = []
+    for yr, yi in zip(b_re, b_im):
+        out.append(_qc(Fraction(yr * q_re - yi * q_im, q_den),
+                       Fraction(yr * q_im + yi * q_re, q_den)))
+        q_re, q_im = q_re * a_re + q_im * a_im, q_im * a_re - q_re * a_im
+        q_den *= norm
+    return out
 
 
 def _zero_like(c):
@@ -193,8 +294,19 @@ class Series:
 
     def __mul__(self, other):
         if not isinstance(other, Series):
-            return Series([x * other for x in self.c], self.n)
+            lift = _lift(self.c)
+            if lift is None:
+                return Series([x * other for x in self.c], self.n)
+            ar, ai, den = lift
+            (sr,), (si,), sden = _lift([QC.of(other)])
+            return Series(_lower([r * sr - i * si for r, i in zip(ar, ai)],
+                                 [r * si + i * sr for r, i in zip(ar, ai)],
+                                 den * sden), self.n)
         n = min(self.n, other.n)
+        a, b = _lift(self.c[:n + 1]), _lift(other.c[:n + 1])
+        if a is not None and b is not None:
+            cr, ci = _convolve(a[0], a[1], b[0], b[1], n)
+            return Series(_lower(cr, ci, a[2] * b[2]), n)
         zero = _zero_like(self.c[0])
         out = [zero] * (n + 1)
         for i in range(n + 1):
@@ -214,6 +326,9 @@ class Series:
         if not _nonzero(c0):
             raise ZeroDivisionError("series with zero constant term is not invertible")
         n = self.n
+        lift = _lift(self.c)
+        if lift is not None:
+            return Series(_reciprocal_lift(*lift, n), n)
         inv0 = _one_like(c0) / c0
         out = [inv0] + [_zero_like(c0)] * n
         for k in range(1, n + 1):
@@ -295,17 +410,28 @@ class Series:
         """Functional inverse w with self(w(t)) = t; needs c0=0, c1 != 0."""
         if _nonzero(self.c[0]) or not _nonzero(self.c[1]):
             raise ValueError("reversion requires c0 = 0 and c1 != 0")
+        # pw[j][k] = [t^k] w^j, filled one order k at a time: [t^k] w^j
+        # for j >= 2 needs only w_1..w_{k-1}, and [t^k] self(w) = 0 then
+        # gives w_k (Brent & Kung, J. ACM 1978); O(n^3) scalar operations.
         n = self.n
-        one = _one_like(self.c[1])
-        inv1 = one / self.c[1]
-        w = Series.zero(n, self.exact)
-        if n >= 1:
-            w.c[1] = inv1
+        c = self.c
+        zero = _zero_like(c[1])
+        inv1 = _one_like(c[1]) / c[1]
+        w = [zero] * (n + 1)
+        w[1] = inv1
+        pw = [None, w] + [[zero] * (n + 1) for _ in range(2, n + 1)]
         for k in range(2, n + 1):
-            # choose w_k so that [t^k] self(w(t)) = 0
-            comp = self.compose(w)
-            w.c[k] = -comp.c[k] * inv1
-        return w
+            acc = zero
+            for j in range(2, k + 1):
+                prev = pw[j - 1]
+                p = zero
+                for i in range(1, k - j + 2):
+                    p = p + w[i] * prev[k - i]
+                pw[j][k] = p
+                if _nonzero(c[j]):
+                    acc = acc + c[j] * p
+            w[k] = -acc * inv1
+        return Series(w, n)
 
     def evaluate(self, t):
         acc = self.c[self.n]

@@ -217,3 +217,40 @@ class TestEvalInputContracts:
         separate, attached = run_cli(args), run_cli(joined)
         assert separate.returncode == 0 and attached.returncode == 0
         assert separate.stdout == attached.stdout
+
+    def test_theta_value_beyond_double_range(self):
+        res = run_cli(["eval", "theta", "--omega", "[[1]]", "--z", "1e8j"])
+        assert res.returncode == 0
+        assert "Traceback" not in res.stderr
+        rep = json.loads(res.stdout)
+        assert rep["value"] is None
+        assert all(np.isfinite(rep["mantissa"])) and np.isfinite(rep["exponent"])
+
+
+class TestThetaTolReachesSuites:
+    """--theta-tol is passed to every theta-dependent call of a verify suite."""
+
+    @pytest.mark.parametrize("suite,names", [
+        ("theta", ["theta_value", "second_order_theta_basis"]),
+        ("kernels", ["prime_form", "bergman_kernel", "bergman_a_period",
+                     "szego_kernel"]),
+        ("gauss", ["find_theta_zero", "gauss_limit_check"]),
+    ])
+    def test_tol_is_forwarded(self, tmp_path, monkeypatch, capsys, suite, names):
+        from thetakernels import cli
+        curve = tmp_path / "genus2.json"
+        curve.write_text('{"f": [0, -1, 0, 0, 0, 1]}')
+        seen = {name: [] for name in names}
+        for name in names:
+            def recording(*args, _real=getattr(cli, name), _seen=seen[name],
+                          **kwargs):
+                _seen.append(kwargs.get("tol"))
+                return _real(*args, **kwargs)
+            monkeypatch.setattr(cli, name, recording)
+        argv = ["verify", suite, "--theta-tol", "1e-10"]
+        if suite != "theta":
+            argv += ["--curve", str(curve)]
+        assert cli.main(argv) in (0, 1)
+        capsys.readouterr()
+        for name in names:
+            assert seen[name] and set(seen[name]) == {1e-10}, name

@@ -1,6 +1,8 @@
 """Exact identities of the jet calculus (all tests are zero-residual)."""
 
+import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -13,7 +15,7 @@ from thetakernels.jets import (ConnectionJet, DiffOperator, JetKernel,
                                gamma_from_projective, kernel_to_operator,
                                matrix_oper, mu_nu, operator_to_kernel,
                                projective_jet, quadratic_S, rescale_shift,
-                               tensor_power, _mat_zero)
+                               tensor_power, trace_map, _mat_zero)
 from thetakernels.series import QC, Series
 
 N = 16  # series truncation order for the exact battery
@@ -542,3 +544,46 @@ class TestQuadraticMap:
         s = mu_nu(2, 3, N)
         with pytest.raises(DiagonalValueMismatch):
             quadratic_S(s, 2)
+
+
+# ----------------------------------------------------------------------
+# Exactness at workload size: the outputs are compared string for string
+# with tests/data/jets_order20.json, which ``order20_record`` wrote with
+# term-by-term Fraction arithmetic in every Series operation.
+# ----------------------------------------------------------------------
+
+ORDER20_RECORD = Path(__file__).parent / "data" / "jets_order20.json"
+
+
+def _serialize_series(s):
+    return [[str(c.re), str(c.im)] for c in s.c]
+
+
+def _serialize_jet(s):
+    return {"rank": s.rank, "weight": s.weight, "pole": s.pole,
+            "coeffs": [[[_serialize_series(entry) for entry in row]
+                        for row in mat] for mat in s.coeffs]}
+
+
+def order20_record():
+    """build_oper, matrix_oper -> trace_map and a chart round trip at order 20."""
+    n = 20
+    oper = build_oper(poly([1, 2 + 1j, -3], n), {3: poly([2, -1j, 1], n)}, 3, 5)
+    conn = ConnectionJet(2, [[poly([1, 1j], n), poly([0, 2], n)],
+                             [poly([-1, 1], n), poly([3j, -2], n)]])
+    tr = trace_map(matrix_oper(conn, oper, {}), "trace")
+    w = Series.zero(n)
+    w.c[1], w.c[2], w.c[3] = QC(2), QC(1, -1), QC(-2, 3)
+    s3 = JetKernel(1, 3, 3, [[[poly(c, n)]] for c in
+                             ([1], [2, 1j, -1], [0, 3, 1 + 1j], [-1, 0, 2j])])
+    there = change_coordinate(s3, w)
+    winv = w.reversion()
+    again = change_coordinate(there, winv)
+    return {"oper": _serialize_jet(oper), "trace": _serialize_jet(tr),
+            "there": _serialize_jet(there), "reversion": _serialize_series(winv),
+            "again": _serialize_jet(again)}
+
+
+class TestExactRecord:
+    def test_order20_pipeline_matches_record(self):
+        assert order20_record() == json.loads(ORDER20_RECORD.read_text())

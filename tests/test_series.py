@@ -1,8 +1,10 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from thetakernels.series import QC, Series
+from thetakernels.series import QC, Series, _one_like, _zero_like
 
 
 class TestQC:
@@ -81,3 +83,141 @@ class TestSeriesRing:
         sq = f * f
         assert abs(sq.c[1] - 1) < 1e-14
         assert not f.exact
+
+
+# ----------------------------------------------------------------------
+# References: the schoolbook loops in term-by-term QC arithmetic, with
+# the reference product in place of Series.__mul__, so the integer
+# kernel is checked against code that shares none of it.
+# ----------------------------------------------------------------------
+
+def schoolbook_mul(a, b):
+    if not isinstance(b, Series):
+        return Series([x * b for x in a.c], a.n)
+    n = min(a.n, b.n)
+    zero = _zero_like(a.c[0])
+    out = [zero] * (n + 1)
+    for i in range(n + 1):
+        ci = a.c[i]
+        if not bool(ci):
+            continue
+        for j in range(n + 1 - i):
+            cj = b.c[j]
+            if bool(cj):
+                out[i + j] = out[i + j] + ci * cj
+    return Series(out, n)
+
+
+def schoolbook_reciprocal(a):
+    c0 = a.c[0]
+    n = a.n
+    inv0 = _one_like(c0) / c0
+    out = [inv0] + [_zero_like(c0)] * n
+    for k in range(1, n + 1):
+        acc = _zero_like(c0)
+        for j in range(1, k + 1):
+            acc = acc + a.c[j] * out[k - j]
+        out[k] = -inv0 * acc
+    return Series(out, n)
+
+
+def schoolbook_compose(a, inner):
+    n = min(a.n, inner.n)
+    out = Series.const(a.c[0], n, a.exact)
+    power = Series.const(1, n, a.exact)
+    for k in range(1, n + 1):
+        power = schoolbook_mul(power, inner)
+        if power.is_zero():
+            break
+        out = out + schoolbook_mul(power, a.c[k])
+    return out
+
+
+def compose_reversion(a):
+    n = a.n
+    one = _one_like(a.c[1])
+    inv1 = one / a.c[1]
+    w = Series.zero(n, a.exact)
+    if n >= 1:
+        w.c[1] = inv1
+    for k in range(2, n + 1):
+        # choose w_k so that [t^k] a(w(t)) = 0
+        comp = schoolbook_compose(a, w)
+        w.c[k] = -comp.c[k] * inv1
+    return w
+
+
+def same(a, b):
+    """Exact equality of order, values and Fraction parts."""
+    return (a.n == b.n and all(
+        type(x.re) is Fraction and type(x.im) is Fraction
+        and (x.re, x.im) == (y.re, y.im) for x, y in zip(a.c, b.c)))
+
+
+# mixed denominators: small, repeated, large coprime and beyond 2^64
+DENOMINATORS = st.one_of(st.integers(1, 12), st.sampled_from(
+    [1, 2, 4, 97, 2**61 - 1, 2**64 + 13, 3**45]))
+NUMERATORS = st.one_of(st.integers(-20, 20), st.integers(-2**80, 2**80),
+                       st.sampled_from([2**64, -2**64 - 1, 3**50]))
+RATIONALS = st.builds(Fraction, NUMERATORS, DENOMINATORS)
+GAUSSIAN = st.one_of(
+    st.just(QC()),                                   # zero runs
+    st.builds(QC, RATIONALS),                        # real
+    st.builds(QC, RATIONALS, RATIONALS))
+
+
+@st.composite
+def series(draw, min_order=0, max_order=10):
+    n = draw(st.integers(min_order, max_order), label="n")
+    return Series(draw(st.lists(GAUSSIAN, min_size=n + 1, max_size=n + 1)), n)
+
+
+class TestExactKernelProperties:
+    @settings(max_examples=150, deadline=None)
+    @given(series(), series())
+    def test_product(self, a, b):
+        assert same(a * b, schoolbook_mul(a, b))
+
+    @settings(max_examples=100, deadline=None)
+    @given(series(), st.one_of(GAUSSIAN, st.integers(-2**70, 2**70),
+                               RATIONALS))
+    def test_scalar_product(self, a, k):
+        assert same(a * k, schoolbook_mul(a, k))
+        if not isinstance(k, QC):
+            assert same(k * a, schoolbook_mul(a, k))
+
+    @settings(max_examples=100, deadline=None)
+    @given(series())
+    def test_reciprocal(self, a):
+        assume(a.c[0])
+        assert same(a.reciprocal(), schoolbook_reciprocal(a))
+
+    @settings(max_examples=100, deadline=None)
+    @given(series(), series())
+    def test_division(self, a, b):
+        assume(b.c[0])
+        assert same(a / b, schoolbook_mul(a, schoolbook_reciprocal(b)))
+
+    @settings(max_examples=60, deadline=None)
+    @given(series(min_order=1, max_order=8))
+    def test_reversion(self, f):
+        f.c[0] = QC()
+        assume(f.c[1])
+        w = f.reversion()
+        assert same(w, compose_reversion(f))
+        t = Series.variable(f.n)
+        assert f.compose(w) == t
+        assert w.compose(f) == t
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_float_product_bit_for_bit(self, data):
+        cplx = st.complex_numbers(max_magnitude=1e6, allow_nan=False,
+                                  allow_infinity=False)
+        a, b = (Series(data.draw(st.lists(cplx, min_size=n + 1,
+                                          max_size=n + 1)), n)
+                for n in data.draw(st.tuples(st.integers(0, 10),
+                                             st.integers(0, 10))))
+        got, want = a * b, schoolbook_mul(a, b)
+        assert [(z.real.hex(), z.imag.hex()) for z in got.c] == \
+            [(z.real.hex(), z.imag.hex()) for z in want.c]
