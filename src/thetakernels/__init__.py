@@ -2,9 +2,8 @@
 an exact jet calculus for opers and matrix opers."""
 
 from .curves import (HyperellipticCurve, LocalExpansion, SurfacePoint,
-                     abel_map, build_curve, curve_from_spec, differentials,
-                     lattice_coordinates, local_expansion, period_matrices,
-                     reduce_mod_lattice)
+                     build_curve, curve_from_spec, differentials,
+                     lattice_coordinates, reduce_mod_lattice)
 from .errors import ThetaKernelsError
 from .kernels import (JacobianPoint, KernelValue, KleinCoordinates,
                       bergman_a_period, bergman_kernel, finiteness_probe,
@@ -28,7 +27,6 @@ __all__ = [
     "SurfacePoint",
     "ThetaKernelsError",
     "ThetaRequest",
-    "abel_map",
     "bergman_a_period",
     "bergman_kernel",
     "build_curve",
@@ -42,9 +40,7 @@ __all__ = [
     "klein_kernel",
     "lattice_coordinates",
     "lattice_points",
-    "local_expansion",
     "log_theta_hessian",
-    "period_matrices",
     "prime_form",
     "reduce_mod_lattice",
     "second_order_theta_basis",

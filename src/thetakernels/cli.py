@@ -32,7 +32,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import jets, kernels
-from .curves import _parse_complex, build_curve, curve_from_spec
+from .curves import (DEFAULT_QUADRATURE_TOL, _parse_complex, build_curve,
+                     curve_from_spec)
 from .errors import (PointOnTheta, QuadratureNonConvergent,
                      ThetaKernelsError)
 from .kernels import (bergman_a_period, bergman_kernel, finiteness_probe,
@@ -40,12 +41,14 @@ from .kernels import (bergman_a_period, bergman_kernel, finiteness_probe,
                       klein_kernel, prime_form, select_odd_characteristic,
                       szego_kernel, wirtinger_connection)
 from .series import QC, Series
-from .theta import (Characteristic, RiemannMatrix, second_order_theta_basis,
-                    theta_value)
+from .theta import (DEFAULT_TOL, Characteristic, RiemannMatrix,
+                    second_order_theta_basis, theta_value)
 
 DEFAULTS = {
-    "theta_tol": 1e-12,      # certified truncation error of theta sums
-    "quadrature_tol": 1e-11, # period/path quadrature doubling tolerance
+    # certified truncation error of theta sums
+    "theta_tol": DEFAULT_TOL,
+    # period/path quadrature doubling tolerance
+    "quadrature_tol": DEFAULT_QUADRATURE_TOL,
     "collision_tol": 1e-6,   # relative Klein-coordinate collision radius
     "order": 16,             # series truncation order for jet checks
     "samples": 200,          # finiteness-probe sample count

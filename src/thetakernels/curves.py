@@ -621,28 +621,11 @@ def _parse_complex(c):
                          f"got {c!r}") from None
 
 
-def period_matrices(curve: HyperellipticCurve):
-    """(A, B, Omega) of the curve in the package homology convention."""
-    return curve.A.copy(), curve.B.copy(), curve.omega
-
-
 def differentials(curve: HyperellipticCurve, normalized: bool = True):
     """Coefficient rows of the differential basis in x^(j-1) dx / y."""
     if normalized:
         return curve.normalized_differential_coeffs()
     return curve.raw_differential_coeffs()
-
-
-def abel_map(curve: HyperellipticCurve, p: SurfacePoint,
-             base: SurfacePoint = None):
-    """Abel image of p; see :meth:`HyperellipticCurve.abel_map`."""
-    return curve.abel_map(p, base)
-
-
-def local_expansion(curve: HyperellipticCurve, p: SurfacePoint,
-                    order: int) -> LocalExpansion:
-    """Series data at p; see :meth:`HyperellipticCurve.local_expansion`."""
-    return curve.local_expansion(p, order)
 
 
 def reduce_mod_lattice(z, omega: RiemannMatrix):

@@ -9,7 +9,10 @@ of a two-point section on a formal disk, where the a_j are r x r
 matrices of truncated power series in z1.  All operations (the
 differential-operator dictionary, flat extensions of connections,
 projective-structure kernels, matrix opers, trace/determinant maps and
-the quadratic projection) are exact over Gaussian-rational coefficients.
+the quadratic projection) are exact over Gaussian-rational coefficients:
+every Series passed in must have :class:`~thetakernels.series.QC`
+coefficients (the float mode of :mod:`thetakernels.series` is not
+supported here).
 
 Index conventions: ``u = z1 - z2``; the restriction to the diagonal in
 the canonical trivialization is the coefficient a_d with d = pole -
@@ -25,7 +28,7 @@ from fractions import Fraction
 from .errors import (DiagonalValueMismatch, NonInvertibleChart, NotMonic,
                      NotMonicOn2Delta, TraceNotZero, TruncationUnderflow,
                      WeightMismatch)
-from .series import QC, Series, _scalar_like
+from .series import QC, Series
 
 DEFAULT_ORDER = 16
 
@@ -34,13 +37,13 @@ DEFAULT_ORDER = 16
 # Small matrix helpers (entries are Series; ranks are tiny)
 # ----------------------------------------------------------------------
 
-def _mat_zero(r, n, exact=True):
-    return [[Series.zero(n, exact) for _ in range(r)] for _ in range(r)]
+def _mat_zero(r, n):
+    return [[Series.zero(n) for _ in range(r)] for _ in range(r)]
 
-def _mat_id(r, n, exact=True, value=1):
-    m = _mat_zero(r, n, exact)
+def _mat_id(r, n, value=1):
+    m = _mat_zero(r, n)
     for i in range(r):
-        m[i][i] = Series.const(value, n, exact)
+        m[i][i] = Series.const(value, n)
     return m
 
 def _mat_add(a, b):
@@ -97,11 +100,10 @@ def _uj_mul(a, b, m):
             prod = ai * bj
             out[i + j] = prod if out[i + j] is None else out[i + j] + prod
     n = a[0].n
-    exact = a[0].exact
-    return [Series.zero(n, exact) if x is None else x for x in out]
+    return [Series.zero(n) if x is None else x for x in out]
 
-def _uj_one(m, n, exact=True):
-    return [Series.const(1, n, exact)] + [Series.zero(n, exact)] * (m - 1)
+def _uj_one(m, n):
+    return [Series.const(1, n)] + [Series.zero(n)] * (m - 1)
 
 def _uj_scale(a, s):
     return [x * s for x in a]
@@ -111,10 +113,10 @@ def _uj_add(a, b):
 
 def _uj_reciprocal(a, m):
     lead = a[0].reciprocal()
-    n, exact = a[0].n, a[0].exact
-    out = [lead] + [Series.zero(n, exact)] * (m - 1)
+    n = a[0].n
+    out = [lead] + [Series.zero(n)] * (m - 1)
     for k in range(1, m):
-        acc = Series.zero(n, exact)
+        acc = Series.zero(n)
         for j in range(1, k + 1):
             if j < len(a):
                 acc = acc + a[j] * out[k - j]
@@ -124,7 +126,7 @@ def _uj_reciprocal(a, m):
 def _uj_pow(a, k, m):
     if k < 0:
         return _uj_pow(_uj_reciprocal(a, m), -k, m)
-    out = _uj_one(m, a[0].n, a[0].exact)
+    out = _uj_one(m, a[0].n)
     base = list(a)
     while k:
         if k & 1:
@@ -135,20 +137,20 @@ def _uj_pow(a, k, m):
 
 def _uj_pow_fraction(a, alpha: Fraction, m):
     """a^alpha for a u-jet whose leading Series is 1."""
-    one = Series.const(1, a[0].n, a[0].exact)
+    n = a[0].n
+    one = Series.const(1, n)
     if not (a[0] == one):
         raise ValueError("fractional u-jet powers need leading coefficient 1")
     x = list(a)
     x[0] = a[0] - one
-    out = _uj_one(m, a[0].n, a[0].exact)
-    term = _uj_one(m, a[0].n, a[0].exact)
+    out = _uj_one(m, n)
+    term = _uj_one(m, n)
     coeff = Fraction(alpha)
     fact = 1
     for k in range(1, m):
         term = _uj_mul(term, x, m)
         fact *= k
-        scalar = _scalar_like(a[0].c[0], coeff / fact)
-        out = _uj_add(out, _uj_scale(term, scalar))
+        out = _uj_add(out, _uj_scale(term, coeff / fact))
         coeff *= (alpha - k)
     return out
 
@@ -162,8 +164,7 @@ def _shifted_series(w: Series, m):
         if k:
             d = d.derivative()
             fact *= k
-        sign = Fraction((-1) ** k, fact)
-        out.append(d * _scalar_like(w.c[0], sign))
+        out.append(d * Fraction((-1) ** k, fact))
     return out
 
 
@@ -176,8 +177,7 @@ def _delta_series(w: Series, m):
         if k:
             d = d.derivative()
             fact *= (k + 1)
-        sign = Fraction((-1) ** k, fact)
-        out.append(d * _scalar_like(w.c[0], sign))
+        out.append(d * Fraction((-1) ** k, fact))
     return out
 
 
@@ -208,10 +208,6 @@ class JetKernel:
     def series_order(self):
         return self.coeffs[0][0][0].n
 
-    @property
-    def exact(self):
-        return self.coeffs[0][0][0].exact
-
     def copy(self):
         return JetKernel(self.rank, self.weight, self.pole,
                          [[[s.copy() for s in row] for row in mat]
@@ -220,7 +216,7 @@ class JetKernel:
     def coeff(self, j):
         if 0 <= j < len(self.coeffs):
             return self.coeffs[j]
-        return _mat_zero(self.rank, self.series_order, self.exact)
+        return _mat_zero(self.rank, self.series_order)
 
     def scalar_coeff(self, j):
         return self.coeff(j)[0][0]
@@ -246,7 +242,7 @@ class JetKernel:
         for j in range(d):
             if not _mat_is_zero(self.coeffs[j]):
                 return False
-        return _mat_eq(self.coeffs[d], _mat_id(self.rank, self.series_order, self.exact))
+        return _mat_eq(self.coeffs[d], _mat_id(self.rank, self.series_order))
 
     def require_monic(self):
         if not self.is_monic():
@@ -273,8 +269,7 @@ class JetKernel:
         if p < self.pole:
             raise WeightMismatch("cannot lower the pole order")
         shift = p - self.pole
-        pad = [_mat_zero(self.rank, self.series_order, self.exact)
-               for _ in range(shift)]
+        pad = [_mat_zero(self.rank, self.series_order) for _ in range(shift)]
         return JetKernel(self.rank, self.weight, p, pad + self.coeffs)
 
     def scale(self, s):
@@ -290,7 +285,7 @@ class JetKernel:
         if r1 != r2 and 1 not in (r1, r2):
             raise WeightMismatch("rank mismatch in kernel product")
         rank = max(r1, r2)
-        out = [_mat_zero(rank, self.series_order, self.exact) for _ in range(m)]
+        out = [_mat_zero(rank, self.series_order) for _ in range(m)]
         for i in range(m):
             ai = self.coeffs[i] if i < self.order else None
             if ai is None or _mat_is_zero(ai):
@@ -312,8 +307,7 @@ class JetKernel:
     def swap(self):
         """Pullback under (z1, z2) -> (z2, z1), no matrix transpose."""
         m = self.order
-        out = [_mat_zero(self.rank, self.series_order, self.exact)
-               for _ in range(m)]
+        out = [_mat_zero(self.rank, self.series_order) for _ in range(m)]
         for j in range(m):
             mat = self.coeffs[j]
             if _mat_is_zero(mat):
@@ -325,8 +319,7 @@ class JetKernel:
                 if k:
                     d = _mat_deriv(d)
                     fact *= k
-                scalar = Fraction(sign_j * (-1) ** k, fact)
-                term = _mat_scale(d, _scalar_like(mat[0][0].c[0], scalar))
+                term = _mat_scale(d, Fraction(sign_j * (-1) ** k, fact))
                 out[j + k] = _mat_add(out[j + k], term)
         return JetKernel(self.rank, self.weight, self.pole, out)
 
@@ -342,7 +335,7 @@ class JetKernel:
         for mat in self.coeffs:
             t = _mat_trace(mat)
             if normalized and self.rank > 1:
-                t = t * _scalar_like(t.c[0], Fraction(1, self.rank))
+                t = t * Fraction(1, self.rank)
             out.append([[t]])
         return JetKernel(1, self.weight, self.pole, out)
 
@@ -361,12 +354,12 @@ class JetKernel:
                 f"pole={self.pole}, order={self.order})")
 
 
-def mu_nu(nu: int, m: int, order: int = DEFAULT_ORDER, exact: bool = True) -> JetKernel:
+def mu_nu(nu: int, m: int, order: int = DEFAULT_ORDER) -> JetKernel:
     """The canonical rank-1 jet dz^(nu/2) x dz^(nu/2) / (z1-z2)^nu on m-th order."""
     if m < 1:
         raise ValueError("m must be >= 1")
-    coeffs = [_mat_id(1, order, exact)]
-    coeffs += [_mat_zero(1, order, exact) for _ in range(m - 1)]
+    coeffs = [_mat_id(1, order)]
+    coeffs += [_mat_zero(1, order) for _ in range(m - 1)]
     return JetKernel(1, nu, nu, coeffs)
 
 
@@ -423,16 +416,13 @@ class DiffOperator:
         if self.rank != 1:
             raise ValueError("series solve implemented for scalar operators")
         n = self.order
-        exact = self.q[0][0][0].exact if self.q else True
-        conv = QC.of if exact else complex
-        zero = conv(0)
-        c = [conv(v) for v in initial]
+        zero = QC()
+        c = [QC.of(v) for v in initial]
         facts = [1]
         for k in range(1, order_n + n + 1):
             facts.append(facts[-1] * k)
         # Taylor coefficients of f up to order_n; c[k] = f^(k)(0)/k!
-        c = [ci * _scalar_like(zero, Fraction(1, facts[k]))
-             for k, ci in enumerate(c)]
+        c = [ci * Fraction(1, facts[k]) for k, ci in enumerate(c)]
         for j in range(order_n - n + 1):
             # t^j coefficient of f^(n) equals sum_i [q_i f^(n-i)]_j
             rhs = zero
@@ -446,11 +436,11 @@ class DiffOperator:
                     # [f^(n-i)]_b = c[b + n - i] * (b+n-i)! / b!
                     idx = b + n - i
                     if idx < len(c):
-                        acc = acc + qi.c[a] * c[idx] * _scalar_like(
-                            zero, Fraction(facts[idx], facts[b]))
+                        acc = acc + qi.c[a] * c[idx] * Fraction(facts[idx],
+                                                                facts[b])
                 rhs = rhs + acc
             # c[j + n] = rhs * j! / (j+n)!
-            c.append(rhs * _scalar_like(zero, Fraction(facts[j], facts[j + n])))
+            c.append(rhs * Fraction(facts[j], facts[j + n]))
         return Series(c[:order_n + 1], order_n)
 
 
@@ -480,7 +470,7 @@ def kernel_to_operator(s: JetKernel) -> DiffOperator:
     # c_i = sum_j n!/(n-j)! * binom(n-j, i) * a_j^{(n-j-i)}
     cs = []
     for i in range(n + 1):
-        acc = _mat_zero(r, s.series_order, s.exact)
+        acc = _mat_zero(r, s.series_order)
         for j in range(n - i + 1):
             mat = s.coeff(j)
             k = n - j - i
@@ -489,11 +479,10 @@ def kernel_to_operator(s: JetKernel) -> DiffOperator:
                 d = _mat_deriv(d)
             factor = Fraction(math.factorial(n), math.factorial(n - j)) \
                 * math.comb(n - j, i)
-            acc = _mat_add(acc, _mat_scale(d, _scalar_like(
-                mat[0][0].c[0], factor)))
+            acc = _mat_add(acc, _mat_scale(d, factor))
         cs.append(acc)
     lead = cs[n]
-    if not _mat_eq(lead, _mat_id(r, s.series_order, s.exact)):
+    if not _mat_eq(lead, _mat_id(r, s.series_order)):
         raise NotMonic("kernel is not monic; leading operator coefficient != Id")
     q = [_mat_scale(cs[n - i], -1) for i in range(1, n + 1)]
     return DiffOperator(order=n, rank=r, q=q)
@@ -503,15 +492,13 @@ def operator_to_kernel(L: DiffOperator, order: int = None) -> JetKernel:
     """Inverse of :func:`kernel_to_operator` on (n+1)-order jets."""
     n = L.order
     r = L.rank
-    some = L.q[0][0][0] if L.q else Series.zero(DEFAULT_ORDER)
     nser = max((q[i][k].n for q in L.q for i in range(r) for k in range(r)),
                default=DEFAULT_ORDER)
-    exact = some.exact
     cs = [_mat_scale(L.q[n - 1 - i], -1) for i in range(n)]
     # monicity is exact, so the identity row carries extra series order
     # and its derivatives never degrade the reconstruction
-    cs.append(_mat_id(r, nser + n, exact))
-    a = [_mat_id(r, nser + n, exact)]
+    cs.append(_mat_id(r, nser + n))
+    a = [_mat_id(r, nser + n)]
     for j in range(1, n + 1):
         # c_{n-j} = (n!/(n-j)!) a_j + contributions from a_{j'} with j' < j
         acc = cs[n - j]
@@ -521,13 +508,12 @@ def operator_to_kernel(L: DiffOperator, order: int = None) -> JetKernel:
                 d = _mat_deriv(d)
             factor = (Fraction(math.factorial(n), math.factorial(n - jp))
                       * math.comb(n - jp, n - j))
-            acc = _mat_add(acc, _mat_scale(d, _scalar_like(
-                some.c[0], -factor)))
-        a.append(_mat_scale(acc, _scalar_like(
-            some.c[0], Fraction(math.factorial(n - j), math.factorial(n)))))
+            acc = _mat_add(acc, _mat_scale(d, -factor))
+        a.append(_mat_scale(acc, Fraction(math.factorial(n - j),
+                                          math.factorial(n))))
     m = order or (n + 1)
     while len(a) < m:
-        a.append(_mat_zero(r, nser, exact))
+        a.append(_mat_zero(r, nser))
     return JetKernel(r, n + 1, n + 1, a[:m])
 
 
@@ -544,10 +530,8 @@ class ConnectionJet:
 
     def solve(self, initial, order_n: int):
         """Flat section v with v(0) = initial, v' = Gamma v."""
-        exact = self.gamma[0][0].exact
-        conv = QC.of if exact else complex
-        zero = conv(0)
-        cols = [[conv(v)] for v in initial]   # cols[a] = coeff list of v_a
+        zero = QC()
+        cols = [[QC.of(v)] for v in initial]   # cols[a] = coeff list of v_a
         for k in range(order_n):
             new = []
             for a in range(self.rank):
@@ -556,7 +540,7 @@ class ConnectionJet:
                     gab = self.gamma[a][b]
                     for i in range(min(k, gab.n) + 1):
                         acc = acc + gab.c[i] * cols[b][k - i]
-                new.append(acc * _scalar_like(zero, Fraction(1, k + 1)))
+                new.append(acc * Fraction(1, k + 1))
             for a in range(self.rank):
                 cols[a].append(new[a])
         return [Series(col, order_n) for col in cols]
@@ -576,8 +560,7 @@ def flat_extension(conn: ConnectionJet, m: int) -> JetKernel:
     Gamma is exact over the rationals.
     """
     r = conn.rank
-    some = conn.gamma[0][0]
-    nser, exact = some.n, some.exact
+    nser = conn.gamma[0][0].n
     if m - 1 > nser:
         raise TruncationUnderflow("series order too small for flat extension")
     gs = []   # u-jet of Gamma(z1 - u): matrices
@@ -587,14 +570,13 @@ def flat_extension(conn: ConnectionJet, m: int) -> JetKernel:
         if k:
             d = _mat_deriv(d)
             fact *= k
-        gs.append(_mat_scale(d, _scalar_like(some.c[0],
-                                             Fraction((-1) ** k, fact))))
-    a = [_mat_id(r, nser, exact)]
+        gs.append(_mat_scale(d, Fraction((-1) ** k, fact)))
+    a = [_mat_id(r, nser)]
     for j in range(m - 1):
-        acc = _mat_zero(r, nser, exact)
+        acc = _mat_zero(r, nser)
         for i in range(j + 1):
             acc = _mat_add(acc, _mat_mul(a[i], gs[j - i]))
-        a.append(_mat_scale(acc, _scalar_like(some.c[0], Fraction(1, j + 1))))
+        a.append(_mat_scale(acc, Fraction(1, j + 1)))
     return JetKernel(r, 0, 0, a)
 
 
@@ -603,13 +585,12 @@ def companion_connection(L: DiffOperator) -> ConnectionJet:
     if L.rank != 1:
         raise ValueError("companion form applies to scalar operators")
     n = L.order
-    some = L.q[0][0][0]
-    nser, exact = some.n, some.exact
-    gamma = _mat_zero(n, nser, exact)
+    nser = L.q[0][0][0].n
+    gamma = _mat_zero(n, nser)
     for i in range(n):
         gamma[0][i] = L.q[i][0][0].copy()
     for i in range(n - 1):
-        gamma[i + 1][i] = Series.const(1, nser, exact)
+        gamma[i + 1][i] = Series.const(1, nser)
     return ConnectionJet(rank=n, gamma=gamma)
 
 
@@ -622,23 +603,16 @@ def change_coordinate(s: JetKernel, w: Series) -> JetKernel:
 
     ``w`` must fix the center (w(0) = 0) and be invertible (w'(0) != 0).
     Only integer powers of w' and rational-coefficient correction series
-    occur, so the result is exact over exact coefficients.
+    occur, so the result is exact.
     """
     if s.rank != 1:
         raise WeightMismatch("coordinate changes implemented for rank-1 kernels")
     if bool(w.c[0]) or not bool(w.c[1]):
         raise NonInvertibleChart("need w(0) = 0 and w'(0) != 0")
     m = s.order
-    nu = s.weight
-    nser = w.n
     dw = _delta_series(w, m)                  # (w(t1) - w(t2)) / v
     dwi = _uj_reciprocal(dw, m)
-    wp = w.derivative()
-    # (w'(t1) w'(t2))^(nu/2) = w'(t1)^nu * [w'(t1 - v)/w'(t1)]^(nu/2)
-    ratio = [x / wp for x in _shifted_series(wp, m)]
-    prefactor = _uj_pow_fraction(ratio, Fraction(nu, 2), m)
-    wp_pow = wp ** nu
-    total = [Series.zero(nser, s.exact) for _ in range(m)]
+    total = [Series.zero(w.n) for _ in range(m)]
     for j in range(m):
         aj = s.scalar_coeff(j)
         if aj.is_zero():
@@ -650,9 +624,18 @@ def change_coordinate(s: JetKernel, w: Series) -> JetKernel:
         # the v^(j-pole) prefactor shifts the expansion up by j slots
         for k in range(m - j):
             total[k + j] = total[k + j] + term[k]
-    total = _uj_mul(total, prefactor, m)
-    total = [x * wp_pow for x in total]
-    return from_scalar_jet(total, nu, s.pole)
+    return from_scalar_jet(_weight_factor(total, w, s.weight, m),
+                           s.weight, s.pole)
+
+
+def _weight_factor(total, w: Series, nu: int, m):
+    """The u-jet ``total`` times (w'(t1) w'(t2))^(nu/2), v = t1 - t2."""
+    wp = w.derivative()
+    # (w'(t1) w'(t2))^(nu/2) = w'(t1)^nu * [w'(t1 - v)/w'(t1)]^(nu/2)
+    ratio = [x / wp for x in _shifted_series(wp, m)]
+    prefactor = _uj_pow_fraction(ratio, Fraction(nu, 2), m)
+    wp_pow = wp ** nu
+    return [x * wp_pow for x in _uj_mul(total, prefactor, m)]
 
 
 # ----------------------------------------------------------------------
@@ -661,7 +644,7 @@ def change_coordinate(s: JetKernel, w: Series) -> JetKernel:
 
 def sturm_liouville_solutions(q: Series, order_n: int):
     """Fundamental series solutions of f'' = q f with jets (1,0) and (0,1)."""
-    L = DiffOperator(order=2, rank=1, q=[[[Series.zero(q.n, q.exact)]], [[q]]])
+    L = DiffOperator(order=2, rank=1, q=[[[Series.zero(q.n)]], [[q]]])
     f1 = L.solve([1, 0], order_n)
     f2 = L.solve([0, 1], order_n)
     return f1, f2
@@ -685,17 +668,9 @@ def gamma_from_projective(q: Series, nu: int, m: int) -> JetKernel:
 
 
 def _gamma_from_chart(w: Series, nu: int, m: int) -> JetKernel:
-    nser = w.n
-    exact = w.exact
     dw = _delta_series(w, m)
-    wp = w.derivative()
-    ratio = [x / wp for x in _shifted_series(wp, m)]
-    prefactor = _uj_pow_fraction(ratio, Fraction(nu, 2), m)
     core = _uj_pow(_uj_reciprocal(dw, m), nu, m) if nu >= 0 else _uj_pow(dw, -nu, m)
-    total = _uj_mul(core, prefactor, m)
-    wp_pow = wp ** nu
-    total = [x * wp_pow for x in total]
-    return from_scalar_jet(total, nu, nu)
+    return from_scalar_jet(_weight_factor(core, w, nu, m), nu, nu)
 
 
 def rescale_shift(s: JetKernel, k: int) -> Series:
@@ -711,21 +686,21 @@ def rescale_shift(s: JetKernel, k: int) -> Series:
     d = s.diag_index
     if s.order < d + 3:
         raise TruncationUnderflow("need a jet on the third-order neighborhood")
-    one = Series.const(1, s.series_order, s.exact)
+    one = Series.const(1, s.series_order)
     if not (s.scalar_coeff(d) == one) or not s.scalar_coeff(d + 1).is_zero():
         raise NotMonicOn2Delta("jet does not restrict to the canonical jet on 2 Delta")
     for j in range(d):
         if not s.scalar_coeff(j).is_zero():
             raise NotMonicOn2Delta("jet has extra singular terms")
     dev = s.scalar_coeff(d + 2)
-    return dev * _scalar_like(dev.c[0], Fraction(-6, k))
+    return dev * Fraction(-6, k)
 
 
 def projective_jet(q: Series, k: int, nu: int = None, m: int = 3) -> JetKernel:
     """Inverse of :func:`rescale_shift`: the canonical jet plus deviation -k q/6."""
     nu = k if nu is None else nu
-    base = mu_nu(nu, m, q.n, q.exact)
-    dev = q * _scalar_like(q.c[0], Fraction(-k, 6))
+    base = mu_nu(nu, m, q.n)
+    dev = q * Fraction(-k, 6)
     out = base.copy()
     out.coeffs[2][0][0] = out.coeffs[2][0][0] + dev
     return out
@@ -746,17 +721,17 @@ def build_oper(q: Series, v: dict, n: int, m: int) -> JetKernel:
         raise ValueError(f"slot degrees must lie in 2..{n}")
     w = projective_chart(q, q.n)
     gamma = _gamma_from_chart(w, n + 1, m)
-    nser, exact = w.n, gamma.exact
+    nser = w.n
     dw = _delta_series(w, m)
     wp = w.derivative()
-    mult = _uj_one(m, nser, exact)
+    mult = _uj_one(m, nser)
     for i, vi in sorted(v.items()):
         if i == 2 or vi.is_zero():
             continue
         transported = vi / (wp ** i)          # v_i dz^i = (v_i / w'^i) dw^i
         base = _uj_pow(dw, i, m)
         term = _uj_scale(base, transported)
-        shifted = [Series.zero(nser, exact) for _ in range(m)]
+        shifted = [Series.zero(nser) for _ in range(m)]
         for k in range(m - i):
             shifted[k + i] = term[k]
         mult = _uj_add(mult, shifted)
@@ -784,11 +759,11 @@ def matrix_oper(conn: ConnectionJet, oper: JetKernel, eta: dict) -> JetKernel:
     kappa = flat_extension(conn, m)
     scalar_part = oper.copy()
     out = kappa * scalar_part
-    nser, exact = out.series_order, out.exact
+    nser = out.series_order
     for i, mat in sorted(eta.items()):
         if not _mat_trace(mat).is_zero():
             raise TraceNotZero(f"slot {i} has nonzero trace")
-        corr = [_mat_zero(r, nser, exact) for _ in range(m)]
+        corr = [_mat_zero(r, nser) for _ in range(m)]
         idx = oper.diag_index + i
         if idx < m:
             corr[idx] = mat
@@ -832,10 +807,10 @@ def _det_of_coefficients(s: JetKernel, out_pole, out_weight) -> JetKernel:
     """Leibniz determinant of the coefficient matrix as a function jet."""
     m = s.order
     r = s.rank
-    nser, exact = s.series_order, s.exact
-    total = [Series.zero(nser, exact) for _ in range(m)]
+    nser = s.series_order
+    total = [Series.zero(nser) for _ in range(m)]
     for perm, sign in _permutations_with_sign(r):
-        prod = _uj_one(m, nser, exact)
+        prod = _uj_one(m, nser)
         for i in range(r):
             prod = _uj_mul(prod, _entry_ujet(s, i, perm[i]), m)
         total = _uj_add(total, _uj_scale(prod, sign))
@@ -865,38 +840,29 @@ def quadratic_S(s: JetKernel, lam):
     result is the quadratic differential tr(eta^2) of the underlying
     traceless slot.
     """
-    lam_c = QC.of(lam) if s.exact else complex(lam)
+    lam_c = QC.of(lam)
     d = s.diag_index
     if s.order < d + 3:
         raise TruncationUnderflow("need a jet on the third-order neighborhood")
     diag = s.diagonal()
-    expect = _mat_id(s.rank, s.series_order, s.exact, value=lam_c)
+    expect = _mat_id(s.rank, s.series_order, value=lam_c)
     if not _mat_eq(diag, expect):
         raise DiagonalValueMismatch("s|_Delta != lam * Id")
     for j in range(d):
         if not _mat_is_zero(s.coeffs[j]):
             raise DiagonalValueMismatch("extra singular terms below the diagonal order")
-    big = (s * s.swap()).trace(normalized=False)
-    sign = (-1) ** (s.weight % 2)
-    big = big.scale(_scalar_like(big.scalar_coeff(big.diag_index).c[0],
-                                 Fraction(sign, s.rank)))
+    big = quadratic_S_jet(s)
     dev = big.scalar_coeff(big.diag_index + 2)
-    if not bool(lam_c):
+    if not lam_c:
         # quadratic Hitchin map: the raw deviation is -tr(eta^2)/rank
-        return dev * _scalar_like(dev.c[0], Fraction(-s.rank))
+        return dev * -s.rank
     # S|_2Delta = lam^2 * canonical jet; the square-root identification
     # back to Proj(lam (n+1)) divides the deviation by 2 lam (n+1)
-    q = dev * _scalar_like(dev.c[0], Fraction(-6, 2 * s.pole))
-    return q * (_one_of(dev) / lam_c)
+    return dev * Fraction(-6, 2 * s.pole) / lam_c
 
 
 def quadratic_S_jet(s: JetKernel) -> JetKernel:
     """The full (sign-normalized) kernel jet of the quadratic map."""
     big = (s * s.swap()).trace(normalized=False)
     sign = (-1) ** (s.weight % 2)
-    return big.scale(_scalar_like(big.scalar_coeff(0).c[0],
-                                  Fraction(sign, s.rank)))
-
-
-def _one_of(series: Series):
-    return QC(1) if series.exact else (1 + 0j)
+    return big.scale(Fraction(sign, s.rank))

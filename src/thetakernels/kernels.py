@@ -14,6 +14,7 @@ weight (w1, w2) picks up chart_scale^w1 * chart_scale^w2).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -50,9 +51,22 @@ class KleinCoordinates:
 
     @property
     def vector(self):
-        g = self.matrix.shape[0]
-        return np.array([self.matrix[i, j]
-                         for i in range(g) for j in range(i, g)])
+        return _upper_triangle(self.matrix)
+
+
+def _upper_triangle(c):
+    """The entries c[i, j] with j >= i, row by row."""
+    return c[_triu_indices(c.shape[0])]
+
+
+@functools.cache
+def _triu_indices(g):
+    """np.triu_indices(g) as read-only arrays, computed once per g: the
+    call costs about ten times the indexing it serves."""
+    rows, cols = np.triu_indices(g)
+    rows.flags.writeable = False
+    cols.flags.writeable = False
+    return rows, cols
 
 
 @dataclass(frozen=True)
@@ -553,15 +567,13 @@ def finiteness_probe(curve: HyperellipticCurve, n_samples: int,
             rejected += 1
             continue
         points.append(e)
-        coords.append(np.array([c[i, j] for i in range(g)
-                                for j in range(i, g)]))
+        coords.append(_upper_triangle(c))
     if extra_points is not None:
         for e in extra_points:
             e = np.asarray(e, dtype=complex).reshape(-1)
             c = log_theta_hessian(e, omega, tol=tol, floor=floor)
             points.append(e)
-            coords.append(np.array([c[i, j] for i in range(g)
-                                    for j in range(i, g)]))
+            coords.append(_upper_triangle(c))
     collisions = []
     norms = [np.linalg.norm(c) for c in coords]
     for i, j in _collision_candidates(np.array(coords), collision_tol):

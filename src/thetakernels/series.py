@@ -15,6 +15,7 @@ normalised :class:`~fractions.Fraction` is built per output part.
 from __future__ import annotations
 
 import math
+import numbers
 from fractions import Fraction
 
 
@@ -39,13 +40,17 @@ class QC:
         return _qc(Fraction(x), _ZERO)
 
     def __add__(self, other):
-        o = QC.of(other)
+        o = _operand(other)
+        if o is None:
+            return NotImplemented
         return _qc(self.re + o.re, self.im + o.im)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = QC.of(other)
+        o = _operand(other)
+        if o is None:
+            return NotImplemented
         return _qc(self.re - o.re, self.im - o.im)
 
     def __rsub__(self, other):
@@ -54,14 +59,18 @@ class QC:
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return _qc(self.re * other, self.im * other)
-        o = QC.of(other)
+        o = _operand(other)
+        if o is None:
+            return NotImplemented
         return _qc(self.re * o.re - self.im * o.im,
                    self.re * o.im + self.im * o.re)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        o = QC.of(other)
+        o = _operand(other)
+        if o is None:
+            return NotImplemented
         d = o.re * o.re + o.im * o.im
         if d == 0:
             raise ZeroDivisionError("division by zero QC")
@@ -114,6 +123,19 @@ def _qc(re: Fraction, im: Fraction) -> QC:
     z.re = re
     z.im = im
     return z
+
+
+def _operand(x):
+    """x as a QC, or None when x is not a number.
+
+    A QC operator returns NotImplemented for None, so that ``QC op Series``
+    falls through to the Series' reflected method.
+    """
+    if type(x) is QC:
+        return x
+    if isinstance(x, numbers.Number):
+        return QC.of(x)
+    return None
 
 
 # -- Gaussian-integer kernel -------------------------------------------------

@@ -2,6 +2,7 @@
 
 import json
 import math
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -14,8 +15,9 @@ from thetakernels.jets import (ConnectionJet, DiffOperator, JetKernel,
                                det_kernel, flat_extension,
                                gamma_from_projective, kernel_to_operator,
                                matrix_oper, mu_nu, operator_to_kernel,
-                               projective_jet, quadratic_S, rescale_shift,
-                               tensor_power, trace_map, _mat_zero)
+                               projective_jet, quadratic_S, quadratic_S_jet,
+                               rescale_shift, tensor_power, trace_map,
+                               _mat_zero)
 from thetakernels.series import QC, Series
 
 N = 16  # series truncation order for the exact battery
@@ -584,6 +586,59 @@ def order20_record():
             "again": _serialize_jet(again)}
 
 
+ORDER20_OPS_RECORD = Path(__file__).parent / "data" / "jets_ops_order20.json"
+
+
+def _serialize_matrices(mats):
+    return [[[_serialize_series(entry) for entry in row] for row in mat]
+            for mat in mats]
+
+
+def ops_order20_record():
+    """Solvers, the operator dictionary, rank-2 flat kernels, det, companion
+    form, projective jets and the quadratic map at order 20.
+
+    tests/data/jets_ops_order20.json was written by this function while
+    jets still carried its float coefficient path, so the record pins
+    the exact-only rewrite to the same values.
+    """
+    n = 20
+    q = poly([1, 2 + 1j, -3], n)
+    L3 = DiffOperator(3, 1, [[[poly([0, 1], n)]], [[q]], [[poly([2j, 0, 1], n)]]])
+    conn = ConnectionJet(2, [[poly([1, 1j], n), poly([0, 2], n)],
+                             [poly([-1, 1], n), poly([3j, -2], n)]])
+    kappa = flat_extension(conn, 5)
+    oper = build_oper(q, {3: poly([2, -1j, 1], n)}, 3, 5)
+    L = kernel_to_operator(oper)
+    companion = companion_connection(L)
+    rho = projective_jet(q, 2, nu=2, m=3)
+    s1 = flat_extension(conn, 3) * rho
+    mat = [[poly([2, 1], n), poly([0, 1j], n)], [poly([3, -1], n), poly([-2, -1], n)]]
+    s0 = JetKernel(2, 2, 2, [_mat_zero(2, n), mat, _mat_zero(2, n)])
+    return {
+        "solve": _serialize_series(L3.solve([1, QC(Fraction(1, 2), -1), 2j], n)),
+        "flat_sections": [_serialize_series(v) for v in conn.solve([1, 1j], n)],
+        "kappa": _serialize_jet(kappa),
+        "swap": _serialize_jet(kappa.swap()),
+        "trace": _serialize_jet(kappa.trace()),
+        "det": _serialize_jet(det_kernel(kappa)),
+        "operator": _serialize_matrices(L.q),
+        "kernel": _serialize_jet(operator_to_kernel(L, 6)),
+        "companion": _serialize_matrices([companion.gamma]),
+        "companion_flat": _serialize_jet(flat_extension(companion, 4)),
+        "projective_jet": _serialize_jet(projective_jet(q, 3, m=4)),
+        "rescale_shift": _serialize_series(rescale_shift(oper, 4)),
+        "S_lambda1": _serialize_series(quadratic_S(s1, 1)),
+        "S_lambda2": _serialize_series(quadratic_S(s1.scale(2), 2)),
+        "S_jet_lambda1": _serialize_jet(quadratic_S_jet(s1)),
+        "S_lambda0": _serialize_series(quadratic_S(s0, 0)),
+        "S_jet_lambda0": _serialize_jet(quadratic_S_jet(s0)),
+    }
+
+
 class TestExactRecord:
     def test_order20_pipeline_matches_record(self):
         assert order20_record() == json.loads(ORDER20_RECORD.read_text())
+
+    def test_order20_operations_match_record(self):
+        assert ops_order20_record() == json.loads(ORDER20_OPS_RECORD.read_text())

@@ -27,6 +27,14 @@ class TestQC:
         assert not QC()
         assert QC(0, 1)
 
+    def test_operators_defer_to_series(self):
+        s = Series.from_coeffs([1, QC(2, -1), Fraction(1, 3)], 4)
+        k = QC(2)
+        for got, want in [(k * s, s * k), (k + s, s + k), (k - s, -(s - k)),
+                          (k / s, s.reciprocal() * k)]:
+            assert isinstance(got, Series)
+            assert got == want
+
 
 class TestSeriesRing:
     def test_truncation_on_min_order(self):
