@@ -12,8 +12,8 @@ from .kernels import (JacobianPoint, KernelValue, KleinCoordinates,
                       select_odd_characteristic, szego_kernel,
                       wirtinger_connection)
 from .theta import (Characteristic, RiemannMatrix, ScaledComplex,
-                    ThetaRequest, lattice_points, log_theta_hessian,
-                    second_order_theta_basis, theta, theta_value)
+                    lattice_points, log_theta_hessian,
+                    second_order_theta_basis, theta_value)
 
 __all__ = [
     "Characteristic",
@@ -26,7 +26,6 @@ __all__ = [
     "ScaledComplex",
     "SurfacePoint",
     "ThetaKernelsError",
-    "ThetaRequest",
     "bergman_a_period",
     "bergman_kernel",
     "build_curve",
@@ -46,7 +45,6 @@ __all__ = [
     "second_order_theta_basis",
     "select_odd_characteristic",
     "szego_kernel",
-    "theta",
     "theta_value",
     "wirtinger_connection",
 ]

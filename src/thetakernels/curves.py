@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import (DegreeTooSmall, InadmissiblePoint, NonSquarefree,
                      PathThroughBranchPoint, QuadratureNonConvergent)
-from .series import Series
+from .series import complex_div, complex_mul
 from .theta import RiemannMatrix
 
 DEFAULT_QUADRATURE_TOL = 1e-11
@@ -117,14 +117,17 @@ class SurfacePoint:
 
 @dataclass
 class LocalExpansion:
-    """Series data at a point: x(t), y(t), differentials and Abel map."""
+    """Series data at a point: x(t), y(t), differentials and Abel map.
+
+    Each series is a list of order+1 complex coefficients c_0..c_order.
+    """
 
     point: SurfacePoint
     order: int
-    x: Series
-    y: Series
-    omega: list          # omega_i(t)/dt as Series
-    abel: list           # A_i(t) as Series, A_i(0) = abel image of the point
+    x: list
+    y: list
+    omega: list          # omega_i(t)/dt, one coefficient list per i
+    abel: list           # A_i(t), with A_i(0) the Abel image of the point
 
 
 class HyperellipticCurve:
@@ -316,19 +319,29 @@ class HyperellipticCurve:
 
     # -- points -------------------------------------------------------------
 
+    def _finite_f(self, x: complex) -> complex:
+        """f(x); InadmissiblePoint unless x and f(x) are finite."""
+        if cmath.isfinite(x):
+            with np.errstate(over="ignore", invalid="ignore"):
+                fx = complex(self.f(x))
+            if cmath.isfinite(fx):
+                return fx
+        raise InadmissiblePoint(f"x={x}: x and f(x) must be finite")
+
     def point(self, x, sheet=1, chart_scale=1.0) -> SurfacePoint:
         x = complex(x)
+        fx = self._finite_f(x)
         if min(abs(x - b) for b in self.branch_points) < self.margin:
             raise InadmissiblePoint(
                 f"x={x} within margin {self.margin:.2e} of a branch point")
-        y = sheet * np.sqrt(complex(self.f(x)))
+        y = sheet * np.sqrt(fx)
         return SurfacePoint(x=x, sheet=int(sheet), y=complex(y),
                             chart_scale=float(chart_scale))
 
     def point_with_y(self, x, y, chart_scale=1.0) -> SurfacePoint:
         x, y = complex(x), complex(y)
-        fx = complex(self.f(x))
-        if abs(y * y - fx) > 1e-8 * max(1.0, abs(fx)):
+        fx = self._finite_f(x)
+        if not abs(y * y - fx) <= 1e-8 * max(1.0, abs(fx)):
             raise InadmissiblePoint("y^2 != f(x)")
         if min(abs(x - b) for b in self.branch_points) < self.margin:
             raise InadmissiblePoint("within branch-point margin")
@@ -528,31 +541,32 @@ class HyperellipticCurve:
         if order > 32:
             raise ValueError("expansion order capped at 32")
         lam = p.chart_scale
-        xs = Series.from_coeffs([p.x, lam], order, exact=False)
-        fser = Series.const(complex(self.coeffs[-1]), order, exact=False)
+        zeros = [0j] * order
+        xs = ([complex(p.x), complex(lam)] + zeros)[:order + 1]
+        fser = [complex(self.coeffs[-1])] + zeros
         for c in self.coeffs[-2::-1]:
-            fser = fser * xs + complex(c)
-        ys = Series.const(p.y, order, exact=False)
+            fser = complex_mul(fser, xs)
+            fser[0] = fser[0] + complex(c)
+        ys = [complex(p.y)] + zeros
         for _ in range(order.bit_length() + 2):
-            ys = (ys + fser / ys) * 0.5
-        resid = ys * ys - fser
-        if any(abs(c) > 1e-8 * max(1.0, abs(p.y)) for c in resid.c):
+            ys = [(u + v) * 0.5 for u, v in zip(ys, complex_div(fser, ys))]
+        resid = [u - v for u, v in zip(complex_mul(ys, ys), fser)]
+        if any(abs(c) > 1e-8 * max(1.0, abs(p.y)) for c in resid):
             raise InadmissiblePoint("series square root failed; point too singular")
-        powers = [Series.const(1.0, order, exact=False)]
+        powers = [[1 + 0j] + zeros]
         for _ in range(self.genus - 1):
-            powers.append(powers[-1] * xs)
+            powers.append(complex_mul(powers[-1], xs))
         omega = []
         for i in range(self.genus):
-            num = Series.zero(order, exact=False)
+            num = [0j] * (order + 1)
             for j in range(self.genus):
-                num = num + powers[j] * complex(self.diff_norm[i, j])
-            omega.append(num / ys * lam)
+                d = complex(self.diff_norm[i, j])
+                num = [u + v * d for u, v in zip(num, powers[j])]
+            omega.append([v * lam for v in complex_div(num, ys)])
         a0 = self.abel_map(p)
-        abel = []
-        for i in range(self.genus):
-            ser = omega[i].integrate().truncate(order)
-            ser.c[0] = complex(a0[i])
-            abel.append(ser)
+        abel = [[complex(a0[i])] + [x * complex(1 / (k + 1))
+                                    for k, x in enumerate(omega[i][:order])]
+                for i in range(self.genus)]
         return LocalExpansion(point=p, order=order, x=xs, y=ys,
                               omega=omega, abel=abel)
 

@@ -25,7 +25,7 @@ from .curves import (HyperellipticCurve, SurfacePoint,
 from .errors import (ConstraintViolation, NoNonsingularOddCharacteristic,
                      NotOnThetaSmoothLocus, OnDiagonal, PointOnTheta,
                      SeriesOrderInsufficient, SquareRootBranchUnresolvable)
-from .series import Series
+from .series import complex_div, complex_mul
 from .theta import (DEFAULT_TOL, THETA_FLOOR, Characteristic, RiemannMatrix,
                     ScaledComplex, derivative_indices, log_theta_hessian,
                     theta_batch, theta_gradient)
@@ -288,20 +288,21 @@ def klein_coordinates(curve: HyperellipticCurve, e, tol=DEFAULT_TOL,
 # ----------------------------------------------------------------------
 
 def _theta_compose(v0, omega, char, zser, order, tol=DEFAULT_TOL):
-    """Series of theta[char](v0 + z(t)) for a vector of series z with z(0)=0.
+    """Coefficients of theta[char](v0 + z(t)) for a vector z of complex
+    coefficient lists (order+1 long) with z(0)=0.
 
     Uses the exact third-order Taylor jet of theta at v0; the neglected
     fourth-order remainder only affects series coefficients beyond t^3.
     """
     combs, derivs = derivative_indices(omega.dim, 3)
     vals, expo, _ = theta_batch(v0, omega, char, derivs, tol)
-    out = Series.zero(order, exact=False)
+    out = [0j] * (order + 1)
     for comb, d, v in zip(combs, derivs, vals):
         mult = math.prod(math.factorial(k) for k in d)
-        term = Series.const(v / mult, order, exact=False)
+        term = [complex(v / mult)] + [0j] * order
         for i in comb:
-            term = term * zser[i]
-        out = out + term
+            term = complex_mul(term, zser[i])
+        out = [u + w for u, w in zip(out, term)]
     return out, expo
 
 
@@ -330,37 +331,36 @@ def wirtinger_connection(curve: HyperellipticCurve, e, p: SurfacePoint,
     for ser in le.abel:
         c = [0j] * (order + 1)
         for k in range(1, order + 1, 2):
-            c[k] = -2.0 * ser.c[k]
-        w.append(Series(c, order))
+            c[k] = -2.0 * ser[k]
+        w.append(c)
     num_plus, ep = _theta_compose(e, omega, char0, w, order, tol)
     num_minus, em = _theta_compose(-e, omega, char0, w, order, tol)
     # H(t) = sum_i d_i theta[delta](0) omega_i(t): the squared half-density
     grad, _ = _gradient_at_zero(curve, delta, tol)
-    hplus = Series.zero(order, exact=False)
-    hminus = Series.zero(order, exact=False)
+    hplus = [0j] * (order + 1)
+    hminus = [0j] * (order + 1)
     for i in range(curve.genus):
-        hplus = hplus + le.omega[i] * complex(grad[i])
-        flip = Series([le.omega[i].c[k] * (-1.0) ** k
-                       for k in range(order + 1)], order)
-        hminus = hminus + flip * complex(grad[i])
+        g = complex(grad[i])
+        hplus = [h + v * g for h, v in zip(hplus, le.omega[i])]
+        hminus = [h + v * (-1.0) ** k * g
+                  for k, (h, v) in enumerate(zip(hminus, le.omega[i]))]
     tdelta, ed = _theta_compose(np.zeros(curve.genus, complex), omega, delta,
                                 w, order, tol)
     # F(t) = num_plus num_minus H(t) H(-t) / (theta(e)^2 tdelta^2)
-    numer = num_plus * num_minus * hplus * hminus
-    denom = tdelta * tdelta
+    numer = complex_mul(complex_mul(complex_mul(num_plus, num_minus), hplus),
+                        hminus)
+    denom = complex_mul(tdelta, tdelta)
     # strip the double zero of tdelta^2 at t=0 (the low coefficients are
     # roundoff from theta[delta](0) ~ 0)
-    lead = abs(denom.c[2])
-    if abs(denom.c[0]) > 1e-10 * lead or abs(denom.c[1]) > 1e-10 * lead:
+    lead = abs(denom[2])
+    if abs(denom[0]) > 1e-10 * lead or abs(denom[1]) > 1e-10 * lead:
         raise SeriesOrderInsufficient("odd theta composition lost its zero")
-    dstrip = Series(denom.c[2:], order - 2)
-    nstrip = Series(numer.c[:order - 1], order - 2)
-    gser = nstrip / dstrip
+    gser = complex_div(numer[:order - 1], denom[2:])
     # F(t) = gser(t) exp(ep + em - 2 ed) / theta(e)^2 / t^2
     #      = 1/(4 t^2) + R/6 + O(t): the leading 1/4 checks all factors
     pref = math.exp(ep + em - 2 * ed - theta_e2.exponent) / theta_e2.mantissa
-    g0 = gser.c[0] * pref
-    g2 = gser.c[2] * pref
+    g0 = gser[0] * pref
+    g2 = gser[2] * pref
     if abs(g0 - 0.25) > 1e-6:
         raise SeriesOrderInsufficient(
             f"diagonal normalization check failed: leading {g0}")

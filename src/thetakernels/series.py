@@ -1,15 +1,21 @@
-"""Truncated power series over exact rational-complex or float coefficients.
+"""Truncated power series: exact :class:`Series` and complex coefficient lists.
 
 A :class:`Series` holds coefficients c_0..c_n of a function germ modulo
-t^(n+1).  The default coefficient field is :class:`QC` (Gaussian
-rationals, exact); plain ``complex`` coefficients give a floating mode
-for interoperability with numerically computed curve data.  Arithmetic
+t^(n+1) over :class:`QC` (Gaussian rationals, exact).  Arithmetic
 truncates at the minimum order of the operands.
 
 Exact products, reciprocals and scalar multiples run on an integer
 kernel: the operands are lifted to Gaussian-integer numerators over one
 common denominator, combined with plain ``int`` arithmetic, and one
 normalised :class:`~fractions.Fraction` is built per output part.
+
+Numerically computed germs (the local expansions of a curve and the
+theta compositions of the Wirtinger connection) are plain lists of
+Python ``complex`` coefficients; sums and scalings are list
+comprehensions, and :func:`complex_mul` and :func:`complex_div` give the
+truncated product and quotient.  They use CPython's complex arithmetic
+on purpose: numpy's complex128 multiply rounds differently in the last
+bit.
 """
 
 from __future__ import annotations
@@ -145,15 +151,9 @@ def _operand(x):
 # the final conversion back builds Fractions (one gcd per part).
 
 def _lift(coeffs):
-    """(re, im, den) with coeffs[k] == (re[k] + i im[k]) / den, or None.
-
-    None unless every coefficient is a QC (float and mixed series keep
-    the scalar loops).
-    """
+    """(re, im, den) with coeffs[k] == (re[k] + i im[k]) / den."""
     ratios = []
     for x in coeffs:
-        if type(x) is not QC:
-            return None
         ratios.append(x.re.as_integer_ratio())
         ratios.append(x.im.as_integer_ratio())
     den = math.lcm(*[d for _, d in ratios])
@@ -221,21 +221,37 @@ def _reciprocal_lift(re, im, den, n):
     return out
 
 
-def _zero_like(c):
-    return QC() if isinstance(c, QC) else 0j
+# -- complex coefficient lists -------------------------------------------------
+
+def complex_mul(a, b):
+    """Product of two complex coefficient lists, truncated to the shorter."""
+    n = min(len(a), len(b)) - 1
+    out = [0j] * (n + 1)
+    for i in range(n + 1):
+        ai = a[i]
+        if not ai:
+            continue
+        for j in range(n + 1 - i):
+            bj = b[j]
+            if bj:
+                out[i + j] = out[i + j] + ai * bj
+    return out
 
 
-def _one_like(c):
-    return QC(1) if isinstance(c, QC) else (1 + 0j)
-
-
-def _scalar_like(c, frac: Fraction):
-    """Embed an exact rational into the coefficient field of ``c``."""
-    return QC(frac) if isinstance(c, QC) else complex(frac)
+def complex_div(a, b):
+    """Quotient a / b of complex coefficient lists; needs b[0] != 0."""
+    inv0 = (1 + 0j) / b[0]
+    inv = [inv0] + [0j] * (len(b) - 1)
+    for k in range(1, len(b)):
+        acc = 0j
+        for j in range(1, k + 1):
+            acc = acc + b[j] * inv[k - j]
+        inv[k] = -inv0 * acc
+    return complex_mul(a, inv)
 
 
 class Series:
-    """Coefficients c[0..n] of a germ modulo t^(n+1)."""
+    """QC coefficients c[0..n] of a germ modulo t^(n+1)."""
 
     __slots__ = ("c", "n")
 
@@ -244,40 +260,32 @@ class Series:
         if n is None:
             n = len(coeffs) - 1
         if len(coeffs) < n + 1:
-            pad = _zero_like(coeffs[0]) if coeffs else QC()
-            coeffs = coeffs + [pad] * (n + 1 - len(coeffs))
+            coeffs = coeffs + [QC()] * (n + 1 - len(coeffs))
         self.c = coeffs[:n + 1]
         self.n = n
 
     # -- constructors ---------------------------------------------------
 
     @staticmethod
-    def zero(n, exact=True):
-        z = QC() if exact else 0j
-        return Series([z] * (n + 1), n)
+    def zero(n):
+        return Series([QC()] * (n + 1), n)
 
     @staticmethod
-    def const(value, n, exact=True):
-        s = Series.zero(n, exact)
-        s.c[0] = QC.of(value) if exact else complex(value)
+    def const(value, n):
+        s = Series.zero(n)
+        s.c[0] = QC.of(value)
         return s
 
     @staticmethod
-    def variable(n, exact=True):
-        s = Series.zero(n, exact)
+    def variable(n):
+        s = Series.zero(n)
         if n >= 1:
-            s.c[1] = QC(1) if exact else (1 + 0j)
+            s.c[1] = QC(1)
         return s
 
     @staticmethod
-    def from_coeffs(coeffs, n, exact=True):
-        conv = QC.of if exact else complex
-        out = [conv(c) for c in coeffs[:n + 1]]
-        return Series(out, n)
-
-    @property
-    def exact(self) -> bool:
-        return isinstance(self.c[0], QC)
+    def from_coeffs(coeffs, n):
+        return Series([QC.of(c) for c in coeffs[:n + 1]], n)
 
     def copy(self):
         return Series(list(self.c), self.n)
@@ -288,10 +296,10 @@ class Series:
         return Series(self.c[:m + 1], m)
 
     def __getitem__(self, k):
-        return self.c[k] if k <= self.n else _zero_like(self.c[0])
+        return self.c[k] if k <= self.n else QC()
 
     def is_zero(self) -> bool:
-        return all(not _nonzero(x) for x in self.c)
+        return not any(self.c)
 
     # -- ring operations -------------------------------------------------
 
@@ -316,54 +324,27 @@ class Series:
 
     def __mul__(self, other):
         if not isinstance(other, Series):
-            lift = _lift(self.c)
-            if lift is None:
-                return Series([x * other for x in self.c], self.n)
-            ar, ai, den = lift
+            ar, ai, den = _lift(self.c)
             (sr,), (si,), sden = _lift([QC.of(other)])
             return Series(_lower([r * sr - i * si for r, i in zip(ar, ai)],
                                  [r * si + i * sr for r, i in zip(ar, ai)],
                                  den * sden), self.n)
         n = min(self.n, other.n)
-        a, b = _lift(self.c[:n + 1]), _lift(other.c[:n + 1])
-        if a is not None and b is not None:
-            cr, ci = _convolve(a[0], a[1], b[0], b[1], n)
-            return Series(_lower(cr, ci, a[2] * b[2]), n)
-        zero = _zero_like(self.c[0])
-        out = [zero] * (n + 1)
-        for i in range(n + 1):
-            ci = self.c[i]
-            if not _nonzero(ci):
-                continue
-            for j in range(n + 1 - i):
-                cj = other.c[j]
-                if _nonzero(cj):
-                    out[i + j] = out[i + j] + ci * cj
-        return Series(out, n)
+        ar, ai, aden = _lift(self.c[:n + 1])
+        br, bi, bden = _lift(other.c[:n + 1])
+        cr, ci = _convolve(ar, ai, br, bi, n)
+        return Series(_lower(cr, ci, aden * bden), n)
 
     __rmul__ = __mul__
 
     def reciprocal(self):
-        c0 = self.c[0]
-        if not _nonzero(c0):
+        if not self.c[0]:
             raise ZeroDivisionError("series with zero constant term is not invertible")
-        n = self.n
-        lift = _lift(self.c)
-        if lift is not None:
-            return Series(_reciprocal_lift(*lift, n), n)
-        inv0 = _one_like(c0) / c0
-        out = [inv0] + [_zero_like(c0)] * n
-        for k in range(1, n + 1):
-            acc = _zero_like(c0)
-            for j in range(1, k + 1):
-                acc = acc + self.c[j] * out[k - j]
-            out[k] = -inv0 * acc
-        return Series(out, n)
+        return Series(_reciprocal_lift(*_lift(self.c), self.n), self.n)
 
     def __truediv__(self, other):
         if not isinstance(other, Series):
-            inv = _one_like(self.c[0]) / (QC.of(other) if self.exact else complex(other))
-            return self * inv
+            return self * (QC(1) / QC.of(other))
         return self * other.reciprocal()
 
     def __rtruediv__(self, other):
@@ -372,7 +353,7 @@ class Series:
     def __pow__(self, k: int):
         if k < 0:
             return self.reciprocal() ** (-k)
-        out = Series.const(1, self.n, self.exact)
+        out = Series.const(1, self.n)
         base = self
         while k:
             if k & 1:
@@ -383,19 +364,18 @@ class Series:
 
     def pow_fraction(self, alpha: Fraction):
         """(1 + x)^alpha by the binomial series; requires constant term 1."""
-        one = _one_like(self.c[0])
-        if self.c[0] != one:
+        if self.c[0] != QC(1):
             raise ValueError("fractional powers need constant term 1")
-        x = self - one
+        x = self - QC(1)
         n = self.n
-        out = Series.const(1, n, self.exact)
-        term = Series.const(1, n, self.exact)
+        out = Series.const(1, n)
+        term = Series.const(1, n)
         coeff = Fraction(alpha)
         for k in range(1, n + 1):
             term = term * x
             if term.is_zero():
                 break
-            out = out + term * _scalar_like(self.c[0], coeff / math.factorial(k))
+            out = out + term * (coeff / math.factorial(k))
             coeff *= (alpha - k)
         return out
 
@@ -404,23 +384,23 @@ class Series:
     def derivative(self):
         n = self.n
         if n == 0:
-            return Series([_zero_like(self.c[0])], 0)
+            return Series([QC()], 0)
         return Series([self.c[k + 1] * (k + 1) for k in range(n)], n - 1)
 
     def integrate(self):
         """Antiderivative with zero constant term; order grows by one."""
-        out = [_zero_like(self.c[0])]
+        out = [QC()]
         for k, x in enumerate(self.c):
-            out.append(x * _scalar_like(x, Fraction(1, k + 1)))
+            out.append(x * Fraction(1, k + 1))
         return Series(out, self.n + 1)
 
     def compose(self, inner: "Series"):
         """self(inner(t)); requires inner(0) = 0."""
-        if _nonzero(inner.c[0]):
+        if inner.c[0]:
             raise ValueError("composition requires inner constant term 0")
         n = min(self.n, inner.n)
-        out = Series.const(self.c[0], n, self.exact)
-        power = Series.const(1, n, self.exact)
+        out = Series.const(self.c[0], n)
+        power = Series.const(1, n)
         for k in range(1, n + 1):
             power = power * inner
             if power.is_zero():
@@ -430,15 +410,15 @@ class Series:
 
     def reversion(self):
         """Functional inverse w with self(w(t)) = t; needs c0=0, c1 != 0."""
-        if _nonzero(self.c[0]) or not _nonzero(self.c[1]):
+        if self.c[0] or not self.c[1]:
             raise ValueError("reversion requires c0 = 0 and c1 != 0")
         # pw[j][k] = [t^k] w^j, filled one order k at a time: [t^k] w^j
         # for j >= 2 needs only w_1..w_{k-1}, and [t^k] self(w) = 0 then
         # gives w_k (Brent & Kung, J. ACM 1978); O(n^3) scalar operations.
         n = self.n
         c = self.c
-        zero = _zero_like(c[1])
-        inv1 = _one_like(c[1]) / c[1]
+        zero = QC()
+        inv1 = QC(1) / c[1]
         w = [zero] * (n + 1)
         w[1] = inv1
         pw = [None, w] + [[zero] * (n + 1) for _ in range(2, n + 1)]
@@ -450,7 +430,7 @@ class Series:
                 for i in range(1, k - j + 2):
                     p = p + w[i] * prev[k - i]
                 pw[j][k] = p
-                if _nonzero(c[j]):
+                if c[j]:
                     acc = acc + c[j] * p
             w[k] = -acc * inv1
         return Series(w, n)
@@ -462,9 +442,9 @@ class Series:
         return acc
 
     def shift_argument(self, a):
-        """Series of f(t + a) to the same truncation order (a in the field)."""
+        """Series of f(t + a) to the same truncation order (a a QC)."""
         n = self.n
-        out = [_zero_like(self.c[0])] * (n + 1)
+        out = [QC()] * (n + 1)
         # Horner in (t + a)
         for k in range(n, -1, -1):
             carry = out[:]
@@ -483,7 +463,3 @@ class Series:
         shown = ", ".join(repr(x) for x in self.c[:5])
         more = ", ..." if self.n > 4 else ""
         return f"Series([{shown}{more}], n={self.n})"
-
-
-def _nonzero(x) -> bool:
-    return bool(x)

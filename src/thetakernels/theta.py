@@ -116,22 +116,6 @@ class Characteristic:
 
 
 @dataclass(frozen=True)
-class ThetaRequest:
-    """One theta evaluation: argument, characteristic, derivative, tolerance."""
-
-    z: tuple
-    char: Characteristic
-    deriv: tuple
-    tol: float = DEFAULT_TOL
-
-    def __post_init__(self):
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
-        if sum(self.deriv) > 3 or any(d < 0 for d in self.deriv):
-            raise ValueError("derivative multi-index must have total order <= 3")
-
-
-@dataclass(frozen=True)
 class ScaledComplex:
     """A complex number stored as mantissa * exp(exponent).
 
@@ -346,25 +330,23 @@ def theta_batch(z, omega: RiemannMatrix, char: Characteristic, derivs,
     return out, exponent, float(np.abs(terms).max())
 
 
-def theta(req: ThetaRequest, omega: RiemannMatrix) -> ScaledComplex:
-    """Theta with characteristic, differentiated per ``req.deriv``.
-
-    The absolute truncation error is at most ``req.tol * exp(exponent)``.
-    """
-    vals, exponent, _ = theta_batch(req.z, omega, req.char, [req.deriv], req.tol)
-    return ScaledComplex.make(vals[0], exponent)
-
-
 def theta_value(z, omega: RiemannMatrix, char: Characteristic = None,
                 deriv=None, tol: float = DEFAULT_TOL) -> ScaledComplex:
-    """Convenience wrapper building the request inline."""
-    z = tuple(np.asarray(z, dtype=complex).reshape(-1))
+    """Theta with characteristic ``char`` (default zero) at z, differentiated
+    per the multi-index ``deriv`` (default none, total order at most 3).
+
+    The absolute truncation error is at most ``tol * exp(exponent)``.
+    """
+    if tol <= 0:
+        raise ValueError("tol must be positive")
     g = omega.dim
+    deriv = (0,) * g if deriv is None else tuple(deriv)
+    if sum(deriv) > 3 or any(d < 0 for d in deriv):
+        raise ValueError("derivative multi-index must have total order <= 3")
     if char is None:
         char = Characteristic.zero(g)
-    if deriv is None:
-        deriv = (0,) * g
-    return theta(ThetaRequest(z, char, tuple(deriv), tol), omega)
+    vals, exponent, _ = theta_batch(z, omega, char, [deriv], tol)
+    return ScaledComplex.make(vals[0], exponent)
 
 
 def derivative_indices(g: int, order: int):

@@ -172,6 +172,15 @@ class TestEvalInputContracts:
         assert_one_error_line(run_cli(["eval", what, "--curve", curve_file]
                                       + args))
 
+    @pytest.mark.parametrize("x1", ["nan", "inf", "1e200"])
+    @pytest.mark.parametrize("what,args", [
+        ("szego", ["--e", "0.3+0.1j", "--x2", "-2.0"]),
+        ("wirtinger", ["--e", "0.3+0.1j"]),
+    ])
+    def test_non_finite_point(self, curve_file, what, args, x1):
+        assert_one_error_line(run_cli(["eval", what, "--curve", curve_file,
+                                       "--x1", x1] + args))
+
     def test_non_numeric_coefficient(self, tmp_path):
         from thetakernels.curves import curve_from_spec
         with pytest.raises(ValueError):

@@ -8,7 +8,7 @@ from thetakernels.curves import (_gauss_legendre, _half_gauss_legendre,
                                  lattice_coordinates, reduce_mod_lattice)
 from thetakernels.errors import (DegreeTooSmall, InadmissiblePoint,
                                  NonSquarefree)
-from thetakernels.series import Series
+from thetakernels.series import complex_mul
 
 
 def agm(a, b):
@@ -157,6 +157,17 @@ class TestSurfacePoints:
         with pytest.raises(InadmissiblePoint):
             lemniscatic.point_with_y(2.0, 1.234)
 
+    @pytest.mark.parametrize("x", [float("nan"), float("inf"), 1e200,
+                                   complex(1.0, float("-inf"))])
+    def test_non_finite_point_rejected(self, genus2, x):
+        # 1e200 is finite, but f(1e200) overflows
+        with pytest.raises(InadmissiblePoint):
+            genus2.point(x, 1)
+        with pytest.raises(InadmissiblePoint):
+            genus2.point_with_y(x, 1.0)
+        with pytest.raises(InadmissiblePoint):
+            genus2.point_with_y(2.0, float("nan"))
+
 
 class TestAbelMap:
     def test_zero_path(self, lemniscatic):
@@ -235,34 +246,35 @@ class TestLocalExpansion:
         for c, x0 in ((lemniscatic, 2.0), (genus2, 1.7 + 0.4j)):
             p = c.point(x0, 1)
             le = c.local_expansion(p, 10)
-            f = Series.const(complex(c.coeffs[-1]), 10, exact=False)
+            f = [complex(c.coeffs[-1])] + [0j] * 10
             for co in c.coeffs[-2::-1]:
-                f = f * le.x + complex(co)
-            resid = le.y * le.y - f
-            assert max(abs(v) for v in resid.c) < 1e-10
+                f = complex_mul(f, le.x)
+                f[0] = f[0] + complex(co)
+            resid = [u - v for u, v in zip(complex_mul(le.y, le.y), f)]
+            assert max(abs(v) for v in resid) < 1e-10
 
     def test_abel_derivative_is_differential(self, genus2):
         p = genus2.point(1.7 + 0.4j, -1)
         le = genus2.local_expansion(p, 10)
         for i in range(genus2.genus):
-            d = le.abel[i].derivative()
-            err = max(abs(d.c[k] - le.omega[i].c[k]) for k in range(9))
+            a = le.abel[i]
+            err = max(abs(a[k + 1] * (k + 1) - le.omega[i][k]) for k in range(9))
             assert err < 1e-12
         a0 = genus2.abel_map(p)
-        assert abs(le.abel[0].c[0] - a0[0]) == 0
+        assert abs(le.abel[0][0] - a0[0]) == 0
 
     def test_leading_value(self, lemniscatic):
         p = lemniscatic.point(2.0, 1)
         le = lemniscatic.local_expansion(p, 6)
         expect = 1.0 / (lemniscatic.A[0, 0] * math.sqrt(6.0))
-        assert abs(le.omega[0].c[0] - expect) < 1e-12
+        assert abs(le.omega[0][0] - expect) < 1e-12
 
     def test_chart_scale(self, lemniscatic):
         p = lemniscatic.point(2.0, 1, chart_scale=2.0)
         le = lemniscatic.local_expansion(p, 6)
         q = lemniscatic.point(2.0, 1)
         le1 = lemniscatic.local_expansion(q, 6)
-        assert abs(le.omega[0].c[0] - 2.0 * le1.omega[0].c[0]) < 1e-12
+        assert abs(le.omega[0][0] - 2.0 * le1.omega[0][0]) < 1e-12
 
 
 class TestCycleContour:

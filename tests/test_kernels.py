@@ -1,6 +1,8 @@
 import importlib
+import json
 import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -331,7 +333,7 @@ class TestWirtinger:
             p = c.point(xv, sh)
             r = wirtinger_connection(c, e, p)
             a = c.local_expansion(p, 8).abel[0]
-            a1, a2, a3 = a.c[1], 2 * a.c[2], 6 * a.c[3]
+            a1, a2, a3 = a[1], 2 * a[2], 6 * a[3]
             schwarzian = a3 / a1 - 1.5 * (a2 / a1) ** 2
             vals.append((r - schwarzian) / a1 ** 2)
         vals = np.array(vals)
@@ -599,3 +601,53 @@ class TestKernelValueCovariance:
             assert v1.weight[0] == weight
             factor = lam ** (v1.weight[0] + v1.weight[1])
             assert abs(v2.value - v1.value * factor) < 1e-9 * abs(v1.value * factor)
+
+
+# ----------------------------------------------------------------------
+# Bit-for-bit record of the numerical series path
+# ----------------------------------------------------------------------
+
+NUMERIC_RECORD = Path(__file__).parent / "data" / "local_expansion_hex.json"
+
+RECORD_CURVES = (
+    ("x^5-x", [0, -1, 0, 0, 0, 1], [0.31 + 0.17j, -0.12 + 0.23j]),
+    ("x^6+x+2", [2, 1, 0, 0, 0, 0, 1], [0.27 - 0.14j, 0.19 + 0.08j]),
+)
+RECORD_POINTS = ((2.6 + 1.1j, 1), (-2.4 + 1.8j, -1), (0.4 - 2.9j, 1))
+
+
+def _hex(coeffs):
+    return [[z.real.hex(), z.imag.hex()] for z in coeffs]
+
+
+def local_expansion_record():
+    """float.hex of every local_expansion coefficient and Wirtinger value.
+
+    Two genus-2 curves, three points each, orders 6, 8 and 16, chart
+    scales 1 and 2.  tests/data/local_expansion_hex.json was written by
+    this function while the expansions were still float-mode Series
+    (each field read through its coefficient list ``.c``), so the record
+    pins the plain-list rewrite to the same bits.
+    """
+    out = {}
+    for name, f, e in RECORD_CURVES:
+        c = build_curve(f)
+        e = np.array(e)
+        for x, sheet in RECORD_POINTS:
+            for scale in (1.0, 2.0):
+                p = c.point(x, sheet, chart_scale=scale)
+                for order in (6, 8, 16):
+                    le = c.local_expansion(p, order)
+                    r = wirtinger_connection(c, e, p, order=order)
+                    out[f"{name} x={x} sheet={sheet} scale={scale} "
+                        f"order={order}"] = {
+                        "x": _hex(le.x), "y": _hex(le.y),
+                        "omega": [_hex(s) for s in le.omega],
+                        "abel": [_hex(s) for s in le.abel],
+                        "wirtinger": _hex([r])}
+    return out
+
+
+class TestNumericRecord:
+    def test_local_expansion_and_wirtinger_match_record(self):
+        assert local_expansion_record() == json.loads(NUMERIC_RECORD.read_text())

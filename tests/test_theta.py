@@ -10,11 +10,11 @@ from hypothesis import strategies as st
 from thetakernels.errors import (NotPositiveDefinite, PointOnTheta,
                                  ToleranceTooSmall)
 from thetakernels.theta import (Characteristic, RiemannMatrix, ScaledComplex,
-                                ThetaRequest, _enumerate_ellipsoid,
+                                _enumerate_ellipsoid,
                                 _truncation_radius, _upper_gamma,
                                 derivative_indices, lattice_points,
                                 log_theta_hessian,
-                                second_order_theta_basis, theta, theta_value)
+                                second_order_theta_basis, theta_value)
 
 
 def brute_theta(z, omega, char=None, deriv=None, box=10):
@@ -261,13 +261,19 @@ class TestThetaValues:
     def test_tol_too_small(self):
         om = RiemannMatrix([[1j]])
         with pytest.raises(ToleranceTooSmall):
-            theta(ThetaRequest((0j,), Characteristic.zero(1), (0,), 1e-16), om)
+            theta_value((0j,), om, Characteristic.zero(1), (0,), 1e-16)
 
     def test_request_validation(self):
+        om = RiemannMatrix([[1j]])
         with pytest.raises(ValueError):
-            ThetaRequest((0j,), Characteristic.zero(1), (4,), 1e-10)
+            theta_value((0j,), om, Characteristic.zero(1), (4,), 1e-10)
         with pytest.raises(ValueError):
-            ThetaRequest((0j,), Characteristic.zero(1), (0,), -1.0)
+            theta_value((0j,), om, Characteristic.zero(1), (0,), -1.0)
+
+
+def test_package_exposes_theta_module():
+    import thetakernels
+    assert thetakernels.theta.Characteristic is thetakernels.Characteristic
 
 
 class TestTailBound:
