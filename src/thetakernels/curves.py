@@ -547,11 +547,18 @@ class HyperellipticCurve:
         for c in self.coeffs[-2::-1]:
             fser = complex_mul(fser, xs)
             fser[0] = fser[0] + complex(c)
+        if p.y == 0:
+            raise InadmissiblePoint(f"x={p.x} is a branch point (y = 0)")
         ys = [complex(p.y)] + zeros
         for _ in range(order.bit_length() + 2):
             ys = [(u + v) * 0.5 for u, v in zip(ys, complex_div(fser, ys))]
         resid = [u - v for u, v in zip(complex_mul(ys, ys), fser)]
-        if any(abs(c) > 1e-8 * max(1.0, abs(p.y)) for c in resid):
+        # each residual coefficient against the size of the terms of the
+        # matching ys * ys coefficient, since the coefficients grow like
+        # (chart scale / distance to the nearest branch point)^k; a NaN fails
+        mags = np.abs(ys)
+        size = np.convolve(mags, mags)[:order + 1]
+        if not np.all(np.abs(resid) <= 1e-8 * size):
             raise InadmissiblePoint("series square root failed; point too singular")
         powers = [[1 + 0j] + zeros]
         for _ in range(self.genus - 1):
@@ -653,8 +660,16 @@ def reduce_mod_lattice(z, omega: RiemannMatrix):
 
 
 def lattice_coordinates(z, omega: RiemannMatrix):
-    """Real coordinates (a, b) with z = a + Omega b."""
-    z = np.asarray(z, dtype=complex).reshape(-1)
-    b = omega.im_inv @ z.imag
-    a = z.real - omega.entries.real @ b
+    """Real coordinates (a, b) with z = a + Omega b, for a g-vector z or
+    for each row of an (N, g) array (then a and b are (N, g) too).
+
+    Rows go through stacked matrix-vector products, which numpy makes
+    with the same BLAS call as the product for a single vector, so each
+    row is bit for bit the single-vector result.
+    """
+    z = np.asarray(z, dtype=complex)
+    if z.ndim != 2:
+        z = z.reshape(-1)
+    b = (omega.im_inv @ z.imag[..., None])[..., 0]
+    a = z.real - (omega.entries.real @ b[..., None])[..., 0]
     return a, b

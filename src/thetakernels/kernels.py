@@ -27,8 +27,8 @@ from .errors import (ConstraintViolation, NoNonsingularOddCharacteristic,
                      SeriesOrderInsufficient, SquareRootBranchUnresolvable)
 from .series import complex_div, complex_mul
 from .theta import (DEFAULT_TOL, THETA_FLOOR, Characteristic, RiemannMatrix,
-                    ScaledComplex, derivative_indices, log_theta_hessian,
-                    theta_batch, theta_gradient)
+                    ScaledComplex, derivative_indices, hessian_from_values,
+                    log_theta_hessian, theta_batch, theta_gradient)
 
 GRADIENT_FLOOR = 1e-8
 
@@ -494,6 +494,10 @@ class ProbeReport:
 #: temporaries stay near 16 MB whatever the sample count.
 _PAIR_TILE = 836
 
+#: Sample points per theta_batch call of the probe: enough to spread the
+#: fixed cost of a call, few enough to keep the lattice arrays small.
+_PROBE_CHUNK = 16
+
 
 def _collision_candidates(coords, collision_tol):
     """Pairs (i, j), i < j, in ascending order, that may satisfy
@@ -532,6 +536,41 @@ def _collision_candidates(coords, collision_tol):
     return zip(ii[order].tolist(), jj[order].tolist())
 
 
+def _klein_vectors(points, omega, tol, floor):
+    """Klein coordinate vector of each row of ``points``, or the
+    :class:`PointOnTheta` it raises, from one theta_batch call."""
+    g = omega.dim
+    vals, _, scales = theta_batch(points, omega, Characteristic.zero(g),
+                                  derivative_indices(g, 2)[1], tol)
+    out = []
+    for v, scale in zip(vals, scales):
+        try:
+            out.append(_upper_triangle(hessian_from_values(g, v, scale, floor)))
+        except PointOnTheta as exc:
+            out.append(exc)
+    return out
+
+
+def _collision_kinds(points, pairs, omega, lattice_tol):
+    """"equal", "negation" or "nontrivial" for each pair (i, j): whether
+    e_i - e_j, else e_i + e_j, lies in the lattice within ``lattice_tol``.
+
+    Both tests run on all pairs at once, with one lattice_coordinates
+    call on the stacked differences and one on the stacked sums.
+    """
+    if not pairs:
+        return []
+    i, j = np.array(pairs).T
+    on_lattice = []
+    for sign in (-1.0, 1.0):
+        a, b = lattice_coordinates(points[i] + sign * points[j], omega)
+        allc = np.concatenate([a, b], axis=1)
+        on_lattice.append(np.max(np.abs(allc - np.round(allc)), axis=1)
+                          < lattice_tol)
+    return np.where(on_lattice[0], "equal",
+                    np.where(on_lattice[1], "negation", "nontrivial")).tolist()
+
+
 def finiteness_probe(curve: HyperellipticCurve, n_samples: int,
                      collision_tol: float = 1e-6, seed: int = 0,
                      floor: float = THETA_FLOOR, tol=DEFAULT_TOL,
@@ -544,10 +583,13 @@ def finiteness_probe(curve: HyperellipticCurve, n_samples: int,
     coordinate norms is reported and classified as trivial when
     e' = +-e modulo the lattice within ``lattice_tol``.
 
-    Pairs are found by a candidate filter with bounded memory (see
+    Samples are drawn in the order a single-point loop draws them and
+    evaluated in chunks of ``_PROBE_CHUNK`` rows per theta_batch call;
+    the extra points take one more call.  Pairs are found by a
+    candidate filter with bounded memory (see
     :func:`_collision_candidates`) followed by the exact relative test
-    on the candidates only, in ascending (i, j) order; the report is
-    the one a test of every pair gives.
+    on the candidates only, in ascending (i, j) order, and classified
+    all at once; the report is the one a test of every pair gives.
     """
     if n_samples < 2:
         raise ValueError("need at least two samples")
@@ -558,40 +600,38 @@ def finiteness_probe(curve: HyperellipticCurve, n_samples: int,
     coords = []
     rejected = 0
     while len(points) < n_samples:
-        a = rng.uniform(-0.5, 0.5, g)
-        b = rng.uniform(-0.5, 0.5, g)
-        e = a + omega.entries @ b
-        try:
-            c = log_theta_hessian(e, omega, tol=tol, floor=floor)
-        except PointOnTheta:
-            rejected += 1
-            continue
-        points.append(e)
-        coords.append(_upper_triangle(c))
-    if extra_points is not None:
-        for e in extra_points:
-            e = np.asarray(e, dtype=complex).reshape(-1)
-            c = log_theta_hessian(e, omega, tol=tol, floor=floor)
+        # a then b for each sample: the stream of per-sample draws
+        ab = rng.uniform(-0.5, 0.5,
+                         (min(_PROBE_CHUNK, n_samples - len(points)), 2, g))
+        # stacked products match omega.entries @ b row by row
+        chunk = ab[:, 0] + (omega.entries @ ab[:, 1, :, None])[:, :, 0]
+        for e, c in zip(chunk, _klein_vectors(chunk, omega, tol, floor)):
+            if isinstance(c, PointOnTheta):
+                rejected += 1
+                continue
             points.append(e)
-            coords.append(_upper_triangle(c))
-    collisions = []
+            coords.append(c)
+    extra = [] if extra_points is None else \
+        [np.asarray(e, dtype=complex).reshape(-1) for e in extra_points]
+    if extra:
+        for e, c in zip(extra, _klein_vectors(np.array(extra), omega, tol,
+                                              floor)):
+            if isinstance(c, PointOnTheta):
+                raise c
+            points.append(e)
+            coords.append(c)
+    pairs, rel = [], []
     norms = [np.linalg.norm(c) for c in coords]
     for i, j in _collision_candidates(np.array(coords), collision_tol):
         norm = max(norms[i], norms[j])
         dist = float(np.linalg.norm(coords[i] - coords[j]))
-        if dist >= collision_tol * max(norm, 1e-300):
-            continue
-        kind = "nontrivial"
-        for sign, name in ((-1.0, "equal"), (1.0, "negation")):
-            v = points[i] + sign * points[j]
-            a, b = lattice_coordinates(v, omega)
-            allc = np.concatenate([a, b])
-            if np.max(np.abs(allc - np.round(allc))) < lattice_tol:
-                kind = name
-                break
-        collisions.append(Collision(
-            i=i, j=j, relative_distance=dist / max(norm, 1e-300),
-            trivial=kind != "nontrivial", kind=kind))
+        if dist < collision_tol * max(norm, 1e-300):
+            pairs.append((i, j))
+            rel.append(dist / max(norm, 1e-300))
+    kinds = _collision_kinds(np.array(points), pairs, omega, lattice_tol)
+    collisions = [Collision(i=i, j=j, relative_distance=r,
+                            trivial=kind != "nontrivial", kind=kind)
+                  for (i, j), r, kind in zip(pairs, rel, kinds)]
     return ProbeReport(
         genus=g, n_samples=n_samples, seed=seed,
         collision_tol=collision_tol, floor=floor, n_rejected=rejected,

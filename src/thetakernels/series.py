@@ -296,7 +296,14 @@ class Series:
         return Series(self.c[:m + 1], m)
 
     def __getitem__(self, k):
+        """c_k; zero past the truncation order."""
+        if k < 0:
+            raise IndexError("series coefficient index must be >= 0")
         return self.c[k] if k <= self.n else QC()
+
+    def __iter__(self):
+        """The n + 1 stored coefficients c_0..c_n."""
+        return iter(self.c)
 
     def is_zero(self) -> bool:
         return not any(self.c)

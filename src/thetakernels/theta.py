@@ -42,7 +42,7 @@ class RiemannMatrix:
     """
 
     __slots__ = ("entries", "dim", "im", "im_inv", "chol",
-                 "shortest", "sigma_min")
+                 "shortest", "sigma_min", "_radii")
 
     def __init__(self, entries):
         m = np.array(entries, dtype=complex)
@@ -63,10 +63,15 @@ class RiemannMatrix:
         self.chol = lower.T  # upper triangular T with T^T T = pi * Im(Omega)
         self.sigma_min = float(np.linalg.svd(self.chol, compute_uv=False)[-1])
         self.shortest = self._shortest_vector()
+        # (order, tol) -> truncation radius at ||c|| = 0, see
+        # _truncation_radius; a pure function of the matrix, so threads
+        # racing to fill an entry store the same value
+        self._radii = {}
 
     def _shortest_vector(self) -> float:
         r0 = float(min(np.linalg.norm(self.chol[:, j]) for j in range(self.dim)))
-        pts = _enumerate_ellipsoid(self.chol, np.zeros(self.dim), r0 * (1 + 1e-12))
+        pts, _ = _enumerate_ellipsoid(self.chol, np.zeros((1, self.dim)),
+                                      [r0 * (1 + 1e-12)])
         best = r0
         for n in pts:
             if any(n):
@@ -171,23 +176,30 @@ class ScaledComplex:
 # Lattice enumeration
 # ----------------------------------------------------------------------
 
-def _enumerate_ellipsoid(T, center, radius):
-    """Integer vectors n with ||T (n + center)|| <= radius, T upper triangular.
+def _enumerate_ellipsoid(T, centers, radii):
+    """Integer vectors n with ||T (n + centers[r])|| <= radii[r], one set
+    per root r, T upper triangular.
 
     Fincke-Pohst enumeration, one coordinate at a time from the last row
-    of T up, carried out for all partial vectors of a level at once.
-    Returns an (N, g) integer array whose rows are in lexicographic
-    order.  Raises ValueError when a coordinate bound is not finite or
-    exceeds 2**53 in absolute value.
+    of T up, carried out for all partial vectors of a level, of every
+    root at once.  ``centers`` is (N, g) and ``radii`` has N entries.
+    Returns ``(vecs, counts)``: an (M, g) integer array whose rows are
+    grouped by root, each group in lexicographic order, and the N group
+    sizes.  A root's group holds exactly the vectors, in the same order,
+    that a call with that root alone gives.  Raises ValueError when a
+    coordinate bound is not finite or exceeds 2**53 in absolute value.
     """
     g = T.shape[0]
-    vecs = np.zeros((1, g), dtype=np.int64)
-    rem2 = np.array([radius * radius])
+    centers = np.asarray(centers, dtype=float).reshape(-1, g)
+    radii = np.asarray(radii, dtype=float).reshape(-1)
+    root = np.arange(len(radii))
+    vecs = np.zeros((len(radii), g), dtype=np.int64)
+    rem2 = radii * radii
     # partial[:, k] = sum_{j>i} T[k, j] * (n_j + center_j) for k <= i
-    partial = np.zeros((1, g))
+    partial = np.zeros((len(radii), g))
     for i in range(g - 1, -1, -1):
         t = T[i, i]
-        c = center[i]
+        c = centers[root, i]
         rad = np.sqrt(rem2) / abs(t)
         mid = -partial[:, i] / t - c
         lo = np.ceil(mid - rad - 1e-12)
@@ -202,16 +214,19 @@ def _enumerate_ellipsoid(T, center, radius):
         first = np.cumsum(counts) - counts
         n = np.arange(len(parent)) + np.repeat(lo - first, counts)
         rem2 = rem2[parent]
+        c = c[parent]
         u = t * (n + c) + partial[parent, i]
         rem2_next = rem2 - u * u
         keep = rem2_next >= -1e-12 * np.maximum(1.0, rem2)
-        parent, n = parent[keep], n[keep]
+        parent, n, c = parent[keep], n[keep], c[keep]
         rem2 = np.maximum(rem2_next[keep], 0.0)
+        root = root[parent]
         vecs = vecs[parent]
         vecs[:, i] = n
         partial = partial[parent]
         partial[:, :i] += T[:i, i] * (n + c)[:, None]
-    return vecs[np.lexsort(vecs.T[::-1])]
+    order = np.lexsort((*vecs.T[::-1], root))
+    return vecs[order], np.bincount(root, minlength=len(radii))
 
 
 def lattice_points(omega: RiemannMatrix, center, radius: float):
@@ -223,7 +238,7 @@ def lattice_points(omega: RiemannMatrix, center, radius: float):
     if radius <= 0:
         raise ValueError("radius must be positive")
     center = np.asarray(center, dtype=float)
-    return list(_enumerate_ellipsoid(omega.chol, center, radius))
+    return list(_enumerate_ellipsoid(omega.chol, center[None], [radius])[0])
 
 
 # ----------------------------------------------------------------------
@@ -274,8 +289,26 @@ def _tail_bound(omega: RiemannMatrix, R: float, order: int, norm_c: float) -> fl
 
 def _truncation_radius(omega: RiemannMatrix, order: int, tol: float,
                        norm_c: float) -> float:
-    g, rho = omega.dim, omega.shortest
-    R = rho / 2.0 + math.sqrt(0.5 * (g + order)) + 0.5
+    """Smallest R on the grid rho/2 + sqrt((g + order)/2) + 1/2 + k/4
+    with ``_tail_bound(omega, R, order, norm_c) <= tol``.
+
+    The bound is nondecreasing in ||c|| term by term, so no grid point
+    below the answer at ||c|| = 0 can pass.  That answer is memoised on
+    ``omega`` per (order, tol), and each call walks up from it, which
+    reproduces the walk from the start of the grid bit for bit and
+    usually costs a single bound evaluation.
+    """
+    key = (order, tol)
+    start = omega._radii.get(key)
+    if start is None:
+        g, rho = omega.dim, omega.shortest
+        start = _radius_walk(omega, order, tol, 0.0,
+                             rho / 2.0 + math.sqrt(0.5 * (g + order)) + 0.5)
+        omega._radii[key] = start
+    return _radius_walk(omega, order, tol, norm_c, start)
+
+
+def _radius_walk(omega, order, tol, norm_c, R):
     while _tail_bound(omega, R, order, norm_c) > tol:
         R += 0.25
         if R > 80.0:
@@ -290,44 +323,70 @@ def _truncation_radius(omega: RiemannMatrix, order: int, tol: float,
 
 def theta_batch(z, omega: RiemannMatrix, char: Characteristic, derivs,
                 tol: float = DEFAULT_TOL):
-    """Evaluate several partial derivatives of theta[char] at one point.
+    """Evaluate several partial derivatives of theta[char] at one point
+    or at each row of an (N, g) array of points.
 
-    All derivatives share a single lattice enumeration.  Returns
-    ``(mantissas, exponent, scale)`` where ``value_k = mantissas[k] *
-    exp(exponent)`` and ``scale`` is the largest term magnitude of the
-    order-zero sum (useful as a reference for divisor-proximity floors).
+    All derivatives of all points share a single lattice enumeration.
+    For a g-vector z returns ``(mantissas, exponent, scale)`` where
+    ``value_k = mantissas[k] * exp(exponent)`` and ``scale`` is the
+    largest term magnitude of the order-zero sum (useful as a reference
+    for divisor-proximity floors).  For an (N, g) array returns
+    ``(mantissas, exponents, scales)``, three lists with one entry per
+    row; every row is bit for bit the result of a call with that row
+    alone.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
     if tol < 1e3 * _EPS:
         raise ToleranceTooSmall(
             f"tol={tol:g} below 1e3 * machine epsilon of the accumulated sum")
-    z = np.asarray(z, dtype=complex).reshape(-1)
+    z = np.asarray(z, dtype=complex)
+    single = z.ndim != 2
     g = omega.dim
-    if len(z) != g or char.dim != g:
+    z = z.reshape(1, -1) if single else z
+    if z.shape[1] != g or char.dim != g:
         raise ValueError("dimension mismatch between z, char and Omega")
     alpha = np.asarray(char.alpha, float) / 2.0
     beta = np.asarray(char.beta, float) / 2.0
-    y = z.imag
-    c = omega.im_inv @ y
-    exponent = math.pi * float(y @ c)
     order = max(int(sum(d)) for d in derivs)
-    radius = _truncation_radius(omega, order, tol, float(np.linalg.norm(c)))
-    pts = _enumerate_ellipsoid(omega.chol, alpha + c, radius)
-    if len(pts) == 0:
-        return [0j for _ in derivs], exponent, 0.0
+    # stacked matrix-vector and dot products: numpy makes the same BLAS
+    # call per row that im_inv @ y, y @ c and norm(c) make for one row
+    y = z.imag
+    c = (omega.im_inv @ y[:, :, None])[:, :, 0]
+    exponents = (math.pi * (y[:, None, :] @ c[:, :, None])[:, 0, 0]).tolist()
+    radii = [_truncation_radius(omega, order, tol, norm_c) for norm_c in
+             np.sqrt((c[:, None, :] @ c[:, :, None])[:, 0, 0]).tolist()]
+    pts, counts = _enumerate_ellipsoid(omega.chol, alpha + c, radii)
+    ends = np.cumsum(counts).tolist()
     na = pts + alpha
     quad = np.einsum("ij,jk,ik->i", na, omega.entries, na)
-    lin = na @ (z + beta)
-    terms = np.exp(1j * math.pi * quad + _TWO_PI_I * lin - exponent)
-    out = []
-    for d in derivs:
+    # one matrix-vector product per row, as a single-point call makes it
+    lin = np.empty(len(na), dtype=complex)
+    start = 0
+    for zr, end in zip(z, ends):
+        lin[start:end] = na[start:end] @ (zr + beta)
+        start = end
+    terms = np.exp(1j * math.pi * quad + _TWO_PI_I * lin
+                   - np.repeat(exponents, counts))
+    powers = {}
+    prods = np.empty((len(derivs), len(na)), dtype=complex)
+    for row, d in zip(prods, derivs):
         fac = np.ones(len(na), dtype=complex)
         for k, dk in enumerate(d):
             if dk:
-                fac = fac * (_TWO_PI_I * na[:, k]) ** dk
-        out.append(complex(np.sum(fac * terms)))
-    return out, exponent, float(np.abs(terms).max())
+                if (k, dk) not in powers:
+                    powers[k, dk] = (_TWO_PI_I * na[:, k]) ** dk
+                fac = fac * powers[k, dk]
+        np.multiply(fac, terms, out=row)
+    size = np.abs(terms)
+    mantissas, scales = [], []
+    for s, e in zip([0] + ends, ends):
+        # summing each row of a 2-D slice is the np.sum of that row
+        mantissas.append(np.add.reduce(prods[:, s:e], axis=1).tolist())
+        scales.append(float(size[s:e].max()) if e > s else 0.0)
+    if single:
+        return mantissas[0], exponents[0], scales[0]
+    return mantissas, exponents, scales
 
 
 def theta_value(z, omega: RiemannMatrix, char: Characteristic = None,
@@ -345,6 +404,7 @@ def theta_value(z, omega: RiemannMatrix, char: Characteristic = None,
         raise ValueError("derivative multi-index must have total order <= 3")
     if char is None:
         char = Characteristic.zero(g)
+    z = np.asarray(z, dtype=complex).reshape(-1)
     vals, exponent, _ = theta_batch(z, omega, char, [deriv], tol)
     return ScaledComplex.make(vals[0], exponent)
 
@@ -375,15 +435,25 @@ def log_theta_hessian(e, omega: RiemannMatrix, tol: float = DEFAULT_TOL,
     g = omega.dim
     if char is None:
         char = Characteristic.zero(g)
-    combs, derivs = derivative_indices(g, 2)
-    vals, _, scale = theta_batch(e, omega, char, derivs, tol)
+    e = np.asarray(e, dtype=complex).reshape(-1)
+    vals, _, scale = theta_batch(e, omega, char, derivative_indices(g, 2)[1],
+                                 tol)
+    return hessian_from_values(g, vals, scale, floor)
+
+
+def hessian_from_values(g: int, vals, scale: float,
+                        floor: float = THETA_FLOOR):
+    """The matrix of :func:`log_theta_hessian` from the value, gradient
+    and Hessian of theta (the ``derivative_indices(g, 2)`` list of one
+    :func:`theta_batch` row) and that row's scale."""
     th = vals[0]
     if abs(th) < floor * scale:
         raise PointOnTheta(f"|theta(e)| = {abs(th):.3e} under floor "
                            f"{floor:g} * {scale:.3e}")
     grad = np.array(vals[1:1 + g])
     c = np.empty((g, g), dtype=complex)
-    for (i, j), v in zip(combs[1 + g:], vals[1 + g:]):
+    pairs = itertools.combinations_with_replacement(range(g), 2)
+    for (i, j), v in zip(pairs, vals[1 + g:]):
         cij = (th * v - grad[i] * grad[j]) / (th * th)
         c[i, j] = cij
         c[j, i] = cij
@@ -397,6 +467,7 @@ def theta_gradient(e, omega: RiemannMatrix, char: Characteristic = None,
     if char is None:
         char = Characteristic.zero(g)
     _, derivs = derivative_indices(g, 1)
+    e = np.asarray(e, dtype=complex).reshape(-1)
     vals, exponent, scale = theta_batch(e, omega, char, derivs, tol)
     return vals[0], np.array(vals[1:]), exponent, scale
 

@@ -1,6 +1,15 @@
+import os
+
 import pytest
+from hypothesis import settings
 
 from thetakernels.curves import build_curve
+
+# HYPOTHESIS_PROFILE=ci (set in the CI workflow) draws the same examples on
+# every run and prints the blob that replays a failing one; local runs keep
+# hypothesis' default random profile.
+settings.register_profile("ci", derandomize=True, print_blob=True)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 @pytest.fixture(scope="session")

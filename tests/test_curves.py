@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from thetakernels.curves import (_gauss_legendre, _half_gauss_legendre,
-                                 build_curve, curve_from_spec,
+from thetakernels.curves import (SurfacePoint, _gauss_legendre,
+                                 _half_gauss_legendre, build_curve,
+                                 curve_from_spec,
                                  lattice_coordinates, reduce_mod_lattice)
 from thetakernels.errors import (DegreeTooSmall, InadmissiblePoint,
                                  NonSquarefree)
@@ -275,6 +276,29 @@ class TestLocalExpansion:
         q = lemniscatic.point(2.0, 1)
         le1 = lemniscatic.local_expansion(q, 6)
         assert abs(le.omega[0][0] - 2.0 * le1.omega[0][0]) < 1e-12
+
+    def test_large_coefficients_accepted(self, genus2):
+        # distance 0.316 to the nearest branch point at chart scale 2:
+        # the t^16 coefficient of y is about 3e10, and the residual test
+        # is relative to the size of the terms of y * y
+        sextic = build_curve([2, 1, 0, 0, 0, 0, 1])
+        for c, x0 in ((genus2, 0.3 - 1.1j), (sextic, 1.7 + 0.4j),
+                      (sextic, -0.8 + 1.3j), (sextic, 0.3 - 1.1j)):
+            le = c.local_expansion(c.point(x0, 1, chart_scale=2.0), 16)
+            f = [complex(c.coeffs[-1])] + [0j] * 16
+            for co in c.coeffs[-2::-1]:
+                f = complex_mul(f, le.x)
+                f[0] = f[0] + complex(co)
+            mags = np.abs(le.y)
+            size = np.convolve(mags, mags)[:17]
+            resid = np.abs(np.array(complex_mul(le.y, le.y)) - np.array(f))
+            assert np.all(resid <= 1e-12 * size)
+            assert np.max(mags) > 1e5
+
+    def test_branch_point_rejected(self, genus2):
+        p = SurfacePoint(x=1 + 0j, sheet=1, y=0j)
+        with pytest.raises(InadmissiblePoint):
+            genus2.local_expansion(p, 8)
 
 
 class TestCycleContour:

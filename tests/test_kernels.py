@@ -462,6 +462,31 @@ class TestCollisionFilter:
         monkeypatch.setattr(kernels_module, "_PAIR_TILE", 7)
         assert self.probe(genus2, 40, 0.3).to_dict() == want
 
+    def test_equal_takes_precedence_over_negation(self, genus2):
+        # h is a half period, so h - (h + 1) and h + (h + 1) both lie in
+        # the lattice; the pair is reported as "equal"
+        h = genus2.omega.entries[:, 0] / 2
+        rep = finiteness_probe(genus2, 4, seed=2, extra_points=[h, h + 1.0])
+        kinds = {(c.i, c.j): c.kind for c in rep.collisions}
+        assert kinds[(4, 5)] == "equal"
+        assert [(c.i, c.j, c.relative_distance, c.trivial, c.kind)
+                for c in rep.collisions] == \
+            all_pairs_collisions(rep, genus2.omega)
+
+    def test_chunk_size_leaves_report_unchanged(self, genus2, monkeypatch):
+        # floor 0.6 rejects about one sample in twelve, so the draw order
+        # and the rejection count are exercised too; one row per chunk
+        # evaluates the samples one at a time
+        def report():
+            return finiteness_probe(genus2, 40, collision_tol=0.3, seed=5,
+                                    floor=0.6).to_dict()
+
+        want = report()
+        assert want["n_rejected"] > 0
+        for chunk in (1, 3):
+            monkeypatch.setattr(kernels_module, "_PROBE_CHUNK", chunk)
+            assert report() == want
+
     def test_exact_test_rejects_candidates_in_the_margin(self, lemniscatic,
                                                          monkeypatch):
         # Klein coordinates 1, 1 - d_out, 1 - d_in with d_out 3e-7 (relative)
@@ -469,7 +494,7 @@ class TestCollisionFilter:
         # margin passes (0, 1) on, and the exact test must drop it.
         tol = 1e-3
         values = iter([1.0, 1.0 - tol * (1 + 3e-7), 1.0 - tol * (1 - 3e-7)])
-        monkeypatch.setattr(kernels_module, "log_theta_hessian",
+        monkeypatch.setattr(kernels_module, "hessian_from_values",
                             lambda *args, **kwargs: np.array([[next(values)]]))
         rep = finiteness_probe(lemniscatic, 3, collision_tol=tol, seed=0)
         assert list(kernels_module._collision_candidates(

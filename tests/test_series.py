@@ -85,6 +85,19 @@ class TestSeriesRing:
         f = Series.from_coeffs([1, 0, 1], 4)
         assert f.evaluate(QC(2)) == QC(5)
 
+    def test_iteration_and_indexing(self):
+        # iteration stops after the n + 1 stored coefficients (it used to
+        # fall back to __getitem__, which is zero forever past the order)
+        s = Series.from_coeffs([1, 2], 1)
+        assert list(s) == [QC(1), QC(2)]
+        assert list(Series.from_coeffs([1, 2], 4)) == \
+            [QC(1), QC(2), QC(), QC(), QC()]
+        assert 2 in s
+        assert 7 not in s
+        assert s[5] == QC()
+        with pytest.raises(IndexError):
+            s[-1]
+
 
 # ----------------------------------------------------------------------
 # References: the schoolbook loops in term-by-term QC arithmetic, with

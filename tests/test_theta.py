@@ -1,5 +1,7 @@
 import itertools
+import json
 import math
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -7,14 +9,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from thetakernels.curves import build_curve
 from thetakernels.errors import (NotPositiveDefinite, PointOnTheta,
                                  ToleranceTooSmall)
 from thetakernels.theta import (Characteristic, RiemannMatrix, ScaledComplex,
-                                _enumerate_ellipsoid,
+                                _enumerate_ellipsoid, _tail_bound,
                                 _truncation_radius, _upper_gamma,
                                 derivative_indices, lattice_points,
                                 log_theta_hessian,
-                                second_order_theta_basis, theta_value)
+                                second_order_theta_basis, theta_batch,
+                                theta_value)
 
 
 def brute_theta(z, omega, char=None, deriv=None, box=10):
@@ -136,25 +140,34 @@ class TestEnumerationProperty:
     @settings(max_examples=300, deadline=None)
     @given(data=st.data())
     def test_matches_recursive_enumeration(self, data):
+        # one call with 1-4 roots; each root's group is the recursive
+        # enumeration of that root alone
         g = data.draw(st.integers(1, 4), label="g")
         a = np.array(data.draw(st.lists(st.floats(-2, 2), min_size=g * g,
                                         max_size=g * g), label="a"))
         shift = data.draw(st.floats(0.25, 2), label="shift")
         spd = a.reshape(g, g) @ a.reshape(g, g).T + shift * np.eye(g)
         T = np.linalg.cholesky(math.pi * spd).T
-        center = np.array(data.draw(st.lists(
-            st.one_of(st.floats(-3, 3), st.sampled_from([0.0, 0.5, -0.5])),
-            min_size=g, max_size=g), label="center"))
-        if data.draw(st.booleans(), label="radius on a lattice point"):
-            n = np.array(data.draw(st.lists(st.integers(-2, 2), min_size=g,
-                                            max_size=g), label="n"))
-            radius = float(np.linalg.norm(T @ (n + center))) or 1.0
-        else:
-            radius = data.draw(st.floats(0.01, 3.5), label="radius")
-        got = _enumerate_ellipsoid(T, center, radius)
-        assert got.shape[1] == g
-        assert [tuple(v) for v in got.tolist()] == \
-            recursive_enumeration(T, center, radius)
+        centers, radii = [], []
+        for _ in range(data.draw(st.integers(1, 4), label="roots")):
+            center = np.array(data.draw(st.lists(
+                st.one_of(st.floats(-3, 3), st.sampled_from([0.0, 0.5, -0.5])),
+                min_size=g, max_size=g), label="center"))
+            if data.draw(st.booleans(), label="radius on a lattice point"):
+                n = np.array(data.draw(st.lists(st.integers(-2, 2), min_size=g,
+                                                max_size=g), label="n"))
+                radius = float(np.linalg.norm(T @ (n + center))) or 1.0
+            else:
+                radius = data.draw(st.floats(0.01, 3.5), label="radius")
+            centers.append(center)
+            radii.append(radius)
+        got, counts = _enumerate_ellipsoid(T, np.array(centers), radii)
+        assert got.shape == (sum(counts), g) and len(counts) == len(radii)
+        start = 0
+        for center, radius, count in zip(centers, radii, counts):
+            assert [tuple(v) for v in got[start:start + count].tolist()] == \
+                recursive_enumeration(T, center, radius)
+            start += count
 
     def test_unbounded_center_is_a_value_error(self):
         T = RiemannMatrix(1j * np.eye(2)).chol
@@ -252,7 +265,8 @@ class TestThetaValues:
                 c = om.im_inv @ y
                 exponent = math.pi * float(y @ c)
                 radius = 2 * _truncation_radius(om, 0, tol, float(np.linalg.norm(c)))
-                pts = np.array(_enumerate_ellipsoid(om.chol, c, radius), float)
+                pts = np.array(_enumerate_ellipsoid(om.chol, c[None],
+                                                    [radius])[0], float)
                 quad = np.einsum("ij,jk,ik->i", pts, om.entries, pts)
                 big = np.sum(np.exp(1j * np.pi * quad + 2j * np.pi * (pts @ z)
                                     - exponent))
@@ -332,6 +346,63 @@ class TestTailBound:
                        for tol in self.TOLS for nc in self.NORMS]
                 assert np.allclose(got, next(rows), rtol=0, atol=1e-9), \
                     (entries, order)
+
+
+def loop_truncation_radius(omega, order, tol, norm_c):
+    """The 0.25-step walk from the start of the grid that the memoised
+    radius replaced, kept verbatim as an oracle."""
+    g, rho = omega.dim, omega.shortest
+    R = rho / 2.0 + math.sqrt(0.5 * (g + order)) + 0.5
+    while _tail_bound(omega, R, order, norm_c) > tol:
+        R += 0.25
+        if R > 80.0:
+            raise ToleranceTooSmall(
+                f"cannot certify tol={tol:g} within radius 80")
+    return R
+
+
+def _radius_or_error(fn, *args):
+    try:
+        return fn(*args).hex()
+    except ToleranceTooSmall:
+        return "ToleranceTooSmall"
+
+
+class TestRadiusMemo:
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), g=st.integers(1, 3),
+           im_scale=st.sampled_from([1.0, 1.0, 1.0, 30.0, 3000.0, 7000.0,
+                                     1e4]),
+           log_tols=st.lists(st.floats(-14, -4), min_size=1, max_size=2),
+           calls=st.lists(st.tuples(
+               st.integers(0, 3), st.integers(0, 1),
+               st.one_of(st.just(0.0), st.floats(0, 4), st.floats(0, 1e3))),
+               min_size=1, max_size=8))
+    def test_matches_the_loop(self, seed, g, im_scale, log_tols, calls):
+        # one Omega and at most two tolerances per example, so later calls
+        # take the memo that earlier calls of the same (order, tol) left
+        om = random_riemann(np.random.default_rng(seed), g)
+        om = RiemannMatrix(om.entries.real + 1j * im_scale * om.im)
+        for order, k, norm_c in calls:
+            tol = 10.0 ** log_tols[k % len(log_tols)]
+            assert _radius_or_error(_truncation_radius, om, order, tol,
+                                    norm_c) == \
+                _radius_or_error(loop_truncation_radius, om, order, tol,
+                                 norm_c), (order, tol, norm_c)
+
+    def test_tolerance_too_small_still_raises(self):
+        om = RiemannMatrix([[1e4j]])
+        for order in range(4):
+            with pytest.raises(ToleranceTooSmall):
+                _truncation_radius(om, order, 1e-12, 0.0)
+        # certified at ||c|| = 0 but not at ||c|| = 1e3
+        om = RiemannMatrix([[7e3j]])
+        assert _truncation_radius(om, 3, 1e-12, 0.0) == \
+            loop_truncation_radius(om, 3, 1e-12, 0.0)
+        with pytest.raises(ToleranceTooSmall):
+            loop_truncation_radius(om, 3, 1e-12, 1e3)
+        with pytest.raises(ToleranceTooSmall):
+            _truncation_radius(om, 3, 1e-12, 1e3)
 
 
 class TestScaledComplex:
@@ -432,3 +503,103 @@ class TestSecondOrderBasis:
         assert np.max(np.abs(ratios - const)) / abs(const) < 1e-8
         # the proportionality constant for this basis is 1
         assert abs(const - 1.0) < 1e-8
+
+
+# ----------------------------------------------------------------------
+# Bit-for-bit record of theta_batch
+# ----------------------------------------------------------------------
+
+THETA_RECORD = Path(__file__).parent / "data" / "theta_batch_hex.json"
+
+THETA_RECORD_CURVES = (
+    ("x^3-x", [0, -1, 0, 1]),
+    ("x^5-x", [0, -1, 0, 0, 0, 1]),
+    ("x^6+x+2", [2, 1, 0, 0, 0, 0, 1]),
+    ("x^7-x", [0, -1, 0, 0, 0, 0, 0, 1]),
+)
+
+
+def theta_record_points(omega, seed):
+    """Zero, four points a + Omega b of the fundamental domain, one far
+    along the real axes and two with |Im z| = 10 and 1e3."""
+    g = omega.dim
+    rng = np.random.default_rng(seed)
+    pts = [np.zeros(g, complex)]
+    for _ in range(4):
+        a, b = rng.uniform(-0.5, 0.5, (2, g))
+        pts.append(a + omega.entries @ b)
+    pts.append(rng.uniform(-9, 9, g) + 0j)
+    for size in (10.0, 1e3):
+        d = rng.uniform(-1, 1, g)
+        pts.append(rng.uniform(-1, 1, g) + 1j * size * d / np.max(np.abs(d)))
+    return np.array(pts)
+
+
+def _hex(values):
+    return [[complex(z).real.hex(), complex(z).imag.hex()] for z in values]
+
+
+def theta_batch_record(batched):
+    """float.hex of mantissas, exponent and scale of theta_batch.
+
+    Genus 1-3 (the lemniscatic curve and the three benchmark curves),
+    the zero and the first odd characteristic, derivative orders 0-3
+    (every partial of that order and below), at the points of
+    :func:`theta_record_points`.  tests/data/theta_batch_hex.json was
+    written by this function with one call per point while theta_batch
+    still took a single point; ``batched`` makes one (N x g) call per
+    (curve, characteristic, order) instead.
+    """
+    out = {}
+    for k, (name, f) in enumerate(THETA_RECORD_CURVES):
+        omega = build_curve(f).omega
+        g = omega.dim
+        odd = next(ch for ch in Characteristic.all(g) if ch.parity)
+        pts = theta_record_points(omega, 100 + k)
+        for char in (Characteristic.zero(g), odd):
+            for order in range(4):
+                derivs = derivative_indices(g, order)[1]
+                if batched:
+                    rows = zip(*theta_batch(pts, omega, char, derivs))
+                else:
+                    rows = (theta_batch(z, omega, char, derivs) for z in pts)
+                for i, (vals, exponent, scale) in enumerate(rows):
+                    out[f"{name} char={char.alpha}{char.beta} "
+                        f"order={order} point={i}"] = {
+                        "mantissas": _hex(vals),
+                        "exponent": exponent.hex(), "scale": scale.hex()}
+    return out
+
+
+class TestThetaBatchRecord:
+    def test_single_points_match_record(self):
+        assert theta_batch_record(batched=False) == \
+            json.loads(THETA_RECORD.read_text())
+
+    def test_batched_rows_match_record(self):
+        assert theta_batch_record(batched=True) == \
+            json.loads(THETA_RECORD.read_text())
+
+
+class TestThetaBatchRows:
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), g=st.integers(1, 3),
+           n=st.integers(1, 40), order=st.integers(0, 3),
+           char_index=st.integers(0, 63), log_im=st.floats(-2, 3),
+           log_tol=st.floats(-12, -4))
+    def test_rows_equal_single_row_calls(self, seed, g, n, order,
+                                         char_index, log_im, log_tol):
+        rng = np.random.default_rng(seed)
+        om = random_riemann(rng, g)
+        char = list(Characteristic.all(g))[char_index % 4 ** g]
+        derivs = derivative_indices(g, order)[1]
+        z = (rng.uniform(-3, 3, (n, g))
+             + 1j * 10.0 ** log_im * rng.uniform(-1, 1, (n, g)))
+        tol = 10.0 ** log_tol
+        mantissas, exponents, scales = theta_batch(z, om, char, derivs, tol)
+        assert len(mantissas) == len(exponents) == len(scales) == n
+        for row, vals, exponent, scale in zip(z, mantissas, exponents,
+                                              scales):
+            one = theta_batch(row, om, char, derivs, tol)
+            assert (_hex(vals), exponent.hex(), scale.hex()) == \
+                (_hex(one[0]), one[1].hex(), one[2].hex())
