@@ -2,15 +2,14 @@
 an exact jet calculus for opers and matrix opers."""
 
 from .curves import (HyperellipticCurve, LocalExpansion, SurfacePoint,
-                     build_curve, curve_from_spec, differentials,
-                     lattice_coordinates, reduce_mod_lattice)
+                     build_curve, curve_from_spec, lattice_coordinates,
+                     reduce_mod_lattice)
 from .errors import ThetaKernelsError
-from .kernels import (JacobianPoint, KernelValue, KleinCoordinates,
-                      bergman_a_period, bergman_kernel, finiteness_probe,
-                      find_theta_zero, gauss_limit_check, is_on_theta,
-                      klein_coordinates, klein_kernel, prime_form,
-                      select_odd_characteristic, szego_kernel,
-                      wirtinger_connection)
+from .kernels import (KernelValue, KleinCoordinates, bergman_a_period,
+                      bergman_kernel, finiteness_probe, find_theta_zero,
+                      gauss_limit_check, is_on_theta, klein_coordinates,
+                      klein_kernel, prime_form, select_odd_characteristic,
+                      szego_kernel, wirtinger_connection)
 from .theta import (Characteristic, RiemannMatrix, ScaledComplex,
                     lattice_points, log_theta_hessian,
                     second_order_theta_basis, theta_value)
@@ -18,7 +17,6 @@ from .theta import (Characteristic, RiemannMatrix, ScaledComplex,
 __all__ = [
     "Characteristic",
     "HyperellipticCurve",
-    "JacobianPoint",
     "KernelValue",
     "KleinCoordinates",
     "LocalExpansion",
@@ -30,7 +28,6 @@ __all__ = [
     "bergman_kernel",
     "build_curve",
     "curve_from_spec",
-    "differentials",
     "finiteness_probe",
     "find_theta_zero",
     "gauss_limit_check",

@@ -5,6 +5,11 @@ serialize as [re, im] pairs and matrices as row-major nested arrays.
 Exit codes: 0 success, 1 failed verification check, 2 argument/curve
 errors, 3 quadrature non-convergence, 4 evaluation on the theta divisor.
 
+Options live in :func:`make_parser` alone: each command declares the
+flags it reads, with their defaults, and the commands read the parsed
+namespace.  Complex values are JSON (numbers or [re, im] pairs, read by
+``curves._parse_complex``) or plain text such as ``0.3+0.1j,-0.2``.
+
 Report schemas (stable):
 
 * ``periods``: {genus, branch_points, A, B, Omega, symmetry_residual,
@@ -27,7 +32,6 @@ import cmath
 import json
 import math
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,30 +47,6 @@ from .kernels import (bergman_a_period, bergman_kernel, finiteness_probe,
 from .series import QC, Series
 from .theta import (DEFAULT_TOL, Characteristic, RiemannMatrix,
                     second_order_theta_basis, theta_value)
-
-DEFAULTS = {
-    # certified truncation error of theta sums
-    "theta_tol": DEFAULT_TOL,
-    # period/path quadrature doubling tolerance
-    "quadrature_tol": DEFAULT_QUADRATURE_TOL,
-    "collision_tol": 1e-6,   # relative Klein-coordinate collision radius
-    "order": 16,             # series truncation order for jet checks
-    "samples": 200,          # finiteness-probe sample count
-    "seed": 0,
-}
-
-
-@dataclass
-class RunConfig:
-    curve_path: str
-    theta_tol: float
-    quadrature_tol: float
-    collision_tol: float
-    order: int
-    samples: int
-    seed: int
-    out: str
-    fmt: str
 
 
 def cplx(z) -> list:
@@ -87,51 +67,40 @@ def cmat(m) -> list:
     return [[cplx(v) for v in row] for row in np.asarray(m)]
 
 
-def parse_complex_scalar(text: str) -> complex:
-    text = text.strip()
-    if text.startswith("["):
-        re_, im_ = json.loads(text)
-        return complex(re_, im_)
-    return complex(text.replace(" ", ""))
-
-
-def parse_complex_vector(text: str):
+def parse_complex(text: str, vector: bool = False):
+    """A complex number, or with ``vector`` a complex array, from JSON
+    (a number or [re, im] pair each) or from plain text (comma-separated
+    for a vector; spaces are ignored).  Raises ValueError otherwise."""
     text = text.strip()
     if text.startswith("["):
         data = json.loads(text)
-        out = []
-        for item in data:
-            if isinstance(item, (list, tuple)):
-                out.append(complex(item[0], item[1]))
-            else:
-                out.append(complex(item))
-        return np.asarray(out, dtype=complex)
-    return np.asarray([complex(p.replace(" ", ""))
-                       for p in text.split(",")], dtype=complex)
+        items = data if vector else [data]
+    else:
+        text = text.replace(" ", "")
+        items = text.split(",") if vector else [text]
+    values = [_parse_complex(item) for item in items]
+    return np.asarray(values, dtype=complex) if vector else values[0]
 
 
-def emit(report: dict, config: RunConfig):
-    text = json.dumps(report, sort_keys=True, indent=1)
-    if config.out:
-        with open(config.out, "w") as fh:
-            fh.write(text + "\n")
-    sys.stdout.write(text + "\n")
+def emit(report, args):
+    """Write a report to --out if given and to stdout.  A dict is written
+    as JSON to both; text (the probe CSV) goes to stdout only without --out."""
+    is_json = isinstance(report, dict)
+    text = (json.dumps(report, sort_keys=True, indent=1) + "\n" if is_json
+            else report)
+    if args.out:
+        with open(args.out, "w") as fh:
+            fh.write(text)
+    if is_json or not args.out:
+        sys.stdout.write(text)
 
 
-def load_curve(config: RunConfig):
-    if config.curve_path is None:
+def load_curve(args):
+    if args.curve is None:
         raise ValueError("this command requires --curve")
-    with open(config.curve_path) as fh:
+    with open(args.curve) as fh:
         spec = json.load(fh)
-    return curve_from_spec(spec, quadrature_tol=config.quadrature_tol)
-
-
-def _config(args) -> RunConfig:
-    return RunConfig(
-        curve_path=args.curve, theta_tol=args.theta_tol,
-        quadrature_tol=args.quadrature_tol, collision_tol=args.collision_tol,
-        order=args.order, samples=args.samples, seed=args.seed,
-        out=args.out, fmt=args.format)
+    return curve_from_spec(spec, quadrature_tol=args.quadrature_tol)
 
 
 # ----------------------------------------------------------------------
@@ -139,8 +108,7 @@ def _config(args) -> RunConfig:
 # ----------------------------------------------------------------------
 
 def cmd_periods(args) -> int:
-    config = _config(args)
-    curve = load_curve(config)
+    curve = load_curve(args)
     om = curve.omega.entries
     report = {
         "genus": curve.genus,
@@ -151,21 +119,16 @@ def cmd_periods(args) -> int:
         "symmetry_residual": curve.symmetry_residual,
         "min_im_eigenvalue": float(np.min(np.linalg.eigvalsh(om.imag))),
     }
-    emit(report, config)
+    emit(report, args)
     return 0
 
 
 def cmd_probe(args) -> int:
-    config = _config(args)
-    if config.samples < 2:
-        sys.stderr.write("probe needs --samples >= 2\n")
-        return 2
-    curve = load_curve(config)
-    rep = finiteness_probe(curve, config.samples,
-                           collision_tol=config.collision_tol,
-                           seed=config.seed, tol=config.theta_tol)
-    d = rep.to_dict()
-    if config.fmt == "csv" or (config.out and config.out.endswith(".csv")):
+    curve = load_curve(args)
+    rep = finiteness_probe(curve, args.samples,
+                           collision_tol=args.collision_tol,
+                           seed=args.seed, tol=args.theta_tol)
+    if args.format == "csv" or (args.out and args.out.endswith(".csv")):
         lines = [_probe_csv_header(curve.genus)]
         for p, c in zip(rep.points, rep.coordinates):
             cells = []
@@ -174,14 +137,9 @@ def cmd_probe(args) -> int:
             for z in c:
                 cells += [repr(z.real), repr(z.imag)]
             lines.append(",".join(cells))
-        text = "\n".join(lines) + "\n"
-        if config.out:
-            with open(config.out, "w") as fh:
-                fh.write(text)
-        else:
-            sys.stdout.write(text)
-        return 0
-    emit(d, config)
+        emit("\n".join(lines) + "\n", args)
+    else:
+        emit(rep.to_dict(), args)
     return 0
 
 
@@ -206,11 +164,7 @@ EVAL_NEEDS = {
 
 
 def cmd_eval(args) -> int:
-    config = _config(args)
     what = args.what
-    if what not in EVAL_NEEDS:
-        sys.stderr.write(f"unknown evaluator {what!r}\n")
-        return 2
     missing = [f"--{name}" for name in EVAL_NEEDS[what]
                if getattr(args, name) is None]
     if missing:
@@ -219,37 +173,37 @@ def cmd_eval(args) -> int:
         if args.omega:
             om = RiemannMatrix(parse_omega(args.omega))
         else:
-            om = load_curve(config).omega
-        z = parse_complex_vector(args.z)
-        val = theta_value(z, om, tol=config.theta_tol)
+            om = load_curve(args).omega
+        z = parse_complex(args.z, vector=True)
+        val = theta_value(z, om, tol=args.theta_tol)
         emit({"what": "theta", "z": [cplx(v) for v in z],
               "value": plain_value(val),
               "mantissa": cplx(val.mantissa), "exponent": val.exponent},
-             config)
+             args)
         return 0
-    curve = load_curve(config)
+    curve = load_curve(args)
     if what == "wirtinger":
-        e = parse_complex_vector(args.e)
-        p = curve.point(parse_complex_scalar(args.x1), args.sheet1)
-        val = wirtinger_connection(curve, e, p, order=config.order,
-                                   tol=config.theta_tol)
+        e = parse_complex(args.e, vector=True)
+        p = curve.point(parse_complex(args.x1), args.sheet1)
+        val = wirtinger_connection(curve, e, p, order=args.order,
+                                   tol=args.theta_tol)
         emit({"what": "wirtinger", "e": [cplx(v) for v in e],
-              "x": cplx(p.x), "sheet": p.sheet, "value": cplx(val)}, config)
+              "x": cplx(p.x), "sheet": p.sheet, "value": cplx(val)}, args)
         return 0
-    x = curve.point(parse_complex_scalar(args.x1), args.sheet1)
-    y = curve.point(parse_complex_scalar(args.x2), args.sheet2)
+    x = curve.point(parse_complex(args.x1), args.sheet1)
+    y = curve.point(parse_complex(args.x2), args.sheet2)
     if what == "bergman":
-        kv = bergman_kernel(curve, x, y, tol=config.theta_tol)
+        kv = bergman_kernel(curve, x, y, tol=args.theta_tol)
     elif what == "szego":
-        kv = szego_kernel(curve, parse_complex_vector(args.e), x, y,
-                          tol=config.theta_tol)
+        kv = szego_kernel(curve, parse_complex(args.e, vector=True), x, y,
+                          tol=args.theta_tol)
     else:
-        e = parse_complex_vector(args.e)
-        kv = klein_kernel(curve, [e, -e], x, y, tol=config.theta_tol)
+        e = parse_complex(args.e, vector=True)
+        kv = klein_kernel(curve, [e, -e], x, y, tol=args.theta_tol)
     emit({"what": what, "value": cplx(kv.value), "weight": list(kv.weight),
           "chart_x": [cplx(kv.chart_x[0]), kv.chart_x[1], kv.chart_x[2]],
           "chart_y": [cplx(kv.chart_y[0]), kv.chart_y[1], kv.chart_y[2]]},
-         config)
+         args)
     return 0
 
 
@@ -279,10 +233,10 @@ def _check(name, residual, tolerance):
             "pass": bool(residual <= tolerance)}
 
 
-def _suite_theta(config: RunConfig):
-    rng = np.random.default_rng(config.seed)
+def _suite_theta(args):
+    rng = np.random.default_rng(args.seed)
     checks = []
-    val = theta_value([0.0], RiemannMatrix([[1j]]), tol=config.theta_tol)
+    val = theta_value([0.0], RiemannMatrix([[1j]]), tol=args.theta_tol)
     checks.append(_check("lemniscatic_value",
                          abs(val.value - math.pi ** 0.25 / math.gamma(0.75)),
                          1e-12))
@@ -294,13 +248,13 @@ def _suite_theta(config: RunConfig):
         for _ in range(5):
             z = rng.standard_normal(g) + 1j * rng.uniform(-0.3, 0.3, g)
             m = np.ones(g)
-            lhs = theta_value(z + om.entries @ m + m, om, tol=config.theta_tol)
+            lhs = theta_value(z + om.entries @ m + m, om, tol=args.theta_tol)
             fac = np.exp(-1j * np.pi * m @ om.entries @ m - 2j * np.pi * m @ z)
-            rhs = theta_value(z, om, tol=config.theta_tol)
+            rhs = theta_value(z, om, tol=args.theta_tol)
             worst_q = max(worst_q, abs(lhs.ratio(rhs) - fac) / abs(fac))
             for char in Characteristic.all(g):
-                plus = theta_value(z, om, char=char, tol=config.theta_tol)
-                minus = theta_value(-z, om, char=char, tol=config.theta_tol)
+                plus = theta_value(z, om, char=char, tol=args.theta_tol)
+                minus = theta_value(-z, om, char=char, tol=args.theta_tol)
                 sign = -1.0 if char.parity else 1.0
                 worst_p = max(worst_p, abs(minus.ratio(plus) - sign))
             if g > 2:
@@ -314,10 +268,10 @@ def _suite_theta(config: RunConfig):
     for _ in range(10):
         z = rng.standard_normal(2) + 1j * rng.uniform(-0.3, 0.3, 2)
         w = rng.standard_normal(2) + 1j * rng.uniform(-0.3, 0.3, 2)
-        lhs = (theta_value(z + w, om, tol=config.theta_tol).value
-               * theta_value(z - w, om, tol=config.theta_tol).value)
-        tz = second_order_theta_basis(z, om, tol=config.theta_tol)
-        tw = second_order_theta_basis(w, om, tol=config.theta_tol)
+        lhs = (theta_value(z + w, om, tol=args.theta_tol).value
+               * theta_value(z - w, om, tol=args.theta_tol).value)
+        tz = second_order_theta_basis(z, om, tol=args.theta_tol)
+        tw = second_order_theta_basis(w, om, tol=args.theta_tol)
         rhs = sum(a_.value * b_.value for a_, b_ in zip(tz, tw))
         ratios.append(lhs / rhs)
     ratios = np.array(ratios)
@@ -327,12 +281,12 @@ def _suite_theta(config: RunConfig):
     return checks
 
 
-def _suite_kernels(config: RunConfig, curve):
+def _suite_kernels(args, curve):
     checks = []
-    delta = select_odd_characteristic(curve, config.theta_tol)
+    delta = select_odd_characteristic(curve, args.theta_tol)
     x = curve.point(2.2 + 0.3j, 1)
     y = curve.point(-1.9 + 0.4j, -1)
-    tol = config.theta_tol
+    tol = args.theta_tol
     e1 = prime_form(curve, delta, x, y, tol=tol).value
     e2 = prime_form(curve, delta, y, x, tol=tol).value
     checks.append(_check("prime_form_antisymmetry",
@@ -370,9 +324,9 @@ def _suite_kernels(config: RunConfig, curve):
     return checks
 
 
-def _suite_fay(config: RunConfig, curve):
-    rng = np.random.default_rng(config.seed)
-    delta = select_odd_characteristic(curve, config.theta_tol)
+def _suite_fay(args, curve):
+    rng = np.random.default_rng(args.seed)
+    delta = select_odd_characteristic(curve, args.theta_tol)
     g = curve.genus
     worst = 0.0
     count = 0
@@ -387,10 +341,10 @@ def _suite_fay(config: RunConfig, curve):
         y = curve.point(rng.uniform(-2.6, -1.6) + 1j * rng.uniform(-0.6, 0.6),
                         rng.choice([-1, 1]))
         kl = klein_kernel(curve, [e, -e], x, y, delta=delta,
-                          tol=config.theta_tol).value
+                          tol=args.theta_tol).value
         wb = bergman_kernel(curve, x, y, delta=delta,
-                            tol=config.theta_tol).value
-        cc = klein_coordinates(curve, e, tol=config.theta_tol).matrix
+                            tol=args.theta_tol).value
+        cc = klein_coordinates(curve, e, tol=args.theta_tol).matrix
         rhs = wb + complex(curve.eval_differentials(x) @ cc
                            @ curve.eval_differentials(y))
         worst = max(worst, abs(kl - rhs) / abs(kl))
@@ -398,7 +352,7 @@ def _suite_fay(config: RunConfig, curve):
     return [_check("fay_corollary_identity", worst, 1e-8)]
 
 
-def _suite_gauss(config: RunConfig, curve):
+def _suite_gauss(args, curve):
     om = curve.omega
     g = curve.genus
     if g == 1:
@@ -406,21 +360,21 @@ def _suite_gauss(config: RunConfig, curve):
         e0 = np.array([(1 + tau) / 2])
         direction = np.array([0.37 + 0.05j])
     else:
-        rng = np.random.default_rng(config.seed)
+        rng = np.random.default_rng(args.seed)
         start = rng.standard_normal(g) * 0.3 + 1j * rng.standard_normal(g) * 0.2
         e0 = find_theta_zero(om, start, rng.standard_normal(g)
                              + 0.3j * rng.standard_normal(g),
-                             tol=config.theta_tol)
+                             tol=args.theta_tol)
         direction = rng.standard_normal(g) + 1j * rng.standard_normal(g)
-    rep = gauss_limit_check(om, e0, direction, steps=8, tol=config.theta_tol)
+    rep = gauss_limit_check(om, e0, direction, steps=8, tol=args.theta_tol)
     checks = [_check("gauss_square_limit", rep.max_relative_deviation, 1e-5)]
     if g > 1:
         checks.append(_check("gauss_rank_one", rep.singular_value_ratio, 1e-4))
     return checks
 
 
-def _suite_jets(config: RunConfig):
-    n = config.order
+def _suite_jets(args):
+    n = args.order
     if n < 8:  # rescaling_torsor_k3 compares jets through order 8
         raise ValueError("verify jets needs --order >= 8")
     checks = []
@@ -442,7 +396,7 @@ def _suite_jets(config: RunConfig):
         sw = jets.mu_nu(nu, 4, n).swap()
         exact(f"mu_sigma_parity_{nu}",
               sw == jets.mu_nu(nu, 4, n).scale(QC((-1) ** (nu % 2))))
-    rng = np.random.default_rng(config.seed)
+    rng = np.random.default_rng(args.seed)
 
     def rpoly(deg):
         return poly([complex(rng.integers(-4, 5), rng.integers(-4, 5))
@@ -513,28 +467,24 @@ def _suite_jets(config: RunConfig):
 
 
 def cmd_verify(args) -> int:
-    config = _config(args)
     suite = args.suite
-    if suite not in ("theta", "kernels", "fay", "jets", "gauss"):
-        sys.stderr.write(f"unknown suite {suite!r}\n")
-        return 2
     if suite == "theta":
-        checks = _suite_theta(config)
+        checks = _suite_theta(args)
     elif suite == "jets":
-        checks = _suite_jets(config)
+        checks = _suite_jets(args)
     else:
-        curve = load_curve(config) if config.curve_path \
+        curve = load_curve(args) if args.curve \
             else build_curve([0, -1, 0, 1],
-                             quadrature_tol=config.quadrature_tol)
+                             quadrature_tol=args.quadrature_tol)
         if suite == "kernels":
-            checks = _suite_kernels(config, curve)
+            checks = _suite_kernels(args, curve)
         elif suite == "fay":
-            checks = _suite_fay(config, curve)
+            checks = _suite_fay(args, curve)
         else:
-            checks = _suite_gauss(config, curve)
+            checks = _suite_gauss(args, curve)
     report = {"suite": suite, "checks": checks,
               "pass": all(c["pass"] for c in checks)}
-    emit(report, config)
+    emit(report, args)
     return 0 if report["pass"] else 1
 
 
@@ -550,51 +500,66 @@ def _positive_float(text: str) -> float:
 
 
 def make_parser() -> argparse.ArgumentParser:
+    """The argument parser; each command declares exactly the flags it reads."""
     parser = argparse.ArgumentParser(
         prog="thetakernels",
         description="Kernel functions and jet calculus on hyperelliptic curves")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def command(name, func, summary, theta_tol=True):
+        """A subcommand with the flags every command reads: a curve file,
+        its quadrature tolerance, --out and (unless periods) --theta-tol."""
+        p = sub.add_parser(
+            name, help=summary,
+            formatter_class=argparse.ArgumentDefaultsHelpFormatter)
+        p.set_defaults(func=func)
         p.add_argument("--curve", help="path to a curve spec JSON file")
-        p.add_argument("--theta-tol", "--tol", dest="theta_tol",
-                       type=_positive_float, default=DEFAULTS["theta_tol"],
-                       help="theta truncation tolerance")
         p.add_argument("--quadrature-tol", dest="quadrature_tol",
-                       type=_positive_float, default=DEFAULTS["quadrature_tol"])
-        p.add_argument("--collision-tol", dest="collision_tol",
-                       type=_positive_float, default=DEFAULTS["collision_tol"])
-        p.add_argument("--seed", type=int, default=DEFAULTS["seed"])
-        p.add_argument("--samples", type=int, default=DEFAULTS["samples"])
-        p.add_argument("--order", type=int, default=DEFAULTS["order"])
-        p.add_argument("--out", help="also write the report to this path")
-        p.add_argument("--format", choices=["json", "csv"], default="json")
+                       type=_positive_float, default=DEFAULT_QUADRATURE_TOL,
+                       help="period/path quadrature doubling tolerance")
+        p.add_argument("--out", help="also write the report to this path "
+                       "(a CSV report goes there alone)")
+        if theta_tol:
+            p.add_argument("--theta-tol", "--tol", dest="theta_tol",
+                           type=_positive_float, default=DEFAULT_TOL,
+                           help="certified truncation error of theta sums")
+        return p
 
-    p = sub.add_parser("periods", help="period matrices of a curve")
-    common(p)
-    p.set_defaults(func=cmd_periods)
+    command("periods", cmd_periods, "period matrices of a curve",
+            theta_tol=False)
 
-    p = sub.add_parser("verify", help="run a verification suite")
-    p.add_argument("suite", help="theta | kernels | fay | jets | gauss")
-    common(p)
-    p.set_defaults(func=cmd_verify)
+    p = command("verify", cmd_verify, "run a verification suite")
+    p.add_argument("suite",
+                   choices=("theta", "kernels", "fay", "jets", "gauss"))
+    p.add_argument("--seed", type=int, default=0,
+                   help="seed of the random test points")
+    p.add_argument("--order", type=int, default=16,
+                   help="series truncation order of verify jets (at least 8)")
 
-    p = sub.add_parser("probe", help="finiteness probe of the Klein map")
-    common(p)
-    p.set_defaults(func=cmd_probe)
+    p = command("probe", cmd_probe, "finiteness probe of the Klein map")
+    p.add_argument("--samples", type=int, default=200,
+                   help="number of samples (at least 2)")
+    p.add_argument("--seed", type=int, default=0,
+                   help="seed of the sample points")
+    p.add_argument("--collision-tol", dest="collision_tol",
+                   type=_positive_float, default=1e-6,
+                   help="relative Klein-coordinate collision radius")
+    p.add_argument("--format", choices=["json", "csv"], default="json",
+                   help="report format (csv also when --out ends in .csv)")
 
-    p = sub.add_parser("eval", help="evaluate a kernel or theta value")
-    p.add_argument("what", help="theta | szego | klein | wirtinger | bergman")
-    common(p)
+    p = command("eval", cmd_eval, "evaluate a kernel or theta value")
+    p.add_argument("what", choices=tuple(EVAL_NEEDS))
     p.add_argument("--omega", help="period matrix as JSON (theta only)")
     p.add_argument("--z", help="theta argument, complex vector")
     p.add_argument("--e", help="Jacobian point, complex vector")
     p.add_argument("--x1", help="first point x-coordinate")
     p.add_argument("--x2", help="second point x-coordinate")
-    p.add_argument("--sheet1", type=int, default=1)
-    p.add_argument("--sheet2", type=int, default=1)
-    # the series order of eval wirtinger; verify jets keeps DEFAULTS["order"]
-    p.set_defaults(func=cmd_eval, order=8)
+    p.add_argument("--sheet1", type=int, choices=(-1, 1), default=1,
+                   help="sheet of the first point")
+    p.add_argument("--sheet2", type=int, choices=(-1, 1), default=1,
+                   help="sheet of the second point")
+    p.add_argument("--order", type=int, default=8,
+                   help="series order of eval wirtinger (at least 6)")
 
     return parser
 
@@ -627,8 +592,7 @@ def main(argv=None) -> int:
     except QuadratureNonConvergent as exc:
         sys.stderr.write(f"quadrature failure: {exc}\n")
         return 3
-    except (ThetaKernelsError, ValueError, OSError,
-            json.JSONDecodeError) as exc:
+    except (ThetaKernelsError, ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

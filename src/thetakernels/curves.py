@@ -300,17 +300,10 @@ class HyperellipticCurve:
         self.A = A
         self.B = B
         self.omega = RiemannMatrix(omega)
-        self.diff_norm = np.linalg.inv(A)  # rows: normalized differentials
+        # rows C with omega_i = sum_j C_ij x^j dx / y, so A-periods = Id
+        self.diff_norm = np.linalg.inv(A)
 
     # -- differentials ------------------------------------------------------
-
-    def raw_differential_coeffs(self):
-        """Rows of coefficients of the basis x^(i-1) dx / y."""
-        return np.eye(self.genus, dtype=complex)
-
-    def normalized_differential_coeffs(self):
-        """Rows C with omega_i = sum_j C_ij x^(j-1) dx / y; A-periods = Id."""
-        return self.diff_norm.copy()
 
     def eval_differentials(self, p: SurfacePoint):
         """Values omega_i(p)/dt in the chart of p."""
@@ -623,8 +616,8 @@ def build_curve(f_coeffs, quadrature_tol=DEFAULT_QUADRATURE_TOL,
 def curve_from_spec(spec: dict, **kwargs) -> HyperellipticCurve:
     """Curve from the JSON form {"f": [c0, c1, ...]}; entries may be
     plain numbers or [re, im] pairs."""
-    if "f" not in spec:
-        raise ValueError('curve spec must contain key "f"')
+    if not (isinstance(spec, dict) and isinstance(spec.get("f"), list)):
+        raise ValueError('curve spec must be an object with a list "f"')
     coeffs = [_parse_complex(c) for c in spec["f"]]
     return build_curve(coeffs, **kwargs)
 
@@ -640,13 +633,6 @@ def _parse_complex(c):
     except TypeError:
         raise ValueError(f"entries must be numbers or [re, im] pairs, "
                          f"got {c!r}") from None
-
-
-def differentials(curve: HyperellipticCurve, normalized: bool = True):
-    """Coefficient rows of the differential basis in x^(j-1) dx / y."""
-    if normalized:
-        return curve.normalized_differential_coeffs()
-    return curve.raw_differential_coeffs()
 
 
 def reduce_mod_lattice(z, omega: RiemannMatrix):

@@ -28,7 +28,8 @@ from .errors import (ConstraintViolation, NoNonsingularOddCharacteristic,
 from .series import complex_div, complex_mul
 from .theta import (DEFAULT_TOL, THETA_FLOOR, Characteristic, RiemannMatrix,
                     ScaledComplex, derivative_indices, hessian_from_values,
-                    log_theta_hessian, theta_batch, theta_gradient)
+                    log_theta_hessian, theta_batch, theta_gradient,
+                    theta_value)
 
 GRADIENT_FLOOR = 1e-8
 
@@ -69,34 +70,22 @@ def _triu_indices(g):
     return rows, cols
 
 
-@dataclass(frozen=True)
-class JacobianPoint:
-    """Degree-zero class represented by a vector e in C^g."""
-
-    e: tuple
-
-    @staticmethod
-    def of(e):
-        return JacobianPoint(tuple(np.asarray(e, dtype=complex).reshape(-1)))
-
-    @property
-    def vec(self):
-        return np.asarray(self.e, dtype=complex)
-
-
 def _chart(p: SurfacePoint):
     return (p.x, p.sheet, p.chart_scale)
 
 
 def _class_vector(e):
-    if isinstance(e, JacobianPoint):
-        return e.vec
     return np.asarray(e, dtype=complex).reshape(-1)
 
 
-def _theta_char_value(v, omega, char, tol=DEFAULT_TOL):
-    vals, expo, scale = theta_batch(v, omega, char, [(0,) * omega.dim], tol)
-    return ScaledComplex.make(vals[0], expo), scale
+def _theta_off_divisor(e, omega: RiemannMatrix, tol, floor, what):
+    """(mantissa, exponent) of theta(e); raises PointOnTheta naming
+    ``what`` when e lies on the theta divisor (see :func:`is_on_theta`)."""
+    vals, expo, scale = theta_batch(e, omega, Characteristic.zero(omega.dim),
+                                    [(0,) * omega.dim], tol)
+    if abs(vals[0]) < floor * scale:
+        raise PointOnTheta(f"{what} undefined on the theta divisor")
+    return vals[0], expo
 
 
 def is_on_theta(e, omega: RiemannMatrix, tol=DEFAULT_TOL, floor=THETA_FLOOR) -> bool:
@@ -197,7 +186,7 @@ def prime_form(curve: HyperellipticCurve, delta: Characteristic,
     if abs(x.x - y.x) < 1e-13 and x.sheet == y.sheet:
         raise OnDiagonal("prime form evaluated at coinciding points")
     w = curve.abel_map(x) - curve.abel_map(y)
-    th, _ = _theta_char_value(w, curve.omega, delta, tol)
+    th = theta_value(w, curve.omega, delta, tol=tol)
     hx = _h_factor(curve, delta, x, tol)
     hy = _h_factor(curve, delta, y, tol)
     val = th.mantissa * math.exp(th.exponent) / (hx * hy)
@@ -235,16 +224,12 @@ def szego_kernel(curve: HyperellipticCurve, e, x: SurfacePoint,
     residue normalization 1.  Weight (1/2, 1/2).
     """
     e = _class_vector(e)
-    omega = curve.omega
-    char0 = Characteristic.zero(omega.dim)
-    vals, expo_e, scale = theta_batch(e, omega, char0, [(0,) * omega.dim], tol)
-    if abs(vals[0]) < floor * scale:
-        raise PointOnTheta("Szego kernel undefined on the theta divisor")
-    theta_e = ScaledComplex.make(vals[0], expo_e)
+    theta_e = ScaledComplex.make(*_theta_off_divisor(
+        e, curve.omega, tol, floor, "Szego kernel"))
     if delta is None:
         delta = select_odd_characteristic(curve, tol)
     w = curve.abel_map(y) - curve.abel_map(x)
-    num, _ = _theta_char_value(w + e, omega, char0, tol)
+    num = theta_value(w + e, curve.omega, tol=tol)
     ef = prime_form(curve, delta, x, y, tol)
     val = num.ratio(theta_e) / ef.value
     return KernelValue(value=complex(val), weight=(0.5, 0.5),
@@ -320,10 +305,9 @@ def wirtinger_connection(curve: HyperellipticCurve, e, p: SurfacePoint,
     e = _class_vector(e)
     omega = curve.omega
     char0 = Characteristic.zero(omega.dim)
-    vals, expo_e, scale = theta_batch(e, omega, char0, [(0,) * omega.dim], tol)
-    if abs(vals[0]) < floor * scale:
-        raise PointOnTheta("Wirtinger connection undefined on the divisor")
-    theta_e2 = ScaledComplex.make(vals[0] ** 2, 2 * expo_e)
+    th_e, expo_e = _theta_off_divisor(e, omega, tol, floor,
+                                      "Wirtinger connection")
+    theta_e2 = ScaledComplex.make(th_e ** 2, 2 * expo_e)
     delta = select_odd_characteristic(curve, tol)
     le = curve.local_expansion(p, order)
     # w(t) = A(p(-t)) - A(p(t)): twice the odd part of the Abel series

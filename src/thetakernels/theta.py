@@ -14,6 +14,7 @@ and never overflows.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -333,7 +334,8 @@ def theta_batch(z, omega: RiemannMatrix, char: Characteristic, derivs,
     for divisor-proximity floors).  For an (N, g) array returns
     ``(mantissas, exponents, scales)``, three lists with one entry per
     row; every row is bit for bit the result of a call with that row
-    alone.
+    alone.  Raises ValueError when an entry of z, or of a row's lattice
+    centre, is not finite or reaches 2**53 in absolute value.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -346,6 +348,11 @@ def theta_batch(z, omega: RiemannMatrix, char: Characteristic, derivs,
     z = z.reshape(1, -1) if single else z
     if z.shape[1] != g or char.dim != g:
         raise ValueError("dimension mismatch between z, char and Omega")
+    # from 2**53 on a double has no fractional bits, and the enumeration
+    # cannot place a centre there; NaN fails the test too, and both tests
+    # come before any arithmetic that could overflow
+    if not np.maximum(abs(z.real), abs(z.imag)).max(initial=0.0) < 2.0 ** 53:
+        raise ValueError("theta argument is not finite or exceeds 2**53")
     alpha = np.asarray(char.alpha, float) / 2.0
     beta = np.asarray(char.beta, float) / 2.0
     order = max(int(sum(d)) for d in derivs)
@@ -353,6 +360,8 @@ def theta_batch(z, omega: RiemannMatrix, char: Characteristic, derivs,
     # call per row that im_inv @ y, y @ c and norm(c) make for one row
     y = z.imag
     c = (omega.im_inv @ y[:, :, None])[:, :, 0]
+    if not abs(c).max(initial=0.0) < 2.0 ** 53:
+        raise ValueError("lattice enumeration centre exceeds 2**53")
     exponents = (math.pi * (y[:, None, :] @ c[:, :, None])[:, 0, 0]).tolist()
     radii = [_truncation_radius(omega, order, tol, norm_c) for norm_c in
              np.sqrt((c[:, None, :] @ c[:, :, None])[:, 0, 0]).tolist()]
@@ -415,12 +424,18 @@ def derivative_indices(g: int, order: int):
 
     Returns ``(combs, derivs)``: ``combs[k]`` lists the differentiated
     variables (``(0, 1)`` for d_0 d_1) and ``derivs[k]`` is the matching
-    multi-index for :func:`theta_batch`.
+    multi-index for :func:`theta_batch`.  Both are fresh lists.
     """
-    combs = [c for k in range(order + 1)
-             for c in itertools.combinations_with_replacement(range(g), k)]
-    derivs = [tuple(c.count(i) for i in range(g)) for c in combs]
-    return combs, derivs
+    combs, derivs = _derivative_table(g, order)
+    return list(combs), list(derivs)
+
+
+@functools.cache
+def _derivative_table(g: int, order: int):
+    """:func:`derivative_indices` as tuples, built once per (g, order)."""
+    combs = tuple(c for k in range(order + 1)
+                  for c in itertools.combinations_with_replacement(range(g), k))
+    return combs, tuple(tuple(c.count(i) for i in range(g)) for c in combs)
 
 
 def log_theta_hessian(e, omega: RiemannMatrix, tol: float = DEFAULT_TOL,
@@ -452,7 +467,7 @@ def hessian_from_values(g: int, vals, scale: float,
                            f"{floor:g} * {scale:.3e}")
     grad = np.array(vals[1:1 + g])
     c = np.empty((g, g), dtype=complex)
-    pairs = itertools.combinations_with_replacement(range(g), 2)
+    pairs = derivative_indices(g, 2)[0][1 + g:]
     for (i, j), v in zip(pairs, vals[1 + g:]):
         cij = (th * v - grad[i] * grad[j]) / (th * th)
         c[i, j] = cij

@@ -219,11 +219,8 @@ class TestAcceptance:
 
     def test_7_jet_calculus(self):
         t0 = time.perf_counter()
-        from thetakernels.cli import RunConfig, _suite_jets
-        config = RunConfig(curve_path=None, theta_tol=1e-12,
-                           quadrature_tol=1e-11, collision_tol=1e-6,
-                           order=16, samples=200, seed=0, out=None, fmt="json")
-        checks = _suite_jets(config)
+        from thetakernels.cli import _suite_jets, make_parser
+        checks = _suite_jets(make_parser().parse_args(["verify", "jets"]))
         assert all(c["pass"] for c in checks)
         assert all(c["residual"] == 0.0 for c in checks)
         elapsed = time.perf_counter() - t0

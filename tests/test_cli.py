@@ -1,10 +1,16 @@
+import contextlib
+import io
 import json
 import os
+import pathlib
+import shlex
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import thetakernels
 
@@ -263,3 +269,184 @@ class TestThetaTolReachesSuites:
         capsys.readouterr()
         for name in names:
             assert seen[name] and set(seen[name]) == {1e-10}, name
+
+
+# ----------------------------------------------------------------------
+# Fuzzing: every argv ends in exit code 0, 2, 3 or 4, without a traceback
+# ----------------------------------------------------------------------
+
+def run_in_process(argv):
+    """(exit code, stderr) of cli.main(argv), run in this process."""
+    from thetakernels import cli
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # argparse rejected the argv
+            code = exc.code
+    return code, err.getvalue()
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    """Curve specs and output paths the fuzzed argv refer to by name."""
+    root = tmp_path_factory.mktemp("fuzz")
+    specs = {"curve.json": CURVE_SPEC, "broken.json": "{not json",
+             "null.json": '{"f": [null, -1, 0, 1]}', "scalar.json": "5",
+             "list.json": "[0, -1, 0, 1]", "number_f.json": '{"f": 5}',
+             "square.json": '{"f": [1, 2, 1]}', "const.json": '{"f": [1]}'}
+    for name, text in specs.items():
+        (root / name).write_text(text)
+    return root
+
+
+GOOD_POINTS = ["2.0", "-2.0", "2.2+0.3j", "-1.9+0.4j", "[2.2, 0.3]",
+               "2.2 + 0.3j"]
+GOOD_CLASSES = ["0.3+0.1j", "-0.2-0.1j", "[[0.3, 0.1]]", "[0.3]",
+                "0.31 + 0.17j"]
+BAD_COMPLEX = ["0.5+0.5j", "0", "1", "1e-7", "nan", "inf", "1e200",
+               "1e300j", "-1e300", "[]", "[[1]]", "[null]", '[{"a": 1}]',
+               "[1, [2]]", "[null, 1]", "[1, 2, 3]", '"x"', "[", "", ",",
+               "0.3,0.1", "abc", "true", "[true]"]
+#: (good values, bad values) of each flag
+FUZZ_VALUES = {
+    "--curve": (["curve.json"],
+                ["missing.json", ".", "broken.json", "null.json",
+                 "scalar.json", "list.json", "number_f.json", "square.json",
+                 "const.json"]),
+    "--quadrature-tol": (["1e-11", "1e-6"],
+                         ["1e-300", "0", "-1", "nan", "inf", "x"]),
+    "--theta-tol": (["1e-12"], ["1e-300", "0", "-1", "nan", "x"]),
+    "--tol": (["1e-12"], ["0"]),
+    "--collision-tol": (["1e-6", "0.5"], ["0", "inf", "x"]),
+    "--seed": (["0", "3"], ["-1", "x"]),
+    "--samples": (["2", "5"], ["1", "0", "-3", "x"]),
+    "--order": (["6", "8"], ["5", "0", "-1", "x"]),
+    "--format": (["json", "csv"], ["xml"]),
+    "--out": (["out.json", "out.csv"], ["missing_dir/out.json", "."]),
+    "--omega": (["[[1]]", "[[[0, 1]]]"],
+                ["[[1, 0.2], [0.2, 1.5]]", "[[-1]]", "[[1, 2]]", "[[null]]",
+                 "[[[1]]]", "5", "[]", "[[]]", "{", "[[1e-300]]"]),
+    "--z": (GOOD_CLASSES, BAD_COMPLEX),
+    "--e": (GOOD_CLASSES, BAD_COMPLEX),
+    "--x1": (GOOD_POINTS, BAD_COMPLEX),
+    "--x2": (GOOD_POINTS, BAD_COMPLEX),
+    "--sheet1": (["1", "-1"], ["0", "2", "x"]),
+    "--sheet2": (["1", "-1"], ["0", "2"]),
+}
+#: the flags each command takes: a fuzzed argv has each of a command's
+#: first flags with probability 3/4, a few more of its own, and rarely
+#: one of another command
+COMMAND_FLAGS = {
+    "periods": ("--curve", "--quadrature-tol", "--out"),
+    "probe": ("--curve", "--samples", "--seed", "--theta-tol", "--tol",
+              "--collision-tol", "--format", "--quadrature-tol", "--out"),
+    "verify": ("--curve", "--seed", "--order", "--theta-tol", "--tol",
+               "--quadrature-tol", "--out"),
+    "eval": ("--curve", "--z", "--e", "--x1", "--x2", "--omega", "--sheet1",
+             "--sheet2", "--order", "--theta-tol", "--tol",
+             "--quadrature-tol", "--out"),
+}
+COMMANDS = [["periods"], ["probe"]] \
+    + [["eval", w] for w in ("theta", "szego", "klein", "bergman",
+                             "wirtinger", "nope")] \
+    + [["verify", s] for s in ("theta", "kernels", "fay", "jets", "gauss",
+                               "nope")]
+PATH_FLAGS = ("--curve", "--out")
+
+
+@st.composite
+def fuzz_argv(draw):
+    argv = list(draw(st.sampled_from(COMMANDS)))
+    own = COMMAND_FLAGS[argv[0]]
+    core = {"eval": 5}.get(argv[0], 1)
+    flags = [f for f in own[:core] if draw(st.integers(0, 3))]
+    flags += draw(st.lists(st.sampled_from(own), max_size=3))
+    if not draw(st.integers(0, 9)):
+        flags.append(draw(st.sampled_from(sorted(FUZZ_VALUES) + ["--bogus"])))
+    for flag in flags:
+        good, bad = FUZZ_VALUES.get(flag, (["1"], []))
+        value = draw(st.sampled_from(bad if bad and not draw(st.integers(0, 2))
+                                     else good))
+        if draw(st.booleans()):
+            argv.append(f"{flag}={value}")
+        else:
+            argv += [flag, value]
+    return argv
+
+
+REPRODUCED_INPUTS = [
+    ["eval", "theta", "--omega", "[[1]]", "--z", "[[1]]"],
+    ["eval", "theta", "--omega", "[[1]]", "--z", "[null]"],
+    ["eval", "theta", "--omega", "[[1]]", "--z", '[{"a":1}]'],
+    ["eval", "bergman", "--curve", "curve.json", "--x1", "[1,[2]]",
+     "--x2", "-2.0"],
+    ["eval", "bergman", "--curve", "curve.json", "--x1", "[null,1]",
+     "--x2", "-2.0"],
+    ["eval", "bergman", "--curve", "curve.json", "--x1", "2.0",
+     "--x2", "-2.0", "--sheet1", "0"],
+    ["periods", "--curve", "curve.json", "--format", "csv"],
+]
+
+
+def in_dir(argv, root):
+    """argv with the values of path flags made absolute under ``root``."""
+    out = []
+    for token in argv:
+        flag, eq, value = token.partition("=")
+        if eq and flag in PATH_FLAGS:
+            token = f"{flag}={root / value}"
+        elif out and out[-1] in PATH_FLAGS:
+            token = str(root / token)
+        out.append(token)
+    return out
+
+
+class TestCliFuzz:
+    @pytest.mark.parametrize("argv", REPRODUCED_INPUTS)
+    def test_reproduced_inputs_exit_2(self, fuzz_dir, argv):
+        code, err = run_in_process(in_dir(argv, fuzz_dir))
+        assert code == 2
+        assert "Traceback" not in err
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(argv=fuzz_argv())
+    def test_every_argv_has_a_documented_exit_code(self, fuzz_dir, argv):
+        code, err = run_in_process(in_dir(argv, fuzz_dir))
+        assert code in (0, 2, 3, 4), (argv, code, err)
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", sorted(COMMAND_FLAGS))
+    def test_commands_take_only_their_flags(self, command):
+        from thetakernels import cli
+        parser = cli.make_parser()
+        head = [command] + (["theta"] if command in ("eval", "verify") else [])
+        for flag, (good, _) in FUZZ_VALUES.items():
+            _, extra = parser.parse_known_args(head + [flag, good[0]])
+            assert (not extra) == (flag in COMMAND_FLAGS[command]), flag
+
+
+README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
+
+
+def readme_commands():
+    """The argv of every ``thetakernels ...`` line of the README's
+    command-line block."""
+    text = README.read_text()
+    block = text.split("## Command line", 1)[1].split("```")[1]
+    return [shlex.split(line)[1:] for line in block.splitlines()
+            if line.startswith("thetakernels ")]
+
+
+class TestReadmeCommands:
+    def test_block_is_found(self):
+        assert len(readme_commands()) >= 7
+
+    @pytest.mark.parametrize("argv", readme_commands(), ids=" ".join)
+    def test_command_exits_0(self, tmp_path, monkeypatch, argv):
+        (tmp_path / "curve.json").write_text(CURVE_SPEC)
+        monkeypatch.chdir(tmp_path)
+        code, err = run_in_process(argv)
+        assert code == 0, err

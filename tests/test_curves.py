@@ -54,13 +54,12 @@ class TestBuildCurve:
             curve_from_spec({"g": [1, 2]})
         with pytest.raises(ValueError):
             curve_from_spec({"f": [[1, 2, 3], 0, 0, 1]})
+        for spec in (5, [0, -1, 0, 1], {"f": 5}, {"f": None}):
+            with pytest.raises(ValueError):
+                curve_from_spec(spec)
 
 
 class TestDifferentials:
-    def test_raw_basis_is_monomial(self, genus2):
-        raw = genus2.raw_differential_coeffs()
-        assert np.allclose(raw, np.eye(2))
-
     def test_normalized_a_periods_are_identity(self, lemniscatic, genus2):
         # recompute A-periods of the normalized basis by quadrature,
         # on test curves up to genus 3

@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import warnings
 from pathlib import Path
 
 import mpmath
@@ -174,6 +175,23 @@ class TestEnumerationProperty:
         for bad in (math.nan, math.inf, 1e17):
             with pytest.raises(ValueError):
                 _enumerate_ellipsoid(T, np.array([0.0, bad]), 2.0)
+
+    @pytest.mark.parametrize("omega,z", [
+        ([[1j]], [math.nan]), ([[1j]], [math.inf]), ([[1j]], [1j * math.inf]),
+        ([[1j]], [1e300j]), ([[1j]], [-1e300]), ([[1j]], [2.0 ** 53]),
+        ([[1e-300j]], [0.3 + 0.1j]),
+    ])
+    def test_unbounded_argument_is_a_value_error(self, omega, z):
+        """Raised before any arithmetic on z can overflow or warn, for a
+        single point and for a batch with one bad row."""
+        om = RiemannMatrix(omega)
+        char = Characteristic.zero(1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for arg in (np.array(z, complex), np.array([[0.5], z], complex)):
+                with pytest.raises(ValueError):
+                    theta_batch(arg, om, char, [(0,)])
+        assert theta_batch(np.zeros((0, 1)), om, char, [(0,)]) == ([], [], [])
 
 
 class TestThetaValues:
