@@ -5,10 +5,11 @@ serialize as [re, im] pairs and matrices as row-major nested arrays.
 Exit codes: 0 success, 1 failed verification check, 2 argument/curve
 errors, 3 quadrature non-convergence, 4 evaluation on the theta divisor.
 
-Options live in :func:`make_parser` alone: each command declares the
-flags it reads, with their defaults, and the commands read the parsed
-namespace.  Complex values are JSON (numbers or [re, im] pairs, read by
-``curves._parse_complex``) or plain text such as ``0.3+0.1j,-0.2``.
+Options live in :func:`make_parser` alone: each command, and each
+``verify`` suite, declares the flags it reads, with their defaults, and
+the commands read the parsed namespace.  Complex values are JSON
+(numbers or [re, im] pairs, read by ``curves._parse_complex``) or plain
+text such as ``0.3+0.1j,-0.2``.
 
 Report schemas (stable):
 
@@ -170,6 +171,8 @@ def cmd_eval(args) -> int:
     if missing:
         raise ValueError(f"eval {what} needs {' and '.join(missing)}")
     if what == "theta":
+        if args.omega and args.curve:
+            raise ValueError("eval theta takes --omega or --curve, not both")
         if args.omega:
             om = RiemannMatrix(parse_omega(args.omega))
         else:
@@ -281,7 +284,16 @@ def _suite_theta(args):
     return checks
 
 
-def _suite_kernels(args, curve):
+def _suite_curve(args):
+    """The curve of the kernels, fay and gauss suites: --curve, else
+    y^2 = x^3 - x."""
+    if args.curve:
+        return load_curve(args)
+    return build_curve([0, -1, 0, 1], quadrature_tol=args.quadrature_tol)
+
+
+def _suite_kernels(args):
+    curve = _suite_curve(args)
     checks = []
     delta = select_odd_characteristic(curve, args.theta_tol)
     x = curve.point(2.2 + 0.3j, 1)
@@ -324,7 +336,8 @@ def _suite_kernels(args, curve):
     return checks
 
 
-def _suite_fay(args, curve):
+def _suite_fay(args):
+    curve = _suite_curve(args)
     rng = np.random.default_rng(args.seed)
     delta = select_odd_characteristic(curve, args.theta_tol)
     g = curve.genus
@@ -352,9 +365,9 @@ def _suite_fay(args, curve):
     return [_check("fay_corollary_identity", worst, 1e-8)]
 
 
-def _suite_gauss(args, curve):
-    om = curve.omega
-    g = curve.genus
+def _suite_gauss(args):
+    om = _suite_curve(args).omega
+    g = om.dim
     if g == 1:
         tau = om.entries[0, 0]
         e0 = np.array([(1 + tau) / 2])
@@ -467,22 +480,8 @@ def _suite_jets(args):
 
 
 def cmd_verify(args) -> int:
-    suite = args.suite
-    if suite == "theta":
-        checks = _suite_theta(args)
-    elif suite == "jets":
-        checks = _suite_jets(args)
-    else:
-        curve = load_curve(args) if args.curve \
-            else build_curve([0, -1, 0, 1],
-                             quadrature_tol=args.quadrature_tol)
-        if suite == "kernels":
-            checks = _suite_kernels(args, curve)
-        elif suite == "fay":
-            checks = _suite_fay(args, curve)
-        else:
-            checks = _suite_gauss(args, curve)
-    report = {"suite": suite, "checks": checks,
+    checks = args.suite_checks(args)
+    report = {"suite": args.suite, "checks": checks,
               "pass": all(c["pass"] for c in checks)}
     emit(report, args)
     return 0 if report["pass"] else 1
@@ -500,43 +499,65 @@ def _positive_float(text: str) -> float:
 
 
 def make_parser() -> argparse.ArgumentParser:
-    """The argument parser; each command declares exactly the flags it reads."""
+    """The argument parser; each command, and each verify suite, declares
+    exactly the flags it reads."""
     parser = argparse.ArgumentParser(
         prog="thetakernels",
         description="Kernel functions and jet calculus on hyperelliptic curves")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name, func, summary, theta_tol=True):
-        """A subcommand with the flags every command reads: a curve file,
-        its quadrature tolerance, --out and (unless periods) --theta-tol."""
-        p = sub.add_parser(
+    def command(parent, name, summary, *flag_groups, **defaults):
+        """A subcommand of ``parent`` with --out, the flags each of
+        ``flag_groups`` adds, and ``defaults`` (func: what it runs)."""
+        p = parent.add_parser(
             name, help=summary,
             formatter_class=argparse.ArgumentDefaultsHelpFormatter)
-        p.set_defaults(func=func)
+        p.set_defaults(**defaults)
+        for add_flags in flag_groups:
+            add_flags(p)
+        p.add_argument("--out", help="also write the report to this path "
+                       "(a CSV report goes there alone)")
+        return p
+
+    def curve_flags(p):
         p.add_argument("--curve", help="path to a curve spec JSON file")
         p.add_argument("--quadrature-tol", dest="quadrature_tol",
                        type=_positive_float, default=DEFAULT_QUADRATURE_TOL,
                        help="period/path quadrature doubling tolerance")
-        p.add_argument("--out", help="also write the report to this path "
-                       "(a CSV report goes there alone)")
-        if theta_tol:
-            p.add_argument("--theta-tol", "--tol", dest="theta_tol",
-                           type=_positive_float, default=DEFAULT_TOL,
-                           help="certified truncation error of theta sums")
-        return p
 
-    command("periods", cmd_periods, "period matrices of a curve",
-            theta_tol=False)
+    def theta_tol(p):
+        p.add_argument("--theta-tol", "--tol", dest="theta_tol",
+                       type=_positive_float, default=DEFAULT_TOL,
+                       help="certified truncation error of theta sums")
 
-    p = command("verify", cmd_verify, "run a verification suite")
-    p.add_argument("suite",
-                   choices=("theta", "kernels", "fay", "jets", "gauss"))
-    p.add_argument("--seed", type=int, default=0,
-                   help="seed of the random test points")
+    def test_seed(p):
+        p.add_argument("--seed", type=int, default=0,
+                       help="seed of the random test points")
+
+    command(sub, "periods", "period matrices of a curve", curve_flags,
+            func=cmd_periods)
+
+    suites = sub.add_parser("verify", help="run a verification suite") \
+        .add_subparsers(dest="suite", required=True)
+    command(suites, "theta", "theta quasi-periodicity, parity and Riemann's "
+            "quadratic identity", test_seed, theta_tol,
+            func=cmd_verify, suite_checks=_suite_theta)
+    command(suites, "kernels", "prime form, Bergman and Szego kernels",
+            curve_flags, theta_tol, func=cmd_verify,
+            suite_checks=_suite_kernels)
+    command(suites, "fay", "Fay's identity for Klein kernels of (e, -e)",
+            curve_flags, theta_tol, test_seed, func=cmd_verify,
+            suite_checks=_suite_fay)
+    p = command(suites, "jets", "exact identities of the jet calculus",
+                test_seed, func=cmd_verify, suite_checks=_suite_jets)
     p.add_argument("--order", type=int, default=16,
-                   help="series truncation order of verify jets (at least 8)")
+                   help="series truncation order (at least 8)")
+    command(suites, "gauss", "squared Gauss map limit at a theta zero",
+            curve_flags, theta_tol, test_seed, func=cmd_verify,
+            suite_checks=_suite_gauss)
 
-    p = command("probe", cmd_probe, "finiteness probe of the Klein map")
+    p = command(sub, "probe", "finiteness probe of the Klein map",
+                curve_flags, theta_tol, func=cmd_probe)
     p.add_argument("--samples", type=int, default=200,
                    help="number of samples (at least 2)")
     p.add_argument("--seed", type=int, default=0,
@@ -547,9 +568,11 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=["json", "csv"], default="json",
                    help="report format (csv also when --out ends in .csv)")
 
-    p = command("eval", cmd_eval, "evaluate a kernel or theta value")
+    p = command(sub, "eval", "evaluate a kernel or theta value", curve_flags,
+                theta_tol, func=cmd_eval)
     p.add_argument("what", choices=tuple(EVAL_NEEDS))
-    p.add_argument("--omega", help="period matrix as JSON (theta only)")
+    p.add_argument("--omega", help="period matrix as JSON (theta only, "
+                   "instead of --curve)")
     p.add_argument("--z", help="theta argument, complex vector")
     p.add_argument("--e", help="Jacobian point, complex vector")
     p.add_argument("--x1", help="first point x-coordinate")

@@ -157,8 +157,7 @@ class HyperellipticCurve:
         self.margin = margin_factor * self.scale
         self.quadrature_tol = quadrature_tol
         self._lock = threading.Lock()
-        self._abel_cache = {}
-        self._h_branch_cache = {}
+        self._abel_cache = {}   # exact (x, sheet) -> Abel image from b_0
         self._theta_memo = {}   # odd characteristic, theta gradients at 0
         self._compute_periods()
 
@@ -474,7 +473,7 @@ class HyperellipticCurve:
         With ``base=None``, integration starts at the first branch point.
         """
         if base is None:
-            key = p.key()
+            key = (p.x, p.sheet)
             with self._lock:
                 if key in self._abel_cache:
                     return self._abel_cache[key].copy()
@@ -522,11 +521,6 @@ class HyperellipticCurve:
             return np.zeros(self.genus, dtype=complex)
         total = sum(self._segments_cache[j] for j in range(i))
         return self.diff_norm @ np.asarray(total)
-
-    # -- lattice reduction ------------------------------------------------------
-
-    def reduce_mod_lattice(self, z):
-        return reduce_mod_lattice(z, self.omega)
 
     # -- local expansions ---------------------------------------------------------
 

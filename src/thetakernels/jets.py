@@ -67,10 +67,6 @@ def _mat_mul(a, b):
         out.append(row)
     return out
 
-def _mat_transpose(a):
-    r = len(a)
-    return [[a[j][i] for j in range(r)] for i in range(r)]
-
 def _mat_deriv(a):
     return [[x.derivative() for x in row] for row in a]
 
@@ -323,12 +319,6 @@ class JetKernel:
                 out[j + k] = _mat_add(out[j + k], term)
         return JetKernel(self.rank, self.weight, self.pole, out)
 
-    def transpose(self):
-        """sigma-pullback combined with the matrix transpose."""
-        sw = self.swap()
-        return JetKernel(self.rank, self.weight, self.pole,
-                         [_mat_transpose(mat) for mat in sw.coeffs])
-
     def trace(self, normalized=True):
         """Scalar kernel of (normalized) traces of the coefficients."""
         out = []
@@ -391,10 +381,6 @@ class DiffOperator:
     order: int
     rank: int
     q: list
-
-    @property
-    def is_sl(self) -> bool:
-        return _mat_trace(self.q[0]).is_zero() if self.q else True
 
     def apply(self, f):
         """Apply to a Series (rank 1) or a list of Series (column vector)."""

@@ -80,7 +80,8 @@ def _class_vector(e):
 
 def _theta_off_divisor(e, omega: RiemannMatrix, tol, floor, what):
     """(mantissa, exponent) of theta(e); raises PointOnTheta naming
-    ``what`` when e lies on the theta divisor (see :func:`is_on_theta`)."""
+    ``what`` when e lies on the theta divisor, that is when |theta(e)| is
+    below ``floor`` times the scale of its lattice sum."""
     vals, expo, scale = theta_batch(e, omega, Characteristic.zero(omega.dim),
                                     [(0,) * omega.dim], tol)
     if abs(vals[0]) < floor * scale:
@@ -89,9 +90,12 @@ def _theta_off_divisor(e, omega: RiemannMatrix, tol, floor, what):
 
 
 def is_on_theta(e, omega: RiemannMatrix, tol=DEFAULT_TOL, floor=THETA_FLOOR) -> bool:
-    vals, expo, scale = theta_batch(e, omega, Characteristic.zero(omega.dim),
-                                    [(0,) * omega.dim], tol)
-    return abs(vals[0]) < floor * scale
+    """Whether e lies on the theta divisor (the test of _theta_off_divisor)."""
+    try:
+        _theta_off_divisor(e, omega, tol, floor, "theta")
+    except PointOnTheta:
+        return True
+    return False
 
 
 def select_odd_characteristic(curve: HyperellipticCurve,
@@ -140,12 +144,8 @@ def _curve_memo(curve, key, compute):
 
 
 def _h_factor(curve, delta: Characteristic, p: SurfacePoint, tol=DEFAULT_TOL):
-    """Square root of sum_i d_i theta[delta](0) omega_i(p), branch cached.
-
-    The branch is fixed per (characteristic, point) at first use; nearby
-    cached points force the continuous branch, so limit families along a
-    path get a consistent half-density.
-    """
+    """Principal square root of s2(p) = sum_i d_i theta[delta](0) omega_i(p),
+    times sqrt(chart_scale): the half-density h(p) up to sign."""
     grad, _ = _gradient_at_zero(curve, delta, tol)
     om_raw = curve.eval_differentials(
         SurfacePoint(p.x, p.sheet, p.y, chart_scale=1.0))
@@ -153,27 +153,25 @@ def _h_factor(curve, delta: Characteristic, p: SurfacePoint, tol=DEFAULT_TOL):
     if abs(s2) < 1e-14 * max(1.0, float(np.linalg.norm(grad))):
         raise SquareRootBranchUnresolvable(
             f"gradient half-density vanishes at x={p.x}")
-    h = complex(np.sqrt(s2))
-    key_char = (tuple(delta.alpha), tuple(delta.beta))
-    key = (round(p.x.real, 10), round(p.x.imag, 10), p.sheet)
-    with curve._lock:
-        cache = curve._h_branch_cache.setdefault(key_char, {})
-        cached = cache.get(key)
-        if cached is not None:
-            h = cached
-        else:
-            best = None
-            best_d = 0.25 * curve.scale
-            for (xr, xi, sh), hv in cache.items():
-                if sh != p.sheet:
-                    continue
-                d = abs(complex(xr, xi) - p.x)
-                if d < best_d:
-                    best, best_d = hv, d
-            if best is not None and abs(-h - best) < abs(h - best):
-                h = -h
-            cache[key] = h
-    return h * math.sqrt(p.chart_scale)
+    return complex(np.sqrt(s2)) * math.sqrt(p.chart_scale)
+
+
+def _h_product(curve, delta: Characteristic, x: SurfacePoint, y: SurfacePoint,
+               tol=DEFAULT_TOL):
+    """h(x) h(y) for the prime form, a function of the pair alone.
+
+    Both factors are principal roots (:func:`_h_factor`), except that for
+    points on one sheet less than 0.25 * curve.scale apart h(y) takes the
+    sign nearer h(x).  The test is symmetric in (x, y), and it keeps
+    E(x,y)/(t(x)-t(y)) -> 1 as y -> x also where s2 crosses the cut of
+    the principal root.
+    """
+    hx = _h_factor(curve, delta, x, tol)
+    hy = _h_factor(curve, delta, y, tol)
+    if (x.sheet == y.sheet and abs(x.x - y.x) < 0.25 * curve.scale
+            and abs(-hy - hx) < abs(hy - hx)):
+        hy = -hy
+    return hx * hy
 
 
 def prime_form(curve: HyperellipticCurve, delta: Characteristic,
@@ -182,14 +180,15 @@ def prime_form(curve: HyperellipticCurve, delta: Characteristic,
 
     Antisymmetric, vanishing only on the diagonal, with
     E(x,y)/(t(x)-t(y)) -> 1 along the diagonal.  Weight (-1/2, -1/2).
+    The signs of the half-densities come from the pair (x, y) alone
+    (:func:`_h_product`), so a value never depends on earlier calls.
     """
     if abs(x.x - y.x) < 1e-13 and x.sheet == y.sheet:
         raise OnDiagonal("prime form evaluated at coinciding points")
     w = curve.abel_map(x) - curve.abel_map(y)
     th = theta_value(w, curve.omega, delta, tol=tol)
-    hx = _h_factor(curve, delta, x, tol)
-    hy = _h_factor(curve, delta, y, tol)
-    val = th.mantissa * math.exp(th.exponent) / (hx * hy)
+    hxy = _h_product(curve, delta, x, y, tol)
+    val = th.mantissa * math.exp(th.exponent) / hxy
     return KernelValue(value=complex(val), weight=(-0.5, -0.5),
                        chart_x=_chart(x), chart_y=_chart(y))
 

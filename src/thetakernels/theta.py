@@ -145,12 +145,6 @@ class ScaledComplex:
         """Plain complex value; may overflow if the exponent is huge."""
         return self.mantissa * math.exp(self.exponent)
 
-    @property
-    def log_abs(self) -> float:
-        if self.mantissa == 0:
-            return -math.inf
-        return math.log(abs(self.mantissa)) + self.exponent
-
     def __mul__(self, other):
         if isinstance(other, ScaledComplex):
             return ScaledComplex.make(self.mantissa * other.mantissa,
@@ -164,9 +158,6 @@ class ScaledComplex:
             return ScaledComplex.make(self.mantissa / other.mantissa,
                                       self.exponent - other.exponent)
         return ScaledComplex.make(self.mantissa / other, self.exponent)
-
-    def __neg__(self):
-        return ScaledComplex(-self.mantissa, self.exponent)
 
     def ratio(self, other: "ScaledComplex") -> complex:
         """self / other as a plain complex number."""

@@ -335,18 +335,23 @@ FUZZ_VALUES = {
     "--sheet1": (["1", "-1"], ["0", "2", "x"]),
     "--sheet2": (["1", "-1"], ["0", "2"]),
 }
-#: the flags each command takes: a fuzzed argv has each of a command's
-#: first flags with probability 3/4, a few more of its own, and rarely
-#: one of another command
+#: the flags each command, and each verify suite, takes: a fuzzed argv
+#: has each of a command's first flags with probability 3/4, a few more of
+#: its own, and rarely one of another command
+CURVE_SUITE_FLAGS = ("--curve", "--quadrature-tol", "--theta-tol", "--tol",
+                     "--out")
 COMMAND_FLAGS = {
     "periods": ("--curve", "--quadrature-tol", "--out"),
     "probe": ("--curve", "--samples", "--seed", "--theta-tol", "--tol",
               "--collision-tol", "--format", "--quadrature-tol", "--out"),
-    "verify": ("--curve", "--seed", "--order", "--theta-tol", "--tol",
-               "--quadrature-tol", "--out"),
     "eval": ("--curve", "--z", "--e", "--x1", "--x2", "--omega", "--sheet1",
              "--sheet2", "--order", "--theta-tol", "--tol",
              "--quadrature-tol", "--out"),
+    "verify theta": ("--seed", "--theta-tol", "--tol", "--out"),
+    "verify jets": ("--seed", "--order", "--out"),
+    "verify kernels": CURVE_SUITE_FLAGS,
+    "verify fay": CURVE_SUITE_FLAGS + ("--seed",),
+    "verify gauss": CURVE_SUITE_FLAGS + ("--seed",),
 }
 COMMANDS = [["periods"], ["probe"]] \
     + [["eval", w] for w in ("theta", "szego", "klein", "bergman",
@@ -356,10 +361,17 @@ COMMANDS = [["periods"], ["probe"]] \
 PATH_FLAGS = ("--curve", "--out")
 
 
+def own_flags(head):
+    """The flags of a command head such as ["verify", "fay"]; an unknown
+    verify suite draws from those of verify fay."""
+    return COMMAND_FLAGS.get(" ".join(head), COMMAND_FLAGS.get(
+        head[0], COMMAND_FLAGS["verify fay"]))
+
+
 @st.composite
 def fuzz_argv(draw):
     argv = list(draw(st.sampled_from(COMMANDS)))
-    own = COMMAND_FLAGS[argv[0]]
+    own = own_flags(argv)
     core = {"eval": 5}.get(argv[0], 1)
     flags = [f for f in own[:core] if draw(st.integers(0, 3))]
     flags += draw(st.lists(st.sampled_from(own), max_size=3))
@@ -387,6 +399,10 @@ REPRODUCED_INPUTS = [
     ["eval", "bergman", "--curve", "curve.json", "--x1", "2.0",
      "--x2", "-2.0", "--sheet1", "0"],
     ["periods", "--curve", "curve.json", "--format", "csv"],
+    ["eval", "theta", "--omega", "[[1]]", "--z", "0", "--curve",
+     "curve.json"],
+    ["verify", "jets", "--curve", "missing.json", "--theta-tol", "1e-3"],
+    ["verify", "kernels", "--order", "3", "--seed", "9"],
 ]
 
 
@@ -422,7 +438,7 @@ class TestCliFuzz:
     def test_commands_take_only_their_flags(self, command):
         from thetakernels import cli
         parser = cli.make_parser()
-        head = [command] + (["theta"] if command in ("eval", "verify") else [])
+        head = command.split() + (["theta"] if command == "eval" else [])
         for flag, (good, _) in FUZZ_VALUES.items():
             _, extra = parser.parse_known_args(head + [flag, good[0]])
             assert (not extra) == (flag in COMMAND_FLAGS[command]), flag

@@ -210,6 +210,17 @@ class TestAbelMap:
                     v = 2.0 * (images[i] - images[j])
                     assert integrality(v, c.omega) < 1e-8
 
+    def test_memo_keys_on_the_exact_point(self):
+        # 4e-13 apart: the same point once x is rounded to 12 digits
+        f = [0, -1, 0, 0, 0, 1]
+        x, near = 0.5 + 0.3j, 0.5 + 0.3j + 4e-13
+        warm = build_curve(f)
+        warm.abel_map(warm.point(x, 1))
+        got = warm.abel_map(warm.point(near, 1))
+        fresh = build_curve(f)
+        assert np.array_equal(got, fresh.abel_map(fresh.point(near, 1)))
+        assert not np.array_equal(got, fresh.abel_map(fresh.point(x, 1)))
+
     def test_sheet_detour(self, lemniscatic):
         # target on the other sheet than naive tracking forces a detour
         c = lemniscatic

@@ -1,3 +1,4 @@
+import functools
 import importlib
 import json
 import sys
@@ -6,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from thetakernels.curves import build_curve, lattice_coordinates
 from thetakernels.errors import (ConstraintViolation,
@@ -17,7 +20,7 @@ from thetakernels.kernels import (bergman_a_period, bergman_kernel,
                                   klein_coordinates, klein_kernel,
                                   prime_form, select_odd_characteristic,
                                   szego_kernel, wirtinger_connection)
-from thetakernels.theta import Characteristic, theta_batch
+from thetakernels.theta import DEFAULT_TOL, Characteristic, theta_batch
 
 kernels_module = importlib.import_module("thetakernels.kernels")
 theta_module = importlib.import_module("thetakernels.theta")
@@ -115,6 +118,85 @@ class TestPrimeForm:
         p = lemniscatic.point(2.0, 1)
         with pytest.raises(OnDiagonal):
             prime_form(lemniscatic, delta, p, p)
+
+
+# On y^2 = x^5 - x, s2 = sum_i d_i theta[delta](0) omega_i crosses the
+# negative real axis, the cut of its principal square root, on the segment
+# from CUT_START to CUT_END (sheet 1).
+QUINTIC = [0, -1, 0, 0, 0, 1]
+CUT_START, CUT_END = -1.987 + 1.957j, -1.987 + 2.057j
+PARTNER = -1.7 + 0.3j
+SEGMENT = [CUT_START + (CUT_END - CUT_START) * k / 4 for k in range(5)]
+SZEGO_CLASS = np.array([0.31 + 0.17j, -0.12 + 0.23j])
+#: (kernel, x, y) evaluations on the segment: far pairs with PARTNER and
+#: near pairs of neighbouring segment points
+SEGMENT_TASKS = [(kind, x, y) for kind in ("prime", "szego")
+                 for x, y in [(s, PARTNER) for s in SEGMENT]
+                 + list(zip(SEGMENT, SEGMENT[1:]))]
+
+
+def segment_value(curve, task):
+    kind, x, y = task
+    x, y = curve.point(x, 1), curve.point(y, 1)
+    if kind == "prime":
+        return prime_form(curve, select_odd_characteristic(curve), x, y).value
+    return szego_kernel(curve, SZEGO_CLASS, x, y).value
+
+
+@functools.cache
+def segment_values_in_order():
+    curve = build_curve(QUINTIC)
+    return [segment_value(curve, task) for task in SEGMENT_TASKS]
+
+
+class TestHalfDensityIsPure:
+    """Prime-form and Szego values depend on their arguments alone."""
+
+    def test_warm_up_leaves_values_unchanged(self):
+        def values(warm):
+            curve = build_curve(QUINTIC)
+            delta = select_odd_characteristic(curve)
+            x, y = curve.point(CUT_END, 1), curve.point(PARTNER, 1)
+            for k in range(20 if warm else 0):
+                p = curve.point(CUT_START + (CUT_END - CUT_START) * k / 20, 1)
+                prime_form(curve, delta, p, y)
+                szego_kernel(curve, SZEGO_CLASS, p, y)
+            return (prime_form(curve, delta, x, y).value,
+                    szego_kernel(curve, SZEGO_CLASS, x, y).value)
+
+        assert values(warm=True) == values(warm=False)
+
+    def test_diagonal_normalization_across_the_cut(self):
+        curve = build_curve(QUINTIC)
+        delta = select_odd_characteristic(curve)
+        grad = kernels_module._gradient_at_zero(curve, delta, DEFAULT_TOL)[0]
+
+        def s2(x):
+            return complex(grad @ curve.eval_differentials(curve.point(x, 1)))
+
+        lo, hi = CUT_START, CUT_END
+        assert s2(lo).imag > 0 > s2(hi).imag and s2(lo).real < 0
+        for _ in range(60):
+            mid = 0.5 * (lo + hi)
+            if s2(mid).imag > 0:
+                lo = mid
+            else:
+                hi = mid
+        # p and p + 2e-3j lie on opposite sides of the cut
+        p = curve.point(lo - 5e-4j, 1)
+        vals = []
+        for sep in (2e-3j, 1e-3j):
+            q = curve.point(p.x + sep, 1)
+            vals.append(prime_form(curve, delta, p, q).value / (p.x - q.x))
+        assert abs(2 * vals[1] - vals[0] - 1.0) < 1e-6
+
+    @settings(max_examples=50, deadline=None)
+    @given(order=st.permutations(range(len(SEGMENT_TASKS))))
+    def test_evaluation_order_leaves_values_unchanged(self, order):
+        curve = build_curve(QUINTIC)
+        got = {k: segment_value(curve, SEGMENT_TASKS[k]) for k in order}
+        assert [got[k] for k in range(len(SEGMENT_TASKS))] \
+            == segment_values_in_order()
 
 
 class TestBergman:
@@ -570,10 +652,10 @@ class TestConcurrency:
         assert np.allclose(serial, parallel, rtol=1e-12)
 
     def test_first_use_from_four_threads(self):
-        # no serial warm-up: the odd characteristic, its gradient, the
-        # Abel images and the half-density branches are all first computed
-        # by racing threads.  The points lie more than 0.25 apart on each
-        # sheet, so no branch choice depends on which point came first.
+        # no serial warm-up: the odd characteristic, its gradient and the
+        # Abel images are all first computed by racing threads.  The points
+        # are spaced 0.4 apart only to spread the Abel routes; the
+        # half-density signs come from each pair alone, whatever the order.
         coeffs = [0, -1, 0, 0, 0, 1]
         e = np.array([0.3 + 0.1j, -0.2 + 0.05j])
         xs = [(1.6 + 0.4 * k, -1.6 - 0.4 * k) for k in range(4)]
