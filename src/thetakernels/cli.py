@@ -5,11 +5,11 @@ serialize as [re, im] pairs and matrices as row-major nested arrays.
 Exit codes: 0 success, 1 failed verification check, 2 argument/curve
 errors, 3 quadrature non-convergence, 4 evaluation on the theta divisor.
 
-Options live in :func:`make_parser` alone: each command, and each
-``verify`` suite, declares the flags it reads, with their defaults, and
-the commands read the parsed namespace.  Complex values are JSON
-(numbers or [re, im] pairs, read by ``curves._parse_complex``) or plain
-text such as ``0.3+0.1j,-0.2``.
+Options live in :func:`make_parser` alone: each command, each ``verify``
+suite and each ``eval`` evaluator declares the flags it reads, with
+their defaults, and the commands read the parsed namespace.  Complex
+values are JSON (numbers or [re, im] pairs, read by
+``curves._parse_complex``) or plain text such as ``0.3+0.1j,-0.2``.
 
 Report schemas (stable):
 
@@ -154,60 +154,76 @@ def _probe_csv_header(g: int) -> str:
     return ",".join(cols)
 
 
-#: Options each evaluator needs, by evaluator name.
-EVAL_NEEDS = {
-    "theta": ("z",),
-    "szego": ("e", "x1", "x2"),
-    "klein": ("e", "x1", "x2"),
-    "bergman": ("x1", "x2"),
-    "wirtinger": ("e", "x1"),
-}
-
-
-def cmd_eval(args) -> int:
-    what = args.what
-    missing = [f"--{name}" for name in EVAL_NEEDS[what]
-               if getattr(args, name) is None]
+def _require(args, *names):
+    """ValueError naming the flags among ``names`` that were not given."""
+    missing = [f"--{name}" for name in names if getattr(args, name) is None]
     if missing:
-        raise ValueError(f"eval {what} needs {' and '.join(missing)}")
-    if what == "theta":
-        if args.omega and args.curve:
-            raise ValueError("eval theta takes --omega or --curve, not both")
-        if args.omega:
-            om = RiemannMatrix(parse_omega(args.omega))
-        else:
-            om = load_curve(args).omega
-        z = parse_complex(args.z, vector=True)
-        val = theta_value(z, om, tol=args.theta_tol)
-        emit({"what": "theta", "z": [cplx(v) for v in z],
-              "value": plain_value(val),
-              "mantissa": cplx(val.mantissa), "exponent": val.exponent},
-             args)
-        return 0
-    curve = load_curve(args)
-    if what == "wirtinger":
-        e = parse_complex(args.e, vector=True)
-        p = curve.point(parse_complex(args.x1), args.sheet1)
-        val = wirtinger_connection(curve, e, p, order=args.order,
-                                   tol=args.theta_tol)
-        emit({"what": "wirtinger", "e": [cplx(v) for v in e],
-              "x": cplx(p.x), "sheet": p.sheet, "value": cplx(val)}, args)
-        return 0
-    x = curve.point(parse_complex(args.x1), args.sheet1)
-    y = curve.point(parse_complex(args.x2), args.sheet2)
-    if what == "bergman":
-        kv = bergman_kernel(curve, x, y, tol=args.theta_tol)
-    elif what == "szego":
-        kv = szego_kernel(curve, parse_complex(args.e, vector=True), x, y,
-                          tol=args.theta_tol)
+        raise ValueError(f"eval {args.what} needs {' and '.join(missing)}")
+
+
+def cmd_eval_theta(args) -> int:
+    _require(args, "z")
+    if args.omega and args.curve:
+        raise ValueError("eval theta takes --omega or --curve, not both")
+    if args.omega:
+        om = RiemannMatrix(parse_omega(args.omega))
     else:
-        e = parse_complex(args.e, vector=True)
-        kv = klein_kernel(curve, [e, -e], x, y, tol=args.theta_tol)
-    emit({"what": what, "value": cplx(kv.value), "weight": list(kv.weight),
+        om = load_curve(args).omega
+    z = parse_complex(args.z, vector=True)
+    val = theta_value(z, om, tol=args.theta_tol)
+    emit({"what": "theta", "z": [cplx(v) for v in z],
+          "value": plain_value(val),
+          "mantissa": cplx(val.mantissa), "exponent": val.exponent}, args)
+    return 0
+
+
+def cmd_eval_wirtinger(args) -> int:
+    _require(args, "e", "x1")
+    curve = load_curve(args)
+    e = parse_complex(args.e, vector=True)
+    p = curve.point(parse_complex(args.x1), args.sheet1)
+    val = wirtinger_connection(curve, e, p, order=args.order,
+                               tol=args.theta_tol)
+    emit({"what": "wirtinger", "e": [cplx(v) for v in e],
+          "x": cplx(p.x), "sheet": p.sheet, "value": cplx(val)}, args)
+    return 0
+
+
+def _curve_and_points(args):
+    """The curve and the points (x1, sheet1) and (x2, sheet2) on it."""
+    curve = load_curve(args)
+    return (curve, curve.point(parse_complex(args.x1), args.sheet1),
+            curve.point(parse_complex(args.x2), args.sheet2))
+
+
+def _emit_kernel(kv, args) -> int:
+    emit({"what": args.what, "value": cplx(kv.value),
+          "weight": list(kv.weight),
           "chart_x": [cplx(kv.chart_x[0]), kv.chart_x[1], kv.chart_x[2]],
           "chart_y": [cplx(kv.chart_y[0]), kv.chart_y[1], kv.chart_y[2]]},
          args)
     return 0
+
+
+def cmd_eval_szego(args) -> int:
+    _require(args, "e", "x1", "x2")
+    curve, x, y = _curve_and_points(args)
+    return _emit_kernel(szego_kernel(curve, parse_complex(args.e, vector=True),
+                                     x, y, tol=args.theta_tol), args)
+
+
+def cmd_eval_klein(args) -> int:
+    _require(args, "e", "x1", "x2")
+    curve, x, y = _curve_and_points(args)
+    e = parse_complex(args.e, vector=True)
+    return _emit_kernel(klein_kernel(curve, [e, -e], x, y,
+                                     tol=args.theta_tol), args)
+
+
+def cmd_eval_bergman(args) -> int:
+    _require(args, "x1", "x2")
+    curve, x, y = _curve_and_points(args)
+    return _emit_kernel(bergman_kernel(curve, x, y, tol=args.theta_tol), args)
 
 
 def parse_omega(text: str):
@@ -499,8 +515,8 @@ def _positive_float(text: str) -> float:
 
 
 def make_parser() -> argparse.ArgumentParser:
-    """The argument parser; each command, and each verify suite, declares
-    exactly the flags it reads."""
+    """The argument parser; each command, each verify suite and each
+    evaluator declares exactly the flags it reads."""
     parser = argparse.ArgumentParser(
         prog="thetakernels",
         description="Kernel functions and jet calculus on hyperelliptic curves")
@@ -568,21 +584,39 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=["json", "csv"], default="json",
                    help="report format (csv also when --out ends in .csv)")
 
-    p = command(sub, "eval", "evaluate a kernel or theta value", curve_flags,
-                theta_tol, func=cmd_eval)
-    p.add_argument("what", choices=tuple(EVAL_NEEDS))
-    p.add_argument("--omega", help="period matrix as JSON (theta only, "
-                   "instead of --curve)")
+    def jacobian_point(p):
+        p.add_argument("--e", help="Jacobian point, complex vector")
+
+    def first_point(p):
+        p.add_argument("--x1", help="first point x-coordinate")
+        p.add_argument("--sheet1", type=int, choices=(-1, 1), default=1,
+                       help="sheet of the first point")
+
+    def second_point(p):
+        p.add_argument("--x2", help="second point x-coordinate")
+        p.add_argument("--sheet2", type=int, choices=(-1, 1), default=1,
+                       help="sheet of the second point")
+
+    evals = sub.add_parser("eval", help="evaluate a kernel or theta value") \
+        .add_subparsers(dest="what", required=True)
+    p = command(evals, "theta", "theta value at z", curve_flags, theta_tol,
+                func=cmd_eval_theta)
+    p.add_argument("--omega", help="period matrix as JSON (instead of "
+                   "--curve)")
     p.add_argument("--z", help="theta argument, complex vector")
-    p.add_argument("--e", help="Jacobian point, complex vector")
-    p.add_argument("--x1", help="first point x-coordinate")
-    p.add_argument("--x2", help="second point x-coordinate")
-    p.add_argument("--sheet1", type=int, choices=(-1, 1), default=1,
-                   help="sheet of the first point")
-    p.add_argument("--sheet2", type=int, choices=(-1, 1), default=1,
-                   help="sheet of the second point")
+    command(evals, "szego", "Szego kernel of the class e", curve_flags,
+            theta_tol, jacobian_point, first_point, second_point,
+            func=cmd_eval_szego)
+    command(evals, "klein", "Klein kernel of the classes (e, -e)",
+            curve_flags, theta_tol, jacobian_point, first_point,
+            second_point, func=cmd_eval_klein)
+    command(evals, "bergman", "Bergman kernel", curve_flags, theta_tol,
+            first_point, second_point, func=cmd_eval_bergman)
+    p = command(evals, "wirtinger", "Wirtinger connection of the class e",
+                curve_flags, theta_tol, jacobian_point, first_point,
+                func=cmd_eval_wirtinger)
     p.add_argument("--order", type=int, default=8,
-                   help="series order of eval wirtinger (at least 6)")
+                   help="series order (at least 6)")
 
     return parser
 

@@ -10,9 +10,12 @@ matrices of truncated power series in z1.  All operations (the
 differential-operator dictionary, flat extensions of connections,
 projective-structure kernels, matrix opers, trace/determinant maps and
 the quadratic projection) are exact over Gaussian-rational coefficients:
-every Series passed in must have :class:`~thetakernels.series.QC`
-coefficients (the float mode of :mod:`thetakernels.series` is not
-supported here).
+every Series has :class:`~thetakernels.series.QC` coefficients.  A
+scalar u-expansion sum_k b_k(z) u^k (a chart difference, a power of it,
+one entry of a matrix jet) is a rank-1, weight-0, pole-0
+:class:`JetKernel`, so one product, sum and power serve every expansion;
+products of u-expansions also bound each slot's truncation order by
+the orders of their factors (:func:`_expansion_mul`).
 
 Index conventions: ``u = z1 - z2``; the restriction to the diagonal in
 the canonical trivialization is the coefficient a_d with d = pole -
@@ -21,6 +24,7 @@ weight, so "monic" means a_j = 0 for j < d and a_d = Id.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -53,28 +57,14 @@ def _mat_scale(a, s):
     return [[x * s for x in row] for row in a]
 
 def _mat_mul(a, b):
-    r = len(a)
-    q = len(b[0])
-    inner = len(b)
-    out = []
-    for i in range(r):
-        row = []
-        for j in range(q):
-            acc = a[i][0] * b[0][j]
-            for k in range(1, inner):
-                acc = acc + a[i][k] * b[k][j]
-            row.append(acc)
-        out.append(row)
-    return out
+    return [[sum((a[i][k] * b[k][j] for k in range(1, len(b))), a[i][0] * b[0][j])
+             for j in range(len(b[0]))] for i in range(len(a))]
 
 def _mat_deriv(a):
     return [[x.derivative() for x in row] for row in a]
 
 def _mat_trace(a):
-    acc = a[0][0]
-    for i in range(1, len(a)):
-        acc = acc + a[i][i]
-    return acc
+    return sum((a[i][i] for i in range(1, len(a))), a[0][0])
 
 def _mat_is_zero(a):
     return all(x.is_zero() for row in a for x in row)
@@ -83,97 +73,20 @@ def _mat_eq(a, b):
     return all(x == y for ra, rb in zip(a, b) for x, y in zip(ra, rb))
 
 
-# ----------------------------------------------------------------------
-# u-jets: truncated expansions sum_k b_k(z) u^k with Series coefficients
-# ----------------------------------------------------------------------
+def _taylor_shift(mat, m, skip=0):
+    """The matrices mat^(k+skip) (-1)^k / (k+skip)! for k < m.
 
-def _uj_mul(a, b, m):
-    out = [None] * m
-    for i, ai in enumerate(a[:m]):
-        for j, bj in enumerate(b):
-            if i + j >= m:
-                break
-            prod = ai * bj
-            out[i + j] = prod if out[i + j] is None else out[i + j] + prod
-    n = a[0].n
-    return [Series.zero(n) if x is None else x for x in out]
-
-def _uj_one(m, n):
-    return [Series.const(1, n)] + [Series.zero(n)] * (m - 1)
-
-def _uj_scale(a, s):
-    return [x * s for x in a]
-
-def _uj_add(a, b):
-    return [x + y for x, y in zip(a, b)]
-
-def _uj_reciprocal(a, m):
-    lead = a[0].reciprocal()
-    n = a[0].n
-    out = [lead] + [Series.zero(n)] * (m - 1)
-    for k in range(1, m):
-        acc = Series.zero(n)
-        for j in range(1, k + 1):
-            if j < len(a):
-                acc = acc + a[j] * out[k - j]
-        out[k] = -(lead * acc)
-    return out
-
-def _uj_pow(a, k, m):
-    if k < 0:
-        return _uj_pow(_uj_reciprocal(a, m), -k, m)
-    out = _uj_one(m, a[0].n)
-    base = list(a)
-    while k:
-        if k & 1:
-            out = _uj_mul(out, base, m)
-        base = _uj_mul(base, base, m)
-        k >>= 1
-    return out
-
-def _uj_pow_fraction(a, alpha: Fraction, m):
-    """a^alpha for a u-jet whose leading Series is 1."""
-    n = a[0].n
-    one = Series.const(1, n)
-    if not (a[0] == one):
-        raise ValueError("fractional u-jet powers need leading coefficient 1")
-    x = list(a)
-    x[0] = a[0] - one
-    out = _uj_one(m, n)
-    term = _uj_one(m, n)
-    coeff = Fraction(alpha)
-    fact = 1
-    for k in range(1, m):
-        term = _uj_mul(term, x, m)
-        fact *= k
-        out = _uj_add(out, _uj_scale(term, coeff / fact))
-        coeff *= (alpha - k)
-    return out
-
-
-def _shifted_series(w: Series, m):
-    """u-jet of w(z - u): coefficients w^(k)(z) (-1)^k / k!."""
+    They are the u-expansion of mat(z - u) for ``skip`` 0 and of
+    (mat(z) - mat(z - u)) / u for ``skip`` 1.
+    """
+    d = mat
+    for _ in range(skip):
+        d = _mat_deriv(d)
     out = []
-    d = w
-    fact = 1
     for k in range(m):
         if k:
-            d = d.derivative()
-            fact *= k
-        out.append(d * Fraction((-1) ** k, fact))
-    return out
-
-
-def _delta_series(w: Series, m):
-    """u-jet of (w(z) - w(z-u))/u; leading coefficient is w'(z)."""
-    out = []
-    d = w.derivative()
-    fact = 1
-    for k in range(m):
-        if k:
-            d = d.derivative()
-            fact *= (k + 1)
-        out.append(d * Fraction((-1) ** k, fact))
+            d = _mat_deriv(d)
+        out.append(_mat_scale(d, Fraction((-1) ** k, math.factorial(k + skip))))
     return out
 
 
@@ -304,18 +217,12 @@ class JetKernel:
         """Pullback under (z1, z2) -> (z2, z1), no matrix transpose."""
         m = self.order
         out = [_mat_zero(self.rank, self.series_order) for _ in range(m)]
-        for j in range(m):
-            mat = self.coeffs[j]
+        for j, mat in enumerate(self.coeffs):
             if _mat_is_zero(mat):
                 continue
-            sign_j = (-1) ** ((j - self.pole) % 2)
-            d = mat
-            fact = 1
-            for k in range(m - j):
-                if k:
-                    d = _mat_deriv(d)
-                    fact *= k
-                term = _mat_scale(d, Fraction(sign_j * (-1) ** k, fact))
+            if (j - self.pole) % 2:
+                mat = _mat_scale(mat, -1)
+            for k, term in enumerate(_taylor_shift(mat, m - j)):
                 out[j + k] = _mat_add(out[j + k], term)
         return JetKernel(self.rank, self.weight, self.pole, out)
 
@@ -348,20 +255,69 @@ def mu_nu(nu: int, m: int, order: int = DEFAULT_ORDER) -> JetKernel:
     """The canonical rank-1 jet dz^(nu/2) x dz^(nu/2) / (z1-z2)^nu on m-th order."""
     if m < 1:
         raise ValueError("m must be >= 1")
-    coeffs = [_mat_id(1, order)]
-    coeffs += [_mat_zero(1, order) for _ in range(m - 1)]
+    coeffs = [_mat_id(1, order)] + [_mat_zero(1, order) for _ in range(m - 1)]
     return JetKernel(1, nu, nu, coeffs)
 
 
-def from_scalar_jet(ujet, weight, pole):
-    """Rank-1 JetKernel from a u-jet (list of Series)."""
-    return JetKernel(1, weight, pole, [[[s]] for s in ujet])
+def _expansion_mul(a: JetKernel, b: JetKernel) -> JetKernel:
+    """``a * b`` with slot k truncated to the lowest series order among the
+    first k + 1 coefficients of ``a`` and ``b``: a zero coefficient of
+    order n stands for an unknown O(z^(n+1)) term, which
+    ``JetKernel.__mul__`` skips, so u-expansions multiply through here."""
+    out = a * b
+    n = math.inf
+    for k, mat in enumerate(out.coeffs):
+        n = min([n] + [x.n for f in (a, b) for row in f.coeff(k) for x in row])
+        out.coeffs[k] = [[x.truncate(n) if x.n > n else x for x in row]
+                         for row in mat]
+    return out
 
 
 def tensor_power(s: JetKernel, k: int) -> JetKernel:
-    out = s
-    for _ in range(k - 1):
-        out = out * s
+    """s^k by binary powering: the weight-0 unit for k = 0, and for k < 0
+    the power of the reciprocal of a rank-1 ``s``."""
+    if k < 0:
+        return tensor_power(_reciprocal(s), -k)
+    if k == 0:
+        return mu_nu(0, s.order, s.series_order)
+    out, base = None, s
+    while k:
+        if k & 1:
+            out = base if out is None else _expansion_mul(out, base)
+        k >>= 1
+        if k:
+            base = _expansion_mul(base, base)
+    return out
+
+
+def _reciprocal(s: JetKernel) -> JetKernel:
+    """1/s for a rank-1 jet whose leading Series has a nonzero constant."""
+    if s.rank != 1:
+        raise WeightMismatch("only rank-1 jets have reciprocals")
+    a = [mat[0][0] for mat in s.coeffs]
+    n = a[0].n
+    lead = a[0].reciprocal()
+    out = [lead]
+    for k in range(1, s.order):
+        acc = sum((a[j] * out[k - j] for j in range(1, k + 1)), Series.zero(n))
+        out.append(-(lead * acc))
+    return JetKernel(1, -s.weight, -s.pole, [[[x]] for x in out])
+
+
+def _pow_fraction(s: JetKernel, alpha: Fraction) -> JetKernel:
+    """s^alpha for a rank-1 weight-0 jet whose leading Series is 1."""
+    one = mu_nu(0, s.order, s.series_order)
+    if not s.scalar_coeff(0) == one.scalar_coeff(0):
+        raise ValueError("fractional jet powers need leading coefficient 1")
+    x = s - one
+    out = term = one
+    coeff = Fraction(alpha)
+    fact = 1
+    for k in range(1, s.order):
+        term = _expansion_mul(term, x)
+        fact *= k
+        out = out + term.scale(coeff / fact)
+        coeff *= (alpha - k)
     return out
 
 
@@ -391,9 +347,9 @@ class DiffOperator:
             derivs.append([s.derivative() for s in derivs[-1]])
         out = derivs[self.order]
         for i, qi in enumerate(self.q, start=1):
-            term = [_sum_series([qi[a][b] * derivs[self.order - i][b]
-                                 for b in range(self.rank)])
-                    for a in range(self.rank)]
+            d = derivs[self.order - i]
+            term = [sum((qi[a][b] * d[b] for b in range(1, self.rank)),
+                        qi[a][0] * d[0]) for a in range(self.rank)]
             out = [x - y for x, y in zip(out, term)]
         return out[0] if scalar else out
 
@@ -428,13 +384,6 @@ class DiffOperator:
             # c[j + n] = rhs * j! / (j+n)!
             c.append(rhs * Fraction(facts[j], facts[j + n]))
         return Series(c[:order_n + 1], order_n)
-
-
-def _sum_series(items):
-    acc = items[0]
-    for x in items[1:]:
-        acc = acc + x
-    return acc
 
 
 # ----------------------------------------------------------------------
@@ -549,14 +498,7 @@ def flat_extension(conn: ConnectionJet, m: int) -> JetKernel:
     nser = conn.gamma[0][0].n
     if m - 1 > nser:
         raise TruncationUnderflow("series order too small for flat extension")
-    gs = []   # u-jet of Gamma(z1 - u): matrices
-    d = conn.gamma
-    fact = 1
-    for k in range(m):
-        if k:
-            d = _mat_deriv(d)
-            fact *= k
-        gs.append(_mat_scale(d, Fraction((-1) ** k, fact)))
+    gs = _taylor_shift(conn.gamma, m)   # u-expansion of Gamma(z1 - u)
     a = [_mat_id(r, nser)]
     for j in range(m - 1):
         acc = _mat_zero(r, nser)
@@ -596,32 +538,41 @@ def change_coordinate(s: JetKernel, w: Series) -> JetKernel:
     if bool(w.c[0]) or not bool(w.c[1]):
         raise NonInvertibleChart("need w(0) = 0 and w'(0) != 0")
     m = s.order
-    dw = _delta_series(w, m)                  # (w(t1) - w(t2)) / v
-    dwi = _uj_reciprocal(dw, m)
-    total = [Series.zero(w.n) for _ in range(m)]
+    dw = _chart_difference(w, m)
+    dwi = _reciprocal(dw)
+    total = JetKernel(1, 0, 0, [_mat_zero(1, w.n) for _ in range(m)])
     for j in range(m):
         aj = s.scalar_coeff(j)
         if aj.is_zero():
             continue
-        comp = aj.compose(w)
         rel = j - s.pole
-        base = _uj_pow(dw, rel, m) if rel >= 0 else _uj_pow(dwi, -rel, m)
-        term = _uj_scale(base, comp)
-        # the v^(j-pole) prefactor shifts the expansion up by j slots
-        for k in range(m - j):
-            total[k + j] = total[k + j] + term[k]
-    return from_scalar_jet(_weight_factor(total, w, s.weight, m),
-                           s.weight, s.pole)
+        term = tensor_power(dw if rel >= 0 else dwi, abs(rel)) \
+            .scale(aj.compose(w))
+        total = total + _shift_up(term, j, w.n)
+    return _weight_factor(JetKernel(1, s.weight, s.pole, total.coeffs), w)
 
 
-def _weight_factor(total, w: Series, nu: int, m):
-    """The u-jet ``total`` times (w'(t1) w'(t2))^(nu/2), v = t1 - t2."""
+def _chart_difference(w: Series, m: int) -> JetKernel:
+    """The u-expansion of (w(t1) - w(t2)) / v, v = t1 - t2."""
+    return JetKernel(1, 0, 0, _taylor_shift([[w]], m, 1))
+
+
+def _shift_up(s: JetKernel, j: int, n: int) -> JetKernel:
+    """u^j times rank-1 ``s`` at the same weight and pole: its coefficients
+    moved up j slots, below them zeros of series order n (not the series
+    order of ``s``, so that a sum keeps the orders of its lower slots)."""
+    coeffs = [_mat_zero(1, n) for _ in range(j)] + s.coeffs
+    return JetKernel(1, s.weight, s.pole, coeffs[:s.order])
+
+
+def _weight_factor(s: JetKernel, w: Series) -> JetKernel:
+    """Rank-1 ``s`` times (w'(t1) w'(t2))^(nu/2), nu = s.weight."""
     wp = w.derivative()
     # (w'(t1) w'(t2))^(nu/2) = w'(t1)^nu * [w'(t1 - v)/w'(t1)]^(nu/2)
-    ratio = [x / wp for x in _shifted_series(wp, m)]
-    prefactor = _uj_pow_fraction(ratio, Fraction(nu, 2), m)
-    wp_pow = wp ** nu
-    return [x * wp_pow for x in _uj_mul(total, prefactor, m)]
+    ratio = JetKernel(1, 0, 0, _taylor_shift([[wp]], s.order)) \
+        .scale(wp.reciprocal())
+    prefactor = _pow_fraction(ratio, Fraction(s.weight, 2))
+    return _expansion_mul(s, prefactor).scale(wp ** s.weight)
 
 
 # ----------------------------------------------------------------------
@@ -654,9 +605,8 @@ def gamma_from_projective(q: Series, nu: int, m: int) -> JetKernel:
 
 
 def _gamma_from_chart(w: Series, nu: int, m: int) -> JetKernel:
-    dw = _delta_series(w, m)
-    core = _uj_pow(_uj_reciprocal(dw, m), nu, m) if nu >= 0 else _uj_pow(dw, -nu, m)
-    return from_scalar_jet(_weight_factor(core, w, nu, m), nu, nu)
+    core = tensor_power(_chart_difference(w, m), -nu)
+    return _weight_factor(JetKernel(1, nu, nu, core.coeffs), w)
 
 
 def rescale_shift(s: JetKernel, k: int) -> Series:
@@ -707,21 +657,16 @@ def build_oper(q: Series, v: dict, n: int, m: int) -> JetKernel:
         raise ValueError(f"slot degrees must lie in 2..{n}")
     w = projective_chart(q, q.n)
     gamma = _gamma_from_chart(w, n + 1, m)
-    nser = w.n
-    dw = _delta_series(w, m)
+    dw = _chart_difference(w, m)
     wp = w.derivative()
-    mult = _uj_one(m, nser)
+    mult = mu_nu(0, m, w.n)
     for i, vi in sorted(v.items()):
         if i == 2 or vi.is_zero():
             continue
-        transported = vi / (wp ** i)          # v_i dz^i = (v_i / w'^i) dw^i
-        base = _uj_pow(dw, i, m)
-        term = _uj_scale(base, transported)
-        shifted = [Series.zero(nser) for _ in range(m)]
-        for k in range(m - i):
-            shifted[k + i] = term[k]
-        mult = _uj_add(mult, shifted)
-    return gamma * from_scalar_jet(mult, 0, 0)
+        # v_i dz^i = (v_i / w'^i) dw^i, and dw^i = v^i ((w1 - w2) / v)^i
+        term = tensor_power(dw, i).scale(vi / (wp ** i))
+        mult = mult + _shift_up(term, i, w.n)
+    return gamma * mult
 
 
 # ----------------------------------------------------------------------
@@ -776,31 +721,23 @@ def trace_map(s: JetKernel, p: str = "trace") -> JetKernel:
     raise ValueError(f"unknown invariant polynomial selector {p!r}")
 
 
-def _entry_ujet(s: JetKernel, i, k):
-    return [s.coeffs[j][i][k] for j in range(s.order)]
-
-
 def _permutations_with_sign(r):
-    import itertools as _it
-    base = list(range(r))
-    for perm in _it.permutations(base):
-        inv = sum(1 for a in range(r) for b in range(a + 1, r)
-                  if perm[a] > perm[b])
-        yield perm, (-1) ** (inv % 2)
+    for perm in itertools.permutations(range(r)):
+        inv = sum(perm[a] > perm[b] for a in range(r) for b in range(a + 1, r))
+        yield perm, (-1) ** inv
 
 
 def _det_of_coefficients(s: JetKernel, out_pole, out_weight) -> JetKernel:
     """Leibniz determinant of the coefficient matrix as a function jet."""
-    m = s.order
-    r = s.rank
-    nser = s.series_order
-    total = [Series.zero(nser) for _ in range(m)]
-    for perm, sign in _permutations_with_sign(r):
-        prod = _uj_one(m, nser)
-        for i in range(r):
-            prod = _uj_mul(prod, _entry_ujet(s, i, perm[i]), m)
-        total = _uj_add(total, _uj_scale(prod, sign))
-    return from_scalar_jet(total, out_weight, out_pole)
+    m, nser = s.order, s.series_order
+    total = JetKernel(1, 0, 0, [_mat_zero(1, nser) for _ in range(m)])
+    for perm, sign in _permutations_with_sign(s.rank):
+        prod = mu_nu(0, m, nser)
+        for i, k in enumerate(perm):
+            prod = _expansion_mul(
+                prod, JetKernel(1, 0, 0, [[[mat[i][k]]] for mat in s.coeffs]))
+        total = total + prod.scale(sign)
+    return JetKernel(1, out_weight, out_pole, total.coeffs)
 
 
 def det_kernel(s: JetKernel) -> JetKernel:

@@ -335,18 +335,26 @@ FUZZ_VALUES = {
     "--sheet1": (["1", "-1"], ["0", "2", "x"]),
     "--sheet2": (["1", "-1"], ["0", "2"]),
 }
-#: the flags each command, and each verify suite, takes: a fuzzed argv
-#: has each of a command's first flags with probability 3/4, a few more of
-#: its own, and rarely one of another command
+#: the flags each command, each verify suite and each evaluator takes: a
+#: fuzzed argv has each of a command's first flags with probability 3/4, a
+#: few more of its own, and rarely one of another command
 CURVE_SUITE_FLAGS = ("--curve", "--quadrature-tol", "--theta-tol", "--tol",
                      "--out")
+EVAL_TOL_FLAGS = ("--theta-tol", "--tol", "--quadrature-tol", "--out")
 COMMAND_FLAGS = {
     "periods": ("--curve", "--quadrature-tol", "--out"),
     "probe": ("--curve", "--samples", "--seed", "--theta-tol", "--tol",
               "--collision-tol", "--format", "--quadrature-tol", "--out"),
-    "eval": ("--curve", "--z", "--e", "--x1", "--x2", "--omega", "--sheet1",
-             "--sheet2", "--order", "--theta-tol", "--tol",
-             "--quadrature-tol", "--out"),
+    "eval theta": ("--omega", "--z", "--theta-tol", "--tol", "--out",
+                   "--curve", "--quadrature-tol"),
+    "eval szego": ("--curve", "--e", "--x1", "--x2", "--sheet1", "--sheet2")
+    + EVAL_TOL_FLAGS,
+    "eval klein": ("--curve", "--e", "--x1", "--x2", "--sheet1", "--sheet2")
+    + EVAL_TOL_FLAGS,
+    "eval bergman": ("--curve", "--x1", "--x2", "--sheet1", "--sheet2")
+    + EVAL_TOL_FLAGS,
+    "eval wirtinger": ("--curve", "--e", "--x1", "--sheet1", "--order")
+    + EVAL_TOL_FLAGS,
     "verify theta": ("--seed", "--theta-tol", "--tol", "--out"),
     "verify jets": ("--seed", "--order", "--out"),
     "verify kernels": CURVE_SUITE_FLAGS,
@@ -363,9 +371,10 @@ PATH_FLAGS = ("--curve", "--out")
 
 def own_flags(head):
     """The flags of a command head such as ["verify", "fay"]; an unknown
-    verify suite draws from those of verify fay."""
-    return COMMAND_FLAGS.get(" ".join(head), COMMAND_FLAGS.get(
-        head[0], COMMAND_FLAGS["verify fay"]))
+    verify suite draws from those of verify fay, an unknown evaluator
+    from those of eval szego."""
+    fallback = {"verify": "verify fay", "eval": "eval szego"}.get(head[0])
+    return COMMAND_FLAGS.get(" ".join(head), COMMAND_FLAGS.get(fallback))
 
 
 @st.composite
@@ -403,6 +412,10 @@ REPRODUCED_INPUTS = [
      "curve.json"],
     ["verify", "jets", "--curve", "missing.json", "--theta-tol", "1e-3"],
     ["verify", "kernels", "--order", "3", "--seed", "9"],
+    ["eval", "theta", "--omega", "[[1]]", "--z", "0", "--x1", "5", "--e",
+     "0.3", "--order", "7"],
+    ["eval", "bergman", "--curve", "curve.json", "--x1", "2.0", "--x2",
+     "-2.0", "--e", "0.3", "--z", "1", "--omega", "[[1]]"],
 ]
 
 
@@ -438,9 +451,9 @@ class TestCliFuzz:
     def test_commands_take_only_their_flags(self, command):
         from thetakernels import cli
         parser = cli.make_parser()
-        head = command.split() + (["theta"] if command == "eval" else [])
         for flag, (good, _) in FUZZ_VALUES.items():
-            _, extra = parser.parse_known_args(head + [flag, good[0]])
+            _, extra = parser.parse_known_args(command.split()
+                                               + [flag, good[0]])
             assert (not extra) == (flag in COMMAND_FLAGS[command]), flag
 
 

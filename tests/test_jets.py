@@ -6,6 +6,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from thetakernels.errors import (DiagonalValueMismatch, NotMonic,
                                  NotMonicOn2Delta, TraceNotZero)
@@ -17,7 +19,7 @@ from thetakernels.jets import (ConnectionJet, DiffOperator, JetKernel,
                                matrix_oper, mu_nu, operator_to_kernel,
                                projective_jet, quadratic_S, quadratic_S_jet,
                                rescale_shift, tensor_power, trace_map,
-                               _mat_zero)
+                               _mat_zero, _taylor_shift)
 from thetakernels.series import QC, Series
 
 N = 16  # series truncation order for the exact battery
@@ -49,14 +51,73 @@ class TestMuLaws:
             assert sw == m.scale(QC((-1) ** (nu % 2)))
 
     def test_tensor_power_law(self):
-        for nu in range(1, 5):
-            assert tensor_power(mu_nu(1, 5, N), nu) == mu_nu(nu, 5, N)
+        for nu in range(-2, 5):
+            power = tensor_power(mu_nu(1, 5, N), nu)
+            assert (power.weight, power.pole) == (nu, nu)
+            assert power == mu_nu(nu, 5, N)
 
     def test_swap_is_multiplicative(self):
         r = rng()
         a = JetKernel(1, 1, 1, [[[rand_poly(r, 3)]] for _ in range(4)])
         b = JetKernel(1, 2, 2, [[[rand_poly(r, 3)]] for _ in range(4)])
         assert (a * b).swap() == a.swap() * b.swap()
+
+
+SMALL_QC = st.builds(QC, st.fractions(-3, 3, max_denominator=4),
+                     st.fractions(-3, 3, max_denominator=4))
+
+
+@st.composite
+def small_series(draw, n, unit=False):
+    """A Series of order n with small Gaussian-rational coefficients; with
+    ``unit`` its constant term is nonzero."""
+    c = draw(st.lists(SMALL_QC, min_size=n + 1, max_size=n + 1))
+    if unit and not c[0]:
+        c[0] = QC(1)
+    return Series(c, n)
+
+
+class TestExpansionAlgebra:
+    """Rank-1 weight-0 jets are the u-expansions: one product, one power
+    and one Taylor shift serve them."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data(), st.integers(-3, 3), st.integers(-3, 3))
+    def test_power_law(self, data, j, k):
+        m, n = data.draw(st.integers(1, 4)), data.draw(st.integers(2, 6))
+        coeffs = [data.draw(small_series(n, unit=i == 0)) for i in range(m)]
+        a = JetKernel(1, 0, 0, [[[s]] for s in coeffs])
+        assert tensor_power(a, j) * tensor_power(a, k) == tensor_power(a, j + k)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_shift_is_w_minus_u_times_difference(self, data):
+        # w(z - u) = w(z) - u (w(z) - w(z - u)) / u
+        m, n = data.draw(st.integers(1, 6)), data.draw(st.integers(6, 10))
+        w = data.draw(small_series(n))
+        shifted = JetKernel(1, 0, 0, _taylor_shift([[w]], m))
+        difference = _taylor_shift([[w]], m, 1)
+        u_times = JetKernel(1, 0, 0, [_mat_zero(1, n)] + difference[:m - 1])
+        assert shifted == mu_nu(0, m, n).scale(w) - u_times
+
+    @pytest.mark.parametrize("chart", [[0, 2], [0, 2, 1, -1]])
+    @pytest.mark.parametrize("nu", range(-2, 5))
+    def test_orders_hold_for_a_truncated_chart(self, nu, chart):
+        # a polynomial chart of order n stands for any chart that agrees
+        # with it up to z^n, so every claimed order must survive a z^(n+1)
+        # term (a zero coefficient still bounds the orders it touches)
+        from thetakernels.jets import _gamma_from_chart
+        n, m = 8, 5
+        w = poly(chart, n)
+        ext = poly(chart + [0] * (n + 1 - len(chart)) + [3 + 1j], n + 1)
+        s = JetKernel(1, nu, max(nu, 0), [[[poly(c, n)]] for c in
+                                         ([1], [0], [2, 1j], [0], [-1, 0, 2j])])
+        for f in (lambda c: _gamma_from_chart(c, nu, m),
+                  lambda c: change_coordinate(mu_nu(nu, m, n), c),
+                  lambda c: change_coordinate(s, c)):
+            a, b = f(w), f(ext)
+            for x, y in zip(a.coeffs, b.coeffs):
+                assert x[0][0].n <= y[0][0].n and x[0][0] == y[0][0]
 
 
 class TestChangeCoordinate:
