@@ -395,7 +395,7 @@ def _suite_gauss(args):
                              + 0.3j * rng.standard_normal(g),
                              tol=args.theta_tol)
         direction = rng.standard_normal(g) + 1j * rng.standard_normal(g)
-    rep = gauss_limit_check(om, e0, direction, steps=8, tol=args.theta_tol)
+    rep = gauss_limit_check(om, e0, direction, tol=args.theta_tol)
     checks = [_check("gauss_square_limit", rep.max_relative_deviation, 1e-5)]
     if g > 1:
         checks.append(_check("gauss_rank_one", rep.singular_value_ratio, 1e-4))

@@ -8,7 +8,10 @@ segments with Gauss-Chebyshev quadrature (the square-root endpoint
 singularity is exactly the Chebyshev weight); a single analytic branch
 of y is continued along the whole chain of segments, with the
 continuation through each branch point fixed by a small detour whose
-side is chosen deterministically.
+side is chosen deterministically.  Every root of f along a path comes
+from :func:`_sqrt_along`, and the node doubling of the Abel-map pieces
+from :func:`_until_stable`.  Evaluation points keep a fixed margin of
+``MARGIN_FACTOR`` times the root scale from the branch points.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from .series import complex_div, complex_mul
 from .theta import RiemannMatrix
 
 DEFAULT_QUADRATURE_TOL = 1e-11
-DEFAULT_MARGIN_FACTOR = 1e-3
+MARGIN_FACTOR = 1e-3
 _MIN_NODES = 32
 _MAX_NODES = 4096
 
@@ -59,20 +62,14 @@ def _half_gauss_legendre(m):
 
 
 # ----------------------------------------------------------------------
-# Square-root continuation along ordered sample points
+# Square-root continuation along ordered sample points, node doubling
 # ----------------------------------------------------------------------
 
-def _continued_sqrt(values, anchor=None, max_ref=24):
-    """Continued square root along a 1-d array of nonzero samples.
-
-    ``values[k]`` are samples of an analytic nonvanishing function along
-    an ordered path.  Returns sqrt values continued from the principal
-    branch at the first sample (or from ``anchor``).  The caller must
-    supply samples dense enough that consecutive ratios stay off the
-    negative real axis; density is the caller's responsibility (this
-    routine only verifies it).
-    """
-    values = np.asarray(values, dtype=complex)
+def _continued_sqrt(values, anchor=None):
+    """Square roots of the nonzero samples ``values`` of an analytic
+    function along a path, continued from the principal root of the first
+    (or from ``anchor``); raises when two consecutive samples are too far
+    apart to tell the branch."""
     ratios = values[1:] / values[:-1]
     if np.any(np.abs(np.angle(ratios)) > 0.75 * math.pi):
         raise PathThroughBranchPoint("square-root continuation lost track")
@@ -83,19 +80,41 @@ def _continued_sqrt(values, anchor=None, max_ref=24):
     return out
 
 
-def _refine_samples(func, ts, max_iter=40, max_angle=0.5 * math.pi):
-    """Insert midpoints until consecutive func-ratios wind by < max_angle."""
+def _refine_samples(func, ts):
+    """Insert midpoints until consecutive func-ratios wind by at most pi/2."""
     ts = np.asarray(ts, dtype=float)
     vals = func(ts)
-    for _ in range(max_iter):
+    for _ in range(40):
         ratios = vals[1:] / vals[:-1]
-        bad = np.abs(np.angle(ratios)) > max_angle
+        bad = np.abs(np.angle(ratios)) > 0.5 * math.pi
         if not np.any(bad):
             return ts, vals
         mids = 0.5 * (ts[:-1][bad] + ts[1:][bad])
         ts = np.sort(np.concatenate([ts, mids]))
         vals = func(ts)
     raise PathThroughBranchPoint("sample refinement failed to resolve winding")
+
+
+def _sqrt_along(func, nodes, lo, hi, anchor=None):
+    """sqrt(func) at the nodes, at lo and at hi, continued along the
+    ascending grid [lo, nodes, hi] from the principal root at lo (or from
+    ``anchor``) once midpoints resolve the winding of func."""
+    grid, vals = _refine_samples(func, np.concatenate(([lo], nodes, [hi])))
+    roots = _continued_sqrt(vals, anchor)
+    return roots[np.searchsorted(grid, nodes)], roots[0], roots[-1]
+
+
+def _until_stable(rule, m, m_max, tol):
+    """The first rule(k) = (integral, extra), k = m, 2m, 4m, ... <= m_max,
+    whose integral is within tol of the one before; None if none is."""
+    prev = None
+    while m <= m_max:
+        integral, extra = rule(m)
+        if prev is not None and np.max(np.abs(integral - prev)) <= tol:
+            return integral, extra
+        prev = integral
+        m *= 2
+    return None
 
 
 # ----------------------------------------------------------------------
@@ -131,10 +150,9 @@ class LocalExpansion:
 
 
 class HyperellipticCurve:
-    """Immutable curve data: branch points, homology chain, periods, caches."""
+    """Immutable curve data: branch points, homology chain, periods, memo."""
 
-    def __init__(self, coeffs, quadrature_tol=DEFAULT_QUADRATURE_TOL,
-                 margin_factor=DEFAULT_MARGIN_FACTOR):
+    def __init__(self, coeffs, quadrature_tol=DEFAULT_QUADRATURE_TOL):
         coeffs = np.asarray(coeffs, dtype=complex)
         while len(coeffs) > 1 and coeffs[-1] == 0:
             coeffs = coeffs[:-1]
@@ -154,12 +172,30 @@ class HyperellipticCurve:
         order = np.lexsort((roots.imag, roots.real))
         self.branch_points = roots[order]
         self.odd_degree = (degree % 2 == 1)
-        self.margin = margin_factor * self.scale
+        self.margin = MARGIN_FACTOR * self.scale
+        # how far Abel-map paths keep off the branch points
+        self._clearance = max(3.0 * self.margin,
+                              min(0.25 * dmin, 0.1 * self.scale))
         self.quadrature_tol = quadrature_tol
         self._lock = threading.Lock()
-        self._abel_cache = {}   # exact (x, sheet) -> Abel image from b_0
-        self._theta_memo = {}   # odd characteristic, theta gradients at 0
+        self._memo = {}
         self._compute_periods()
+
+    def memo(self, key, compute):
+        """The value stored under ``key``, from compute() on a miss: Abel
+        images under ("abel", x, sheet), and the kernels' theta data.
+
+        compute() runs outside the lock; when two threads miss at once,
+        both compute the same deterministic value and the first one
+        stored is returned to both.
+        """
+        with self._lock:
+            hit = self._memo.get(key)
+        if hit is None:
+            value = compute()
+            with self._lock:
+                hit = self._memo.setdefault(key, value)
+        return hit
 
     # -- construction -----------------------------------------------------
 
@@ -185,16 +221,11 @@ class HyperellipticCurve:
         others = np.delete(b, [j, j + 1])
         return p, q, mid, e, others
 
-    def _h_on_segment(self, j):
-        _, _, mid, e, others = self._segment_data(j)
-        lead = self.lead
-
-        def h(ts):
-            x = mid + e * np.asarray(ts, dtype=complex)
-            return lead * np.prod(x[:, None] - others[None, :], axis=1) \
-                if len(others) else lead * np.ones(len(x), complex)
-
-        return h
+    def _deflated_f(self, x, drop):
+        """f(x) with the linear factors of the branch points ``drop``
+        (indices) divided out, at each entry of the array x."""
+        others = np.delete(self.branch_points, drop)
+        return self.lead * np.prod(x[:, None] - others[None, :], axis=1)
 
     def _segment_integrals(self, n_nodes):
         """Per-segment integrals of x^(i-1) dx / y_chain and the chain signs."""
@@ -207,14 +238,12 @@ class HyperellipticCurve:
         w_plus = []
         for j in range(nseg):
             _, _, mid, e, _ = self._segment_data(j)
-            h = self._h_on_segment(j)
-            ts = np.concatenate(([-1.0], s_nodes, [1.0]))
-            ts, vals = _refine_samples(h, ts)
-            w = _continued_sqrt(vals)
-            w_minus.append(w[0])
-            w_plus.append(w[-1])
-            sel = np.searchsorted(ts, s_nodes)
-            wn = w[sel]
+            wn, w_lo, w_hi = _sqrt_along(
+                lambda ts: self._deflated_f(
+                    mid + e * np.asarray(ts, dtype=complex), [j, j + 1]),
+                s_nodes, -1.0, 1.0)
+            w_minus.append(w_lo)
+            w_plus.append(w_hi)
             x = mid + e * s_nodes
             powers = np.vander(x, g, increasing=True).T  # rows: x^0..x^(g-1)
             seg_int.append((math.pi / n_nodes) * (powers / wn).sum(axis=1))
@@ -311,43 +340,38 @@ class HyperellipticCurve:
 
     # -- points -------------------------------------------------------------
 
-    def _finite_f(self, x: complex) -> complex:
-        """f(x); InadmissiblePoint unless x and f(x) are finite."""
+    def _admissible_f(self, x: complex) -> complex:
+        """f(x); InadmissiblePoint unless x and f(x) are finite and x
+        keeps the margin from every branch point."""
+        fx = math.nan
         if cmath.isfinite(x):
             with np.errstate(over="ignore", invalid="ignore"):
                 fx = complex(self.f(x))
-            if cmath.isfinite(fx):
-                return fx
-        raise InadmissiblePoint(f"x={x}: x and f(x) must be finite")
-
-    def point(self, x, sheet=1, chart_scale=1.0) -> SurfacePoint:
-        x = complex(x)
-        fx = self._finite_f(x)
+        if not cmath.isfinite(fx):
+            raise InadmissiblePoint(f"x={x}: x and f(x) must be finite")
         if min(abs(x - b) for b in self.branch_points) < self.margin:
             raise InadmissiblePoint(
                 f"x={x} within margin {self.margin:.2e} of a branch point")
-        y = sheet * np.sqrt(fx)
+        return fx
+
+    def point(self, x, sheet=1, chart_scale=1.0) -> SurfacePoint:
+        if sheet not in (-1, 1):
+            raise InadmissiblePoint(f"sheet {sheet!r} is neither 1 nor -1")
+        x = complex(x)
+        y = sheet * np.sqrt(self._admissible_f(x))
         return SurfacePoint(x=x, sheet=int(sheet), y=complex(y),
                             chart_scale=float(chart_scale))
 
     def point_with_y(self, x, y, chart_scale=1.0) -> SurfacePoint:
         x, y = complex(x), complex(y)
-        fx = self._finite_f(x)
+        fx = self._admissible_f(x)
         if not abs(y * y - fx) <= 1e-8 * max(1.0, abs(fx)):
             raise InadmissiblePoint("y^2 != f(x)")
-        if min(abs(x - b) for b in self.branch_points) < self.margin:
-            raise InadmissiblePoint("within branch-point margin")
         principal = np.sqrt(fx)
         sheet = 1 if abs(y - principal) <= abs(y + principal) else -1
         return SurfacePoint(x=x, sheet=sheet, y=y, chart_scale=float(chart_scale))
 
     # -- path routing and tracked integration --------------------------------
-
-    @property
-    def _clearance(self):
-        sep = min(abs(a - b) for i, a in enumerate(self.branch_points)
-                  for b in self.branch_points[i + 1:])
-        return max(3.0 * self.margin, min(0.25 * sep, 0.1 * self.scale))
 
     def _route(self, a, b, depth=0):
         if depth > 12:
@@ -379,42 +403,27 @@ class HyperellipticCurve:
         right = self._route(detour, b, depth + 1)
         return left + right[1:]
 
-    def _track_y(self, z0, z1, y0, ts):
-        """Continuation of y along the straight piece z0 -> z1 from y(0) = y0.
-
-        Sample spacing is refined until the winding of f between
-        consecutive samples is resolved, which subsumes the step-halving
-        continuity criterion.
-        """
-        def fvals(taus):
-            return self.f(z0 + np.asarray(taus) * (z1 - z0)).astype(complex)
-
-        grid = np.unique(np.concatenate([[0.0, 1.0], np.asarray(ts, float)]))
-        grid, vals = _refine_samples(fvals, grid)
-        ys = _continued_sqrt(vals, anchor=y0)
-        sel = np.searchsorted(grid, ts)
-        return ys[sel], ys[-1]
-
     def _integrate_piece(self, z0, z1, y0, tol, depth=0):
-        """Integral of the normalized differentials over one straight piece.
+        """Integral of the normalized differentials over one straight
+        piece, and y at its end, with y continued from y(z0) = y0.
 
         Node counts double until two successive values agree; pieces are
         split in half when plain doubling stalls (nearby branch points).
         """
-        prev = None
-        m = 12
-        while m <= 384:
+        def rule(m):
             nodes, weights = _gauss_legendre(m)
             ts = 0.5 * (nodes + 1.0)
-            ys, y_end = self._track_y(z0, z1, y0, ts)
+            ys, _, y_end = _sqrt_along(
+                lambda taus: self.f(z0 + taus * (z1 - z0)), ts, 0.0, 1.0,
+                anchor=y0)
             x = z0 + ts * (z1 - z0)
             powers = np.vander(x, self.genus, increasing=True).T
             vals = (self.diff_norm @ powers) / ys
-            integral = 0.5 * (z1 - z0) * (vals @ weights)
-            if prev is not None and np.max(np.abs(integral - prev)) <= tol:
-                return integral, y_end
-            prev = integral
-            m *= 2
+            return 0.5 * (z1 - z0) * (vals @ weights), y_end
+
+        done = _until_stable(rule, 12, 384, tol)
+        if done is not None:
+            return done
         if depth >= 10:
             raise QuadratureNonConvergent("path quadrature did not converge")
         mid = 0.5 * (z0 + z1)
@@ -430,74 +439,46 @@ class HyperellipticCurve:
             total += part
         return total, y
 
-    def _first_piece_from_branch(self, b0, x1, tol):
-        """Singular piece from the base branch point.
+    def _first_piece_from_branch(self, x1, tol):
+        """Singular piece from the base branch point b_0 to x1, and y(x1).
 
         The integrand is tau^(-1/2) times a smooth function of the path
         parameter tau, integrated by :func:`_half_gauss_legendre`.
         """
-        others = self.branch_points[np.abs(self.branch_points - b0) > 1e-14]
-        lead = self.lead
+        b0 = self.branch_points[0]
+        root_pref = np.sqrt(complex(x1 - b0))
 
-        def h(taus):
-            x = b0 + np.asarray(taus, dtype=complex) * (x1 - b0)
-            if len(others) == 0:
-                return lead * np.ones(len(x), complex)
-            return lead * np.prod(x[:, None] - others[None, :], axis=1)
-
-        prev = None
-        m = 16
-        while m <= 2048:
+        def rule(m):
             taus, weights = _half_gauss_legendre(m)
-            ts, vals = _refine_samples(h, np.concatenate(([0.0], taus, [1.0])))
-            gvals = _continued_sqrt(vals)
-            sel = np.searchsorted(ts, taus)
-            gv = gvals[sel]
+            gv, _, g_end = _sqrt_along(
+                lambda ts: self._deflated_f(
+                    b0 + np.asarray(ts, dtype=complex) * (x1 - b0), [0]),
+                taus, 0.0, 1.0)
             x = b0 + taus * (x1 - b0)
             powers = np.vander(x, self.genus, increasing=True).T
-            root_pref = np.sqrt(complex(x1 - b0))
             integrand = (self.diff_norm @ powers) / (root_pref * gv)
-            integral = (x1 - b0) * (integrand @ weights)
-            y_end = root_pref * gvals[-1]
-            if prev is not None and np.max(np.abs(integral - prev)) <= tol:
-                return integral, y_end
-            prev = integral
-            m *= 2
-        raise QuadratureNonConvergent("branch-base quadrature did not converge")
+            return (x1 - b0) * (integrand @ weights), root_pref * g_end
+
+        done = _until_stable(rule, 16, 2048, tol)
+        if done is None:
+            raise QuadratureNonConvergent(
+                "branch-base quadrature did not converge")
+        return done
 
     # -- Abel map -------------------------------------------------------------
 
     def abel_map(self, p: SurfacePoint, base: SurfacePoint = None):
         """Abel image of p (minus base), modulo the period lattice.
 
-        With ``base=None``, integration starts at the first branch point.
+        With ``base=None``, integration starts at the first branch point,
+        and the image is memoised per exact (x, sheet); every call
+        returns a fresh array.
         """
-        if base is None:
-            key = (p.x, p.sheet)
-            with self._lock:
-                if key in self._abel_cache:
-                    return self._abel_cache[key].copy()
-            b0 = self.branch_points[0]
-            waypoints = self._route(b0, p.x)
-            tol = max(self.quadrature_tol, 1e-13)
-            # keep the endpoint-singular piece short, clear of other branch points
-            leg = waypoints[1] - b0
-            step = min(1.0, self._clearance / abs(leg))
-            x1 = b0 + step * leg
-            first, y1 = self._first_piece_from_branch(b0, x1, tol)
-            rest, y_end = self._integrate_path([x1] + waypoints[1:], y1, tol)
-            total = first + rest
-            d_plus = abs(y_end - p.y)
-            d_minus = abs(y_end + p.y)
-            if min(d_plus, d_minus) > 1e-4 * max(1.0, abs(p.y)):
-                raise PathThroughBranchPoint("sheet tracking inconsistent at target")
-            if d_minus < d_plus:
-                total = -total
-            with self._lock:
-                self._abel_cache[key] = total.copy()
-            return total
-        waypoints = self._route(base.x, p.x)
         tol = max(self.quadrature_tol, 1e-13)
+        if base is None:
+            return self.memo(("abel", p.x, p.sheet),
+                             lambda: self._abel_from_b0(p, tol)).copy()
+        waypoints = self._route(base.x, p.x)
         total, y_end = self._integrate_path(waypoints, base.y, tol)
         if abs(y_end - p.y) <= abs(y_end + p.y):
             return total
@@ -514,6 +495,22 @@ class HyperellipticCurve:
         if abs(y_end - p.y) > 1e-4 * max(1.0, abs(p.y)):
             raise PathThroughBranchPoint("sheet tracking inconsistent after detour")
         return total
+
+    def _abel_from_b0(self, p: SurfacePoint, tol):
+        b0 = self.branch_points[0]
+        waypoints = self._route(b0, p.x)
+        # keep the endpoint-singular piece short, clear of other branch points
+        leg = waypoints[1] - b0
+        step = min(1.0, self._clearance / abs(leg))
+        x1 = b0 + step * leg
+        first, y1 = self._first_piece_from_branch(x1, tol)
+        rest, y_end = self._integrate_path([x1] + waypoints[1:], y1, tol)
+        total = first + rest
+        d_plus = abs(y_end - p.y)
+        d_minus = abs(y_end + p.y)
+        if min(d_plus, d_minus) > 1e-4 * max(1.0, abs(p.y)):
+            raise PathThroughBranchPoint("sheet tracking inconsistent at target")
+        return -total if d_minus < d_plus else total
 
     def abel_branch_point(self, i: int):
         """Abel image of the i-th branch point along the segment chain."""
@@ -575,23 +572,18 @@ class HyperellipticCurve:
         """
         j = 2 * cut_index
         p, q, mid, e, others = self._segment_data(j)
-        clear = min(abs(r - mid) - abs(e) for r in others) if len(others) \
-            else 10 * self.margin
+        clear = min(abs(r - mid) - abs(e) for r in others)
         clear = max(min(0.5 * clear, abs(e)), 2 * self.margin)
         mu = math.asinh(clear / abs(e))
         theta = 2 * math.pi * np.arange(n_nodes) / n_nodes
-
-        def fv(ths):
-            return self.f(mid + e * np.cosh(mu + 1j * np.asarray(ths))).astype(complex)
-
-        grid, vals = _refine_samples(fv, np.concatenate([theta, [2 * math.pi]]))
-        ys_all = _continued_sqrt(vals)
-        if abs(ys_all[-1] - ys_all[0]) > 1e-6 * max(abs(ys_all[0]), 1e-30):
+        ys, y_lo, y_hi = _sqrt_along(
+            lambda ths: self.f(mid + e * np.cosh(mu + 1j * ths)),
+            theta[1:], 0.0, 2 * math.pi)
+        if abs(y_hi - y_lo) > 1e-6 * max(abs(y_lo), 1e-30):
             raise PathThroughBranchPoint("cycle contour did not close up")
-        sel = np.searchsorted(grid, theta)
         x = mid + e * np.cosh(mu + 1j * theta)
         dx = e * np.sinh(mu + 1j * theta) * 1j
-        return x, ys_all[sel], dx
+        return x, np.concatenate(([y_lo], ys)), dx
 
     def __repr__(self):
         return (f"HyperellipticCurve(degree={self.degree}, genus={self.genus})")
@@ -601,10 +593,10 @@ class HyperellipticCurve:
 # Public constructors and helpers
 # ----------------------------------------------------------------------
 
-def build_curve(f_coeffs, quadrature_tol=DEFAULT_QUADRATURE_TOL,
-                margin_factor=DEFAULT_MARGIN_FACTOR) -> HyperellipticCurve:
+def build_curve(f_coeffs,
+                quadrature_tol=DEFAULT_QUADRATURE_TOL) -> HyperellipticCurve:
     """Curve y^2 = f(x) from ascending coefficients of a squarefree f."""
-    return HyperellipticCurve(f_coeffs, quadrature_tol, margin_factor)
+    return HyperellipticCurve(f_coeffs, quadrature_tol)
 
 
 def curve_from_spec(spec: dict, **kwargs) -> HyperellipticCurve:

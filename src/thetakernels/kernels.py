@@ -10,6 +10,12 @@ coordinate map.
 Kernel values are densities with respect to the chart parameters of the
 two surface points; weights record the transformation law (a section of
 weight (w1, w2) picks up chart_scale^w1 * chart_scale^w2).
+
+A point is on the theta divisor when |theta| is below
+``theta.THETA_FLOOR`` times the scale of its lattice sum, read at call
+time.  The odd characteristic and the theta gradients at 0 are kept in
+the curve's memo (:meth:`HyperellipticCurve.memo`), next to its Abel
+images.
 """
 
 from __future__ import annotations
@@ -20,13 +26,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import theta
 from .curves import (HyperellipticCurve, SurfacePoint,
                      lattice_coordinates)
 from .errors import (ConstraintViolation, NoNonsingularOddCharacteristic,
                      NotOnThetaSmoothLocus, OnDiagonal, PointOnTheta,
                      SeriesOrderInsufficient, SquareRootBranchUnresolvable)
 from .series import complex_div, complex_mul
-from .theta import (DEFAULT_TOL, THETA_FLOOR, Characteristic, RiemannMatrix,
+from .theta import (DEFAULT_TOL, Characteristic, RiemannMatrix,
                     ScaledComplex, derivative_indices, hessian_from_values,
                     log_theta_hessian, theta_batch, theta_gradient,
                     theta_value)
@@ -78,21 +85,21 @@ def _class_vector(e):
     return np.asarray(e, dtype=complex).reshape(-1)
 
 
-def _theta_off_divisor(e, omega: RiemannMatrix, tol, floor, what):
+def _theta_off_divisor(e, omega: RiemannMatrix, tol, what):
     """(mantissa, exponent) of theta(e); raises PointOnTheta naming
     ``what`` when e lies on the theta divisor, that is when |theta(e)| is
-    below ``floor`` times the scale of its lattice sum."""
+    below ``theta.THETA_FLOOR`` times the scale of its lattice sum."""
     vals, expo, scale = theta_batch(e, omega, Characteristic.zero(omega.dim),
                                     [(0,) * omega.dim], tol)
-    if abs(vals[0]) < floor * scale:
+    if abs(vals[0]) < theta.THETA_FLOOR * scale:
         raise PointOnTheta(f"{what} undefined on the theta divisor")
     return vals[0], expo
 
 
-def is_on_theta(e, omega: RiemannMatrix, tol=DEFAULT_TOL, floor=THETA_FLOOR) -> bool:
+def is_on_theta(e, omega: RiemannMatrix, tol=DEFAULT_TOL) -> bool:
     """Whether e lies on the theta divisor (the test of _theta_off_divisor)."""
     try:
-        _theta_off_divisor(e, omega, tol, floor, "theta")
+        _theta_off_divisor(e, omega, tol, "theta")
     except PointOnTheta:
         return True
     return False
@@ -112,7 +119,7 @@ def select_odd_characteristic(curve: HyperellipticCurve,
         raise NoNonsingularOddCharacteristic(
             "all odd characteristics have vanishing gradient")
 
-    return _curve_memo(curve, ("odd", tol), first_nonsingular)
+    return curve.memo(("odd", tol), first_nonsingular)
 
 
 def _gradient_at_zero(curve, char: Characteristic, tol):
@@ -124,23 +131,7 @@ def _gradient_at_zero(curve, char: Characteristic, tol):
         grad.flags.writeable = False
         return grad, scale
 
-    return _curve_memo(curve, ("gradient", char, tol), compute)
-
-
-def _curve_memo(curve, key, compute):
-    """curve._theta_memo[key], from compute() on a miss.
-
-    compute() runs outside curve._lock; when two threads miss at once,
-    both compute the same deterministic value and the first one stored
-    is returned to both.
-    """
-    with curve._lock:
-        hit = curve._theta_memo.get(key)
-    if hit is None:
-        value = compute()
-        with curve._lock:
-            hit = curve._theta_memo.setdefault(key, value)
-    return hit
+    return curve.memo(("gradient", char, tol), compute)
 
 
 def _h_factor(curve, delta: Characteristic, p: SurfacePoint, tol=DEFAULT_TOL):
@@ -216,7 +207,7 @@ def bergman_kernel(curve: HyperellipticCurve, x: SurfacePoint,
 
 def szego_kernel(curve: HyperellipticCurve, e, x: SurfacePoint,
                  y: SurfacePoint, delta: Characteristic = None,
-                 tol=DEFAULT_TOL, floor=THETA_FLOOR) -> KernelValue:
+                 tol=DEFAULT_TOL) -> KernelValue:
     """Szego kernel theta(A(y)-A(x)+e) / (theta(e) E(x,y)) of the class e.
 
     Requires e off the theta divisor; has a simple diagonal pole with
@@ -224,7 +215,7 @@ def szego_kernel(curve: HyperellipticCurve, e, x: SurfacePoint,
     """
     e = _class_vector(e)
     theta_e = ScaledComplex.make(*_theta_off_divisor(
-        e, curve.omega, tol, floor, "Szego kernel"))
+        e, curve.omega, tol, "Szego kernel"))
     if delta is None:
         delta = select_odd_characteristic(curve, tol)
     w = curve.abel_map(y) - curve.abel_map(x)
@@ -237,18 +228,18 @@ def szego_kernel(curve: HyperellipticCurve, e, x: SurfacePoint,
 
 def klein_kernel(curve: HyperellipticCurve, e_list, x: SurfacePoint,
                  y: SurfacePoint, delta: Characteristic = None,
-                 tol=DEFAULT_TOL, lattice_tol=1e-8) -> KernelValue:
+                 tol=DEFAULT_TOL) -> KernelValue:
     """Determinant kernel of a split bundle: the product of Szego kernels.
 
-    ``e_list`` must sum to zero modulo the period lattice.  The result
-    has an order-n diagonal pole with unit leading coefficient and
-    weight (n/2, n/2).
+    ``e_list`` must sum to zero modulo the period lattice (each lattice
+    coordinate within 1e-8 of an integer).  The result has an order-n
+    diagonal pole with unit leading coefficient and weight (n/2, n/2).
     """
     es = [_class_vector(e) for e in e_list]
     total = sum(es)
     a, b = lattice_coordinates(total, curve.omega)
     coords = np.concatenate([a, b])
-    if np.max(np.abs(coords - np.round(coords))) > lattice_tol:
+    if np.max(np.abs(coords - np.round(coords))) > 1e-8:
         raise ConstraintViolation("classes do not sum to zero in the Jacobian")
     if delta is None:
         delta = select_odd_characteristic(curve, tol)
@@ -260,10 +251,10 @@ def klein_kernel(curve: HyperellipticCurve, e_list, x: SurfacePoint,
                        chart_x=_chart(x), chart_y=_chart(y))
 
 
-def klein_coordinates(curve: HyperellipticCurve, e, tol=DEFAULT_TOL,
-                      floor=THETA_FLOOR) -> KleinCoordinates:
+def klein_coordinates(curve: HyperellipticCurve, e,
+                      tol=DEFAULT_TOL) -> KleinCoordinates:
     """Coordinates of the Klein kernel of e relative to the Bergman kernel."""
-    c = log_theta_hessian(_class_vector(e), curve.omega, tol=tol, floor=floor)
+    c = log_theta_hessian(_class_vector(e), curve.omega, tol=tol)
     return KleinCoordinates(matrix=c)
 
 
@@ -291,8 +282,7 @@ def _theta_compose(v0, omega, char, zser, order, tol=DEFAULT_TOL):
 
 
 def wirtinger_connection(curve: HyperellipticCurve, e, p: SurfacePoint,
-                         order: int = 8, tol=DEFAULT_TOL,
-                         floor=THETA_FLOOR) -> complex:
+                         order: int = 8, tol=DEFAULT_TOL) -> complex:
     """Projective-connection value at p of the Klein kernel of (e, -e).
 
     Expands the kernel at (x, y) = (p(t), p(-t)) as
@@ -304,8 +294,7 @@ def wirtinger_connection(curve: HyperellipticCurve, e, p: SurfacePoint,
     e = _class_vector(e)
     omega = curve.omega
     char0 = Characteristic.zero(omega.dim)
-    th_e, expo_e = _theta_off_divisor(e, omega, tol, floor,
-                                      "Wirtinger connection")
+    th_e, expo_e = _theta_off_divisor(e, omega, tol, "Wirtinger connection")
     theta_e2 = ScaledComplex.make(th_e ** 2, 2 * expo_e)
     delta = select_odd_characteristic(curve, tol)
     le = curve.local_expansion(p, order)
@@ -378,17 +367,15 @@ def find_theta_zero(omega: RiemannMatrix, start, direction, tol=DEFAULT_TOL):
     raise NotOnThetaSmoothLocus("Newton iteration for a theta zero failed")
 
 
-def gauss_limit_check(omega_or_curve, e0, direction, steps: int = 6,
-                      t0: float = 1e-2, tol=DEFAULT_TOL) -> GaussLimitReport:
+def gauss_limit_check(omega: RiemannMatrix, e0, direction,
+                      tol=DEFAULT_TOL) -> GaussLimitReport:
     """Limit of theta(e_t)^2 * c(e_t) along e_t = e0 + t * direction.
 
     At a smooth zero e0 of theta the limit is the rank-one matrix
     -(grad theta)(grad theta)^T; the report carries the Richardson
-    extrapolation of the matrix family, the target and deviation
-    measures.
+    extrapolation of the matrix family at t = 1e-2 * 2^-k, k < 8, the
+    target and deviation measures.
     """
-    omega = omega_or_curve.omega if hasattr(omega_or_curve, "omega") \
-        else omega_or_curve
     e0 = np.asarray(e0, dtype=complex)
     direction = np.asarray(direction, dtype=complex)
     g = omega.dim
@@ -413,7 +400,7 @@ def gauss_limit_check(omega_or_curve, e0, direction, steps: int = 6,
             m[j, i] = mij
         return m
 
-    ts = [t0 * 0.5 ** k for k in range(steps)]
+    ts = [1e-2 * 0.5 ** k for k in range(8)]
     mats = [m_matrix(t) for t in ts]
     extrapolated = 2.0 * mats[-1] - mats[-2]
     sv = np.linalg.svd(extrapolated, compute_uv=False)
@@ -519,7 +506,7 @@ def _collision_candidates(coords, collision_tol):
     return zip(ii[order].tolist(), jj[order].tolist())
 
 
-def _klein_vectors(points, omega, tol, floor):
+def _klein_vectors(points, omega, tol):
     """Klein coordinate vector of each row of ``points``, or the
     :class:`PointOnTheta` it raises, from one theta_batch call."""
     g = omega.dim
@@ -528,15 +515,16 @@ def _klein_vectors(points, omega, tol, floor):
     out = []
     for v, scale in zip(vals, scales):
         try:
-            out.append(_upper_triangle(hessian_from_values(g, v, scale, floor)))
+            out.append(_upper_triangle(hessian_from_values(g, v, scale)))
         except PointOnTheta as exc:
             out.append(exc)
     return out
 
 
-def _collision_kinds(points, pairs, omega, lattice_tol):
+def _collision_kinds(points, pairs, omega):
     """"equal", "negation" or "nontrivial" for each pair (i, j): whether
-    e_i - e_j, else e_i + e_j, lies in the lattice within ``lattice_tol``.
+    e_i - e_j, else e_i + e_j, lies in the lattice (every lattice
+    coordinate within 1e-6 of an integer).
 
     Both tests run on all pairs at once, with one lattice_coordinates
     call on the stacked differences and one on the stacked sums.
@@ -549,22 +537,21 @@ def _collision_kinds(points, pairs, omega, lattice_tol):
         a, b = lattice_coordinates(points[i] + sign * points[j], omega)
         allc = np.concatenate([a, b], axis=1)
         on_lattice.append(np.max(np.abs(allc - np.round(allc)), axis=1)
-                          < lattice_tol)
+                          < 1e-6)
     return np.where(on_lattice[0], "equal",
                     np.where(on_lattice[1], "negation", "nontrivial")).tolist()
 
 
 def finiteness_probe(curve: HyperellipticCurve, n_samples: int,
                      collision_tol: float = 1e-6, seed: int = 0,
-                     floor: float = THETA_FLOOR, tol=DEFAULT_TOL,
-                     extra_points=None, lattice_tol: float = 1e-6) -> ProbeReport:
+                     tol=DEFAULT_TOL, extra_points=None) -> ProbeReport:
     """Sample the Klein coordinate map and report near-coincident values.
 
     Points e = a + Omega b are drawn uniformly from the fundamental
     domain (a, b in [-1/2, 1/2)^g), rejecting points on the theta
     divisor.  Every pair closer than ``collision_tol`` relative to the
     coordinate norms is reported and classified as trivial when
-    e' = +-e modulo the lattice within ``lattice_tol``.
+    e' = +-e modulo the lattice within 1e-6 in lattice coordinates.
 
     Samples are drawn in the order a single-point loop draws them and
     evaluated in chunks of ``_PROBE_CHUNK`` rows per theta_batch call;
@@ -588,7 +575,7 @@ def finiteness_probe(curve: HyperellipticCurve, n_samples: int,
                          (min(_PROBE_CHUNK, n_samples - len(points)), 2, g))
         # stacked products match omega.entries @ b row by row
         chunk = ab[:, 0] + (omega.entries @ ab[:, 1, :, None])[:, :, 0]
-        for e, c in zip(chunk, _klein_vectors(chunk, omega, tol, floor)):
+        for e, c in zip(chunk, _klein_vectors(chunk, omega, tol)):
             if isinstance(c, PointOnTheta):
                 rejected += 1
                 continue
@@ -597,8 +584,7 @@ def finiteness_probe(curve: HyperellipticCurve, n_samples: int,
     extra = [] if extra_points is None else \
         [np.asarray(e, dtype=complex).reshape(-1) for e in extra_points]
     if extra:
-        for e, c in zip(extra, _klein_vectors(np.array(extra), omega, tol,
-                                              floor)):
+        for e, c in zip(extra, _klein_vectors(np.array(extra), omega, tol)):
             if isinstance(c, PointOnTheta):
                 raise c
             points.append(e)
@@ -611,13 +597,14 @@ def finiteness_probe(curve: HyperellipticCurve, n_samples: int,
         if dist < collision_tol * max(norm, 1e-300):
             pairs.append((i, j))
             rel.append(dist / max(norm, 1e-300))
-    kinds = _collision_kinds(np.array(points), pairs, omega, lattice_tol)
+    kinds = _collision_kinds(np.array(points), pairs, omega)
     collisions = [Collision(i=i, j=j, relative_distance=r,
                             trivial=kind != "nontrivial", kind=kind)
                   for (i, j), r, kind in zip(pairs, rel, kinds)]
     return ProbeReport(
         genus=g, n_samples=n_samples, seed=seed,
-        collision_tol=collision_tol, floor=floor, n_rejected=rejected,
+        collision_tol=collision_tol, floor=theta.THETA_FLOOR,
+        n_rejected=rejected,
         points=[list(p) for p in points],
         coordinates=[list(c) for c in coords],
         collisions=collisions,

@@ -29,7 +29,8 @@ _EPS = float(np.finfo(float).eps)
 
 DEFAULT_TOL = 1e-12
 
-#: |theta| below ``floor * max_term`` counts as "on the theta divisor".
+#: |theta| below ``THETA_FLOOR * max_term`` counts as "on the theta
+#: divisor"; every divisor test reads it at call time.
 THETA_FLOOR = 1e-8
 
 
@@ -430,12 +431,12 @@ def _derivative_table(g: int, order: int):
 
 
 def log_theta_hessian(e, omega: RiemannMatrix, tol: float = DEFAULT_TOL,
-                      floor: float = THETA_FLOOR, char: Characteristic = None):
+                      char: Characteristic = None):
     """Matrix of second logarithmic derivatives of theta[char] at e.
 
     c_ij = (theta * theta_ij - theta_i * theta_j) / theta^2, with the zero
     characteristic by default.  Raises :class:`PointOnTheta` when
-    |theta(e)| is below ``floor`` times the largest term of the sum,
+    |theta(e)| is below ``THETA_FLOOR`` times the largest term of the sum,
     i.e. when e lies on the theta divisor to working precision.
     """
     g = omega.dim
@@ -444,18 +445,17 @@ def log_theta_hessian(e, omega: RiemannMatrix, tol: float = DEFAULT_TOL,
     e = np.asarray(e, dtype=complex).reshape(-1)
     vals, _, scale = theta_batch(e, omega, char, derivative_indices(g, 2)[1],
                                  tol)
-    return hessian_from_values(g, vals, scale, floor)
+    return hessian_from_values(g, vals, scale)
 
 
-def hessian_from_values(g: int, vals, scale: float,
-                        floor: float = THETA_FLOOR):
+def hessian_from_values(g: int, vals, scale: float):
     """The matrix of :func:`log_theta_hessian` from the value, gradient
     and Hessian of theta (the ``derivative_indices(g, 2)`` list of one
     :func:`theta_batch` row) and that row's scale."""
     th = vals[0]
-    if abs(th) < floor * scale:
+    if abs(th) < THETA_FLOOR * scale:
         raise PointOnTheta(f"|theta(e)| = {abs(th):.3e} under floor "
-                           f"{floor:g} * {scale:.3e}")
+                           f"{THETA_FLOOR:g} * {scale:.3e}")
     grad = np.array(vals[1:1 + g])
     c = np.empty((g, g), dtype=complex)
     pairs = derivative_indices(g, 2)[0][1 + g:]

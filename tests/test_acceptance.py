@@ -165,14 +165,14 @@ class TestAcceptance:
     def test_5_gauss_map_squared(self, lemniscatic, genus2):
         t0 = time.perf_counter()
         tau = lemniscatic.omega.entries[0, 0]
-        rep1 = gauss_limit_check(lemniscatic, np.array([(1 + tau) / 2]),
-                                 np.array([0.37 + 0.05j]), steps=8)
+        rep1 = gauss_limit_check(lemniscatic.omega, np.array([(1 + tau) / 2]),
+                                 np.array([0.37 + 0.05j]))
         assert rep1.max_relative_deviation < 1e-5
         e0 = find_theta_zero(genus2.omega,
                              np.array([0.2 + 0.1j, -0.3 + 0.2j]),
                              np.array([1.0, 0.7 + 0.2j]))
-        rep2 = gauss_limit_check(genus2, e0, np.array([0.5, 0.3 - 0.1j]),
-                                 steps=8)
+        rep2 = gauss_limit_check(genus2.omega, e0,
+                                 np.array([0.5, 0.3 - 0.1j]))
         assert rep2.max_relative_deviation < 1e-5
         assert rep2.singular_value_ratio <= 1e-4
         elapsed = time.perf_counter() - t0

@@ -1,4 +1,6 @@
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -147,8 +149,22 @@ class TestSurfacePoints:
         assert abs(m.y + p.y) < 1e-12
 
     def test_margin_enforced(self, lemniscatic):
+        x = 1.0 + 1e-5
         with pytest.raises(InadmissiblePoint):
-            lemniscatic.point(1.0 + 1e-5, 1)
+            lemniscatic.point(x, 1)
+        with pytest.raises(InadmissiblePoint):
+            lemniscatic.point_with_y(x, np.sqrt(lemniscatic.f(x)))
+
+    @pytest.mark.parametrize("sheet", [0, 2, -2, 1.5, 1, -1])
+    def test_sheet_must_be_plus_or_minus_one(self, genus2, sheet):
+        fx = genus2.f(2.0)
+        if sheet in (1, -1):
+            p = genus2.point(2.0, sheet)
+            assert p.sheet == sheet
+            assert abs(p.y ** 2 - fx) <= 1e-12 * abs(fx)
+        else:
+            with pytest.raises(InadmissiblePoint):
+                genus2.point(2.0, sheet)
 
     def test_point_with_y(self, lemniscatic):
         p = lemniscatic.point(2.0, -1)
@@ -323,3 +339,52 @@ class TestCycleContour:
             winding = np.sum(np.angle((xc[1:] - b) / (xc[:-1] - b))) / (2 * math.pi)
             expect = 1.0 if i < 2 else 0.0
             assert abs(winding - expect) < 1e-6
+
+
+# ----------------------------------------------------------------------
+# Bit-for-bit record of periods, cycle contours and Abel images
+# ----------------------------------------------------------------------
+
+CURVES_RECORD = Path(__file__).parent / "data" / "curves_hex.json"
+
+CURVES_RECORD_CURVES = (
+    ("x^7-x", [0, -1, 0, 0, 0, 0, 0, 1]),
+    ("x^5-x", [0, -1, 0, 0, 0, 1]),
+    ("x^6+x+2", [2, 1, 0, 0, 0, 0, 1]),
+)
+
+# points of y^2 = x^7 - x; the paths to 1 + 0.0011j (next to a branch
+# point) and to 40 + 30j (a long leg) split a piece of the path quadrature
+CURVES_RECORD_ABEL = ((2.6 + 1.1j, 1), (-0.4 + 0.7j, -1), (0.3 - 1.9j, 1),
+                      (1 + 0.0011j, -1), (40 + 30j, 1))
+
+
+def _hex(values):
+    return [[complex(z).real.hex(), complex(z).imag.hex()]
+            for z in np.ravel(values)]
+
+
+def curves_record():
+    """float.hex of A, B, Omega and the 256-node cycle_contour of every
+    cut on three curves of genus 2 and 3, odd and even degree, and of
+    abel_map at the points CURVES_RECORD_ABEL of the genus-3 curve.
+    tests/data/curves_hex.json was written by this function."""
+    out = {}
+    for name, f in CURVES_RECORD_CURVES:
+        c = build_curve(f)
+        out[f"{name} periods"] = {"A": _hex(c.A), "B": _hex(c.B),
+                                  "omega": _hex(c.omega.entries)}
+        for k in range(c.degree // 2):
+            x, y, dx = c.cycle_contour(k, 256)
+            out[f"{name} contour cut={k}"] = {"x": _hex(x), "y": _hex(y),
+                                              "dx": _hex(dx)}
+        if name == "x^7-x":
+            for x, sheet in CURVES_RECORD_ABEL:
+                out[f"{name} abel x={x} sheet={sheet}"] = _hex(
+                    c.abel_map(c.point(x, sheet)))
+    return out
+
+
+class TestCurvesRecord:
+    def test_periods_contours_and_abel_images_match_record(self):
+        assert curves_record() == json.loads(CURVES_RECORD.read_text())
