@@ -81,28 +81,33 @@ def _chart(p: SurfacePoint):
     return (p.x, p.sheet, p.chart_scale)
 
 
-def _class_vector(e):
-    return np.asarray(e, dtype=complex).reshape(-1)
+def _class_vector(e, g):
+    """e as a flat complex g-vector; ValueError when its length is not g."""
+    e = np.asarray(e, dtype=complex).reshape(-1)
+    if len(e) != g:
+        raise ValueError(f"dimension mismatch: class of length {len(e)} "
+                         f"on a curve of genus {g}")
+    return e
 
 
-def _theta_off_divisor(e, omega: RiemannMatrix, tol, what):
-    """(mantissa, exponent) of theta(e); raises PointOnTheta naming
-    ``what`` when e lies on the theta divisor, that is when |theta(e)| is
+def _on_divisor(mantissa, scale) -> bool:
+    """Whether a theta value lies on the theta divisor: its mantissa is
     below ``theta.THETA_FLOOR`` times the scale of its lattice sum."""
-    vals, expo, scale = theta_batch(e, omega, Characteristic.zero(omega.dim),
-                                    [(0,) * omega.dim], tol)
-    if abs(vals[0]) < theta.THETA_FLOOR * scale:
-        raise PointOnTheta(f"{what} undefined on the theta divisor")
-    return vals[0], expo
+    return abs(mantissa) < theta.THETA_FLOOR * scale
+
+
+def _require_off_diagonal(x: SurfacePoint, y: SurfacePoint, what):
+    if abs(x.x - y.x) < 1e-13 and x.sheet == y.sheet:
+        raise OnDiagonal(f"{what} evaluated at coinciding points")
 
 
 def is_on_theta(e, omega: RiemannMatrix, tol=DEFAULT_TOL) -> bool:
-    """Whether e lies on the theta divisor (the test of _theta_off_divisor)."""
-    try:
-        _theta_off_divisor(e, omega, tol, "theta")
-    except PointOnTheta:
-        return True
-    return False
+    """Whether e lies on the theta divisor, the test every kernel applies
+    to its class."""
+    g = omega.dim
+    vals, _, scale = theta_batch(e, omega, Characteristic.zero(g),
+                                 [(0,) * g], tol)
+    return _on_divisor(vals[0], scale)
 
 
 def select_odd_characteristic(curve: HyperellipticCurve,
@@ -174,14 +179,18 @@ def prime_form(curve: HyperellipticCurve, delta: Characteristic,
     The signs of the half-densities come from the pair (x, y) alone
     (:func:`_h_product`), so a value never depends on earlier calls.
     """
-    if abs(x.x - y.x) < 1e-13 and x.sheet == y.sheet:
-        raise OnDiagonal("prime form evaluated at coinciding points")
+    _require_off_diagonal(x, y, "prime form")
     w = curve.abel_map(x) - curve.abel_map(y)
     th = theta_value(w, curve.omega, delta, tol=tol)
-    hxy = _h_product(curve, delta, x, y, tol)
-    val = th.mantissa * math.exp(th.exponent) / hxy
-    return KernelValue(value=complex(val), weight=(-0.5, -0.5),
+    return KernelValue(value=_prime_form_value(curve, delta, x, y, th, tol),
+                       weight=(-0.5, -0.5),
                        chart_x=_chart(x), chart_y=_chart(y))
+
+
+def _prime_form_value(curve, delta, x, y, th: ScaledComplex, tol):
+    """E(x, y) from th = theta[delta](A(x) - A(y))."""
+    hxy = _h_product(curve, delta, x, y, tol)
+    return complex(th.mantissa * math.exp(th.exponent) / hxy)
 
 
 def bergman_kernel(curve: HyperellipticCurve, x: SurfacePoint,
@@ -193,16 +202,31 @@ def bergman_kernel(curve: HyperellipticCurve, x: SurfacePoint,
     the Abel difference; independent of the odd characteristic used.
     Weight (1, 1).
     """
-    if abs(x.x - y.x) < 1e-13 and x.sheet == y.sheet:
-        raise OnDiagonal("Bergman kernel evaluated at coinciding points")
-    if delta is None:
-        delta = select_odd_characteristic(curve, tol)
-    w = curve.abel_map(x) - curve.abel_map(y)
-    hess = log_theta_hessian(w, curve.omega, tol, char=delta)
-    val = -complex(curve.eval_differentials(x) @ hess
-                   @ curve.eval_differentials(y))
+    val, = _bergman_values(curve, x, [y], delta, tol)
     return KernelValue(value=val, weight=(1.0, 1.0),
                        chart_x=_chart(x), chart_y=_chart(y))
+
+
+def _bergman_values(curve, x, ys, delta, tol):
+    """The Bergman kernel value at (x, y) for each point of ``ys``.
+
+    Checks every pair against the diagonal, then picks delta when it is
+    None; one theta_batch call gives the Hessian jet of theta[delta] at
+    A(x) - A(y) for every y, a row each.
+    """
+    for y in ys:
+        _require_off_diagonal(x, y, "Bergman kernel")
+    if delta is None:
+        delta = select_odd_characteristic(curve, tol)
+    g = curve.genus
+    ax = curve.abel_map(x)
+    w = np.array([ax - curve.abel_map(y) for y in ys])
+    vals, _, scales = theta_batch(w, curve.omega, delta,
+                                  derivative_indices(g, 2)[1], tol)
+    omx = curve.eval_differentials(x)
+    return [-complex(omx @ hessian_from_values(g, v, scale)
+                     @ curve.eval_differentials(y))
+            for y, v, scale in zip(ys, vals, scales)]
 
 
 def szego_kernel(curve: HyperellipticCurve, e, x: SurfacePoint,
@@ -211,19 +235,47 @@ def szego_kernel(curve: HyperellipticCurve, e, x: SurfacePoint,
     """Szego kernel theta(A(y)-A(x)+e) / (theta(e) E(x,y)) of the class e.
 
     Requires e off the theta divisor; has a simple diagonal pole with
-    residue normalization 1.  Weight (1/2, 1/2).
+    residue normalization 1.  Weight (1/2, 1/2).  One ``theta_batch``
+    call evaluates theta(e), theta(A(y)-A(x)+e) and the prime form's
+    theta[delta](A(x)-A(y)).
     """
-    e = _class_vector(e)
-    theta_e = ScaledComplex.make(*_theta_off_divisor(
-        e, curve.omega, tol, "Szego kernel"))
+    es = [_class_vector(e, curve.genus)]
     if delta is None:
         delta = select_odd_characteristic(curve, tol)
-    w = curve.abel_map(y) - curve.abel_map(x)
-    num = theta_value(w + e, curve.omega, tol=tol)
-    ef = prime_form(curve, delta, x, y, tol)
-    val = num.ratio(theta_e) / ef.value
-    return KernelValue(value=complex(val), weight=(0.5, 0.5),
+    val, = _szego_values(curve, es, x, y, delta, tol)
+    return KernelValue(value=val, weight=(0.5, 0.5),
                        chart_x=_chart(x), chart_y=_chart(y))
+
+
+def _szego_values(curve, es, x, y, delta, tol):
+    """The Szego kernel value of each class of ``es`` at (x, y).
+
+    One theta_batch call gives theta(e) and theta(A(y)-A(x)+e) for every
+    class and theta[delta](A(x)-A(y)) once; the prime form is computed
+    once.  Class by class, PointOnTheta for a class on the theta divisor
+    comes first, then OnDiagonal for coinciding points.
+    """
+    g = curve.genus
+    ax, ay = curve.abel_map(x), curve.abel_map(y)
+    w = ay - ax
+    zero = Characteristic.zero(g)
+    rows = [v for e in es for v in (e, w + e)] + [ax - ay]
+    vals, expos, scales = theta_batch(np.array(rows), curve.omega,
+                                      [zero] * (2 * len(es)) + [delta],
+                                      [(0,) * g], tol)
+    out = []
+    for k in range(0, 2 * len(es), 2):
+        if _on_divisor(vals[k][0], scales[k]):
+            raise PointOnTheta("Szego kernel undefined on the theta divisor")
+        if k == 0:
+            _require_off_diagonal(x, y, "prime form")
+            prime = _prime_form_value(
+                curve, delta, x, y,
+                ScaledComplex.make(vals[-1][0], expos[-1]), tol)
+        num = ScaledComplex.make(vals[k + 1][0], expos[k + 1])
+        out.append(complex(
+            num.ratio(ScaledComplex.make(vals[k][0], expos[k])) / prime))
+    return out
 
 
 def klein_kernel(curve: HyperellipticCurve, e_list, x: SurfacePoint,
@@ -234,8 +286,9 @@ def klein_kernel(curve: HyperellipticCurve, e_list, x: SurfacePoint,
     ``e_list`` must sum to zero modulo the period lattice (each lattice
     coordinate within 1e-8 of an integer).  The result has an order-n
     diagonal pole with unit leading coefficient and weight (n/2, n/2).
+    All its theta values come from one ``theta_batch`` call.
     """
-    es = [_class_vector(e) for e in e_list]
+    es = [_class_vector(e, curve.genus) for e in e_list]
     total = sum(es)
     a, b = lattice_coordinates(total, curve.omega)
     coords = np.concatenate([a, b])
@@ -244,8 +297,8 @@ def klein_kernel(curve: HyperellipticCurve, e_list, x: SurfacePoint,
     if delta is None:
         delta = select_odd_characteristic(curve, tol)
     val = 1.0 + 0.0j
-    for e in es:
-        val *= szego_kernel(curve, e, x, y, delta=delta, tol=tol).value
+    for factor in _szego_values(curve, es, x, y, delta, tol):
+        val *= factor
     n = len(es)
     return KernelValue(value=val, weight=(n / 2.0, n / 2.0),
                        chart_x=_chart(x), chart_y=_chart(y))
@@ -254,7 +307,8 @@ def klein_kernel(curve: HyperellipticCurve, e_list, x: SurfacePoint,
 def klein_coordinates(curve: HyperellipticCurve, e,
                       tol=DEFAULT_TOL) -> KleinCoordinates:
     """Coordinates of the Klein kernel of e relative to the Bergman kernel."""
-    c = log_theta_hessian(_class_vector(e), curve.omega, tol=tol)
+    c = log_theta_hessian(_class_vector(e, curve.genus), curve.omega,
+                          tol=tol)
     return KleinCoordinates(matrix=c)
 
 
@@ -262,15 +316,15 @@ def klein_coordinates(curve: HyperellipticCurve, e,
 # Wirtinger projective connection by diagonal series extraction
 # ----------------------------------------------------------------------
 
-def _theta_compose(v0, omega, char, zser, order, tol=DEFAULT_TOL):
+def _theta_compose(vals, zser, order):
     """Coefficients of theta[char](v0 + z(t)) for a vector z of complex
-    coefficient lists (order+1 long) with z(0)=0.
+    coefficient lists (order+1 long) with z(0)=0, from ``vals``, the
+    ``derivative_indices(g, 3)`` row of theta[char] at v0.
 
     Uses the exact third-order Taylor jet of theta at v0; the neglected
     fourth-order remainder only affects series coefficients beyond t^3.
     """
-    combs, derivs = derivative_indices(omega.dim, 3)
-    vals, expo, _ = theta_batch(v0, omega, char, derivs, tol)
+    combs, derivs = derivative_indices(len(zser), 3)
     out = [0j] * (order + 1)
     for comb, d, v in zip(combs, derivs, vals):
         mult = math.prod(math.factorial(k) for k in d)
@@ -278,7 +332,7 @@ def _theta_compose(v0, omega, char, zser, order, tol=DEFAULT_TOL):
         for i in comb:
             term = complex_mul(term, zser[i])
         out = [u + w for u, w in zip(out, term)]
-    return out, expo
+    return out
 
 
 def wirtinger_connection(curve: HyperellipticCurve, e, p: SurfacePoint,
@@ -287,16 +341,23 @@ def wirtinger_connection(curve: HyperellipticCurve, e, p: SurfacePoint,
 
     Expands the kernel at (x, y) = (p(t), p(-t)) as
     1/(t1-t2)^2 + R/6 + O(t1stuff) and returns R, extracted exactly from
-    truncated series (never finite differences).
+    truncated series (never finite differences).  One ``theta_batch``
+    call gives theta(e) and the third-order jets of theta at e and -e
+    and of theta[delta] at 0.
     """
     if order < 6:
         raise SeriesOrderInsufficient("need series order >= 6")
-    e = _class_vector(e)
-    omega = curve.omega
-    char0 = Characteristic.zero(omega.dim)
-    th_e, expo_e = _theta_off_divisor(e, omega, tol, "Wirtinger connection")
-    theta_e2 = ScaledComplex.make(th_e ** 2, 2 * expo_e)
+    g = curve.genus
+    e = _class_vector(e, g)
+    zero = Characteristic.zero(g)
     delta = select_odd_characteristic(curve, tol)
+    jet = derivative_indices(g, 3)[1]
+    vals, expos, scales = theta_batch(
+        np.array([e, e, -e, np.zeros(g, complex)]), curve.omega,
+        [zero, zero, zero, delta], [[(0,) * g], jet, jet, jet], tol)
+    if _on_divisor(vals[0][0], scales[0]):
+        raise PointOnTheta("Wirtinger connection undefined on the theta divisor")
+    theta_e2 = ScaledComplex.make(vals[0][0] ** 2, 2 * expos[0])
     le = curve.local_expansion(p, order)
     # w(t) = A(p(-t)) - A(p(t)): twice the odd part of the Abel series
     w = []
@@ -305,19 +366,18 @@ def wirtinger_connection(curve: HyperellipticCurve, e, p: SurfacePoint,
         for k in range(1, order + 1, 2):
             c[k] = -2.0 * ser[k]
         w.append(c)
-    num_plus, ep = _theta_compose(e, omega, char0, w, order, tol)
-    num_minus, em = _theta_compose(-e, omega, char0, w, order, tol)
+    num_plus, num_minus, tdelta = (_theta_compose(v, w, order)
+                                   for v in vals[1:])
+    ep, em, ed = expos[1:]
     # H(t) = sum_i d_i theta[delta](0) omega_i(t): the squared half-density
     grad, _ = _gradient_at_zero(curve, delta, tol)
     hplus = [0j] * (order + 1)
     hminus = [0j] * (order + 1)
-    for i in range(curve.genus):
-        g = complex(grad[i])
-        hplus = [h + v * g for h, v in zip(hplus, le.omega[i])]
-        hminus = [h + v * (-1.0) ** k * g
+    for i in range(g):
+        gi = complex(grad[i])
+        hplus = [h + v * gi for h, v in zip(hplus, le.omega[i])]
+        hminus = [h + v * (-1.0) ** k * gi
                   for k, (h, v) in enumerate(zip(hminus, le.omega[i]))]
-    tdelta, ed = _theta_compose(np.zeros(curve.genus, complex), omega, delta,
-                                w, order, tol)
     # F(t) = num_plus num_minus H(t) H(-t) / (theta(e)^2 tdelta^2)
     numer = complex_mul(complex_mul(complex_mul(num_plus, num_minus), hplus),
                         hminus)
@@ -374,34 +434,36 @@ def gauss_limit_check(omega: RiemannMatrix, e0, direction,
     At a smooth zero e0 of theta the limit is the rank-one matrix
     -(grad theta)(grad theta)^T; the report carries the Richardson
     extrapolation of the matrix family at t = 1e-2 * 2^-k, k < 8, the
-    target and deviation measures.
+    target and deviation measures.  One ``theta_batch`` call evaluates
+    the gradient at e0 and the whole family.
     """
-    e0 = np.asarray(e0, dtype=complex)
+    e0 = np.asarray(e0, dtype=complex).reshape(-1)
     direction = np.asarray(direction, dtype=complex)
     g = omega.dim
-    th0, grad0, _, scale = theta_gradient(e0, omega, tol=tol)
+    ts = [1e-2 * 0.5 ** k for k in range(8)]
+    # the gradient at e0 and the Hessian jets of the family, one call
+    combs, derivs = derivative_indices(g, 2)
+    vals, _, scales = theta_batch(
+        np.array([e0] + [e0 + t * direction for t in ts]), omega,
+        Characteristic.zero(g), [derivs[:1 + g]] + [derivs] * len(ts), tol)
+    th0, grad0, scale = vals[0][0], np.array(vals[0][1:]), scales[0]
     if abs(th0) > 1e-6 * max(scale, 1e-300):
         raise NotOnThetaSmoothLocus("e0 is not a theta zero")
     if np.linalg.norm(grad0) < GRADIENT_FLOOR * max(scale, 1.0):
         raise NotOnThetaSmoothLocus("theta gradient vanishes at e0")
     target = -np.outer(grad0, grad0)
 
-    combs, derivs = derivative_indices(g, 2)
-
-    def m_matrix(t):
-        e = e0 + t * direction
-        vals, _, _ = theta_batch(e, omega, Characteristic.zero(g), derivs, tol)
-        th = vals[0]
-        grad = np.array(vals[1:1 + g])
+    def m_matrix(row):
+        th = row[0]
+        grad = np.array(row[1:1 + g])
         m = np.empty((g, g), dtype=complex)
-        for (i, j), v in zip(combs[1 + g:], vals[1 + g:]):
+        for (i, j), v in zip(combs[1 + g:], row[1 + g:]):
             mij = th * v - grad[i] * grad[j]
             m[i, j] = mij
             m[j, i] = mij
         return m
 
-    ts = [1e-2 * 0.5 ** k for k in range(8)]
-    mats = [m_matrix(t) for t in ts]
+    mats = [m_matrix(v) for v in vals[1:]]
     extrapolated = 2.0 * mats[-1] - mats[-2]
     sv = np.linalg.svd(extrapolated, compute_uv=False)
     ratio = float(sv[1] / sv[0]) if g > 1 else 0.0
@@ -618,13 +680,19 @@ def finiteness_probe(curve: HyperellipticCurve, n_samples: int,
 def bergman_a_period(curve: HyperellipticCurve, x: SurfacePoint,
                      cut_index: int, n_nodes: int = 256,
                      delta: Characteristic = None, tol=DEFAULT_TOL) -> complex:
-    """A-period in the second argument of the Bergman kernel (expected 0)."""
+    """A-period in the second argument of the Bergman kernel (expected 0).
+
+    The kernel at every contour node is :func:`bergman_kernel`'s value,
+    with the theta Hessians of all nodes from one ``theta_batch`` call;
+    that call holds the lattice arrays of all nodes at once, so its
+    memory grows linearly with ``n_nodes``.
+    """
     xs, ys, dxs = curve.cycle_contour(cut_index, n_nodes)
     if delta is None:
         delta = select_odd_characteristic(curve, tol)
+    nodes = [SurfacePoint(x=complex(xv), sheet=1, y=complex(yv),
+                          chart_scale=1.0) for xv, yv in zip(xs, ys)]
     total = 0j
-    for xv, yv, dxv in zip(xs, ys, dxs):
-        q = SurfacePoint(x=complex(xv), sheet=1, y=complex(yv), chart_scale=1.0)
-        val = bergman_kernel(curve, x, q, delta=delta, tol=tol).value
+    for val, dxv in zip(_bergman_values(curve, x, nodes, delta, tol), dxs):
         total += val * dxv
     return total * (2 * math.pi / n_nodes) / (2 * math.pi)

@@ -314,18 +314,22 @@ def _radius_walk(omega, order, tol, norm_c, R):
 # Core batched sum
 # ----------------------------------------------------------------------
 
-def theta_batch(z, omega: RiemannMatrix, char: Characteristic, derivs,
+def theta_batch(z, omega: RiemannMatrix, char, derivs,
                 tol: float = DEFAULT_TOL):
     """Evaluate several partial derivatives of theta[char] at one point
     or at each row of an (N, g) array of points.
 
-    All derivatives of all points share a single lattice enumeration.
-    For a g-vector z returns ``(mantissas, exponent, scale)`` where
-    ``value_k = mantissas[k] * exp(exponent)`` and ``scale`` is the
-    largest term magnitude of the order-zero sum (useful as a reference
-    for divisor-proximity floors).  For an (N, g) array returns
-    ``(mantissas, exponents, scales)``, three lists with one entry per
-    row; every row is bit for bit the result of a call with that row
+    ``char`` is one :class:`Characteristic` for all rows or a sequence
+    with one per row; ``derivs`` is one list of derivative multi-indices
+    for all rows or a sequence with one such list per row.  Each row's
+    truncation radius comes from the total order of its own list.  All
+    rows share a single lattice enumeration.  For a g-vector z returns
+    ``(mantissas, exponent, scale)`` where ``value_k = mantissas[k] *
+    exp(exponent)`` and ``scale`` is the largest term magnitude of the
+    order-zero sum (useful as a reference for divisor-proximity floors).
+    For an (N, g) array returns ``(mantissas, exponents, scales)``, three
+    lists with one entry per row; every row is bit for bit the result of
+    a call with that row, its characteristic and its derivative list
     alone.  Raises ValueError when an entry of z, or of a row's lattice
     centre, is not finite or reaches 2**53 in absolute value.
     """
@@ -338,16 +342,39 @@ def theta_batch(z, omega: RiemannMatrix, char: Characteristic, derivs,
     single = z.ndim != 2
     g = omega.dim
     z = z.reshape(1, -1) if single else z
-    if z.shape[1] != g or char.dim != g:
+    shared_char = isinstance(char, Characteristic)
+    # a shared list holds multi-indices, whose entries are integers; a
+    # row's own list is never empty
+    shared_derivs = len(derivs) == 0 or (len(derivs[0]) > 0
+                                         and np.isscalar(derivs[0][0]))
+    chars = [char] if shared_char else list(char)
+    if z.shape[1] != g or any(ch.dim != g for ch in chars):
         raise ValueError("dimension mismatch between z, char and Omega")
+    if not (shared_char or len(chars) == len(z)) or not (
+            shared_derivs or (len(derivs) == len(z)
+                              and all(len(ds) for ds in derivs))):
+        raise ValueError("need one characteristic and one derivative list "
+                         "for all rows or one per row")
     # from 2**53 on a double has no fractional bits, and the enumeration
     # cannot place a centre there; NaN fails the test too, and both tests
     # come before any arithmetic that could overflow
     if not np.maximum(abs(z.real), abs(z.imag)).max(initial=0.0) < 2.0 ** 53:
         raise ValueError("theta argument is not finite or exceeds 2**53")
-    alpha = np.asarray(char.alpha, float) / 2.0
-    beta = np.asarray(char.beta, float) / 2.0
-    order = max(int(sum(d)) for d in derivs)
+    # (g,) for a shared characteristic, else (N, g): rows broadcast alike
+    alpha = np.array([ch.alpha for ch in chars], float).reshape(-1, g) / 2.0
+    beta = np.array([ch.beta for ch in chars], float).reshape(-1, g) / 2.0
+    if shared_char:
+        alpha, beta = alpha[0], beta[0]
+    # a row sums the entries picks[r] of the derivative table
+    if shared_derivs:
+        table, picks = derivs, [slice(None)] * len(z)
+        orders = [max(int(sum(d)) for d in derivs)] * len(z)
+    else:
+        # every multi-index of any row, first occurrence first
+        table = list(dict.fromkeys(tuple(d) for ds in derivs for d in ds))
+        column = {d: k for k, d in enumerate(table)}
+        picks = [[column[tuple(d)] for d in ds] for ds in derivs]
+        orders = [max(int(sum(d)) for d in ds) for ds in derivs]
     # stacked matrix-vector and dot products: numpy makes the same BLAS
     # call per row that im_inv @ y, y @ c and norm(c) make for one row
     y = z.imag
@@ -355,23 +382,25 @@ def theta_batch(z, omega: RiemannMatrix, char: Characteristic, derivs,
     if not abs(c).max(initial=0.0) < 2.0 ** 53:
         raise ValueError("lattice enumeration centre exceeds 2**53")
     exponents = (math.pi * (y[:, None, :] @ c[:, :, None])[:, 0, 0]).tolist()
-    radii = [_truncation_radius(omega, order, tol, norm_c) for norm_c in
-             np.sqrt((c[:, None, :] @ c[:, :, None])[:, 0, 0]).tolist()]
+    radii = [_truncation_radius(omega, order, tol, norm_c)
+             for order, norm_c in zip(orders, np.sqrt(
+                 (c[:, None, :] @ c[:, :, None])[:, 0, 0]).tolist())]
     pts, counts = _enumerate_ellipsoid(omega.chol, alpha + c, radii)
     ends = np.cumsum(counts).tolist()
-    na = pts + alpha
+    na = pts + (alpha if shared_char else np.repeat(alpha, counts, axis=0))
     quad = np.einsum("ij,jk,ik->i", na, omega.entries, na)
     # one matrix-vector product per row, as a single-point call makes it
+    zb = z + beta
     lin = np.empty(len(na), dtype=complex)
     start = 0
-    for zr, end in zip(z, ends):
-        lin[start:end] = na[start:end] @ (zr + beta)
+    for zr, end in zip(zb, ends):
+        lin[start:end] = na[start:end] @ zr
         start = end
     terms = np.exp(1j * math.pi * quad + _TWO_PI_I * lin
                    - np.repeat(exponents, counts))
     powers = {}
-    prods = np.empty((len(derivs), len(na)), dtype=complex)
-    for row, d in zip(prods, derivs):
+    prods = np.empty((len(table), len(na)), dtype=complex)
+    for row, d in zip(prods, table):
         fac = np.ones(len(na), dtype=complex)
         for k, dk in enumerate(d):
             if dk:
@@ -381,9 +410,9 @@ def theta_batch(z, omega: RiemannMatrix, char: Characteristic, derivs,
         np.multiply(fac, terms, out=row)
     size = np.abs(terms)
     mantissas, scales = [], []
-    for s, e in zip([0] + ends, ends):
+    for pick, s, e in zip(picks, [0] + ends, ends):
         # summing each row of a 2-D slice is the np.sum of that row
-        mantissas.append(np.add.reduce(prods[:, s:e], axis=1).tolist())
+        mantissas.append(np.add.reduce(prods[pick, s:e], axis=1).tolist())
         scales.append(float(size[s:e].max()) if e > s else 0.0)
     if single:
         return mantissas[0], exponents[0], scales[0]
@@ -481,14 +510,14 @@ def theta_gradient(e, omega: RiemannMatrix, char: Characteristic = None,
 def second_order_theta_basis(z, omega: RiemannMatrix, tol: float = DEFAULT_TOL):
     """The 2^g second-order theta functions Theta[sigma](z) = theta[(sigma,0)](2z, 2 Omega).
 
-    Components are ordered lexicographically in sigma over {0, 1/2}^g.
+    Components are ordered lexicographically in sigma over {0, 1/2}^g and
+    come from one theta_batch call, a row per characteristic.
     """
     g = omega.dim
     omega2 = RiemannMatrix(2.0 * omega.entries)
     z2 = 2.0 * np.asarray(z, dtype=complex).reshape(-1)
-    out = []
-    for bits in itertools.product((0, 1), repeat=g):
-        char = Characteristic(bits, (0,) * g)
-        vals, exponent, _ = theta_batch(z2, omega2, char, [(0,) * g], tol)
-        out.append(ScaledComplex.make(vals[0], exponent))
-    return out
+    chars = [Characteristic(bits, (0,) * g)
+             for bits in itertools.product((0, 1), repeat=g)]
+    vals, exponents, _ = theta_batch(np.tile(z2, (len(chars), 1)), omega2,
+                                     chars, [(0,) * g], tol)
+    return [ScaledComplex.make(v[0], x) for v, x in zip(vals, exponents)]

@@ -187,6 +187,18 @@ class TestEvalInputContracts:
         assert_one_error_line(run_cli(["eval", what, "--curve", curve_file,
                                        "--x1", x1] + args))
 
+    @pytest.mark.parametrize("what", ["szego", "klein", "wirtinger"])
+    def test_class_of_the_wrong_length(self, tmp_path, what):
+        # a one-entry class on y^2 = x^5 - x fails before the Klein
+        # kernel's lattice test, with one error line
+        curve = tmp_path / "genus2.json"
+        curve.write_text('{"f": [0, -1, 0, 0, 0, 1]}')
+        res = run_cli(["eval", what, "--curve", str(curve), "--e", "0.3+0.1j",
+                       "--x1", "2.0"] + (["--x2", "-2.0"]
+                                         if what != "wirtinger" else []))
+        assert_one_error_line(res)
+        assert "dimension mismatch" in res.stderr
+
     def test_non_numeric_coefficient(self, tmp_path):
         from thetakernels.curves import curve_from_spec
         with pytest.raises(ValueError):

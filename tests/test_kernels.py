@@ -1,6 +1,7 @@
 import functools
 import importlib
 import json
+import math
 import sys
 import threading
 from pathlib import Path
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from thetakernels.curves import build_curve, lattice_coordinates
+from thetakernels.curves import SurfacePoint, build_curve, lattice_coordinates
 from thetakernels.errors import (ConstraintViolation,
                                  NotOnThetaSmoothLocus, OnDiagonal,
                                  PointOnTheta)
@@ -452,6 +453,104 @@ class TestWirtinger:
         with pytest.raises(SeriesOrderInsufficient):
             wirtinger_connection(lemniscatic, [0.3 + 0.1j],
                                  lemniscatic.point(2.0, 1), order=4)
+
+
+class TestErrorOrder:
+    """Divisor and diagonal errors come in a fixed order: PointOnTheta for
+    a class on the theta divisor before OnDiagonal for coinciding points."""
+
+    @staticmethod
+    def theta_zero(curve):
+        if curve.genus == 1:
+            return np.array([(1 + curve.omega.entries[0, 0]) / 2])
+        return find_theta_zero(curve.omega, np.array([0.2 + 0.1j, -0.3 + 0.2j]),
+                               np.array([1.0, 0.7 + 0.2j]))
+
+    @staticmethod
+    def evaluate(what, curve, e, x, y):
+        if what == "szego":
+            return szego_kernel(curve, e, x, y)
+        if what == "klein":
+            return klein_kernel(curve, [e, -e], x, y)
+        return wirtinger_connection(curve, e, x)
+
+    @pytest.mark.parametrize("curve_name", ["lemniscatic", "genus2"])
+    @pytest.mark.parametrize("what,on_theta,diagonal,error", [
+        (what, on_theta, diagonal, error)
+        for what in ("szego", "klein", "wirtinger")
+        for on_theta, diagonal, error in ((True, False, PointOnTheta),
+                                          (False, True, OnDiagonal),
+                                          (True, True, PointOnTheta))
+        # the Wirtinger connection takes one point
+        if what != "wirtinger" or not diagonal or on_theta])
+    def test_error_type(self, curve_name, what, on_theta, diagonal, error,
+                        request):
+        c = request.getfixturevalue(curve_name)
+        e = self.theta_zero(c) if on_theta else np.full(c.genus, 0.3 + 0.1j)
+        x = c.point(2.0, 1)
+        y = c.point(2.0, 1) if diagonal else c.point(-1.9 + 0.4j, -1)
+        with pytest.raises(error):
+            self.evaluate(what, c, e, x, y)
+
+    def test_klein_checks_the_diagonal_after_the_first_class(self, genus2):
+        # first class off the divisor, second on it, points coinciding
+        c = genus2
+        e1 = np.array([0.3 + 0.1j, -0.2 + 0.05j])
+        e2 = self.theta_zero(c)
+        x = c.point(2.0, 1)
+        with pytest.raises(OnDiagonal):
+            klein_kernel(c, [e1, e2, -e1 - e2], x, c.point(2.0, 1))
+        with pytest.raises(PointOnTheta):
+            klein_kernel(c, [e2, e1, -e1 - e2], x, c.point(2.0, 1))
+        with pytest.raises(PointOnTheta):
+            klein_kernel(c, [e1, e2, -e1 - e2], x, c.point(-1.9 + 0.4j, -1))
+
+    @pytest.mark.parametrize("what", ["szego", "klein", "wirtinger"])
+    def test_class_of_the_wrong_length(self, genus2, what):
+        x, y = genus2.point(2.0, 1), genus2.point(-2.0, 1)
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            self.evaluate(what, genus2, np.array([0.3 + 0.1j]), x, y)
+
+
+class TestOneThetaCall:
+    """Each kernel evaluation makes one theta_batch call once the curve's
+    odd characteristic and Abel images are in its memo."""
+
+    @pytest.mark.parametrize("what", ["szego", "klein", "wirtinger",
+                                      "bergman", "bergman_a_period", "gauss",
+                                      "basis"])
+    def test_calls(self, genus2, what, monkeypatch):
+        c = genus2
+        e = np.array([0.3 + 0.1j, -0.2 + 0.05j])
+        x, y = c.point(2.2 + 0.3j, 1), c.point(-1.9 + 0.4j, -1)
+        e0 = TestErrorOrder.theta_zero(c)
+        run = {
+            "szego": lambda: szego_kernel(c, e, x, y).value,
+            "klein": lambda: klein_kernel(c, [e, -e], x, y).value,
+            "wirtinger": lambda: wirtinger_connection(c, e, x),
+            "bergman": lambda: bergman_kernel(c, x, y).value,
+            "bergman_a_period": lambda: bergman_a_period(c, x, 0, 64),
+            "gauss": lambda: gauss_limit_check(
+                c.omega, e0, np.array([0.5, 0.3 - 0.1j])).limit.tolist(),
+            "basis": lambda: [v.value for v in
+                              theta_module.second_order_theta_basis(e, c.omega)],
+        }[what]
+        want = run()
+        calls = TestOddCharacteristicMemo.count_theta_batch(monkeypatch)
+        assert run() == want
+        assert len(calls) == 1
+
+    def test_a_period_sums_kernel_values(self, genus2):
+        # each row of the batched call keeps the bits of bergman_kernel
+        c, x, n = genus2, genus2.point(2.2 + 0.3j, 1), 64
+        xs, ys, dxs = c.cycle_contour(0, n)
+        total = 0j
+        for xv, yv, dxv in zip(xs, ys, dxs):
+            q = SurfacePoint(x=complex(xv), sheet=1, y=complex(yv),
+                             chart_scale=1.0)
+            total += bergman_kernel(c, x, q).value * dxv
+        assert bergman_a_period(c, x, 0, n) == \
+            total * (2 * math.pi / n) / (2 * math.pi)
 
 
 class TestGaussLimit:

@@ -621,3 +621,78 @@ class TestThetaBatchRows:
             one = theta_batch(row, om, char, derivs, tol)
             assert (_hex(vals), exponent.hex(), scale.hex()) == \
                 (_hex(one[0]), one[1].hex(), one[2].hex())
+
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), g=st.integers(1, 3),
+           n=st.integers(1, 24), log_im=st.floats(-2, 3),
+           log_tol=st.floats(-12, -4))
+    def test_mixed_rows_equal_single_row_calls(self, seed, g, n, log_im,
+                                               log_tol):
+        """Rows with their own characteristic and derivative list, value-only
+        rows next to order-3 rows, each come out as a call with that row,
+        characteristic and list alone."""
+        rng = np.random.default_rng(seed)
+        om = random_riemann(rng, g)
+        chars = list(Characteristic.all(g))
+        row_chars = [chars[k] for k in rng.integers(0, len(chars), n)]
+        row_derivs = []
+        for _ in range(n):
+            full = derivative_indices(g, int(rng.integers(0, 4)))[1]
+            if rng.uniform() < 0.3:
+                row_derivs.append([(0,) * g])
+            else:
+                keep = rng.permutation(len(full))
+                row_derivs.append([full[k] for k in
+                                   keep[:rng.integers(1, len(full) + 1)]])
+        z = (rng.uniform(-3, 3, (n, g))
+             + 1j * 10.0 ** log_im * rng.uniform(-1, 1, (n, g)))
+        tol = 10.0 ** log_tol
+        mantissas, exponents, scales = theta_batch(z, om, row_chars,
+                                                   row_derivs, tol)
+        assert len(mantissas) == len(exponents) == len(scales) == n
+        for row, char, derivs, vals, exponent, scale in zip(
+                z, row_chars, row_derivs, mantissas, exponents, scales):
+            one = theta_batch(row, om, char, derivs, tol)
+            assert len(vals) == len(derivs)
+            assert (_hex(vals), exponent.hex(), scale.hex()) == \
+                (_hex(one[0]), one[1].hex(), one[2].hex())
+
+    def test_value_row_keeps_its_own_radius(self, genus2):
+        # theta(e) next to an order-3 row of the same point keeps the bits
+        # of the order-0 call; at this e the order-3 radius changes them
+        om = genus2.omega
+        e = np.array([0.12881306 - 0.66068537j, -0.70553702 - 0.67220927j])
+        zero = Characteristic.zero(2)
+        third = derivative_indices(2, 3)[1]
+        value_only = theta_batch(e, om, zero, [(0, 0)])[0]
+        assert _hex(value_only) != _hex(theta_batch(e, om, zero, third)[0][:1])
+        vals, _, _ = theta_batch(np.array([e, e]), om, [zero, zero],
+                                 [[(0, 0)], third])
+        assert _hex(vals[0]) == _hex(value_only)
+        assert _hex(vals[1]) == _hex(theta_batch(e, om, zero, third)[0])
+
+    def test_row_counts_must_match(self, genus2):
+        zero = Characteristic.zero(2)
+        z = np.zeros((3, 2), complex)
+        with pytest.raises(ValueError):
+            theta_batch(z, genus2.omega, [zero, zero], [(0, 0)])
+        with pytest.raises(ValueError):
+            theta_batch(z, genus2.omega, zero, [[(0, 0)], [(0, 0)]])
+        with pytest.raises(ValueError):
+            theta_batch(z, genus2.omega, [zero, zero, Characteristic.zero(1)],
+                        [(0, 0)])
+        # a row's own derivative list may not be empty, first row or not
+        for rows in ([[], [(0, 0)], [(0, 0)]], [[(0, 0)], [], [(0, 0)]]):
+            with pytest.raises(ValueError, match="one per row"):
+                theta_batch(z, genus2.omega, zero, rows)
+
+    def test_derivs_may_be_an_integer_array(self, genus2):
+        # a shared (k, g) integer array is the list of its rows
+        z = np.array([[0.1 + 0.2j, -0.3 + 0.1j], [0.4 - 0.1j, 0.2 + 0.3j]])
+        derivs = derivative_indices(2, 2)[1]
+        chars = list(Characteristic.all(2))[:2]
+        as_list = theta_batch(z, genus2.omega, chars, derivs)
+        as_array = theta_batch(z, genus2.omega, chars, np.array(derivs))
+        assert [_hex(v) for v in as_array[0]] == \
+            [_hex(v) for v in as_list[0]]
+        assert as_array[1:] == as_list[1:]
