@@ -325,6 +325,17 @@ def _pow_fraction(s: JetKernel, alpha: Fraction) -> JetKernel:
 # Differential operators
 # ----------------------------------------------------------------------
 
+def _common_denominator(entries):
+    """(den, [(re, im, n)]): each Series c_k = (re[k] + i im[k]) / den."""
+    den = math.lcm(*(s.ints[2] for s in entries))
+    out = []
+    for s in entries:
+        re, im, d = s.ints
+        out.append(([x * (den // d) for x in re], [x * (den // d) for x in im],
+                    s.n))
+    return den, out
+
+
 @dataclass
 class DiffOperator:
     """Monic operator D^n - q_1 D^(n-1) - ... - q_n with matrix coefficients.
@@ -358,32 +369,42 @@ class DiffOperator:
         if self.rank != 1:
             raise ValueError("series solve implemented for scalar operators")
         n = self.order
-        zero = QC()
-        c = [QC.of(v) for v in initial]
         facts = [1]
         for k in range(1, order_n + n + 1):
             facts.append(facts[-1] * k)
-        # Taylor coefficients of f up to order_n; c[k] = f^(k)(0)/k!
-        c = [ci * Fraction(1, facts[k]) for k, ci in enumerate(c)]
+        # Taylor coefficients c[k] = f^(k)(0)/k! of f up to order_n, as
+        # Gaussian-integer numerators cr + i ci over one running
+        # denominator cd; the q_i share the denominator qd
+        cr, ci, cd = Series([QC.of(v) * Fraction(1, facts[k])
+                             for k, v in enumerate(initial)]).ints
+        cr, ci = list(cr), list(ci)
+        qd, qs = _common_denominator([self.q[i][0][0] for i in range(n)])
         for j in range(order_n - n + 1):
             # t^j coefficient of f^(n) equals sum_i [q_i f^(n-i)]_j
-            rhs = zero
-            for i in range(1, n + 1):
-                qi = self.q[i - 1][0][0]
-                acc = zero
-                for a in range(j + 1):
-                    if a > qi.n:
-                        break
+            sr = si = 0
+            for i, (qr, qi, qn) in enumerate(qs, start=1):
+                for a in range(min(j, qn) + 1):
                     b = j - a
                     # [f^(n-i)]_b = c[b + n - i] * (b+n-i)! / b!
                     idx = b + n - i
-                    if idx < len(c):
-                        acc = acc + qi.c[a] * c[idx] * Fraction(facts[idx],
-                                                                facts[b])
-                rhs = rhs + acc
-            # c[j + n] = rhs * j! / (j+n)!
-            c.append(rhs * Fraction(facts[j], facts[j + n]))
-        return Series(c[:order_n + 1], order_n)
+                    xr, xi = qr[a], qi[a]
+                    if idx < len(cr) and (xr or xi):
+                        f = facts[idx] // facts[b]
+                        yr, yi = cr[idx], ci[idx]
+                        sr += (xr * yr - xi * yi) * f
+                        si += (xr * yi + xi * yr) * f
+            # c[j + n] = rhs * j! / (j+n)!, rhs = (sr + i si) / (qd cd)
+            sr, si, d = sr * facts[j], si * facts[j], qd * cd * facts[j + n]
+            g = math.gcd(sr, si, d)
+            sr, si, d = sr // g, si // g, d // g
+            up = d // math.gcd(cd, d)
+            if up != 1:
+                cr = [x * up for x in cr]
+                ci = [x * up for x in ci]
+            cd *= up
+            cr.append(sr * (cd // d))
+            ci.append(si * (cd // d))
+        return Series.from_ints(cr, ci, cd, order_n)
 
 
 # ----------------------------------------------------------------------
@@ -465,20 +486,38 @@ class ConnectionJet:
 
     def solve(self, initial, order_n: int):
         """Flat section v with v(0) = initial, v' = Gamma v."""
-        zero = QC()
-        cols = [[QC.of(v)] for v in initial]   # cols[a] = coeff list of v_a
+        # the components' coefficients as Gaussian-integer numerators over
+        # one running denominator vd; the entries of Gamma share gd
+        vr, vi, vd = Series([QC.of(v) for v in initial]).ints
+        cols_r, cols_i = [[x] for x in vr], [[x] for x in vi]
+        gd, gs = _common_denominator([x for row in self.gamma for x in row])
         for k in range(order_n):
             new = []
             for a in range(self.rank):
-                acc = zero
+                sr = si = 0
                 for b in range(self.rank):
-                    gab = self.gamma[a][b]
-                    for i in range(min(k, gab.n) + 1):
-                        acc = acc + gab.c[i] * cols[b][k - i]
-                new.append(acc * Fraction(1, k + 1))
-            for a in range(self.rank):
-                cols[a].append(new[a])
-        return [Series(col, order_n) for col in cols]
+                    gr, gi, gn = gs[a * self.rank + b]
+                    col_r, col_i = cols_r[b], cols_i[b]
+                    for i in range(min(k, gn) + 1):
+                        xr, xi = gr[i], gi[i]
+                        if xr or xi:
+                            yr, yi = col_r[k - i], col_i[k - i]
+                            sr += xr * yr - xi * yi
+                            si += xr * yi + xi * yr
+                # v_a[k + 1] = (sr + i si) / (gd vd (k + 1))
+                d = gd * vd * (k + 1)
+                g = math.gcd(sr, si, d)
+                new.append((sr // g, si // g, d // g))
+            up = math.lcm(vd, *(d for _, _, d in new)) // vd
+            if up != 1:
+                cols_r = [[x * up for x in col] for col in cols_r]
+                cols_i = [[x * up for x in col] for col in cols_i]
+            vd *= up
+            for a, (sr, si, d) in enumerate(new):
+                cols_r[a].append(sr * (vd // d))
+                cols_i[a].append(si * (vd // d))
+        return [Series.from_ints(col_r, col_i, vd, order_n)
+                for col_r, col_i in zip(cols_r, cols_i)]
 
 
 def connection_from_kernel(s: JetKernel) -> ConnectionJet:
@@ -535,7 +574,7 @@ def change_coordinate(s: JetKernel, w: Series) -> JetKernel:
     """
     if s.rank != 1:
         raise WeightMismatch("coordinate changes implemented for rank-1 kernels")
-    if bool(w.c[0]) or not bool(w.c[1]):
+    if bool(w[0]) or not bool(w[1]):
         raise NonInvertibleChart("need w(0) = 0 and w'(0) != 0")
     m = s.order
     dw = _chart_difference(w, m)

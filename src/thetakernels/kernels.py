@@ -433,15 +433,16 @@ def gauss_limit_check(omega: RiemannMatrix, e0, direction,
 
     At a smooth zero e0 of theta the limit is the rank-one matrix
     -(grad theta)(grad theta)^T; the report carries the Richardson
-    extrapolation of the matrix family at t = 1e-2 * 2^-k, k < 8, the
-    target and deviation measures.  One ``theta_batch`` call evaluates
-    the gradient at e0 and the whole family.
+    extrapolation 2 M(t/2) - M(t) of the matrix family at t = 1e-2 * 2^-6
+    (the two values of t are ``steps``), the target and deviation
+    measures.  One ``theta_batch`` call evaluates the gradient at e0 and
+    the two Hessian jets.
     """
     e0 = np.asarray(e0, dtype=complex).reshape(-1)
     direction = np.asarray(direction, dtype=complex)
     g = omega.dim
-    ts = [1e-2 * 0.5 ** k for k in range(8)]
-    # the gradient at e0 and the Hessian jets of the family, one call
+    ts = [1e-2 * 0.5 ** k for k in (6, 7)]
+    # the gradient at e0 and the Hessian jets at both steps, one call
     combs, derivs = derivative_indices(g, 2)
     vals, _, scales = theta_batch(
         np.array([e0] + [e0 + t * direction for t in ts]), omega,

@@ -4,10 +4,14 @@ A :class:`Series` holds coefficients c_0..c_n of a function germ modulo
 t^(n+1) over :class:`QC` (Gaussian rationals, exact).  Arithmetic
 truncates at the minimum order of the operands.
 
-Exact products, reciprocals and scalar multiples run on an integer
-kernel: the operands are lifted to Gaussian-integer numerators over one
-common denominator, combined with plain ``int`` arithmetic, and one
-normalised :class:`~fractions.Fraction` is built per output part.
+Exact series are stored the way FLINT's ``fmpq_poly`` stores a rational
+polynomial: Gaussian-integer numerators re[k] + i im[k] over one shared
+positive denominator, reduced so that no integer > 1 divides them all.
+Every operation (sums, products, reciprocals, calculus, composition,
+reversion and comparison) runs on those integers with plain ``int``
+arithmetic; :class:`QC` values and their Fractions are built only when a
+coefficient is read, and a write to ``Series.c`` goes through to the
+integers.
 
 Numerically computed germs (the local expansions of a curve and the
 theta compositions of the Wirtinger connection) are plain lists of
@@ -22,6 +26,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from fractions import Fraction
 
 
@@ -109,7 +114,12 @@ class QC:
         return self.re == o.re and self.im == o.im
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        # the hash of the equal int, Fraction or complex
+        if not self.im:
+            return hash(self.re)
+        width = sys.hash_info.width
+        h = (hash(self.re) + sys.hash_info.imag * hash(self.im)) % (1 << width)
+        return h - (1 << width) if h >> (width - 1) else h
 
     def __bool__(self):
         return self.re != 0 or self.im != 0
@@ -146,12 +156,15 @@ def _operand(x):
 
 # -- Gaussian-integer kernel -------------------------------------------------
 #
-# A list of QC values is lifted to numerators re[k] + i im[k] (ints) over
-# one common denominator; the kernels below work on such lifts and only
-# the final conversion back builds Fractions (one gcd per part).
+# A Series stores its coefficients as Gaussian-integer numerators
+# re[k] + i im[k] over one shared denominator den, in canonical form:
+# den > 0 and gcd(den, *re, *im) == 1 (FLINT's fmpq_poly layout).  The
+# kernels below run on such numerator lists with plain ``int``
+# arithmetic; a list held by a Series is never changed in place, and QC
+# values (with their Fractions) are built only when a coefficient is read.
 
 def _lift(coeffs):
-    """(re, im, den) with coeffs[k] == (re[k] + i im[k]) / den."""
+    """(re, im, den), canonical, with coeffs[k] == (re[k] + i im[k]) / den."""
     ratios = []
     for x in coeffs:
         ratios.append(x.re.as_integer_ratio())
@@ -165,6 +178,16 @@ def _lower(re, im, den):
     """The QC values (re[k] + i im[k]) / den."""
     return [_qc(Fraction(r, den) if r else _ZERO,
                 Fraction(i, den) if i else _ZERO) for r, i in zip(re, im)]
+
+
+def _scalar(x):
+    """(re, im, den), canonical, of the number x."""
+    if type(x) is int:
+        return x, 0, 1
+    if type(x) is Fraction:
+        return x.numerator, 0, x.denominator
+    (re,), (im,), den = _lift([QC.of(x)])
+    return re, im, den
 
 
 def _convolve(ar, ai, br, bi, n):
@@ -185,8 +208,8 @@ def _convolve(ar, ai, br, bi, n):
     return cr, ci
 
 
-def _reciprocal_lift(re, im, den, n):
-    """QC coefficients of 1/f for f = (re + i im) / den with re[0] + i im[0] != 0.
+def _reciprocal_ints(re, im, den, n):
+    """Numerators and denominator of 1/f for f = (re + i im) / den, f_0 != 0.
 
     With A = f * den and a = A_0, the coefficients of 1/A are
     b_k / a^(k+1) for the Gaussian integers b_0 = 1 and
@@ -209,16 +232,72 @@ def _reciprocal_lift(re, im, den, n):
                 sr += xr * yr - xi * yi
                 si += xr * yi + xi * yr
         b_re[k], b_im[k] = -sr, -si
-    # 1/f_k = den b_k / a^(k+1) = den b_k conj(a)^(k+1) / |a|^(2k+2)
+    # 1/f_k = den b_k / a^(k+1) = den b_k conj(a)^(k+1) norm^(n-k) / norm^(n+1)
     norm = a_re * a_re + a_im * a_im
-    q_re, q_im, q_den = a_re * den, -a_im * den, norm
-    out = []
+    q_re, q_im = a_re * den, -a_im * den  # den conj(a)^(k+1)
+    scale = norm ** n                     # norm^(n-k)
+    out_re, out_im = [], []
     for yr, yi in zip(b_re, b_im):
-        out.append(_qc(Fraction(yr * q_re - yi * q_im, q_den),
-                       Fraction(yr * q_im + yi * q_re, q_den)))
+        out_re.append((yr * q_re - yi * q_im) * scale)
+        out_im.append((yr * q_im + yi * q_re) * scale)
         q_re, q_im = q_re * a_re + q_im * a_im, q_im * a_re - q_re * a_im
-        q_den *= norm
-    return out
+        scale //= norm
+    return out_re, out_im, norm ** (n + 1)
+
+
+def _series(re, im, den, n):
+    """The Series (re[k] + i im[k]) / den, k <= n, reduced to canonical form."""
+    g = math.gcd(den, *re, *im)
+    if g != 1:
+        re = [x // g for x in re]
+        im = [x // g for x in im]
+        den //= g
+    return _canonical(re, im, den, n)
+
+
+def _canonical(re, im, den, n):
+    """The Series of numerators and denominator already in canonical form."""
+    s = object.__new__(Series)
+    s.n = n
+    s._re = re
+    s._im = im
+    s._den = den
+    s._c = None
+    return s
+
+
+class _Coeffs(list):
+    """``Series.c``: the QC coefficients, built on first read.
+
+    An item or slice write is lifted through ``QC.of`` and goes through
+    to the integers of the owning series.  The series keeps its n + 1
+    coefficients: a slice write of another length raises ValueError, and
+    the methods that add, remove or reorder items raise TypeError.
+    """
+
+    __slots__ = ("owner",)
+
+    def __init__(self, owner, values):
+        super().__init__(values)
+        self.owner = owner
+
+    def __setitem__(self, key, value):
+        if isinstance(key, slice):
+            value = [QC.of(x) for x in value]
+            if len(range(*key.indices(len(self)))) != len(value):
+                raise ValueError("a slice write must keep the n + 1 coefficients")
+        else:
+            value = QC.of(value)
+        super().__setitem__(key, value)
+        owner = self.owner
+        owner._re, owner._im, owner._den = _lift(self)
+
+    def _resize(self, *args, **kwargs):
+        raise TypeError("a series keeps its n + 1 coefficients; "
+                        "assign them by index")
+
+    append = extend = insert = pop = remove = clear = _resize
+    __delitem__ = __iadd__ = __imul__ = reverse = sort = _resize
 
 
 # -- complex coefficient lists -------------------------------------------------
@@ -251,103 +330,158 @@ def complex_div(a, b):
 
 
 class Series:
-    """QC coefficients c[0..n] of a germ modulo t^(n+1)."""
+    """QC coefficients c[0..n] of a germ modulo t^(n+1).
 
-    __slots__ = ("c", "n")
+    Stored as Gaussian-integer numerators over one denominator (see the
+    kernel notes above); ``c`` is the list of QC coefficients, built on
+    first read, and writes to it go through to the integers.
+    """
+
+    __slots__ = ("n", "_re", "_im", "_den", "_c")
 
     def __init__(self, coeffs, n=None):
-        coeffs = list(coeffs)
+        coeffs = [QC.of(x) for x in coeffs]
         if n is None:
             n = len(coeffs) - 1
-        if len(coeffs) < n + 1:
-            coeffs = coeffs + [QC()] * (n + 1 - len(coeffs))
-        self.c = coeffs[:n + 1]
+        coeffs = (coeffs + [QC()] * (n + 1 - len(coeffs)))[:n + 1]
         self.n = n
+        self._re, self._im, self._den = _lift(coeffs)
+        self._c = None
+
+    @property
+    def c(self):
+        """The coefficients c_0..c_n as a list of QC values."""
+        if self._c is None:
+            self._c = _Coeffs(self, _lower(self._re, self._im, self._den))
+        return self._c
+
+    @property
+    def ints(self):
+        """(re, im, den): c_k = (re[k] + i im[k]) / den in canonical form.
+
+        The lists are the stored ones; do not change them.
+        """
+        return self._re, self._im, self._den
 
     # -- constructors ---------------------------------------------------
 
     @staticmethod
+    def from_ints(re, im, den, n):
+        """The series c_k = (re[k] + i im[k]) / den, k <= n (den > 0);
+        numerators missing past the end of the lists are zero."""
+        pad = [0] * (n + 1 - len(re))
+        return _series(list(re[:n + 1]) + pad, list(im[:n + 1]) + pad, den, n)
+
+    @staticmethod
     def zero(n):
-        return Series([QC()] * (n + 1), n)
+        return _canonical([0] * (n + 1), [0] * (n + 1), 1, n)
 
     @staticmethod
     def const(value, n):
-        s = Series.zero(n)
-        s.c[0] = QC.of(value)
-        return s
+        re, im, den = _scalar(value)
+        return _canonical([re] + [0] * n, [im] + [0] * n, den, n)
 
     @staticmethod
     def variable(n):
         s = Series.zero(n)
         if n >= 1:
-            s.c[1] = QC(1)
+            s._re[1] = 1
         return s
 
     @staticmethod
     def from_coeffs(coeffs, n):
-        return Series([QC.of(c) for c in coeffs[:n + 1]], n)
+        return Series(coeffs[:n + 1], n)
 
     def copy(self):
-        return Series(list(self.c), self.n)
+        return _canonical(self._re, self._im, self._den, self.n)
 
     def truncate(self, m):
         if m > self.n:
             raise ValueError(f"cannot extend truncation order {self.n} to {m}")
-        return Series(self.c[:m + 1], m)
+        return _series(self._re[:m + 1], self._im[:m + 1], self._den, m)
 
     def __getitem__(self, k):
         """c_k; zero past the truncation order."""
         if k < 0:
             raise IndexError("series coefficient index must be >= 0")
-        return self.c[k] if k <= self.n else QC()
+        if k > self.n:
+            return QC()
+        if self._c is not None:
+            return self._c[k]
+        return _lower(self._re[k:k + 1], self._im[k:k + 1], self._den)[0]
 
     def __iter__(self):
         """The n + 1 stored coefficients c_0..c_n."""
         return iter(self.c)
 
     def is_zero(self) -> bool:
-        return not any(self.c)
+        return not (any(self._re) or any(self._im))
 
     # -- ring operations -------------------------------------------------
 
     def __add__(self, other):
-        if not isinstance(other, Series):
-            out = self.copy()
-            out.c[0] = out.c[0] + other
-            return out
-        n = min(self.n, other.n)
-        return Series([self.c[k] + other.c[k] for k in range(n + 1)], n)
+        return self._add(other, 1)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        return self + (-other)
+        return self._add(other, -1)
 
     def __rsub__(self, other):
         return (-self) + other
 
+    def _add(self, other, sign):
+        """self + sign * other, over the lcm of the two denominators."""
+        ar, ai, ad = self._re, self._im, self._den
+        if isinstance(other, Series):
+            n = min(self.n, other.n)
+            br, bi, bd = other._re, other._im, other._den
+        else:
+            n = self.n
+            sr, si, bd = _scalar(other)
+            br, bi = [sr] + [0] * n, [si] + [0] * n
+        g = math.gcd(ad, bd)
+        fa, fb = bd // g, sign * (ad // g)
+        if fa == 1 and fb == 1:
+            re = [x + y for x, y in zip(ar, br)]
+            im = [x + y for x, y in zip(ai, bi)]
+        elif fa == 1 and fb == -1:
+            re = [x - y for x, y in zip(ar, br)]
+            im = [x - y for x, y in zip(ai, bi)]
+        else:
+            re = [x * fa + y * fb for x, y in zip(ar, br)]
+            im = [x * fa + y * fb for x, y in zip(ai, bi)]
+        return _series(re, im, ad * fa, n)
+
     def __neg__(self):
-        return Series([-x for x in self.c], self.n)
+        return _canonical([-x for x in self._re], [-x for x in self._im],
+                          self._den, self.n)
 
     def __mul__(self, other):
         if not isinstance(other, Series):
-            ar, ai, den = _lift(self.c)
-            (sr,), (si,), sden = _lift([QC.of(other)])
-            return Series(_lower([r * sr - i * si for r, i in zip(ar, ai)],
-                                 [r * si + i * sr for r, i in zip(ar, ai)],
-                                 den * sden), self.n)
+            return self._scaled(*_scalar(other))
         n = min(self.n, other.n)
-        ar, ai, aden = _lift(self.c[:n + 1])
-        br, bi, bden = _lift(other.c[:n + 1])
-        cr, ci = _convolve(ar, ai, br, bi, n)
-        return Series(_lower(cr, ci, aden * bden), n)
+        cr, ci = _convolve(self._re, self._im, other._re, other._im, n)
+        return _series(cr, ci, self._den * other._den, n)
 
     __rmul__ = __mul__
 
+    def _scaled(self, sr, si, sd):
+        """self times the Gaussian rational (sr + i si) / sd."""
+        ar, ai = self._re, self._im
+        if si:
+            re = [r * sr - i * si for r, i in zip(ar, ai)]
+            im = [r * si + i * sr for r, i in zip(ar, ai)]
+        else:
+            re = [r * sr for r in ar]
+            im = [i * sr for i in ai]
+        return _series(re, im, self._den * sd, self.n)
+
     def reciprocal(self):
-        if not self.c[0]:
+        if not (self._re[0] or self._im[0]):
             raise ZeroDivisionError("series with zero constant term is not invertible")
-        return Series(_reciprocal_lift(*_lift(self.c), self.n), self.n)
+        return _series(*_reciprocal_ints(self._re, self._im, self._den, self.n),
+                       self.n)
 
     def __truediv__(self, other):
         if not isinstance(other, Series):
@@ -371,9 +505,9 @@ class Series:
 
     def pow_fraction(self, alpha: Fraction):
         """(1 + x)^alpha by the binomial series; requires constant term 1."""
-        if self.c[0] != QC(1):
+        if self._re[0] != self._den or self._im[0]:
             raise ValueError("fractional powers need constant term 1")
-        x = self - QC(1)
+        x = self - 1
         n = self.n
         out = Series.const(1, n)
         term = Series.const(1, n)
@@ -391,80 +525,124 @@ class Series:
     def derivative(self):
         n = self.n
         if n == 0:
-            return Series([QC()], 0)
-        return Series([self.c[k + 1] * (k + 1) for k in range(n)], n - 1)
+            return Series.zero(0)
+        return _series([k * x for k, x in enumerate(self._re[1:], 1)],
+                       [k * x for k, x in enumerate(self._im[1:], 1)],
+                       self._den, n - 1)
 
     def integrate(self):
         """Antiderivative with zero constant term; order grows by one."""
-        out = [QC()]
-        for k, x in enumerate(self.c):
-            out.append(x * Fraction(1, k + 1))
-        return Series(out, self.n + 1)
+        scale = math.lcm(*range(1, self.n + 2))
+        return _series([0] + [x * (scale // k) for k, x in enumerate(self._re, 1)],
+                       [0] + [x * (scale // k) for k, x in enumerate(self._im, 1)],
+                       self._den * scale, self.n + 1)
 
     def compose(self, inner: "Series"):
         """self(inner(t)); requires inner(0) = 0."""
-        if inner.c[0]:
+        if inner._re[0] or inner._im[0]:
             raise ValueError("composition requires inner constant term 0")
         n = min(self.n, inner.n)
-        out = Series.const(self.c[0], n)
+        re, im, den = self._re, self._im, self._den
+        out = _series([re[0]] + [0] * n, [im[0]] + [0] * n, den, n)
         power = Series.const(1, n)
         for k in range(1, n + 1):
             power = power * inner
             if power.is_zero():
                 break
-            out = out + power * self.c[k]
+            if re[k] or im[k]:
+                out = out + power._scaled(re[k], im[k], den)
         return out
 
     def reversion(self):
         """Functional inverse w with self(w(t)) = t; needs c0=0, c1 != 0."""
-        if self.c[0] or not self.c[1]:
+        re, im, den = self._re, self._im, self._den
+        if re[0] or im[0] or not (re[1] or im[1]):
             raise ValueError("reversion requires c0 = 0 and c1 != 0")
-        # pw[j][k] = [t^k] w^j, filled one order k at a time: [t^k] w^j
-        # for j >= 2 needs only w_1..w_{k-1}, and [t^k] self(w) = 0 then
-        # gives w_k (Brent & Kung, J. ACM 1978); O(n^3) scalar operations.
+        # [t^k] w^j, filled one order k at a time: [t^k] w^j for j >= 2
+        # needs only w_1..w_{k-1}, and [t^k] self(w) = 0 then gives w_k
+        # (Brent & Kung, J. ACM 1978); O(n^3) integer operations.  With
+        # c_j = C_j / D and 1/c_1 = V / E (E > 0), w_k = W_k / (E^(2k-1)
+        # D^(k-1)) and [t^k] w^j = P_jk / (E^(2k-j) D^(k-j)) for Gaussian
+        # integers W_k and P_jk, so P_jk = sum_i W_i P_(j-1)(k-i) and
+        # W_k = -V sum_j C_j P_jk (E D)^(j-2) need no division.
         n = self.n
-        c = self.c
-        zero = QC()
-        inv1 = QC(1) / c[1]
-        w = [zero] * (n + 1)
-        w[1] = inv1
-        pw = [None, w] + [[zero] * (n + 1) for _ in range(2, n + 1)]
+        vr, vi, e = den * re[1], -den * im[1], re[1] ** 2 + im[1] ** 2
+        g = math.gcd(vr, vi, e)
+        vr, vi, e = vr // g, vi // g, e // g
+        ed = e * den
+        wr, wi = [0] * (n + 1), [0] * (n + 1)
+        wr[1], wi[1] = vr, vi
+        pr = [None, wr] + [[0] * (n + 1) for _ in range(2, n + 1)]
+        pi = [None, wi] + [[0] * (n + 1) for _ in range(2, n + 1)]
         for k in range(2, n + 1):
-            acc = zero
+            sr = si = 0
+            scale = 1                     # (E D)^(j-2)
             for j in range(2, k + 1):
-                prev = pw[j - 1]
-                p = zero
+                prev_r, prev_i = pr[j - 1], pi[j - 1]
+                xr = xi = 0
                 for i in range(1, k - j + 2):
-                    p = p + w[i] * prev[k - i]
-                pw[j][k] = p
-                if c[j]:
-                    acc = acc + c[j] * p
-            w[k] = -acc * inv1
-        return Series(w, n)
+                    ar, ai = wr[i], wi[i]
+                    br, bi = prev_r[k - i], prev_i[k - i]
+                    xr += ar * br - ai * bi
+                    xi += ar * bi + ai * br
+                pr[j][k], pi[j][k] = xr, xi
+                cr, ci = re[j], im[j]
+                if cr or ci:
+                    sr += (cr * xr - ci * xi) * scale
+                    si += (cr * xi + ci * xr) * scale
+                scale *= ed
+            wr[k] = vi * si - vr * sr
+            wi[k] = -(vr * si + vi * sr)
+        # over the common denominator E^(2n-1) D^(n-1)
+        step = e * ed
+        scale = 1
+        for k in range(n, 0, -1):
+            wr[k] *= scale
+            wi[k] *= scale
+            scale *= step
+        return _series(wr, wi, e ** (2 * n - 1) * den ** (n - 1), n)
 
     def evaluate(self, t):
-        acc = self.c[self.n]
+        c = self.c
+        acc = c[self.n]
         for k in range(self.n - 1, -1, -1):
-            acc = acc * t + self.c[k]
+            acc = acc * t + c[k]
         return acc
 
     def shift_argument(self, a):
         """Series of f(t + a) to the same truncation order (a a QC)."""
         n = self.n
-        out = [QC()] * (n + 1)
-        # Horner in (t + a)
-        for k in range(n, -1, -1):
-            carry = out[:]
-            out[0] = carry[0] * a + self.c[k]
-            for j in range(1, n + 1):
-                out[j] = carry[j] * a + carry[j - 1]
-        return Series(out, n)
+        re, im = self._re, self._im
+        ar, ai, ad = _scalar(a)
+        # f(t + a)_j = sum_{k >= j} binom(k, j) c_k a^(k-j); over den ad^n,
+        # a^m is A^m ad^(n-m) for A = ar + i ai
+        pr, pi = [0] * (n + 1), [0] * (n + 1)
+        xr, xi = 1, 0
+        for m in range(n + 1):
+            pr[m], pi[m] = xr * ad ** (n - m), xi * ad ** (n - m)
+            xr, xi = xr * ar - xi * ai, xr * ai + xi * ar
+        out_r, out_i = [0] * (n + 1), [0] * (n + 1)
+        for k in range(n + 1):
+            cr, ci = re[k], im[k]
+            if not (cr or ci):
+                continue
+            for j in range(k + 1):
+                b = math.comb(k, j)
+                yr, yi = pr[k - j], pi[k - j]
+                out_r[j] += b * (cr * yr - ci * yi)
+                out_i[j] += b * (cr * yi + ci * yr)
+        return _series(out_r, out_i, self._den * ad ** n, n)
 
     def __eq__(self, other):
         if not isinstance(other, Series):
             return NotImplemented
-        n = min(self.n, other.n)
-        return all(self.c[k] == other.c[k] for k in range(n + 1))
+        m = min(self.n, other.n) + 1
+        ad, bd = self._den, other._den
+        if ad == bd:
+            return (self._re[:m] == other._re[:m]
+                    and self._im[:m] == other._im[:m])
+        return (all(x * bd == y * ad for x, y in zip(self._re[:m], other._re))
+                and all(x * bd == y * ad for x, y in zip(self._im[:m], other._im)))
 
     def __repr__(self):
         shown = ", ".join(repr(x) for x in self.c[:5])
