@@ -36,7 +36,7 @@ import sys
 
 import numpy as np
 
-from . import jets, kernels
+from . import kernels
 from .curves import (DEFAULT_QUADRATURE_TOL, _parse_complex, build_curve,
                      curve_from_spec)
 from .errors import (PointOnTheta, QuadratureNonConvergent,
@@ -403,6 +403,9 @@ def _suite_gauss(args):
 
 
 def _suite_jets(args):
+    # imported here: no other command needs the jet calculus
+    from . import jets
+
     n = args.order
     if n < 8:  # rescaling_torsor_k3 compares jets through order 8
         raise ValueError("verify jets needs --order >= 8")

@@ -527,9 +527,9 @@ class ProbeReport:
 #: temporaries stay near 16 MB whatever the sample count.
 _PAIR_TILE = 836
 
-#: Sample points per theta_batch call of the probe: enough to spread the
+#: Lattice points per theta_batch call of the probe: enough to spread the
 #: fixed cost of a call, few enough to keep the lattice arrays small.
-_PROBE_CHUNK = 16
+_PROBE_POINTS = 8192
 
 
 def _collision_candidates(coords, collision_tol):
@@ -617,9 +617,10 @@ def finiteness_probe(curve: HyperellipticCurve, n_samples: int,
     e' = +-e modulo the lattice within 1e-6 in lattice coordinates.
 
     Samples are drawn in the order a single-point loop draws them and
-    evaluated in chunks of ``_PROBE_CHUNK`` rows per theta_batch call;
-    the extra points take one more call.  Pairs are found by a
-    candidate filter with bounded memory (see
+    evaluated in chunks of about ``_PROBE_POINTS`` lattice points (at
+    least one row) per theta_batch call, with the points per row from
+    :func:`theta.points_per_row`; the extra points take one more call.
+    Pairs are found by a candidate filter with bounded memory (see
     :func:`_collision_candidates`) followed by the exact relative test
     on the candidates only, in ascending (i, j) order, and classified
     all at once; the report is the one a test of every pair gives.
@@ -628,6 +629,7 @@ def finiteness_probe(curve: HyperellipticCurve, n_samples: int,
         raise ValueError("need at least two samples")
     omega = curve.omega
     g = omega.dim
+    rows = max(1, int(_PROBE_POINTS / theta.points_per_row(omega, 2, tol)))
     rng = np.random.default_rng(seed)
     points = []
     coords = []
@@ -635,7 +637,7 @@ def finiteness_probe(curve: HyperellipticCurve, n_samples: int,
     while len(points) < n_samples:
         # a then b for each sample: the stream of per-sample draws
         ab = rng.uniform(-0.5, 0.5,
-                         (min(_PROBE_CHUNK, n_samples - len(points)), 2, g))
+                         (min(rows, n_samples - len(points)), 2, g))
         # stacked products match omega.entries @ b row by row
         chunk = ab[:, 0] + (omega.entries @ ab[:, 1, :, None])[:, :, 0]
         for e, c in zip(chunk, _klein_vectors(chunk, omega, tol)):
@@ -653,8 +655,9 @@ def finiteness_probe(curve: HyperellipticCurve, n_samples: int,
             points.append(e)
             coords.append(c)
     pairs, rel = [], []
-    norms = [np.linalg.norm(c) for c in coords]
-    for i, j in _collision_candidates(np.array(coords), collision_tol):
+    candidates = list(_collision_candidates(np.array(coords), collision_tol))
+    norms = {k: np.linalg.norm(coords[k]) for pair in candidates for k in pair}
+    for i, j in candidates:
         norm = max(norms[i], norms[j])
         dist = float(np.linalg.norm(coords[i] - coords[j]))
         if dist < collision_tol * max(norm, 1e-300):

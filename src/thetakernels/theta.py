@@ -186,15 +186,16 @@ def _enumerate_ellipsoid(T, centers, radii):
     centers = np.asarray(centers, dtype=float).reshape(-1, g)
     radii = np.asarray(radii, dtype=float).reshape(-1)
     root = np.arange(len(radii))
-    vecs = np.zeros((len(radii), g), dtype=np.int64)
     rem2 = radii * radii
-    # partial[:, k] = sum_{j>i} T[k, j] * (n_j + center_j) for k <= i
-    partial = np.zeros((len(radii), g))
+    # partial[k] = sum_{j>i} T[k, j] * (n_j + center_j) for k <= i, one
+    # entry per partial vector; a level keeps only (parent, n_i) per vector
+    partial = [np.zeros(len(radii)) for _ in range(g)]
+    levels = []
     for i in range(g - 1, -1, -1):
         t = T[i, i]
         c = centers[root, i]
         rad = np.sqrt(rem2) / abs(t)
-        mid = -partial[:, i] / t - c
+        mid = -partial[i] / t - c
         lo = np.ceil(mid - rad - 1e-12)
         hi = np.floor(mid + rad + 1e-12)
         # a double holds every integer below 2**53; NaN fails the test too
@@ -207,19 +208,40 @@ def _enumerate_ellipsoid(T, centers, radii):
         first = np.cumsum(counts) - counts
         n = np.arange(len(parent)) + np.repeat(lo - first, counts)
         rem2 = rem2[parent]
-        c = c[parent]
-        u = t * (n + c) + partial[parent, i]
+        nc = n + c[parent]
+        u = t * nc + partial[i][parent]
         rem2_next = rem2 - u * u
         keep = rem2_next >= -1e-12 * np.maximum(1.0, rem2)
-        parent, n, c = parent[keep], n[keep], c[keep]
+        parent, n, nc = parent[keep], n[keep], nc[keep]
         rem2 = np.maximum(rem2_next[keep], 0.0)
         root = root[parent]
-        vecs = vecs[parent]
-        vecs[:, i] = n
-        partial = partial[parent]
-        partial[:, :i] += T[:i, i] * (n + c)[:, None]
-    order = np.lexsort((*vecs.T[::-1], root))
-    return vecs[order], np.bincount(root, minlength=len(radii))
+        partial = [partial[k][parent] + T[k, i] * nc for k in range(i)]
+        levels.append((parent, n))
+    # cols[i] holds n_i of every vector, in tree order: by root, then
+    # n_{g-1}, ..., n_0
+    cols, idx = [], slice(None)
+    for parent, n in reversed(levels):
+        cols.append(n[idx])
+        idx = parent[idx]
+    # Equal (root, n_0, ..., n_{g-2}) leave n_{g-1} ascending in tree
+    # order, so a stable sort of that key packed into one integer gives
+    # the lexicographic order; a key of 16 bits or less is radix sorted.
+    key, size = root, len(radii)
+    for col in cols[:-1]:
+        lo = col.min(initial=0.0)
+        span = int(col.max(initial=0.0) - lo) + 1
+        size *= span
+        if size > 2 ** 63:  # the packed key would overflow int64
+            order = np.lexsort((*cols[::-1], root))
+            break
+        key = key * span + (col - lo).astype(np.int64)
+    else:
+        order = np.argsort(key.astype(np.min_scalar_type(size - 1)),
+                           kind="stable")
+    vecs = np.empty((len(root), g), dtype=np.int64)
+    for i, col in enumerate(cols):
+        vecs[:, i] = col[order]
+    return vecs, np.bincount(root, minlength=len(radii))
 
 
 def lattice_points(omega: RiemannMatrix, center, radius: float):
@@ -310,9 +332,47 @@ def _radius_walk(omega, order, tol, norm_c, R):
     return R
 
 
+def _check_tol(tol):
+    if tol <= 0:
+        raise ValueError("tol must be positive")
+    if tol < 1e3 * _EPS:
+        raise ToleranceTooSmall(
+            f"tol={tol:g} below 1e3 * machine epsilon of the accumulated sum")
+
+
+def points_per_row(omega: RiemannMatrix, order: int,
+                   tol: float = DEFAULT_TOL) -> float:
+    """Expected lattice points of a :func:`theta_batch` row of derivative
+    order ``order`` at Im z = 0: the volume of the ellipsoid ||T x|| <= R
+    at that row's truncation radius R, or 1 when that is smaller or does
+    not fit a double.  Raises as theta_batch does for a ``tol`` it
+    rejects."""
+    _check_tol(tol)
+    g = omega.dim
+    R = _truncation_radius(omega, order, tol, 0.0)
+    vol = (math.pi ** (0.5 * g) / math.gamma(0.5 * g + 1)
+           * float(np.prod(R / np.diag(omega.chol))))
+    # not (vol < inf) also holds for NaN, from 0 * inf in the product
+    return vol if 1.0 < vol < math.inf else 1.0
+
+
 # ----------------------------------------------------------------------
 # Core batched sum
 # ----------------------------------------------------------------------
+
+def _quadratic_form(na, m):
+    """na[r] @ m @ na[r] for each row r of the (M, g) array ``na``.
+
+    Bit for bit ``np.einsum("ij,jk,ik->i", na, m, na)``: the same
+    products and sums in the same order, j outer and k inner, at about
+    half its cost.
+    """
+    quad = np.zeros(len(na), dtype=complex)
+    for j in range(m.shape[0]):
+        for k in range(m.shape[0]):
+            quad += (na[:, j] * m[j, k]) * na[:, k]
+    return quad
+
 
 def theta_batch(z, omega: RiemannMatrix, char, derivs,
                 tol: float = DEFAULT_TOL):
@@ -333,11 +393,7 @@ def theta_batch(z, omega: RiemannMatrix, char, derivs,
     alone.  Raises ValueError when an entry of z, or of a row's lattice
     centre, is not finite or reaches 2**53 in absolute value.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    if tol < 1e3 * _EPS:
-        raise ToleranceTooSmall(
-            f"tol={tol:g} below 1e3 * machine epsilon of the accumulated sum")
+    _check_tol(tol)
     z = np.asarray(z, dtype=complex)
     single = z.ndim != 2
     g = omega.dim
@@ -388,7 +444,7 @@ def theta_batch(z, omega: RiemannMatrix, char, derivs,
     pts, counts = _enumerate_ellipsoid(omega.chol, alpha + c, radii)
     ends = np.cumsum(counts).tolist()
     na = pts + (alpha if shared_char else np.repeat(alpha, counts, axis=0))
-    quad = np.einsum("ij,jk,ik->i", na, omega.entries, na)
+    quad = _quadratic_form(na, omega.entries)
     # one matrix-vector product per row, as a single-point call makes it
     zb = z + beta
     lin = np.empty(len(na), dtype=complex)

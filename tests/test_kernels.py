@@ -668,18 +668,32 @@ class TestCollisionFilter:
 
     def test_chunk_size_leaves_report_unchanged(self, genus2, monkeypatch):
         # floor 0.6 rejects about one sample in twelve, so the draw order
-        # and the rejection count are exercised too; one row per chunk
-        # evaluates the samples one at a time
+        # and the rejection count are exercised too; a budget below one
+        # row's lattice points evaluates the samples one at a time, and
+        # one of 100 rows draws all 40 samples in the first call
+        rows = []
+        batch = kernels_module.theta_batch
+
+        def counted(points, *args, **kwargs):
+            rows.append(len(points))
+            return batch(points, *args, **kwargs)
+
         def report():
+            rows.clear()
             return finiteness_probe(genus2, 40, collision_tol=0.3,
                                     seed=5).to_dict()
 
         monkeypatch.setattr(theta_module, "THETA_FLOOR", 0.6)
+        monkeypatch.setattr(kernels_module, "theta_batch", counted)
         want = report()
         assert want["n_rejected"] > 0
-        for chunk in (1, 3):
-            monkeypatch.setattr(kernels_module, "_PROBE_CHUNK", chunk)
+        per_row = theta_module.points_per_row(genus2.omega, 2)
+        for budget, chunk in ((1, 1), (3.5 * per_row, 3),
+                              (100 * per_row, 40)):
+            monkeypatch.setattr(kernels_module, "_PROBE_POINTS", budget)
             assert report() == want
+            assert rows[0] == chunk and max(rows) == chunk
+            assert sum(rows) == 40 + want["n_rejected"]
 
     def test_exact_test_rejects_candidates_in_the_margin(self, lemniscatic,
                                                          monkeypatch):

@@ -14,10 +14,10 @@ from thetakernels.curves import build_curve
 from thetakernels.errors import (NotPositiveDefinite, PointOnTheta,
                                  ToleranceTooSmall)
 from thetakernels.theta import (Characteristic, RiemannMatrix, ScaledComplex,
-                                _enumerate_ellipsoid, _tail_bound,
-                                _truncation_radius, _upper_gamma,
+                                _enumerate_ellipsoid, _quadratic_form,
+                                _tail_bound, _truncation_radius, _upper_gamma,
                                 derivative_indices, lattice_points,
-                                log_theta_hessian,
+                                log_theta_hessian, points_per_row,
                                 second_order_theta_basis, theta_batch,
                                 theta_value)
 
@@ -192,6 +192,162 @@ class TestEnumerationProperty:
                 with pytest.raises(ValueError):
                     theta_batch(arg, om, char, [(0,)])
         assert theta_batch(np.zeros((0, 1)), om, char, [(0,)]) == ([], [], [])
+
+
+def levelwise_enumeration(T, centers, radii):
+    """The level-by-level enumeration that copies every (M, g) array at
+    each level and ends in a (g + 1)-key lexsort, kept verbatim as the
+    reference for the one that rebuilds vectors from parent chains."""
+    g = T.shape[0]
+    centers = np.asarray(centers, dtype=float).reshape(-1, g)
+    radii = np.asarray(radii, dtype=float).reshape(-1)
+    root = np.arange(len(radii))
+    vecs = np.zeros((len(radii), g), dtype=np.int64)
+    rem2 = radii * radii
+    partial = np.zeros((len(radii), g))
+    for i in range(g - 1, -1, -1):
+        t = T[i, i]
+        c = centers[root, i]
+        rad = np.sqrt(rem2) / abs(t)
+        mid = -partial[:, i] / t - c
+        lo = np.ceil(mid - rad - 1e-12)
+        hi = np.floor(mid + rad + 1e-12)
+        if not np.all(np.maximum(np.abs(lo), np.abs(hi)) < 2.0 ** 53):
+            raise ValueError("lattice enumeration range is not finite "
+                             "or exceeds 2**53")
+        counts = np.maximum(hi - lo + 1, 0).astype(np.int64)
+        parent = np.repeat(np.arange(len(lo)), counts)
+        first = np.cumsum(counts) - counts
+        n = np.arange(len(parent)) + np.repeat(lo - first, counts)
+        rem2 = rem2[parent]
+        c = c[parent]
+        u = t * (n + c) + partial[parent, i]
+        rem2_next = rem2 - u * u
+        keep = rem2_next >= -1e-12 * np.maximum(1.0, rem2)
+        parent, n, c = parent[keep], n[keep], c[keep]
+        rem2 = np.maximum(rem2_next[keep], 0.0)
+        root = root[parent]
+        vecs = vecs[parent]
+        vecs[:, i] = n
+        partial = partial[parent]
+        partial[:, :i] += T[:i, i] * (n + c)[:, None]
+    order = np.lexsort((*vecs.T[::-1], root))
+    return vecs[order], np.bincount(root, minlength=len(radii))
+
+
+def assert_same_enumeration(T, centers, radii):
+    got = _enumerate_ellipsoid(T, centers, radii)
+    want = levelwise_enumeration(T, centers, radii)
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert np.array_equal(a, b)
+    return got
+
+
+def skewed_cholesky(y, steps):
+    """Upper Cholesky factor of pi * U^T y U for the unimodular U made of
+    the elementary column operations ``steps``: (i, j, k) adds k times
+    column j to column i."""
+    u = np.eye(len(y), dtype=np.int64)
+    for i, j, k in steps:
+        if i != j:
+            u[:, i] += k * u[:, j]
+    return np.linalg.cholesky(math.pi * (u.T @ y @ u)).T
+
+
+def chain_cholesky(g, k):
+    """Upper bidiagonal T with 1 on the diagonal and -k above it: the
+    short vectors of ||T n|| have n_i near k n_{i+1}, so the coordinate
+    ranges grow like k**(g-1-i)."""
+    return np.eye(g) - k * np.eye(g, k=1)
+
+
+class TestEnumerationAgainstLevelwise:
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_matches_levelwise_enumeration(self, data):
+        g = data.draw(st.integers(1, 4), label="g")
+        a = np.array(data.draw(st.lists(st.floats(-1, 1), min_size=g * g,
+                                        max_size=g * g), label="a"))
+        y = a.reshape(g, g) @ a.reshape(g, g).T + np.eye(g)
+        steps = data.draw(st.lists(st.tuples(
+            st.integers(0, g - 1), st.integers(0, g - 1), st.integers(-3, 3)),
+            max_size=4), label="unimodular steps")
+        T = skewed_cholesky(y, steps)
+        centers, radii = [], []
+        for _ in range(data.draw(st.integers(1, 5), label="roots")):
+            centers.append(data.draw(st.lists(st.one_of(
+                st.sampled_from([0.0, 0.5, -0.5]), st.floats(-3, 3),
+                st.floats(-1e6, 1e6)), min_size=g, max_size=g),
+                label="center"))
+            radii.append(data.draw(st.floats(0.01, 4.0), label="radius"))
+        assert_same_enumeration(T, np.array(centers), radii)
+
+    def test_empty_result(self):
+        T = RiemannMatrix(1j * np.eye(2)).chol
+        vecs, counts = assert_same_enumeration(T, np.array([[0.5, 0.5]]),
+                                               [0.1])
+        assert vecs.shape == (0, 2) and counts.tolist() == [0]
+
+    def test_zero_roots(self):
+        T = RiemannMatrix(1j * np.eye(3)).chol
+        vecs, counts = assert_same_enumeration(T, np.zeros((0, 3)), [])
+        assert vecs.shape == (0, 3) and counts.shape == (0,)
+
+    def test_key_overflowing_int64(self):
+        # genus 7 with n_i near 3 n_{i+1} and three roots far apart: roots
+        # times the spans of n_0, ..., n_5 exceed 2**63, so the sort falls
+        # back from one packed key to the lexsort; digits up to 2 in base
+        # 3 make lexicographic order differ from the reversed one
+        T = chain_cholesky(7, 3.0)
+        centers = np.array([[0.0] * 7, [0.5] * 7, [-1e4 - 0.25] * 7])
+        vecs, counts = assert_same_enumeration(T, centers, [2.5, 1.5, 2.0])
+        size = len(counts)
+        for col in vecs.T[:-1].tolist():
+            size *= max(col) - min(col) + 1
+        assert size > 2 ** 63 and min(counts) > 0
+        reversed_order = np.lexsort((*vecs.T, np.repeat([0, 1, 2], counts)))
+        assert not np.array_equal(reversed_order, np.arange(len(vecs)))
+
+
+class TestPointsPerRow:
+    def test_is_the_mean_count_over_centres(self):
+        # over centres uniform in a cell of Z^g, the mean number of lattice
+        # points in the ellipsoid is its volume
+        rng = np.random.default_rng(23)
+        for g in (1, 2, 3, 4):
+            om = random_riemann(rng, g)
+            radius = _truncation_radius(om, 2, 1e-12, 0.0)
+            centers = rng.uniform(-0.5, 0.5, (400, g))
+            _, counts = _enumerate_ellipsoid(om.chol, centers,
+                                             [radius] * len(centers))
+            assert abs(counts.mean() / points_per_row(om, 2) - 1) < 0.1
+
+    def test_at_least_one_and_tol_checked_as_theta_batch(self):
+        assert points_per_row(RiemannMatrix(2000j * np.eye(2)), 2) == 1.0
+        om = RiemannMatrix([[1j]])
+        with pytest.raises(ValueError):
+            points_per_row(om, 2, 0.0)
+        with pytest.raises(ToleranceTooSmall):
+            points_per_row(om, 2, 1e-15)
+
+
+class TestQuadraticForm:
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_matches_einsum_bit_for_bit(self, data):
+        g = data.draw(st.integers(1, 5), label="g")
+        m_rows = data.draw(st.one_of(st.integers(1, 3),
+                                     st.integers(4, 5000)), label="rows")
+        seed = data.draw(st.integers(0, 2 ** 32 - 1), label="seed")
+        rng = np.random.default_rng(seed)
+        om = random_riemann(rng, g).entries
+        alpha = rng.integers(0, 2, g) / 2.0
+        na = rng.integers(-8, 9, (m_rows, g)) + alpha
+        got = _quadratic_form(na, om)
+        want = np.einsum("ij,jk,ik->i", na, om, na)
+        assert [(v.real.hex(), v.imag.hex()) for v in got.tolist()] == \
+            [(v.real.hex(), v.imag.hex()) for v in want.tolist()]
 
 
 class TestThetaValues:
