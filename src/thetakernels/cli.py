@@ -230,13 +230,16 @@ def parse_omega(text: str):
     """Period matrix from JSON rows of plain numbers or [re, im] pairs.
 
     A matrix of plain numbers only is read as i times itself (a purely
-    imaginary Omega).  Raises ValueError when the input is not a matrix.
+    imaginary Omega).  Raises ValueError when the input is not a matrix
+    or has an entry that is not finite.
     """
     data = json.loads(text)
     if not (isinstance(data, list) and data
             and all(isinstance(row, list) for row in data)):
         raise ValueError("--omega must be a JSON matrix (a list of rows)")
     m = np.array([[_parse_complex(v) for v in row] for row in data])
+    if not np.all(np.isfinite(m)):
+        raise ValueError("--omega entries must be finite")
     if not any(isinstance(v, list) for row in data for v in row):
         m = m.real * 1j
     return m

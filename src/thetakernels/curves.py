@@ -154,6 +154,8 @@ class HyperellipticCurve:
 
     def __init__(self, coeffs, quadrature_tol=DEFAULT_QUADRATURE_TOL):
         coeffs = np.asarray(coeffs, dtype=complex)
+        if not np.all(np.isfinite(coeffs)):
+            raise ValueError("coefficients of f must be finite")
         while len(coeffs) > 1 and coeffs[-1] == 0:
             coeffs = coeffs[:-1]
         degree = len(coeffs) - 1

@@ -35,7 +35,7 @@ from .errors import (ConstraintViolation, NoNonsingularOddCharacteristic,
 from .series import complex_div, complex_mul
 from .theta import (DEFAULT_TOL, Characteristic, RiemannMatrix,
                     ScaledComplex, derivative_indices, hessian_from_values,
-                    log_theta_hessian, theta_batch, theta_gradient,
+                    hessian_numerator, log_theta_hessian, theta_batch,
                     theta_value)
 
 GRADIENT_FLOOR = 1e-8
@@ -82,11 +82,14 @@ def _chart(p: SurfacePoint):
 
 
 def _class_vector(e, g):
-    """e as a flat complex g-vector; ValueError when its length is not g."""
+    """e as a flat complex g-vector; ValueError when its length is not g
+    or an entry is not finite."""
     e = np.asarray(e, dtype=complex).reshape(-1)
     if len(e) != g:
         raise ValueError(f"dimension mismatch: class of length {len(e)} "
                          f"on a curve of genus {g}")
+    if not np.all(np.isfinite(e)):
+        raise ValueError("class entries must be finite")
     return e
 
 
@@ -104,10 +107,10 @@ def _require_off_diagonal(x: SurfacePoint, y: SurfacePoint, what):
 def is_on_theta(e, omega: RiemannMatrix, tol=DEFAULT_TOL) -> bool:
     """Whether e lies on the theta divisor, the test every kernel applies
     to its class."""
-    g = omega.dim
-    vals, _, scale = theta_batch(e, omega, Characteristic.zero(g),
-                                 [(0,) * g], tol)
-    return _on_divisor(vals[0], scale)
+    e = np.asarray(e, dtype=complex).reshape(1, -1)
+    vals, _, scales = theta_batch(e, omega, [Characteristic.zero(omega.dim)],
+                                  [0], tol)
+    return _on_divisor(vals[0][0], scales[0])
 
 
 def select_odd_characteristic(curve: HyperellipticCurve,
@@ -131,10 +134,11 @@ def _gradient_at_zero(curve, char: Characteristic, tol):
     """(grad theta[char](0), scale), computed once per (curve, char, tol);
     the gradient is a read-only array."""
     def compute():
-        _, grad, _, scale = theta_gradient(np.zeros(curve.genus, complex),
-                                           curve.omega, char=char, tol=tol)
+        vals, _, scales = theta_batch(np.zeros((1, curve.genus), complex),
+                                      curve.omega, [char], [1], tol)
+        grad = np.array(vals[0][1:])
         grad.flags.writeable = False
-        return grad, scale
+        return grad, scales[0]
 
     return curve.memo(("gradient", char, tol), compute)
 
@@ -221,8 +225,8 @@ def _bergman_values(curve, x, ys, delta, tol):
     g = curve.genus
     ax = curve.abel_map(x)
     w = np.array([ax - curve.abel_map(y) for y in ys])
-    vals, _, scales = theta_batch(w, curve.omega, delta,
-                                  derivative_indices(g, 2)[1], tol)
+    vals, _, scales = theta_batch(w, curve.omega, [delta] * len(ys),
+                                  [2] * len(ys), tol)
     omx = curve.eval_differentials(x)
     return [-complex(omx @ hessian_from_values(g, v, scale)
                      @ curve.eval_differentials(y))
@@ -262,7 +266,7 @@ def _szego_values(curve, es, x, y, delta, tol):
     rows = [v for e in es for v in (e, w + e)] + [ax - ay]
     vals, expos, scales = theta_batch(np.array(rows), curve.omega,
                                       [zero] * (2 * len(es)) + [delta],
-                                      [(0,) * g], tol)
+                                      [0] * len(rows), tol)
     out = []
     for k in range(0, 2 * len(es), 2):
         if _on_divisor(vals[k][0], scales[k]):
@@ -318,8 +322,8 @@ def klein_coordinates(curve: HyperellipticCurve, e,
 
 def _theta_compose(vals, zser, order):
     """Coefficients of theta[char](v0 + z(t)) for a vector z of complex
-    coefficient lists (order+1 long) with z(0)=0, from ``vals``, the
-    ``derivative_indices(g, 3)`` row of theta[char] at v0.
+    coefficient lists (order+1 long) with z(0)=0, from ``vals``, an
+    order-3 ``theta_batch`` row of theta[char] at v0.
 
     Uses the exact third-order Taylor jet of theta at v0; the neglected
     fourth-order remainder only affects series coefficients beyond t^3.
@@ -351,10 +355,9 @@ def wirtinger_connection(curve: HyperellipticCurve, e, p: SurfacePoint,
     e = _class_vector(e, g)
     zero = Characteristic.zero(g)
     delta = select_odd_characteristic(curve, tol)
-    jet = derivative_indices(g, 3)[1]
     vals, expos, scales = theta_batch(
         np.array([e, e, -e, np.zeros(g, complex)]), curve.omega,
-        [zero, zero, zero, delta], [[(0,) * g], jet, jet, jet], tol)
+        [zero, zero, zero, delta], [0, 3, 3, 3], tol)
     if _on_divisor(vals[0][0], scales[0]):
         raise PointOnTheta("Wirtinger connection undefined on the theta divisor")
     theta_e2 = ScaledComplex.make(vals[0][0] ** 2, 2 * expos[0])
@@ -416,11 +419,14 @@ def find_theta_zero(omega: RiemannMatrix, start, direction, tol=DEFAULT_TOL):
     """Newton solve for s with theta(start + s*direction) = 0."""
     start = np.asarray(start, dtype=complex)
     direction = np.asarray(direction, dtype=complex)
+    zero = Characteristic.zero(omega.dim)
     s = 0j
     for _ in range(80):
         e = start + s * direction
-        th, grad, _, scale = theta_gradient(e, omega, tol=tol)
-        if abs(th) < 1e-13 * max(scale, 1e-300):
+        vals, _, scales = theta_batch(e.reshape(1, -1), omega, [zero], [1],
+                                      tol)
+        th, grad = vals[0][0], np.array(vals[0][1:])
+        if abs(th) < 1e-13 * max(scales[0], 1e-300):
             return e
         ds = th / complex(grad @ direction)
         s = s - ds
@@ -443,28 +449,16 @@ def gauss_limit_check(omega: RiemannMatrix, e0, direction,
     g = omega.dim
     ts = [1e-2 * 0.5 ** k for k in (6, 7)]
     # the gradient at e0 and the Hessian jets at both steps, one call
-    combs, derivs = derivative_indices(g, 2)
     vals, _, scales = theta_batch(
         np.array([e0] + [e0 + t * direction for t in ts]), omega,
-        Characteristic.zero(g), [derivs[:1 + g]] + [derivs] * len(ts), tol)
+        [Characteristic.zero(g)] * 3, [1, 2, 2], tol)
     th0, grad0, scale = vals[0][0], np.array(vals[0][1:]), scales[0]
     if abs(th0) > 1e-6 * max(scale, 1e-300):
         raise NotOnThetaSmoothLocus("e0 is not a theta zero")
     if np.linalg.norm(grad0) < GRADIENT_FLOOR * max(scale, 1.0):
         raise NotOnThetaSmoothLocus("theta gradient vanishes at e0")
     target = -np.outer(grad0, grad0)
-
-    def m_matrix(row):
-        th = row[0]
-        grad = np.array(row[1:1 + g])
-        m = np.empty((g, g), dtype=complex)
-        for (i, j), v in zip(combs[1 + g:], row[1 + g:]):
-            mij = th * v - grad[i] * grad[j]
-            m[i, j] = mij
-            m[j, i] = mij
-        return m
-
-    mats = [m_matrix(v) for v in vals[1:]]
+    mats = [hessian_numerator(g, v) for v in vals[1:]]
     extrapolated = 2.0 * mats[-1] - mats[-2]
     sv = np.linalg.svd(extrapolated, compute_uv=False)
     ratio = float(sv[1] / sv[0]) if g > 1 else 0.0
@@ -573,8 +567,9 @@ def _klein_vectors(points, omega, tol):
     """Klein coordinate vector of each row of ``points``, or the
     :class:`PointOnTheta` it raises, from one theta_batch call."""
     g = omega.dim
-    vals, _, scales = theta_batch(points, omega, Characteristic.zero(g),
-                                  derivative_indices(g, 2)[1], tol)
+    vals, _, scales = theta_batch(points, omega,
+                                  [Characteristic.zero(g)] * len(points),
+                                  [2] * len(points), tol)
     out = []
     for v, scale in zip(vals, scales):
         try:

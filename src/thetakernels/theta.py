@@ -50,6 +50,8 @@ class RiemannMatrix:
         m = np.array(entries, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise NotPositiveDefinite("period matrix must be square")
+        if not np.all(np.isfinite(m)):
+            raise NotPositiveDefinite("period matrix entries must be finite")
         m = 0.5 * (m + m.T)
         g = m.shape[0]
         y = m.imag
@@ -374,63 +376,43 @@ def _quadratic_form(na, m):
     return quad
 
 
-def theta_batch(z, omega: RiemannMatrix, char, derivs,
+def theta_batch(z, omega: RiemannMatrix, chars, orders,
                 tol: float = DEFAULT_TOL):
-    """Evaluate several partial derivatives of theta[char] at one point
-    or at each row of an (N, g) array of points.
+    """Evaluate theta[chars[r]] and its partial derivatives up to total
+    order ``orders[r]`` (0 to 3) at each row r of the (N, g) array z.
 
-    ``char`` is one :class:`Characteristic` for all rows or a sequence
-    with one per row; ``derivs`` is one list of derivative multi-indices
-    for all rows or a sequence with one such list per row.  Each row's
-    truncation radius comes from the total order of its own list.  All
-    rows share a single lattice enumeration.  For a g-vector z returns
-    ``(mantissas, exponent, scale)`` where ``value_k = mantissas[k] *
-    exp(exponent)`` and ``scale`` is the largest term magnitude of the
-    order-zero sum (useful as a reference for divisor-proximity floors).
-    For an (N, g) array returns ``(mantissas, exponents, scales)``, three
-    lists with one entry per row; every row is bit for bit the result of
-    a call with that row, its characteristic and its derivative list
-    alone.  Raises ValueError when an entry of z, or of a row's lattice
-    centre, is not finite or reaches 2**53 in absolute value.
+    Row r holds the derivatives ``derivative_indices(g, orders[r])``, a
+    prefix of the list for the call's highest order, and its truncation
+    radius comes from its own order.  All rows share a single lattice
+    enumeration.  Returns ``(mantissas, exponents, scales)``, three lists
+    with one entry per row: ``value_k = mantissas[r][k] *
+    exp(exponents[r])``, and ``scales[r]`` is the largest term magnitude
+    of the row's order-zero sum (the reference for divisor-proximity
+    floors).  Every row is bit for bit the result of a call with that
+    row, its characteristic and its order alone.  Raises ValueError when
+    an entry of z, or of a row's lattice centre, is not finite or reaches
+    2**53 in absolute value.
     """
     _check_tol(tol)
     z = np.asarray(z, dtype=complex)
-    single = z.ndim != 2
     g = omega.dim
-    z = z.reshape(1, -1) if single else z
-    shared_char = isinstance(char, Characteristic)
-    # a shared list holds multi-indices, whose entries are integers; a
-    # row's own list is never empty
-    shared_derivs = len(derivs) == 0 or (len(derivs[0]) > 0
-                                         and np.isscalar(derivs[0][0]))
-    chars = [char] if shared_char else list(char)
-    if z.shape[1] != g or any(ch.dim != g for ch in chars):
+    if z.ndim != 2 or z.shape[1] != g or any(ch.dim != g for ch in chars):
         raise ValueError("dimension mismatch between z, char and Omega")
-    if not (shared_char or len(chars) == len(z)) or not (
-            shared_derivs or (len(derivs) == len(z)
-                              and all(len(ds) for ds in derivs))):
-        raise ValueError("need one characteristic and one derivative list "
-                         "for all rows or one per row")
+    if not len(chars) == len(orders) == len(z):
+        raise ValueError("need one characteristic and one derivative order "
+                         "per row")
+    if not set(orders) <= {0, 1, 2, 3}:
+        raise ValueError("derivative orders must lie in 0..3")
     # from 2**53 on a double has no fractional bits, and the enumeration
     # cannot place a centre there; NaN fails the test too, and both tests
     # come before any arithmetic that could overflow
     if not np.maximum(abs(z.real), abs(z.imag)).max(initial=0.0) < 2.0 ** 53:
         raise ValueError("theta argument is not finite or exceeds 2**53")
-    # (g,) for a shared characteristic, else (N, g): rows broadcast alike
-    alpha = np.array([ch.alpha for ch in chars], float).reshape(-1, g) / 2.0
-    beta = np.array([ch.beta for ch in chars], float).reshape(-1, g) / 2.0
-    if shared_char:
-        alpha, beta = alpha[0], beta[0]
-    # a row sums the entries picks[r] of the derivative table
-    if shared_derivs:
-        table, picks = derivs, [slice(None)] * len(z)
-        orders = [max(int(sum(d)) for d in derivs)] * len(z)
-    else:
-        # every multi-index of any row, first occurrence first
-        table = list(dict.fromkeys(tuple(d) for ds in derivs for d in ds))
-        column = {d: k for k, d in enumerate(table)}
-        picks = [[column[tuple(d)] for d in ds] for ds in derivs]
-        orders = [max(int(sum(d)) for d in ds) for ds in derivs]
+    # both halves from one conversion of the per-row tuples, which costs
+    # about half as much as two
+    ab = np.array([ch.alpha + ch.beta for ch in chars],
+                  float).reshape(-1, 2 * g) / 2.0
+    alpha, beta = ab[:, :g], ab[:, g:]
     # stacked matrix-vector and dot products: numpy makes the same BLAS
     # call per row that im_inv @ y, y @ c and norm(c) make for one row
     y = z.imag
@@ -443,9 +425,9 @@ def theta_batch(z, omega: RiemannMatrix, char, derivs,
                  (c[:, None, :] @ c[:, :, None])[:, 0, 0]).tolist())]
     pts, counts = _enumerate_ellipsoid(omega.chol, alpha + c, radii)
     ends = np.cumsum(counts).tolist()
-    na = pts + (alpha if shared_char else np.repeat(alpha, counts, axis=0))
+    na = pts + np.repeat(alpha, counts, axis=0)
     quad = _quadratic_form(na, omega.entries)
-    # one matrix-vector product per row, as a single-point call makes it
+    # one matrix-vector product per row, as a single-row call makes it
     zb = z + beta
     lin = np.empty(len(na), dtype=complex)
     start = 0
@@ -454,6 +436,7 @@ def theta_batch(z, omega: RiemannMatrix, char, derivs,
         start = end
     terms = np.exp(1j * math.pi * quad + _TWO_PI_I * lin
                    - np.repeat(exponents, counts))
+    table = _derivative_table(g, max(orders, default=0))[1]
     powers = {}
     prods = np.empty((len(table), len(na)), dtype=complex)
     for row, d in zip(prods, table):
@@ -465,34 +448,39 @@ def theta_batch(z, omega: RiemannMatrix, char, derivs,
                 fac = fac * powers[k, dk]
         np.multiply(fac, terms, out=row)
     size = np.abs(terms)
+    # a row of order k sums the first sizes[k] products
+    sizes = [len(_derivative_table(g, k)[1]) for k in range(4)]
     mantissas, scales = [], []
-    for pick, s, e in zip(picks, [0] + ends, ends):
+    for order, s, e in zip(orders, [0] + ends, ends):
         # summing each row of a 2-D slice is the np.sum of that row
-        mantissas.append(np.add.reduce(prods[pick, s:e], axis=1).tolist())
+        mantissas.append(
+            np.add.reduce(prods[:sizes[order], s:e], axis=1).tolist())
         scales.append(float(size[s:e].max()) if e > s else 0.0)
-    if single:
-        return mantissas[0], exponents[0], scales[0]
     return mantissas, exponents, scales
 
 
 def theta_value(z, omega: RiemannMatrix, char: Characteristic = None,
                 deriv=None, tol: float = DEFAULT_TOL) -> ScaledComplex:
     """Theta with characteristic ``char`` (default zero) at z, differentiated
-    per the multi-index ``deriv`` (default none, total order at most 3).
+    per the multi-index ``deriv`` (default none: g entries, total order at
+    most 3).
 
     The absolute truncation error is at most ``tol * exp(exponent)``.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     g = omega.dim
     deriv = (0,) * g if deriv is None else tuple(deriv)
-    if sum(deriv) > 3 or any(d < 0 for d in deriv):
-        raise ValueError("derivative multi-index must have total order <= 3")
+    if len(deriv) != g or not all(float(d).is_integer() and d >= 0
+                                  for d in deriv) or sum(deriv) > 3:
+        raise ValueError("derivative multi-index must have g entries, "
+                         "nonnegative integers of total order <= 3")
+    deriv = tuple(int(d) for d in deriv)
+    order = sum(deriv)
     if char is None:
         char = Characteristic.zero(g)
-    z = np.asarray(z, dtype=complex).reshape(-1)
-    vals, exponent, _ = theta_batch(z, omega, char, [deriv], tol)
-    return ScaledComplex.make(vals[0], exponent)
+    z = np.asarray(z, dtype=complex).reshape(1, -1)
+    vals, exponents, _ = theta_batch(z, omega, [char], [order], tol)
+    k = _derivative_table(g, order)[1].index(deriv)
+    return ScaledComplex.make(vals[0][k], exponents[0])
 
 
 def derivative_indices(g: int, order: int):
@@ -501,7 +489,8 @@ def derivative_indices(g: int, order: int):
 
     Returns ``(combs, derivs)``: ``combs[k]`` lists the differentiated
     variables (``(0, 1)`` for d_0 d_1) and ``derivs[k]`` is the matching
-    multi-index for :func:`theta_batch`.  Both are fresh lists.
+    multi-index.  Both are fresh lists.  A :func:`theta_batch` row of
+    order ``order`` holds these derivatives, in this order.
     """
     combs, derivs = _derivative_table(g, order)
     return list(combs), list(derivs)
@@ -524,43 +513,33 @@ def log_theta_hessian(e, omega: RiemannMatrix, tol: float = DEFAULT_TOL,
     |theta(e)| is below ``THETA_FLOOR`` times the largest term of the sum,
     i.e. when e lies on the theta divisor to working precision.
     """
-    g = omega.dim
     if char is None:
-        char = Characteristic.zero(g)
-    e = np.asarray(e, dtype=complex).reshape(-1)
-    vals, _, scale = theta_batch(e, omega, char, derivative_indices(g, 2)[1],
-                                 tol)
-    return hessian_from_values(g, vals, scale)
+        char = Characteristic.zero(omega.dim)
+    e = np.asarray(e, dtype=complex).reshape(1, -1)
+    vals, _, scales = theta_batch(e, omega, [char], [2], tol)
+    return hessian_from_values(omega.dim, vals[0], scales[0])
 
 
 def hessian_from_values(g: int, vals, scale: float):
-    """The matrix of :func:`log_theta_hessian` from the value, gradient
-    and Hessian of theta (the ``derivative_indices(g, 2)`` list of one
-    :func:`theta_batch` row) and that row's scale."""
+    """The matrix of :func:`log_theta_hessian` from an order-2
+    :func:`theta_batch` row and that row's scale."""
     th = vals[0]
     if abs(th) < THETA_FLOOR * scale:
         raise PointOnTheta(f"|theta(e)| = {abs(th):.3e} under floor "
                            f"{THETA_FLOOR:g} * {scale:.3e}")
+    return hessian_numerator(g, vals) / (th * th)
+
+
+def hessian_numerator(g: int, vals):
+    """The symmetric matrix theta * theta_ij - theta_i * theta_j from an
+    order-2 :func:`theta_batch` row."""
+    th = vals[0]
     grad = np.array(vals[1:1 + g])
-    c = np.empty((g, g), dtype=complex)
-    pairs = derivative_indices(g, 2)[0][1 + g:]
+    m = np.empty((g, g), dtype=complex)
+    pairs = _derivative_table(g, 2)[0][1 + g:]
     for (i, j), v in zip(pairs, vals[1 + g:]):
-        cij = (th * v - grad[i] * grad[j]) / (th * th)
-        c[i, j] = cij
-        c[j, i] = cij
-    return c
-
-
-def theta_gradient(e, omega: RiemannMatrix, char: Characteristic = None,
-                   tol: float = DEFAULT_TOL):
-    """(theta(e), grad theta(e), exponent, scale) from one lattice enumeration."""
-    g = omega.dim
-    if char is None:
-        char = Characteristic.zero(g)
-    _, derivs = derivative_indices(g, 1)
-    e = np.asarray(e, dtype=complex).reshape(-1)
-    vals, exponent, scale = theta_batch(e, omega, char, derivs, tol)
-    return vals[0], np.array(vals[1:]), exponent, scale
+        m[i, j] = m[j, i] = th * v - grad[i] * grad[j]
+    return m
 
 
 def second_order_theta_basis(z, omega: RiemannMatrix, tol: float = DEFAULT_TOL):
@@ -575,5 +554,5 @@ def second_order_theta_basis(z, omega: RiemannMatrix, tol: float = DEFAULT_TOL):
     chars = [Characteristic(bits, (0,) * g)
              for bits in itertools.product((0, 1), repeat=g)]
     vals, exponents, _ = theta_batch(np.tile(z2, (len(chars), 1)), omega2,
-                                     chars, [(0,) * g], tol)
+                                     chars, [0] * len(chars), tol)
     return [ScaledComplex.make(v[0], x) for v, x in zip(vals, exponents)]

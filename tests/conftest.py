@@ -1,9 +1,22 @@
 import os
+import warnings
 
 import pytest
 from hypothesis import settings
 
 from thetakernels.curves import build_curve
+
+# When a property fails, hypothesis' report hook imports its patch module,
+# which imports libcst if that is installed; libcst's import raises a
+# DeprecationWarning, and under -W error the report ends in an
+# INTERNALERROR without the falsifying example.  Importing the patch module
+# here, with DeprecationWarning ignored for this import only, keeps it.
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore", DeprecationWarning)
+    try:
+        import hypothesis.extra._patching  # noqa: F401
+    except ImportError:
+        pass
 
 # HYPOTHESIS_PROFILE=ci (set in the CI workflow) draws the same examples on
 # every run and prints the blob that replays a failing one; local runs keep

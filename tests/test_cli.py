@@ -6,6 +6,7 @@ import pathlib
 import shlex
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -198,6 +199,34 @@ class TestEvalInputContracts:
                                          if what != "wirtinger" else []))
         assert_one_error_line(res)
         assert "dimension mismatch" in res.stderr
+
+    @pytest.mark.parametrize("argv", [
+        ["eval", "theta", "--omega", "[[Infinity]]", "--z", "0.1"],
+        ["eval", "theta", "--omega", "[[1, 0], [0, NaN]]", "--z", "0.1,0"],
+        ["eval", "theta", "--omega", "[[[0, -Infinity]]]", "--z", "0.1"],
+        ["periods", "--curve", "NAN_CURVE"],
+        ["periods", "--curve", "INF_CURVE"],
+        # the Klein kernel's classes e and -e summed to inf - inf
+        ["eval", "klein", "--curve", "CURVE", "--e", "inf", "--x1", "2.0",
+         "--x2", "-2.0"],
+    ])
+    def test_non_finite_input_exits_2_without_warning(self, tmp_path, capsys,
+                                                      argv):
+        from thetakernels import cli
+        for name, spec in (("CURVE", CURVE_SPEC),
+                           ("NAN_CURVE", '{"f": [0, -1, NaN, 0, 0, 1]}'),
+                           ("INF_CURVE", '{"f": [0, -1, Infinity, 0, 0, 1]}')):
+            path = tmp_path / f"{name}.json"
+            path.write_text(spec)
+            argv = [str(path) if a == name else a for a in argv]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert cli.main(argv) == 2
+        assert caught == []
+        err = capsys.readouterr().err
+        lines = err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+        assert "finite" in err
 
     def test_non_numeric_coefficient(self, tmp_path):
         from thetakernels.curves import curve_from_spec

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -46,6 +47,17 @@ class TestBuildCurve:
     def test_degree_too_small(self):
         with pytest.raises(DegreeTooSmall):
             build_curve([1, 0, 1])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf,
+                                     complex(1.0, math.nan)])
+    def test_non_finite_coefficient_rejected(self, bad):
+        # a ValueError before any arithmetic, also for a leading
+        # coefficient, not a failed root finder or NonSquarefree
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for f in ([0, -1, bad, 1], [0, -1, 0, bad]):
+                with pytest.raises(ValueError, match="finite"):
+                    build_curve(f)
 
     def test_from_spec(self):
         c = curve_from_spec({"f": [[0, 0], -1, 0, 1]})

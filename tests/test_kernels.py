@@ -70,12 +70,11 @@ class TestOddCharacteristic:
     def test_genus2_six_odd_all_nonsingular(self, genus2):
         odd = [ch for ch in Characteristic.all(2) if ch.parity == 1]
         assert len(odd) == 6
-        g = 2
         for ch in odd:
-            derivs = [(1, 0), (0, 1)]
-            vals, _, scale = theta_batch(np.zeros(g), genus2.omega, ch,
-                                         derivs, 1e-12)
-            assert np.linalg.norm(vals) > 1e-8 * max(scale, 1.0)
+            vals, _, scales = theta_batch(np.zeros((1, 2)), genus2.omega,
+                                          [ch], [1], 1e-12)
+            grad = vals[0][1:]
+            assert np.linalg.norm(grad) > 1e-8 * max(scales[0], 1.0)
         delta = select_odd_characteristic(genus2)
         assert delta == odd[0]  # lexicographic first
 

@@ -71,6 +71,18 @@ class TestRiemannMatrix:
         with pytest.raises(NotPositiveDefinite):
             RiemannMatrix(np.array([[1j, 2j], [2j, 1j]]))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf,
+                                     complex(0.0, math.inf),
+                                     complex(math.nan, 1.0)])
+    def test_rejects_non_finite_entries(self, bad):
+        # before any arithmetic: no RuntimeWarning, no failed SVD
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NotPositiveDefinite, match="finite"):
+                RiemannMatrix([[bad]])
+            with pytest.raises(NotPositiveDefinite, match="finite"):
+                RiemannMatrix([[1j, 0.1], [bad, 2j]])
+
 
 class TestLatticePoints:
     def test_g1_radius_pi(self):
@@ -183,15 +195,15 @@ class TestEnumerationProperty:
     ])
     def test_unbounded_argument_is_a_value_error(self, omega, z):
         """Raised before any arithmetic on z can overflow or warn, for a
-        single point and for a batch with one bad row."""
+        single row and for a batch with one bad row."""
         om = RiemannMatrix(omega)
         char = Characteristic.zero(1)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            for arg in (np.array(z, complex), np.array([[0.5], z], complex)):
+            for arg in (np.array([z], complex), np.array([[0.5], z], complex)):
                 with pytest.raises(ValueError):
-                    theta_batch(arg, om, char, [(0,)])
-        assert theta_batch(np.zeros((0, 1)), om, char, [(0,)]) == ([], [], [])
+                    theta_batch(arg, om, [char] * len(arg), [0] * len(arg))
+        assert theta_batch(np.zeros((0, 1)), om, [], []) == ([], [], [])
 
 
 def levelwise_enumeration(T, centers, radii):
@@ -458,6 +470,17 @@ class TestThetaValues:
         with pytest.raises(ValueError):
             theta_value((0j,), om, Characteristic.zero(1), (0,), -1.0)
 
+    @pytest.mark.parametrize("deriv", [(1,), (0, 0, 1), (), (1, -1),
+                                       (0.5, 0.5), (math.nan, 0),
+                                       (math.inf, 0)])
+    def test_multi_index_needs_g_integer_entries(self, genus2, deriv):
+        with pytest.raises(ValueError, match="g entries"):
+            theta_value((0.1j, 0.2), genus2.omega, deriv=deriv)
+
+    def test_integral_floats_name_the_same_derivative(self, genus2):
+        assert theta_value((0.1j, 0.2), genus2.omega, deriv=(1.0, 2.0)) == \
+            theta_value((0.1j, 0.2), genus2.omega, deriv=(1, 2))
+
 
 def test_package_exposes_theta_module():
     import thetakernels
@@ -713,18 +736,12 @@ def _hex(values):
     return [[complex(z).real.hex(), complex(z).imag.hex()] for z in values]
 
 
-def theta_batch_record(batched):
-    """float.hex of mantissas, exponent and scale of theta_batch.
-
-    Genus 1-3 (the lemniscatic curve and the three benchmark curves),
-    the zero and the first odd characteristic, derivative orders 0-3
-    (every partial of that order and below), at the points of
-    :func:`theta_record_points`.  tests/data/theta_batch_hex.json was
-    written by this function with one call per point while theta_batch
-    still took a single point; ``batched`` makes one (N x g) call per
-    (curve, characteristic, order) instead.
-    """
-    out = {}
+def theta_record_cases():
+    """(key prefix, omega, characteristic, order, points) of every
+    (curve, characteristic, order) in the record: genus 1-3 (the
+    lemniscatic curve and the three benchmark curves), the zero and the
+    first odd characteristic, derivative orders 0-3, at the points of
+    :func:`theta_record_points`."""
     for k, (name, f) in enumerate(THETA_RECORD_CURVES):
         omega = build_curve(f).omega
         g = omega.dim
@@ -732,16 +749,31 @@ def theta_batch_record(batched):
         pts = theta_record_points(omega, 100 + k)
         for char in (Characteristic.zero(g), odd):
             for order in range(4):
-                derivs = derivative_indices(g, order)[1]
-                if batched:
-                    rows = zip(*theta_batch(pts, omega, char, derivs))
-                else:
-                    rows = (theta_batch(z, omega, char, derivs) for z in pts)
-                for i, (vals, exponent, scale) in enumerate(rows):
-                    out[f"{name} char={char.alpha}{char.beta} "
-                        f"order={order} point={i}"] = {
-                        "mantissas": _hex(vals),
-                        "exponent": exponent.hex(), "scale": scale.hex()}
+                yield (f"{name} char={char.alpha}{char.beta} order={order}",
+                       omega, char, order, pts)
+
+
+def theta_batch_record(batched):
+    """float.hex of mantissas, exponent and scale of theta_batch at the
+    cases of :func:`theta_record_cases`, a row holding every partial of
+    its order and below.
+
+    tests/data/theta_batch_hex.json was written by this function with one
+    call per point while theta_batch still took a single point;
+    ``batched`` makes one (N x g) call per case instead of one call per
+    row.
+    """
+    out = {}
+    for prefix, omega, char, order, pts in theta_record_cases():
+        if batched:
+            rows = zip(*theta_batch(pts, omega, [char] * len(pts),
+                                    [order] * len(pts)))
+        else:
+            rows = (single_row(z, omega, char, order) for z in pts)
+        for i, (vals, exponent, scale) in enumerate(rows):
+            out[f"{prefix} point={i}"] = {
+                "mantissas": _hex(vals),
+                "exponent": exponent.hex(), "scale": scale.hex()}
     return out
 
 
@@ -753,6 +785,35 @@ class TestThetaBatchRecord:
     def test_batched_rows_match_record(self):
         assert theta_batch_record(batched=True) == \
             json.loads(THETA_RECORD.read_text())
+
+    def test_theta_value_reads_the_record(self):
+        """theta_value(z, char, d) for a multi-index d of exact order k is
+        the recorded entry d of the order-k row, made a ScaledComplex."""
+        record = json.loads(THETA_RECORD.read_text())
+        checked = 0
+        for prefix, omega, char, order, pts in theta_record_cases():
+            derivs = derivative_indices(omega.dim, order)[1]
+            for i, z in enumerate(pts):
+                row = record[f"{prefix} point={i}"]
+                exponent = float.fromhex(row["exponent"])
+                for d, (re, im) in zip(derivs, row["mantissas"]):
+                    if sum(d) != order:
+                        continue
+                    want = ScaledComplex.make(
+                        complex(float.fromhex(re), float.fromhex(im)),
+                        exponent)
+                    got = theta_value(z, omega, char, d)
+                    assert (_hex([got.mantissa]), got.exponent.hex()) == \
+                        (_hex([want.mantissa]), want.exponent.hex()), \
+                        (prefix, i, d)
+                    checked += 1
+        assert checked == 2 * 8 * (4 + 10 + 10 + 20)
+
+
+def single_row(z, omega, char, order, tol=1e-12):
+    """(mantissas, exponent, scale) of a theta_batch call with one row."""
+    return next(zip(*theta_batch(np.asarray(z)[None], omega, [char], [order],
+                                 tol)))
 
 
 class TestThetaBatchRows:
@@ -766,15 +827,15 @@ class TestThetaBatchRows:
         rng = np.random.default_rng(seed)
         om = random_riemann(rng, g)
         char = list(Characteristic.all(g))[char_index % 4 ** g]
-        derivs = derivative_indices(g, order)[1]
         z = (rng.uniform(-3, 3, (n, g))
              + 1j * 10.0 ** log_im * rng.uniform(-1, 1, (n, g)))
         tol = 10.0 ** log_tol
-        mantissas, exponents, scales = theta_batch(z, om, char, derivs, tol)
+        mantissas, exponents, scales = theta_batch(z, om, [char] * n,
+                                                   [order] * n, tol)
         assert len(mantissas) == len(exponents) == len(scales) == n
         for row, vals, exponent, scale in zip(z, mantissas, exponents,
                                               scales):
-            one = theta_batch(row, om, char, derivs, tol)
+            one = single_row(row, om, char, order, tol)
             assert (_hex(vals), exponent.hex(), scale.hex()) == \
                 (_hex(one[0]), one[1].hex(), one[2].hex())
 
@@ -784,32 +845,25 @@ class TestThetaBatchRows:
            log_tol=st.floats(-12, -4))
     def test_mixed_rows_equal_single_row_calls(self, seed, g, n, log_im,
                                                log_tol):
-        """Rows with their own characteristic and derivative list, value-only
-        rows next to order-3 rows, each come out as a call with that row,
-        characteristic and list alone."""
+        """Rows with their own characteristic and order, value-only rows
+        next to order-3 rows, each come out as a call with that row,
+        characteristic and order alone, holding the derivatives
+        derivative_indices(g, order)."""
         rng = np.random.default_rng(seed)
         om = random_riemann(rng, g)
         chars = list(Characteristic.all(g))
         row_chars = [chars[k] for k in rng.integers(0, len(chars), n)]
-        row_derivs = []
-        for _ in range(n):
-            full = derivative_indices(g, int(rng.integers(0, 4)))[1]
-            if rng.uniform() < 0.3:
-                row_derivs.append([(0,) * g])
-            else:
-                keep = rng.permutation(len(full))
-                row_derivs.append([full[k] for k in
-                                   keep[:rng.integers(1, len(full) + 1)]])
+        row_orders = rng.integers(0, 4, n).tolist()
         z = (rng.uniform(-3, 3, (n, g))
              + 1j * 10.0 ** log_im * rng.uniform(-1, 1, (n, g)))
         tol = 10.0 ** log_tol
         mantissas, exponents, scales = theta_batch(z, om, row_chars,
-                                                   row_derivs, tol)
+                                                   row_orders, tol)
         assert len(mantissas) == len(exponents) == len(scales) == n
-        for row, char, derivs, vals, exponent, scale in zip(
-                z, row_chars, row_derivs, mantissas, exponents, scales):
-            one = theta_batch(row, om, char, derivs, tol)
-            assert len(vals) == len(derivs)
+        for row, char, order, vals, exponent, scale in zip(
+                z, row_chars, row_orders, mantissas, exponents, scales):
+            one = single_row(row, om, char, order, tol)
+            assert len(vals) == len(derivative_indices(g, order)[1])
             assert (_hex(vals), exponent.hex(), scale.hex()) == \
                 (_hex(one[0]), one[1].hex(), one[2].hex())
 
@@ -819,36 +873,23 @@ class TestThetaBatchRows:
         om = genus2.omega
         e = np.array([0.12881306 - 0.66068537j, -0.70553702 - 0.67220927j])
         zero = Characteristic.zero(2)
-        third = derivative_indices(2, 3)[1]
-        value_only = theta_batch(e, om, zero, [(0, 0)])[0]
-        assert _hex(value_only) != _hex(theta_batch(e, om, zero, third)[0][:1])
-        vals, _, _ = theta_batch(np.array([e, e]), om, [zero, zero],
-                                 [[(0, 0)], third])
+        value_only = single_row(e, om, zero, 0)[0]
+        third = single_row(e, om, zero, 3)[0]
+        assert _hex(value_only) != _hex(third[:1])
+        vals, _, _ = theta_batch(np.array([e, e]), om, [zero, zero], [0, 3])
         assert _hex(vals[0]) == _hex(value_only)
-        assert _hex(vals[1]) == _hex(theta_batch(e, om, zero, third)[0])
+        assert _hex(vals[1]) == _hex(third)
 
     def test_row_counts_must_match(self, genus2):
         zero = Characteristic.zero(2)
         z = np.zeros((3, 2), complex)
-        with pytest.raises(ValueError):
-            theta_batch(z, genus2.omega, [zero, zero], [(0, 0)])
-        with pytest.raises(ValueError):
-            theta_batch(z, genus2.omega, zero, [[(0, 0)], [(0, 0)]])
-        with pytest.raises(ValueError):
+        for chars, orders in (([zero] * 2, [0] * 3), ([zero] * 3, [0] * 2),
+                              ([zero] * 4, [0] * 4), ([zero] * 3, [])):
+            with pytest.raises(ValueError, match="per row"):
+                theta_batch(z, genus2.omega, chars, orders)
+        with pytest.raises(ValueError, match="dimension mismatch"):
             theta_batch(z, genus2.omega, [zero, zero, Characteristic.zero(1)],
-                        [(0, 0)])
-        # a row's own derivative list may not be empty, first row or not
-        for rows in ([[], [(0, 0)], [(0, 0)]], [[(0, 0)], [], [(0, 0)]]):
-            with pytest.raises(ValueError, match="one per row"):
-                theta_batch(z, genus2.omega, zero, rows)
-
-    def test_derivs_may_be_an_integer_array(self, genus2):
-        # a shared (k, g) integer array is the list of its rows
-        z = np.array([[0.1 + 0.2j, -0.3 + 0.1j], [0.4 - 0.1j, 0.2 + 0.3j]])
-        derivs = derivative_indices(2, 2)[1]
-        chars = list(Characteristic.all(2))[:2]
-        as_list = theta_batch(z, genus2.omega, chars, derivs)
-        as_array = theta_batch(z, genus2.omega, chars, np.array(derivs))
-        assert [_hex(v) for v in as_array[0]] == \
-            [_hex(v) for v in as_list[0]]
-        assert as_array[1:] == as_list[1:]
+                        [0] * 3)
+        for bad in (4, -1):
+            with pytest.raises(ValueError, match="orders"):
+                theta_batch(z, genus2.omega, [zero] * 3, [0, bad, 0])
