@@ -230,13 +230,15 @@ def parse_omega(text: str):
     """Period matrix from JSON rows of plain numbers or [re, im] pairs.
 
     A matrix of plain numbers only is read as i times itself (a purely
-    imaginary Omega).  Raises ValueError when the input is not a matrix
-    or has an entry that is not finite.
+    imaginary Omega).  Raises ValueError when the input is not a matrix,
+    has rows of different lengths or has an entry that is not finite.
     """
     data = json.loads(text)
     if not (isinstance(data, list) and data
             and all(isinstance(row, list) for row in data)):
         raise ValueError("--omega must be a JSON matrix (a list of rows)")
+    if len({len(row) for row in data}) != 1:
+        raise ValueError("--omega rows must all have the same length")
     m = np.array([[_parse_complex(v) for v in row] for row in data])
     if not np.all(np.isfinite(m)):
         raise ValueError("--omega entries must be finite")

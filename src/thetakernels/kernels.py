@@ -20,7 +20,6 @@ images.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -34,9 +33,9 @@ from .errors import (ConstraintViolation, NoNonsingularOddCharacteristic,
                      SeriesOrderInsufficient, SquareRootBranchUnresolvable)
 from .series import complex_div, complex_mul
 from .theta import (DEFAULT_TOL, Characteristic, RiemannMatrix,
-                    ScaledComplex, derivative_indices, hessian_from_values,
-                    hessian_numerator, log_theta_hessian, theta_batch,
-                    theta_value)
+                    ScaledComplex, _triu_indices, derivative_indices,
+                    hessian_numerators, log_theta_hessian, log_theta_hessians,
+                    theta_batch, theta_value)
 
 GRADIENT_FLOOR = 1e-8
 
@@ -65,16 +64,6 @@ class KleinCoordinates:
 def _upper_triangle(c):
     """The entries c[i, j] with j >= i, row by row."""
     return c[_triu_indices(c.shape[0])]
-
-
-@functools.cache
-def _triu_indices(g):
-    """np.triu_indices(g) as read-only arrays, computed once per g: the
-    call costs about ten times the indexing it serves."""
-    rows, cols = np.triu_indices(g)
-    rows.flags.writeable = False
-    cols.flags.writeable = False
-    return rows, cols
 
 
 def _chart(p: SurfacePoint):
@@ -227,10 +216,14 @@ def _bergman_values(curve, x, ys, delta, tol):
     w = np.array([ax - curve.abel_map(y) for y in ys])
     vals, _, scales = theta_batch(w, curve.omega, [delta] * len(ys),
                                   [2] * len(ys), tol)
+    hessians, errors = log_theta_hessians(g, vals, scales)
     omx = curve.eval_differentials(x)
-    return [-complex(omx @ hessian_from_values(g, v, scale)
-                     @ curve.eval_differentials(y))
-            for y, v, scale in zip(ys, vals, scales)]
+    out = []
+    for y, hess, error in zip(ys, hessians, errors):
+        if error is not None:
+            raise error
+        out.append(-complex(omx @ hess @ curve.eval_differentials(y)))
+    return out
 
 
 def szego_kernel(curve: HyperellipticCurve, e, x: SurfacePoint,
@@ -458,7 +451,7 @@ def gauss_limit_check(omega: RiemannMatrix, e0, direction,
     if np.linalg.norm(grad0) < GRADIENT_FLOOR * max(scale, 1.0):
         raise NotOnThetaSmoothLocus("theta gradient vanishes at e0")
     target = -np.outer(grad0, grad0)
-    mats = [hessian_numerator(g, v) for v in vals[1:]]
+    _, mats = hessian_numerators(g, vals[1:])
     extrapolated = 2.0 * mats[-1] - mats[-2]
     sv = np.linalg.svd(extrapolated, compute_uv=False)
     ratio = float(sv[1] / sv[0]) if g > 1 else 0.0
@@ -570,13 +563,10 @@ def _klein_vectors(points, omega, tol):
     vals, _, scales = theta_batch(points, omega,
                                   [Characteristic.zero(g)] * len(points),
                                   [2] * len(points), tol)
-    out = []
-    for v, scale in zip(vals, scales):
-        try:
-            out.append(_upper_triangle(hessian_from_values(g, v, scale)))
-        except PointOnTheta as exc:
-            out.append(exc)
-    return out
+    hessians, errors = log_theta_hessians(g, vals, scales)
+    rows, cols = _triu_indices(g)
+    return [c if error is None else error
+            for c, error in zip(hessians[:, rows, cols], errors)]
 
 
 def _collision_kinds(points, pairs, omega):

@@ -67,9 +67,10 @@ class RiemannMatrix:
         self.chol = lower.T  # upper triangular T with T^T T = pi * Im(Omega)
         self.sigma_min = float(np.linalg.svd(self.chol, compute_uv=False)[-1])
         self.shortest = self._shortest_vector()
-        # (order, tol) -> truncation radius at ||c|| = 0, see
-        # _truncation_radius; a pure function of the matrix, so threads
-        # racing to fill an entry store the same value
+        # (order, tol) -> (radius at ||c|| = 0, largest ||c|| seen to pass
+        # at that radius), see _truncation_radius; a thread that loses a
+        # race to update an entry leaves a smaller ||c||, which is still
+        # one that passed
         self._radii = {}
 
     def _shortest_vector(self) -> float:
@@ -309,20 +310,30 @@ def _truncation_radius(omega: RiemannMatrix, order: int, tol: float,
     """Smallest R on the grid rho/2 + sqrt((g + order)/2) + 1/2 + k/4
     with ``_tail_bound(omega, R, order, norm_c) <= tol``.
 
-    The bound is nondecreasing in ||c|| term by term, so no grid point
-    below the answer at ||c|| = 0 can pass.  That answer is memoised on
-    ``omega`` per (order, tol), and each call walks up from it, which
-    reproduces the walk from the start of the grid bit for bit and
-    usually costs a single bound evaluation.
+    The bound is nondecreasing in ||c||, also as rounded: ||c||**2 and
+    ||c||**3 are within 0.52 ulp, while those of neighbouring doubles lie
+    about two and three ulps apart, and its sums and products of
+    nonnegative numbers round monotonically.  So no grid point below the
+    answer at ||c|| = 0, the start, passes, and the start is the answer
+    at every ||c|| up to one that passed there.  ``omega`` memoises, per
+    (order, tol), the start and the largest ||c|| seen to pass: a call up
+    to it evaluates no bound, and any other walks up from the start,
+    which gives the walk from the start of the grid bit for bit.
     """
     key = (order, tol)
-    start = omega._radii.get(key)
-    if start is None:
+    memo = omega._radii.get(key)
+    if memo is None:
         g, rho = omega.dim, omega.shortest
         start = _radius_walk(omega, order, tol, 0.0,
                              rho / 2.0 + math.sqrt(0.5 * (g + order)) + 0.5)
-        omega._radii[key] = start
-    return _radius_walk(omega, order, tol, norm_c, start)
+        memo = omega._radii[key] = (start, 0.0)
+    start, passed = memo
+    if norm_c <= passed:
+        return start
+    R = _radius_walk(omega, order, tol, norm_c, start)
+    if R == start:
+        omega._radii[key] = (start, norm_c)
+    return R
 
 
 def _radius_walk(omega, order, tol, norm_c, R):
@@ -383,15 +394,18 @@ def theta_batch(z, omega: RiemannMatrix, chars, orders,
 
     Row r holds the derivatives ``derivative_indices(g, orders[r])``, a
     prefix of the list for the call's highest order, and its truncation
-    radius comes from its own order.  All rows share a single lattice
-    enumeration.  Returns ``(mantissas, exponents, scales)``, three lists
-    with one entry per row: ``value_k = mantissas[r][k] *
-    exp(exponents[r])``, and ``scales[r]`` is the largest term magnitude
-    of the row's order-zero sum (the reference for divisor-proximity
-    floors).  Every row is bit for bit the result of a call with that
-    row, its characteristic and its order alone.  Raises ValueError when
-    an entry of z, or of a row's lattice centre, is not finite or reaches
-    2**53 in absolute value.
+    radius comes from its own order (:func:`_truncation_radius`, which
+    evaluates no tail bound for most rows).  All rows share a single
+    lattice enumeration, and each derivative is summed from a real
+    product of powers of the lattice vectors times the terms.  Returns
+    ``(mantissas, exponents, scales)``, three lists with one entry per
+    row: ``value_k = mantissas[r][k] * exp(exponents[r])``, and
+    ``scales[r]`` is the largest term magnitude of the row's order-zero
+    sum (the reference for divisor-proximity floors), 0 for a row with
+    no lattice points.  Every row is bit for bit the result of a call
+    with that row, its characteristic and its order alone.  Raises
+    ValueError when an entry of z, or of a row's lattice centre, is not
+    finite or reaches 2**53 in absolute value.
     """
     _check_tol(tol)
     z = np.asarray(z, dtype=complex)
@@ -436,27 +450,51 @@ def theta_batch(z, omega: RiemannMatrix, chars, orders,
         start = end
     terms = np.exp(1j * math.pi * quad + _TWO_PI_I * lin
                    - np.repeat(exponents, counts))
-    table = _derivative_table(g, max(orders, default=0))[1]
-    powers = {}
+    top = max(orders, default=0)
+    table = _derivative_table(g, top)[1]
+    # (2 pi i na_k)^d is i^d times the real power (2 pi na_k)^d, so the
+    # factor of a multi-index d is i^|d| times a real product, taken in the
+    # k order.  Each of its nonzero parts is then the rounded real product
+    # that the complex products of a chain from 1 + 0j give; only the sign
+    # of a zero can differ, and np.add.reduce, which starts from +0, never
+    # passes that sign on to a sum.
     prods = np.empty((len(table), len(na)), dtype=complex)
-    for row, d in zip(prods, table):
-        fac = np.ones(len(na), dtype=complex)
-        for k, dk in enumerate(d):
-            if dk:
-                if (k, dk) not in powers:
-                    powers[k, dk] = (_TWO_PI_I * na[:, k]) ** dk
-                fac = fac * powers[k, dk]
-        np.multiply(fac, terms, out=row)
-    size = np.abs(terms)
+    prods[0] = terms
+    if top:
+        tr, ti = terms.real, terms.imag
+        ntr, nti = -tr, -ti
+        # (Re, Im) of i^m * terms
+        turns = [None, (nti, tr), (ntr, nti), (ti, ntr)]
+        powers = {}
+        for k in range(g):
+            ak = (2.0 * math.pi) * na[:, k]
+            powers[k, 1] = ak
+            if top > 1:
+                powers[k, 2] = ak * ak
+            if top > 2:
+                powers[k, 3] = ak * powers[k, 2]
+        for row, d in zip(prods[1:], table[1:]):
+            fac = None
+            for k, dk in enumerate(d):
+                if dk:
+                    fac = powers[k, dk] if fac is None else fac * powers[k, dk]
+            re, im = turns[sum(d)]
+            np.multiply(fac, re, out=row.real)
+            np.multiply(fac, im, out=row.imag)
     # a row of order k sums the first sizes[k] products
     sizes = [len(_derivative_table(g, k)[1]) for k in range(4)]
-    mantissas, scales = [], []
+    mantissas = []
     for order, s, e in zip(orders, [0] + ends, ends):
         # summing each row of a 2-D slice is the np.sum of that row
         mantissas.append(
             np.add.reduce(prods[:sizes[order], s:e], axis=1).tolist())
-        scales.append(float(size[s:e].max()) if e > s else 0.0)
-    return mantissas, exponents, scales
+    # the largest |term| of each row; a maximum is exact in any order, and
+    # a row with no lattice points has scale 0
+    scales = np.zeros(len(z))
+    filled = counts > 0
+    scales[filled] = np.maximum.reduceat(np.abs(terms),
+                                         (np.cumsum(counts) - counts)[filled])
+    return mantissas, exponents, scales.tolist()
 
 
 def theta_value(z, omega: RiemannMatrix, char: Characteristic = None,
@@ -517,29 +555,72 @@ def log_theta_hessian(e, omega: RiemannMatrix, tol: float = DEFAULT_TOL,
         char = Characteristic.zero(omega.dim)
     e = np.asarray(e, dtype=complex).reshape(1, -1)
     vals, _, scales = theta_batch(e, omega, [char], [2], tol)
-    return hessian_from_values(omega.dim, vals[0], scales[0])
+    (hess,), (error,) = log_theta_hessians(omega.dim, vals, scales)
+    if error is not None:
+        raise error
+    return hess
 
 
-def hessian_from_values(g: int, vals, scale: float):
-    """The matrix of :func:`log_theta_hessian` from an order-2
-    :func:`theta_batch` row and that row's scale."""
-    th = vals[0]
-    if abs(th) < THETA_FLOOR * scale:
-        raise PointOnTheta(f"|theta(e)| = {abs(th):.3e} under floor "
+def log_theta_hessians(g: int, vals, scales):
+    """The matrix of :func:`log_theta_hessian` for each order-2
+    :func:`theta_batch` row of ``vals``, with that row's scale.
+
+    Returns ``(matrices, errors)``: an (N, g, g) array and a list holding,
+    per row, None or the :class:`PointOnTheta` that row raises when it
+    lies on the theta divisor (its matrix is then NaN).  The divisor test
+    is the one of a single row, |theta| by Python's ``abs`` (numpy's may
+    round differently), and every quotient is the one it divides.
+    """
+    th, num = hessian_numerators(g, vals)
+    errors = [PointOnTheta(f"|theta(e)| = {abs(v[0]):.3e} under floor "
                            f"{THETA_FLOOR:g} * {scale:.3e}")
-    return hessian_numerator(g, vals) / (th * th)
+              if abs(v[0]) < THETA_FLOOR * scale else None
+              for v, scale in zip(vals, scales)]
+    ok = np.array([error is None for error in errors], dtype=bool)
+    out = np.full_like(num, np.nan)
+    out[ok] = num[ok] / _python_product(th, th)[ok, None, None]
+    return out, errors
 
 
-def hessian_numerator(g: int, vals):
-    """The symmetric matrix theta * theta_ij - theta_i * theta_j from an
-    order-2 :func:`theta_batch` row."""
-    th = vals[0]
-    grad = np.array(vals[1:1 + g])
-    m = np.empty((g, g), dtype=complex)
-    pairs = _derivative_table(g, 2)[0][1 + g:]
-    for (i, j), v in zip(pairs, vals[1 + g:]):
-        m[i, j] = m[j, i] = th * v - grad[i] * grad[j]
-    return m
+def hessian_numerators(g: int, vals):
+    """theta and the symmetric matrix theta * theta_ij - theta_i * theta_j
+    for each order-2 :func:`theta_batch` row of ``vals``: an (N,) and an
+    (N, g, g) array.
+
+    Products are formed as Python forms the product of two complex
+    scalars, so each entry is the one a row computed on its own in
+    Python scalars gives.
+    """
+    v = np.array(vals)
+    theta, grad = v[:, 0], v[:, 1:1 + g]
+    rows, cols = _triu_indices(g)
+    upper = (_python_product(theta[:, None], v[:, 1 + g:1 + g + len(rows)])
+             - _python_product(grad[:, rows], grad[:, cols]))
+    m = np.empty((len(v), g, g), dtype=complex)
+    m[:, rows, cols] = upper
+    m[:, cols, rows] = upper
+    return theta, m
+
+
+@functools.cache
+def _triu_indices(g):
+    """np.triu_indices(g) as read-only arrays, computed once per g: the
+    call costs about ten times the indexing it serves.  Its (i, j) run
+    row by row, the order of the second derivatives in a row."""
+    rows, cols = np.triu_indices(g)
+    rows.flags.writeable = False
+    cols.flags.writeable = False
+    return rows, cols
+
+
+def _python_product(a, b):
+    """a * b for complex arrays, from separate real multiplies as CPython
+    forms a complex product: (ac - bd) + i(ad + bc).  numpy's complex
+    multiply can fuse a multiply and an add and round differently."""
+    out = np.empty(np.broadcast_shapes(a.shape, b.shape), dtype=complex)
+    out.real = a.real * b.real - a.imag * b.imag
+    out.imag = a.real * b.imag + a.imag * b.real
+    return out
 
 
 def second_order_theta_basis(z, omega: RiemannMatrix, tol: float = DEFAULT_TOL):

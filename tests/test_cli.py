@@ -179,6 +179,17 @@ class TestEvalInputContracts:
         assert_one_error_line(run_cli(["eval", what, "--curve", curve_file]
                                       + args))
 
+    @pytest.mark.parametrize("omega", ["[[1, 2], [3]]", "[[1], [2, 3]]",
+                                       "[[[0, 1], 2], [3]]"])
+    def test_ragged_omega(self, capsys, omega):
+        from thetakernels import cli
+        assert cli.main(["eval", "theta", "--omega", omega, "--z", "0.1"]) == 2
+        out, err = capsys.readouterr()
+        lines = err.strip().splitlines()
+        assert out == "" and len(lines) == 1
+        assert lines[0].startswith("error:") and "--omega" in lines[0]
+        assert "inhomogeneous" not in err and "sequence" not in err
+
     @pytest.mark.parametrize("x1", ["nan", "inf", "1e200"])
     @pytest.mark.parametrize("what,args", [
         ("szego", ["--e", "0.3+0.1j", "--x2", "-2.0"]),

@@ -701,8 +701,10 @@ class TestCollisionFilter:
         # margin passes (0, 1) on, and the exact test must drop it.
         tol = 1e-3
         values = iter([1.0, 1.0 - tol * (1 + 3e-7), 1.0 - tol * (1 - 3e-7)])
-        monkeypatch.setattr(kernels_module, "hessian_from_values",
-                            lambda *args, **kwargs: np.array([[next(values)]]))
+        monkeypatch.setattr(
+            kernels_module, "log_theta_hessians",
+            lambda g, vals, scales: (np.array([[[next(values)]] for _ in vals]),
+                                     [None] * len(vals)))
         rep = finiteness_probe(lemniscatic, 3, collision_tol=tol, seed=0)
         assert list(kernels_module._collision_candidates(
             np.array(rep.coordinates), tol)) == [(0, 1), (0, 2), (1, 2)]

@@ -1,6 +1,8 @@
 import itertools
 import json
 import math
+import sys
+import threading
 import warnings
 from pathlib import Path
 
@@ -13,11 +15,15 @@ from hypothesis import strategies as st
 from thetakernels.curves import build_curve
 from thetakernels.errors import (NotPositiveDefinite, PointOnTheta,
                                  ToleranceTooSmall)
-from thetakernels.theta import (Characteristic, RiemannMatrix, ScaledComplex,
-                                _enumerate_ellipsoid, _quadratic_form,
-                                _tail_bound, _truncation_radius, _upper_gamma,
-                                derivative_indices, lattice_points,
-                                log_theta_hessian, points_per_row,
+from thetakernels import theta as theta_module
+from thetakernels.theta import (_TWO_PI_I, THETA_FLOOR, Characteristic,
+                                RiemannMatrix, ScaledComplex, _check_tol,
+                                _derivative_table, _enumerate_ellipsoid,
+                                _quadratic_form, _tail_bound,
+                                _truncation_radius, _upper_gamma,
+                                derivative_indices, hessian_numerators,
+                                lattice_points, log_theta_hessian,
+                                log_theta_hessians, points_per_row,
                                 second_order_theta_basis, theta_batch,
                                 theta_value)
 
@@ -601,6 +607,73 @@ class TestRadiusMemo:
         with pytest.raises(ToleranceTooSmall):
             _truncation_radius(om, 3, 1e-12, 1e3)
 
+    def test_norms_that_passed_evaluate_no_bound(self, monkeypatch):
+        om = RiemannMatrix([[0.3 + 1.1j, 0.2], [0.2, 0.1 + 1.4j]])
+        start = _truncation_radius(om, 2, 1e-12, 0.0)
+        assert _truncation_radius(om, 2, 1e-12, 0.5) == start
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return _tail_bound(*args)
+
+        monkeypatch.setattr(theta_module, "_tail_bound", counted)
+        for norm_c in (0.5, 0.25, 0.0, 0.5):
+            assert _truncation_radius(om, 2, 1e-12, norm_c) == start
+        assert points_per_row(om, 2) > 1.0
+        assert calls == []
+        # a norm that needs a larger radius walks, and leaves the memo as
+        # it was; another order has its own memo
+        far = _truncation_radius(om, 2, 1e-12, 40.0)
+        assert far == loop_truncation_radius(om, 2, 1e-12, 40.0) > start
+        assert calls
+        calls.clear()
+        assert _truncation_radius(om, 2, 1e-12, 0.5) == start
+        assert calls == []
+        assert _truncation_radius(om, 3, 1e-12, 0.0) == \
+            loop_truncation_radius(om, 3, 1e-12, 0.0)
+        assert calls
+
+    def test_threads_sharing_one_matrix_get_the_loop_radii(self):
+        rng = np.random.default_rng(11)
+        entries = random_riemann(rng, 3).entries
+        calls = [(int(order), float(norm_c)) for order, norm_c in zip(
+            rng.integers(0, 4, 60),
+            rng.choice([0.0, 0.3, 1.0, 3.0, 10.0, 30.0], 60)
+            * rng.uniform(0.5, 1.5, 60))]
+        om = RiemannMatrix(entries)
+        want = {call: loop_truncation_radius(om, call[0], 1e-12, call[1])
+                for call in calls}
+        om = RiemannMatrix(entries)   # a fresh memo
+        got, failures = [[] for _ in range(4)], []
+
+        def work(k):
+            try:
+                for i in np.random.default_rng(k).permutation(len(calls)):
+                    order, norm_c = calls[i]
+                    got[k].append(((order, norm_c), _truncation_radius(
+                        om, order, 1e-12, norm_c)))
+            except Exception as exc:  # noqa: BLE001 - reported below
+                failures.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(k,))
+                       for k in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert failures == []
+        for results in got:
+            assert len(results) == len(calls)
+            for call, radius in results:
+                assert radius == want[call], call
+
 
 class TestScaledComplex:
     def test_normalization(self):
@@ -893,3 +966,188 @@ class TestThetaBatchRows:
         for bad in (4, -1):
             with pytest.raises(ValueError, match="orders"):
                 theta_batch(z, genus2.omega, [zero] * 3, [0, bad, 0])
+
+
+def loop_theta_batch(z, omega, chars, orders, tol=1e-12):
+    """theta_batch as it was before its rows were made cheaper, kept as an
+    oracle: every radius walks with ``loop_truncation_radius``, every
+    derivative row multiplies its complex factor up from np.ones, and
+    every scale is a per-row maximum."""
+    _check_tol(tol)
+    z = np.asarray(z, dtype=complex)
+    g = omega.dim
+    if z.ndim != 2 or z.shape[1] != g or any(ch.dim != g for ch in chars):
+        raise ValueError("dimension mismatch between z, char and Omega")
+    if not len(chars) == len(orders) == len(z):
+        raise ValueError("need one characteristic and one derivative order "
+                         "per row")
+    if not set(orders) <= {0, 1, 2, 3}:
+        raise ValueError("derivative orders must lie in 0..3")
+    if not np.maximum(abs(z.real), abs(z.imag)).max(initial=0.0) < 2.0 ** 53:
+        raise ValueError("theta argument is not finite or exceeds 2**53")
+    ab = np.array([ch.alpha + ch.beta for ch in chars],
+                  float).reshape(-1, 2 * g) / 2.0
+    alpha, beta = ab[:, :g], ab[:, g:]
+    y = z.imag
+    c = (omega.im_inv @ y[:, :, None])[:, :, 0]
+    if not abs(c).max(initial=0.0) < 2.0 ** 53:
+        raise ValueError("lattice enumeration centre exceeds 2**53")
+    exponents = (math.pi * (y[:, None, :] @ c[:, :, None])[:, 0, 0]).tolist()
+    radii = [loop_truncation_radius(omega, order, tol, norm_c)
+             for order, norm_c in zip(orders, np.sqrt(
+                 (c[:, None, :] @ c[:, :, None])[:, 0, 0]).tolist())]
+    pts, counts = _enumerate_ellipsoid(omega.chol, alpha + c, radii)
+    ends = np.cumsum(counts).tolist()
+    na = pts + np.repeat(alpha, counts, axis=0)
+    quad = _quadratic_form(na, omega.entries)
+    zb = z + beta
+    lin = np.empty(len(na), dtype=complex)
+    start = 0
+    for zr, end in zip(zb, ends):
+        lin[start:end] = na[start:end] @ zr
+        start = end
+    terms = np.exp(1j * math.pi * quad + _TWO_PI_I * lin
+                   - np.repeat(exponents, counts))
+    table = _derivative_table(g, max(orders, default=0))[1]
+    powers = {}
+    prods = np.empty((len(table), len(na)), dtype=complex)
+    for row, d in zip(prods, table):
+        fac = np.ones(len(na), dtype=complex)
+        for k, dk in enumerate(d):
+            if dk:
+                if (k, dk) not in powers:
+                    powers[k, dk] = (_TWO_PI_I * na[:, k]) ** dk
+                fac = fac * powers[k, dk]
+        np.multiply(fac, terms, out=row)
+    size = np.abs(terms)
+    sizes = [len(_derivative_table(g, k)[1]) for k in range(4)]
+    mantissas, scales = [], []
+    for order, s, e in zip(orders, [0] + ends, ends):
+        mantissas.append(
+            np.add.reduce(prods[:sizes[order], s:e], axis=1).tolist())
+        scales.append(float(size[s:e].max()) if e > s else 0.0)
+    return mantissas, exponents, scales
+
+
+def _batch_or_error(fn, *args):
+    """The float.hex of every mantissa, exponent and scale, or the name
+    of the error raised."""
+    try:
+        mantissas, exponents, scales = fn(*args)
+    except (ToleranceTooSmall, ValueError) as exc:
+        return type(exc).__name__
+    return ([_hex(vals) for vals in mantissas], [x.hex() for x in exponents],
+            [x.hex() for x in scales])
+
+
+class TestThetaBatchAgainstLoop:
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), g=st.integers(1, 3),
+           n=st.integers(0, 12),
+           im_scale=st.sampled_from([0.3, 1.0, 1.0, 30.0, 300.0, 1000.0,
+                                     3000.0]),
+           log_im=st.floats(-2, 3), log_tol=st.floats(-12, -4),
+           at_zero=st.booleans())
+    def test_bits_match_the_loop(self, seed, g, n, im_scale, log_im,
+                                 log_tol, at_zero):
+        """Random Omega (Im Omega from about 0.3, where lattice vectors
+        reach +-4, to a few thousand, where terms and whole rows
+        underflow), a characteristic and an order per row, Im z up to 1e3,
+        or z = 0 with odd characteristics, whose values cancel to exact
+        zeros."""
+        rng = np.random.default_rng(seed)
+        om = random_riemann(rng, g)
+        om = RiemannMatrix(om.entries.real + 1j * im_scale * om.im)
+        chars = list(Characteristic.all(g))
+        if at_zero:
+            chars = [ch for ch in chars if ch.parity] or chars
+            z = np.zeros((n, g), dtype=complex)
+        else:
+            z = (rng.uniform(-3, 3, (n, g))
+                 + 1j * 10.0 ** log_im * rng.uniform(-1, 1, (n, g)))
+        row_chars = [chars[k] for k in rng.integers(0, len(chars), n)]
+        row_orders = rng.integers(0, 4, n).tolist()
+        tol = 10.0 ** log_tol
+        assert _batch_or_error(theta_batch, z, om, row_chars, row_orders,
+                               tol) == \
+            _batch_or_error(loop_theta_batch, z, om, row_chars, row_orders,
+                            tol)
+
+    def test_exact_zeros_keep_their_bits(self):
+        # odd characteristics at z = 0 sum to exact zeros, and at
+        # Im Omega = 1000 one lattice point, n = 0, carries every row
+        for entries in ([[1j, 0.5], [0.5, 1j]], [[1000j]], [[100j]]):
+            om = RiemannMatrix(entries)
+            g = om.dim
+            chars = list(Characteristic.all(g))
+            z = np.zeros((len(chars), g), dtype=complex)
+            args = (z, om, chars, [3] * len(chars))
+            got = _batch_or_error(theta_batch, *args)
+            assert got == _batch_or_error(loop_theta_batch, *args)
+            assert any(float.fromhex(part) == 0.0 for vals in got[0]
+                       for pair in vals for part in pair)
+
+    def test_three_factor_products_keep_their_order(self):
+        # with lattice vectors up to +-4 the products (a_0 a_1) a_2 and
+        # (a_2 a_1) a_0 of a d_0 d_1 d_2 row round differently
+        om = RiemannMatrix([[0.1 + 0.3j, 0.05, 0.02], [0.05, 0.3j, 0.03],
+                            [0.02, 0.03, -0.1 + 0.3j]])
+        chars = list(Characteristic.all(3))
+        rng = np.random.default_rng(0)
+        z = (rng.uniform(-1, 1, (len(chars), 3))
+             + 1j * rng.uniform(-1, 1, (len(chars), 3)))
+        args = (z, om, chars, [3] * len(chars))
+        assert _batch_or_error(theta_batch, *args) == \
+            _batch_or_error(loop_theta_batch, *args)
+
+    def test_zero_rows(self, genus2):
+        assert theta_batch(np.zeros((0, 2)), genus2.omega, [], []) == \
+            ([], [], [])
+
+
+def loop_hessian(g, vals, scale, floor):
+    """The one-row matrix of log_theta_hessian before it was built over
+    rows, kept as an oracle: Python complex scalars, with
+    theta_i * theta_j a product of numpy scalars."""
+    th = vals[0]
+    if abs(th) < floor * scale:
+        raise PointOnTheta(f"|theta(e)| = {abs(th):.3e} under floor "
+                           f"{floor:g} * {scale:.3e}")
+    grad = np.array(vals[1:1 + g])
+    m = np.empty((g, g), dtype=complex)
+    pairs = _derivative_table(g, 2)[0][1 + g:]
+    for (i, j), v in zip(pairs, vals[1 + g:]):
+        m[i, j] = m[j, i] = th * v - grad[i] * grad[j]
+    return m, m / (th * th)
+
+
+class TestHessiansOverRows:
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), g=st.integers(1, 3),
+           n=st.integers(1, 20))
+    def test_bits_match_one_row_at_a_time(self, seed, g, n):
+        rng = np.random.default_rng(seed)
+        size = len(derivative_indices(g, 2)[1])
+        vals = ((rng.standard_normal((n, size))
+                 + 1j * rng.standard_normal((n, size)))
+                * 10.0 ** rng.uniform(-3, 3, (n, 1)))
+        # about one row in four lies on the divisor
+        scales = (np.abs(vals[:, 0])
+                  * 10.0 ** rng.uniform(-1, 10.5, n)).tolist()
+        vals = vals.tolist()
+        theta, numerators = hessian_numerators(g, vals)
+        matrices, errors = log_theta_hessians(g, vals, scales)
+        assert len(errors) == n
+        for row, scale, th, num, hess, error in zip(
+                vals, scales, theta, numerators, matrices, errors):
+            assert complex(th) == row[0]
+            try:
+                want_num, want = loop_hessian(g, row, scale, THETA_FLOOR)
+            except PointOnTheta as exc:
+                assert isinstance(error, PointOnTheta)
+                assert str(error) == str(exc)
+                assert np.isnan(hess).all()
+                continue
+            assert error is None
+            assert _hex(num.ravel()) == _hex(want_num.ravel())
+            assert _hex(hess.ravel()) == _hex(want.ravel())
