@@ -2,8 +2,7 @@
 an exact jet calculus for opers and matrix opers."""
 
 from .curves import (HyperellipticCurve, LocalExpansion, SurfacePoint,
-                     build_curve, curve_from_spec, lattice_coordinates,
-                     reduce_mod_lattice)
+                     build_curve, curve_from_spec, lattice_coordinates)
 from .errors import ThetaKernelsError
 from .kernels import (KernelValue, KleinCoordinates, bergman_a_period,
                       bergman_kernel, finiteness_probe, find_theta_zero,
@@ -11,8 +10,7 @@ from .kernels import (KernelValue, KleinCoordinates, bergman_a_period,
                       klein_kernel, prime_form, select_odd_characteristic,
                       szego_kernel, wirtinger_connection)
 from .theta import (Characteristic, RiemannMatrix, ScaledComplex,
-                    lattice_points, log_theta_hessian,
-                    second_order_theta_basis, theta_value)
+                    log_theta_hessian, second_order_theta_basis, theta_value)
 
 __all__ = [
     "Characteristic",
@@ -28,17 +26,15 @@ __all__ = [
     "bergman_kernel",
     "build_curve",
     "curve_from_spec",
-    "finiteness_probe",
     "find_theta_zero",
+    "finiteness_probe",
     "gauss_limit_check",
     "is_on_theta",
     "klein_coordinates",
     "klein_kernel",
     "lattice_coordinates",
-    "lattice_points",
     "log_theta_hessian",
     "prime_form",
-    "reduce_mod_lattice",
     "second_order_theta_basis",
     "select_odd_characteristic",
     "szego_kernel",

@@ -439,9 +439,7 @@ def _suite_jets(args):
         return poly([complex(rng.integers(-4, 5), rng.integers(-4, 5))
                      for _ in range(deg + 1)])
 
-    w = Series.zero(n)
-    w.c[1] = QC(2)
-    w.c[2] = QC(1, 1)
+    w = Series.from_coeffs([0, 2, QC(1, 1)], n)
     exact("mu_coordinate_invariance",
           jets.change_coordinate(jets.mu_nu(3, 2, n), w) == jets.mu_nu(3, 2, n))
     s = jets.JetKernel(1, 3, 3, [[[poly([1])]], [[rpoly(2)]], [[rpoly(2)]]])

@@ -364,15 +364,6 @@ class HyperellipticCurve:
         return SurfacePoint(x=x, sheet=int(sheet), y=complex(y),
                             chart_scale=float(chart_scale))
 
-    def point_with_y(self, x, y, chart_scale=1.0) -> SurfacePoint:
-        x, y = complex(x), complex(y)
-        fx = self._admissible_f(x)
-        if not abs(y * y - fx) <= 1e-8 * max(1.0, abs(fx)):
-            raise InadmissiblePoint("y^2 != f(x)")
-        principal = np.sqrt(fx)
-        sheet = 1 if abs(y - principal) <= abs(y + principal) else -1
-        return SurfacePoint(x=x, sheet=sheet, y=y, chart_scale=float(chart_scale))
-
     # -- path routing and tracked integration --------------------------------
 
     def _route(self, a, b, depth=0):
@@ -611,26 +602,18 @@ def curve_from_spec(spec: dict, **kwargs) -> HyperellipticCurve:
 
 
 def _parse_complex(c):
-    """A number or an [re, im] pair as a complex; ValueError otherwise."""
+    """A number or an [re, im] pair as a complex; ValueError otherwise,
+    also for a boolean (JSON true), which complex() would read as 1."""
+    pair = isinstance(c, (list, tuple))
+    if pair and len(c) != 2:
+        raise ValueError(f"complex entries must be [re, im], got {c}")
     try:
-        if isinstance(c, (list, tuple)):
-            if len(c) != 2:
-                raise ValueError(f"complex entries must be [re, im], got {c}")
-            return complex(float(c[0]), float(c[1]))
-        return complex(c)
+        if any(isinstance(x, bool) for x in (c if pair else [c])):
+            raise TypeError
+        return complex(float(c[0]), float(c[1])) if pair else complex(c)
     except TypeError:
         raise ValueError(f"entries must be numbers or [re, im] pairs, "
                          f"got {c!r}") from None
-
-
-def reduce_mod_lattice(z, omega: RiemannMatrix):
-    """Representative of z with both lattice coordinates in [-1/2, 1/2)."""
-    z = np.asarray(z, dtype=complex).reshape(-1)
-    b = omega.im_inv @ z.imag
-    a = z.real - omega.entries.real @ b
-    shift = np.floor(b + 0.5)
-    z = z - omega.entries @ shift - np.floor(a + 0.5)
-    return z
 
 
 def lattice_coordinates(z, omega: RiemannMatrix):

@@ -727,8 +727,7 @@ def matrix_oper(conn: ConnectionJet, oper: JetKernel, eta: dict) -> JetKernel:
     m = oper.order
     r = conn.rank
     kappa = flat_extension(conn, m)
-    scalar_part = oper.copy()
-    out = kappa * scalar_part
+    out = kappa * oper
     nser = out.series_order
     for i, mat in sorted(eta.items()):
         if not _mat_trace(mat).is_zero():

@@ -11,11 +11,11 @@ Kernel values are densities with respect to the chart parameters of the
 two surface points; weights record the transformation law (a section of
 weight (w1, w2) picks up chart_scale^w1 * chart_scale^w2).
 
-A point is on the theta divisor when |theta| is below
-``theta.THETA_FLOOR`` times the scale of its lattice sum, read at call
-time.  The odd characteristic and the theta gradients at 0 are kept in
-the curve's memo (:meth:`HyperellipticCurve.memo`), next to its Abel
-images.
+A point is on the theta divisor when ``theta._on_divisor`` says so:
+|theta| is below ``theta.THETA_FLOOR`` (read at call time) times the
+scale of its lattice sum, or that scale is 0.  The odd characteristic
+and the theta gradients at 0 are kept in the curve's memo
+(:meth:`HyperellipticCurve.memo`), next to its Abel images.
 """
 
 from __future__ import annotations
@@ -33,9 +33,9 @@ from .errors import (ConstraintViolation, NoNonsingularOddCharacteristic,
                      SeriesOrderInsufficient, SquareRootBranchUnresolvable)
 from .series import complex_div, complex_mul
 from .theta import (DEFAULT_TOL, Characteristic, RiemannMatrix,
-                    ScaledComplex, _triu_indices, derivative_indices,
-                    hessian_numerators, log_theta_hessian, log_theta_hessians,
-                    theta_batch, theta_value)
+                    ScaledComplex, _on_divisor, _triu_indices,
+                    derivative_indices, hessian_numerators, log_theta_hessian,
+                    log_theta_hessians, theta_batch, theta_value)
 
 GRADIENT_FLOOR = 1e-8
 
@@ -80,12 +80,6 @@ def _class_vector(e, g):
     if not np.all(np.isfinite(e)):
         raise ValueError("class entries must be finite")
     return e
-
-
-def _on_divisor(mantissa, scale) -> bool:
-    """Whether a theta value lies on the theta divisor: its mantissa is
-    below ``theta.THETA_FLOOR`` times the scale of its lattice sum."""
-    return abs(mantissa) < theta.THETA_FLOOR * scale
 
 
 def _require_off_diagonal(x: SurfacePoint, y: SurfacePoint, what):

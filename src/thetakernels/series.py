@@ -7,11 +7,12 @@ truncates at the minimum order of the operands.
 Exact series are stored the way FLINT's ``fmpq_poly`` stores a rational
 polynomial: Gaussian-integer numerators re[k] + i im[k] over one shared
 positive denominator, reduced so that no integer > 1 divides them all.
-Every operation (sums, products, reciprocals, calculus, composition,
-reversion and comparison) runs on those integers with plain ``int``
-arithmetic; :class:`QC` values and their Fractions are built only when a
-coefficient is read, and a write to ``Series.c`` goes through to the
-integers.
+Every operation (sums, products, powers, reciprocals, derivatives,
+composition, reversion and comparison) runs on those integers with plain
+``int`` arithmetic; :class:`QC` values and their Fractions are built
+only when a coefficient is read, and a write to ``Series.c`` goes
+through to the integers.  Fractional powers of jets are the binomial
+series of ``jets._pow_fraction``.
 
 Numerically computed germs (the local expansions of a curve and the
 theta compositions of the Wirtinger connection) are plain lists of
@@ -503,23 +504,6 @@ class Series:
             k >>= 1
         return out
 
-    def pow_fraction(self, alpha: Fraction):
-        """(1 + x)^alpha by the binomial series; requires constant term 1."""
-        if self._re[0] != self._den or self._im[0]:
-            raise ValueError("fractional powers need constant term 1")
-        x = self - 1
-        n = self.n
-        out = Series.const(1, n)
-        term = Series.const(1, n)
-        coeff = Fraction(alpha)
-        for k in range(1, n + 1):
-            term = term * x
-            if term.is_zero():
-                break
-            out = out + term * (coeff / math.factorial(k))
-            coeff *= (alpha - k)
-        return out
-
     # -- calculus ---------------------------------------------------------
 
     def derivative(self):
@@ -529,13 +513,6 @@ class Series:
         return _series([k * x for k, x in enumerate(self._re[1:], 1)],
                        [k * x for k, x in enumerate(self._im[1:], 1)],
                        self._den, n - 1)
-
-    def integrate(self):
-        """Antiderivative with zero constant term; order grows by one."""
-        scale = math.lcm(*range(1, self.n + 2))
-        return _series([0] + [x * (scale // k) for k, x in enumerate(self._re, 1)],
-                       [0] + [x * (scale // k) for k, x in enumerate(self._im, 1)],
-                       self._den * scale, self.n + 1)
 
     def compose(self, inner: "Series"):
         """self(inner(t)); requires inner(0) = 0."""
@@ -608,30 +585,6 @@ class Series:
         for k in range(self.n - 1, -1, -1):
             acc = acc * t + c[k]
         return acc
-
-    def shift_argument(self, a):
-        """Series of f(t + a) to the same truncation order (a a QC)."""
-        n = self.n
-        re, im = self._re, self._im
-        ar, ai, ad = _scalar(a)
-        # f(t + a)_j = sum_{k >= j} binom(k, j) c_k a^(k-j); over den ad^n,
-        # a^m is A^m ad^(n-m) for A = ar + i ai
-        pr, pi = [0] * (n + 1), [0] * (n + 1)
-        xr, xi = 1, 0
-        for m in range(n + 1):
-            pr[m], pi[m] = xr * ad ** (n - m), xi * ad ** (n - m)
-            xr, xi = xr * ar - xi * ai, xr * ai + xi * ar
-        out_r, out_i = [0] * (n + 1), [0] * (n + 1)
-        for k in range(n + 1):
-            cr, ci = re[k], im[k]
-            if not (cr or ci):
-                continue
-            for j in range(k + 1):
-                b = math.comb(k, j)
-                yr, yi = pr[k - j], pi[k - j]
-                out_r[j] += b * (cr * yr - ci * yi)
-                out_i[j] += b * (cr * yi + ci * yr)
-        return _series(out_r, out_i, self._den * ad ** n, n)
 
     def __eq__(self, other):
         if not isinstance(other, Series):

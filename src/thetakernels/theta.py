@@ -30,7 +30,8 @@ _EPS = float(np.finfo(float).eps)
 DEFAULT_TOL = 1e-12
 
 #: |theta| below ``THETA_FLOOR * max_term`` counts as "on the theta
-#: divisor"; every divisor test reads it at call time.
+#: divisor"; :func:`_on_divisor`, the one divisor test, reads it at call
+#: time.
 THETA_FLOOR = 1e-8
 
 
@@ -130,8 +131,8 @@ class ScaledComplex:
     """A complex number stored as mantissa * exp(exponent).
 
     The mantissa is kept in [0.5, 2) in absolute value (unless the value
-    is exactly zero), so products and quotients of theta values never
-    overflow even deep in the Jacobian.
+    is exactly zero), so a theta value deep in the Jacobian never
+    overflows; :meth:`ratio` divides two of them as a plain complex.
     """
 
     mantissa: complex
@@ -148,20 +149,6 @@ class ScaledComplex:
     def value(self) -> complex:
         """Plain complex value; may overflow if the exponent is huge."""
         return self.mantissa * math.exp(self.exponent)
-
-    def __mul__(self, other):
-        if isinstance(other, ScaledComplex):
-            return ScaledComplex.make(self.mantissa * other.mantissa,
-                                      self.exponent + other.exponent)
-        return ScaledComplex.make(self.mantissa * other, self.exponent)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if isinstance(other, ScaledComplex):
-            return ScaledComplex.make(self.mantissa / other.mantissa,
-                                      self.exponent - other.exponent)
-        return ScaledComplex.make(self.mantissa / other, self.exponent)
 
     def ratio(self, other: "ScaledComplex") -> complex:
         """self / other as a plain complex number."""
@@ -245,18 +232,6 @@ def _enumerate_ellipsoid(T, centers, radii):
     for i, col in enumerate(cols):
         vecs[:, i] = col[order]
     return vecs, np.bincount(root, minlength=len(radii))
-
-
-def lattice_points(omega: RiemannMatrix, center, radius: float):
-    """Integer vectors n with ||T (n + center)|| <= radius.
-
-    T is the Cholesky factor of pi * Im(Omega).  The list is returned in
-    lexicographic order, so downstream sums are deterministic.
-    """
-    if radius <= 0:
-        raise ValueError("radius must be positive")
-    center = np.asarray(center, dtype=float)
-    return list(_enumerate_ellipsoid(omega.chol, center[None], [radius])[0])
 
 
 # ----------------------------------------------------------------------
@@ -401,9 +376,11 @@ def theta_batch(z, omega: RiemannMatrix, chars, orders,
     ``(mantissas, exponents, scales)``, three lists with one entry per
     row: ``value_k = mantissas[r][k] * exp(exponents[r])``, and
     ``scales[r]`` is the largest term magnitude of the row's order-zero
-    sum (the reference for divisor-proximity floors), 0 for a row with
-    no lattice points.  Every row is bit for bit the result of a call
-    with that row, its characteristic and its order alone.  Raises
+    sum (the reference of :func:`_on_divisor`), 0 for a row with no
+    lattice points or whose terms all underflow.  Every row is bit for
+    bit the result of a call with that row, its characteristic and its
+    order alone.  Values are certified absolutely: the truncation error
+    of value_k is at most ``tol * exp(exponents[r])``.  Raises
     ValueError when an entry of z, or of a row's lattice centre, is not
     finite or reaches 2**53 in absolute value.
     """
@@ -542,19 +519,16 @@ def _derivative_table(g: int, order: int):
     return combs, tuple(tuple(c.count(i) for i in range(g)) for c in combs)
 
 
-def log_theta_hessian(e, omega: RiemannMatrix, tol: float = DEFAULT_TOL,
-                      char: Characteristic = None):
-    """Matrix of second logarithmic derivatives of theta[char] at e.
+def log_theta_hessian(e, omega: RiemannMatrix, tol: float = DEFAULT_TOL):
+    """Matrix of second logarithmic derivatives of theta at e.
 
-    c_ij = (theta * theta_ij - theta_i * theta_j) / theta^2, with the zero
-    characteristic by default.  Raises :class:`PointOnTheta` when
-    |theta(e)| is below ``THETA_FLOOR`` times the largest term of the sum,
-    i.e. when e lies on the theta divisor to working precision.
+    c_ij = (theta * theta_ij - theta_i * theta_j) / theta^2.  Raises
+    :class:`PointOnTheta` when e lies on the theta divisor to working
+    precision (:func:`_on_divisor`).
     """
-    if char is None:
-        char = Characteristic.zero(omega.dim)
     e = np.asarray(e, dtype=complex).reshape(1, -1)
-    vals, _, scales = theta_batch(e, omega, [char], [2], tol)
+    vals, _, scales = theta_batch(e, omega, [Characteristic.zero(omega.dim)],
+                                  [2], tol)
     (hess,), (error,) = log_theta_hessians(omega.dim, vals, scales)
     if error is not None:
         raise error
@@ -568,18 +542,27 @@ def log_theta_hessians(g: int, vals, scales):
     Returns ``(matrices, errors)``: an (N, g, g) array and a list holding,
     per row, None or the :class:`PointOnTheta` that row raises when it
     lies on the theta divisor (its matrix is then NaN).  The divisor test
-    is the one of a single row, |theta| by Python's ``abs`` (numpy's may
-    round differently), and every quotient is the one it divides.
+    is :func:`_on_divisor` of each row, and every quotient is the one a
+    single row divides.
     """
     th, num = hessian_numerators(g, vals)
     errors = [PointOnTheta(f"|theta(e)| = {abs(v[0]):.3e} under floor "
                            f"{THETA_FLOOR:g} * {scale:.3e}")
-              if abs(v[0]) < THETA_FLOOR * scale else None
+              if _on_divisor(v[0], scale) else None
               for v, scale in zip(vals, scales)]
     ok = np.array([error is None for error in errors], dtype=bool)
     out = np.full_like(num, np.nan)
     out[ok] = num[ok] / _python_product(th, th)[ok, None, None]
     return out, errors
+
+
+def _on_divisor(mantissa, scale) -> bool:
+    """Whether a theta value lies on the theta divisor: its mantissa is
+    below ``THETA_FLOOR`` times the scale of its lattice sum, or the
+    scale is 0 (every term underflowed), where theta is 0 within the
+    certified absolute error.  |theta| is Python's ``abs``; numpy's may
+    round differently."""
+    return scale == 0 or abs(mantissa) < THETA_FLOOR * scale
 
 
 def hessian_numerators(g: int, vals):

@@ -247,6 +247,24 @@ class TestEvalInputContracts:
         bad.write_text('{"f": [null, -1, 0, 1]}')
         assert_one_error_line(run_cli(["periods", "--curve", str(bad)]))
 
+    @pytest.mark.parametrize("argv", [
+        ["periods", "--curve", "CURVE"],
+        ["eval", "theta", "--omega", "[[true]]", "--z", "0"],
+        ["eval", "theta", "--omega", "[[[1, false]]]", "--z", "0"],
+        ["eval", "theta", "--omega", "[[1]]", "--z", "[true]"],
+    ])
+    def test_boolean_entries_exit_2(self, tmp_path, capsys, argv):
+        # complex(True) is 1 + 0j: a JSON true must not pass for a number
+        from thetakernels import cli
+        path = tmp_path / "curve.json"
+        path.write_text('{"f": [0, -1, 0, 0, 0, true]}')
+        assert cli.main([str(path) if a == "CURVE" else a for a in argv]) == 2
+        out, err = capsys.readouterr()
+        lines = err.strip().splitlines()
+        assert out == "" and len(lines) == 1
+        assert lines[0].startswith("error:")
+        assert "True" in lines[0] or "False" in lines[0]
+
     def test_wirtinger_honours_order(self, curve_file, monkeypatch, capsys):
         from thetakernels import cli
         base = ["eval", "wirtinger", "--curve", curve_file,

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import warnings
 from pathlib import Path
 
@@ -8,8 +9,7 @@ import pytest
 
 from thetakernels.curves import (SurfacePoint, _gauss_legendre,
                                  _half_gauss_legendre, build_curve,
-                                 curve_from_spec,
-                                 lattice_coordinates, reduce_mod_lattice)
+                                 curve_from_spec, lattice_coordinates)
 from thetakernels.errors import (DegreeTooSmall, InadmissiblePoint,
                                  NonSquarefree)
 from thetakernels.series import complex_mul
@@ -71,6 +71,12 @@ class TestBuildCurve:
         for spec in (5, [0, -1, 0, 1], {"f": 5}, {"f": None}):
             with pytest.raises(ValueError):
                 curve_from_spec(spec)
+
+    @pytest.mark.parametrize("entry", [True, False, [True, 0], [0, False]])
+    def test_boolean_entry_rejected(self, entry):
+        # complex(True) is 1 + 0j; the message names the entry
+        with pytest.raises(ValueError, match=f"got {re.escape(repr(entry))}"):
+            curve_from_spec({"f": [0, -1, 0, 0, 0, entry]})
 
 
 class TestDifferentials:
@@ -164,8 +170,6 @@ class TestSurfacePoints:
         x = 1.0 + 1e-5
         with pytest.raises(InadmissiblePoint):
             lemniscatic.point(x, 1)
-        with pytest.raises(InadmissiblePoint):
-            lemniscatic.point_with_y(x, np.sqrt(lemniscatic.f(x)))
 
     @pytest.mark.parametrize("sheet", [0, 2, -2, 1.5, 1, -1])
     def test_sheet_must_be_plus_or_minus_one(self, genus2, sheet):
@@ -178,23 +182,12 @@ class TestSurfacePoints:
             with pytest.raises(InadmissiblePoint):
                 genus2.point(2.0, sheet)
 
-    def test_point_with_y(self, lemniscatic):
-        p = lemniscatic.point(2.0, -1)
-        q = lemniscatic.point_with_y(2.0, p.y)
-        assert q.sheet == -1
-        with pytest.raises(InadmissiblePoint):
-            lemniscatic.point_with_y(2.0, 1.234)
-
     @pytest.mark.parametrize("x", [float("nan"), float("inf"), 1e200,
                                    complex(1.0, float("-inf"))])
     def test_non_finite_point_rejected(self, genus2, x):
         # 1e200 is finite, but f(1e200) overflows
         with pytest.raises(InadmissiblePoint):
             genus2.point(x, 1)
-        with pytest.raises(InadmissiblePoint):
-            genus2.point_with_y(x, 1.0)
-        with pytest.raises(InadmissiblePoint):
-            genus2.point_with_y(2.0, float("nan"))
 
 
 class TestAbelMap:
@@ -257,27 +250,6 @@ class TestAbelMap:
         v = c.abel_map(tgt, base=base)
         w = c.abel_map(tgt) - c.abel_map(base)
         assert integrality(v - w, c.omega) < 1e-9
-
-
-class TestReduceModLattice:
-    def test_zero(self, lemniscatic):
-        assert np.max(np.abs(reduce_mod_lattice([0j], lemniscatic.omega))) == 0
-
-    def test_lattice_vector(self, genus2):
-        om = genus2.omega
-        z = om.entries @ np.ones(2)
-        assert np.max(np.abs(reduce_mod_lattice(z, om))) < 1e-12
-
-    def test_coefficients_in_half_open_box(self, genus2):
-        rng = np.random.default_rng(1)
-        om = genus2.omega
-        for _ in range(20):
-            z = rng.standard_normal(2) * 3 + 1j * rng.standard_normal(2) * 3
-            red = reduce_mod_lattice(z, om)
-            a, b = lattice_coordinates(red, om)
-            assert np.all(a >= -0.5 - 1e-12) and np.all(a < 0.5 + 1e-12)
-            assert np.all(b >= -0.5 - 1e-12) and np.all(b < 0.5 + 1e-12)
-            assert integrality(z - red, om) < 1e-12
 
 
 class TestLocalExpansion:

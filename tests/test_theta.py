@@ -22,10 +22,9 @@ from thetakernels.theta import (_TWO_PI_I, THETA_FLOOR, Characteristic,
                                 _quadratic_form, _tail_bound,
                                 _truncation_radius, _upper_gamma,
                                 derivative_indices, hessian_numerators,
-                                lattice_points, log_theta_hessian,
-                                log_theta_hessians, points_per_row,
-                                second_order_theta_basis, theta_batch,
-                                theta_value)
+                                log_theta_hessian, log_theta_hessians,
+                                points_per_row, second_order_theta_basis,
+                                theta_batch, theta_value)
 
 
 def brute_theta(z, omega, char=None, deriv=None, box=10):
@@ -93,17 +92,19 @@ class TestRiemannMatrix:
 class TestLatticePoints:
     def test_g1_radius_pi(self):
         om = RiemannMatrix([[1j]])
-        pts = lattice_points(om, [0.0], math.pi)
+        pts, _ = _enumerate_ellipsoid(om.chol, [0.0], [math.pi])
         assert [int(p[0]) for p in pts] == [-1, 0, 1]
 
     def test_empty_ellipsoid(self):
         om = RiemannMatrix([[1j]])
-        pts = lattice_points(om, [0.5], 0.5)  # ||T * 0.5|| = sqrt(pi)/2 > 0.5
-        assert pts == []
+        # ||T * 0.5|| = sqrt(pi)/2 > 0.5
+        pts, _ = _enumerate_ellipsoid(om.chol, [0.5], [0.5])
+        assert list(pts) == []
 
     def test_g2_unit_ball(self):
         om = RiemannMatrix(1j * np.eye(2))
-        pts = lattice_points(om, [0.0, 0.0], math.sqrt(math.pi))
+        pts, _ = _enumerate_ellipsoid(om.chol, [0.0, 0.0],
+                                      [math.sqrt(math.pi)])
         got = {tuple(int(c) for c in p) for p in pts}
         # brute force over the |n|_inf <= 3 box
         T = om.chol
@@ -115,7 +116,7 @@ class TestLatticePoints:
 
     def test_lexicographic_order(self):
         om = RiemannMatrix(1j * np.eye(2))
-        pts = lattice_points(om, [0.1, -0.2], 4.0)
+        pts, _ = _enumerate_ellipsoid(om.chol, [0.1, -0.2], [4.0])
         tups = [tuple(int(c) for c in p) for p in pts]
         assert tups == sorted(tups)
 
@@ -493,6 +494,18 @@ def test_package_exposes_theta_module():
     assert thetakernels.theta.Characteristic is thetakernels.Characteristic
 
 
+def test_package_exports_what_it_imports():
+    import types
+
+    import thetakernels
+    names = thetakernels.__all__
+    assert all(hasattr(thetakernels, n) for n in names)
+    assert names == sorted(names)
+    imported = {n for n, v in vars(thetakernels).items()
+                if not n.startswith("_") and not isinstance(v, types.ModuleType)}
+    assert set(names) == imported
+
+
 class TestTailBound:
     @pytest.mark.parametrize("s", [k / 2 for k in range(1, 16)])
     def test_upper_gamma_matches_mpmath(self, s):
@@ -691,8 +704,6 @@ class TestScaledComplex:
         v = theta_value(z, om)
         assert np.isfinite(v.mantissa.real) and np.isfinite(v.mantissa.imag)
         assert 0.5 <= abs(v.mantissa) < 2
-        w = (v * v) / v
-        assert np.isfinite(w.mantissa.real)
 
 
 class TestLogThetaHessian:
@@ -733,6 +744,21 @@ class TestLogThetaHessian:
         zero = np.array([(1 + 1j) / 2])  # theta zero in genus 1
         with pytest.raises(PointOnTheta):
             log_theta_hessian(zero, om)
+
+    def test_underflowed_row_is_on_theta(self):
+        # every lattice term at e = 500i underflows, so the row's scale is
+        # 0 and theta is 0 within its certified absolute error
+        from thetakernels.kernels import is_on_theta
+        om = RiemannMatrix([[1000j]])
+        e = np.array([500j])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _, _, scales = theta_batch(e[None], om, [Characteristic.zero(1)],
+                                       [2])
+            assert scales == [0.0]
+            with pytest.raises(PointOnTheta):
+                log_theta_hessian(e, om)
+            assert is_on_theta(e, om)
 
 
 class TestSecondOrderBasis:
