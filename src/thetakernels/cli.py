@@ -45,7 +45,6 @@ from .kernels import (bergman_a_period, bergman_kernel, finiteness_probe,
                       find_theta_zero, gauss_limit_check, klein_coordinates,
                       klein_kernel, prime_form, select_odd_characteristic,
                       szego_kernel, wirtinger_connection)
-from .series import QC, Series
 from .theta import (DEFAULT_TOL, Characteristic, RiemannMatrix,
                     second_order_theta_basis, theta_value)
 
@@ -68,13 +67,22 @@ def cmat(m) -> list:
     return [[cplx(v) for v in row] for row in np.asarray(m)]
 
 
+def read_json(text: str, what: str):
+    """json.loads(text); ValueError naming ``what`` also when the JSON
+    nests deeper than the parser's recursion limit."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError(f"{what} nests too deeply to read") from None
+
+
 def parse_complex(text: str, vector: bool = False):
     """A complex number, or with ``vector`` a complex array, from JSON
     (a number or [re, im] pair each) or from plain text (comma-separated
     for a vector; spaces are ignored).  Raises ValueError otherwise."""
     text = text.strip()
     if text.startswith("["):
-        data = json.loads(text)
+        data = read_json(text, "complex value")
         items = data if vector else [data]
     else:
         text = text.replace(" ", "")
@@ -100,7 +108,7 @@ def load_curve(args):
     if args.curve is None:
         raise ValueError("this command requires --curve")
     with open(args.curve) as fh:
-        spec = json.load(fh)
+        spec = read_json(fh.read(), f"curve file {args.curve}")
     return curve_from_spec(spec, quadrature_tol=args.quadrature_tol)
 
 
@@ -233,7 +241,7 @@ def parse_omega(text: str):
     imaginary Omega).  Raises ValueError when the input is not a matrix,
     has rows of different lengths or has an entry that is not finite.
     """
-    data = json.loads(text)
+    data = read_json(text, "--omega")
     if not (isinstance(data, list) and data
             and all(isinstance(row, list) for row in data)):
         raise ValueError("--omega must be a JSON matrix (a list of rows)")
@@ -408,8 +416,9 @@ def _suite_gauss(args):
 
 
 def _suite_jets(args):
-    # imported here: no other command needs the jet calculus
+    # imported here: no other command needs exact arithmetic
     from . import jets
+    from .series import QC, Series
 
     n = args.order
     if n < 8:  # rescaling_torsor_k3 compares jets through order 8

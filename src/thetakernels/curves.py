@@ -10,8 +10,19 @@ of y is continued along the whole chain of segments, with the
 continuation through each branch point fixed by a small detour whose
 side is chosen deterministically.  Every root of f along a path comes
 from :func:`_sqrt_along`, and the node doubling of the Abel-map pieces
-from :func:`_until_stable`.  Evaluation points keep a fixed margin of
-``MARGIN_FACTOR`` times the root scale from the branch points.
+from :func:`_until_stable`, with Gauss-Legendre rules read from the
+table ``gauss_legendre.npy`` (written from numpy's ``leggauss``, so the
+Abel images do not depend on the machine's eigenvalue solver).
+Evaluation points keep a fixed margin of ``MARGIN_FACTOR`` times the
+root scale from the branch points.
+
+Numerically computed germs (the local expansions of a curve and the
+theta compositions of the Wirtinger connection) are plain lists of
+Python ``complex`` coefficients; sums and scalings are list
+comprehensions, and :func:`complex_mul` and :func:`complex_div` give the
+truncated product and quotient.  They use CPython's complex arithmetic
+on purpose: numpy's complex128 multiply rounds differently in the last
+bit.
 """
 
 from __future__ import annotations
@@ -19,6 +30,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
+import os
 import threading
 from dataclasses import dataclass
 
@@ -26,7 +38,6 @@ import numpy as np
 
 from .errors import (DegreeTooSmall, InadmissiblePoint, NonSquarefree,
                      PathThroughBranchPoint, QuadratureNonConvergent)
-from .series import complex_div, complex_mul
 from .theta import RiemannMatrix
 
 DEFAULT_QUADRATURE_TOL = 1e-11
@@ -39,11 +50,47 @@ _MAX_NODES = 4096
 # Quadrature rules
 # ----------------------------------------------------------------------
 
+#: Orders of the Gauss-Legendre rules in gauss_legendre.npy, ascending:
+#: m = 12, 24, ..., 384 for the path pieces and 2m = 32, ..., 4096 for
+#: the branch-base piece, the orders the node doubling can reach.
+_RULE_ORDERS = (12, 24, 32, 48, 64, 96, 128, 192, 256, 384, 512, 1024,
+                2048, 4096)
+_RULE_TABLE = os.path.join(os.path.dirname(__file__), "gauss_legendre.npy")
+
+
+@functools.cache
+def _rule_halves():
+    """{m: (nodes, weights)} of the positive half of each m-point rule
+    of _RULE_ORDERS, as read-only arrays.
+
+    The table holds numpy's leggauss(m)[0][m // 2:] and [1][m // 2:] of
+    every order, concatenated in ascending order, in two rows; leggauss
+    makes its rules exactly symmetric, so the halves give the whole
+    rules bit for bit.
+    """
+    table = np.load(_RULE_TABLE)
+    table.flags.writeable = False
+    ends = np.cumsum([m // 2 for m in _RULE_ORDERS])
+    return {m: (table[0, end - m // 2:end], table[1, end - m // 2:end])
+            for m, end in zip(_RULE_ORDERS, ends)}
+
+
+def _positive_half(m):
+    halves = _rule_halves()
+    if m not in halves:
+        raise ValueError(f"no {m}-point Gauss-Legendre rule in the table "
+                         f"(orders {', '.join(map(str, _RULE_ORDERS))})")
+    return halves[m]
+
+
 @functools.cache
 def _gauss_legendre(m):
     """Nodes (ascending) and weights of the m-point Gauss-Legendre rule on
-    [-1, 1], computed once per order and returned as read-only arrays."""
-    nodes, weights = np.polynomial.legendre.leggauss(m)
+    [-1, 1] for m in _RULE_ORDERS, built once per order from the table and
+    returned as read-only arrays; ValueError for any other m."""
+    x, w = _positive_half(m)
+    nodes = np.concatenate((-x[::-1], x))
+    weights = np.concatenate((w[::-1], w))
     nodes.flags.writeable = False
     weights.flags.writeable = False
     return nodes, weights
@@ -57,8 +104,8 @@ def _half_gauss_legendre(m):
     nodes s_i^2 (ascending) with doubled weights.  It is exact for
     polynomials F of degree < 2m, like the Gauss-Jacobi rule it equals.
     """
-    s, w = _gauss_legendre(2 * m)
-    return s[m:] ** 2, 2.0 * w[m:]
+    s, w = _positive_half(2 * m)
+    return s ** 2, 2.0 * w
 
 
 # ----------------------------------------------------------------------
@@ -147,6 +194,33 @@ class LocalExpansion:
     y: list
     omega: list          # omega_i(t)/dt, one coefficient list per i
     abel: list           # A_i(t), with A_i(0) the Abel image of the point
+
+
+def complex_mul(a, b):
+    """Product of two complex coefficient lists, truncated to the shorter."""
+    n = min(len(a), len(b)) - 1
+    out = [0j] * (n + 1)
+    for i in range(n + 1):
+        ai = a[i]
+        if not ai:
+            continue
+        for j in range(n + 1 - i):
+            bj = b[j]
+            if bj:
+                out[i + j] = out[i + j] + ai * bj
+    return out
+
+
+def complex_div(a, b):
+    """Quotient a / b of complex coefficient lists; needs b[0] != 0."""
+    inv0 = (1 + 0j) / b[0]
+    inv = [inv0] + [0j] * (len(b) - 1)
+    for k in range(1, len(b)):
+        acc = 0j
+        for j in range(1, k + 1):
+            acc = acc + b[j] * inv[k - j]
+        inv[k] = -inv0 * acc
+    return complex_mul(a, inv)
 
 
 class HyperellipticCurve:

@@ -26,12 +26,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import theta
-from .curves import (HyperellipticCurve, SurfacePoint,
-                     lattice_coordinates)
+from .curves import (HyperellipticCurve, SurfacePoint, complex_div,
+                     complex_mul, lattice_coordinates)
 from .errors import (ConstraintViolation, NoNonsingularOddCharacteristic,
                      NotOnThetaSmoothLocus, OnDiagonal, PointOnTheta,
                      SeriesOrderInsufficient, SquareRootBranchUnresolvable)
-from .series import complex_div, complex_mul
 from .theta import (DEFAULT_TOL, Characteristic, RiemannMatrix,
                     ScaledComplex, _on_divisor, _triu_indices,
                     derivative_indices, hessian_numerators, log_theta_hessian,

@@ -1,4 +1,4 @@
-"""Truncated power series: exact :class:`Series` and complex coefficient lists.
+"""Truncated power series over the Gaussian rationals: :class:`Series`.
 
 A :class:`Series` holds coefficients c_0..c_n of a function germ modulo
 t^(n+1) over :class:`QC` (Gaussian rationals, exact).  Arithmetic
@@ -14,13 +14,10 @@ only when a coefficient is read, and a write to ``Series.c`` goes
 through to the integers.  Fractional powers of jets are the binomial
 series of ``jets._pow_fraction``.
 
-Numerically computed germs (the local expansions of a curve and the
-theta compositions of the Wirtinger connection) are plain lists of
-Python ``complex`` coefficients; sums and scalings are list
-comprehensions, and :func:`complex_mul` and :func:`complex_div` give the
-truncated product and quotient.  They use CPython's complex arithmetic
-on purpose: numpy's complex128 multiply rounds differently in the last
-bit.
+This is the exact-arithmetic module: only the jet calculus
+(:mod:`thetakernels.jets`) and ``verify jets`` import it.  Numerically
+computed germs are lists of Python ``complex`` coefficients, handled in
+:mod:`thetakernels.curves`.
 """
 
 from __future__ import annotations
@@ -299,35 +296,6 @@ class _Coeffs(list):
 
     append = extend = insert = pop = remove = clear = _resize
     __delitem__ = __iadd__ = __imul__ = reverse = sort = _resize
-
-
-# -- complex coefficient lists -------------------------------------------------
-
-def complex_mul(a, b):
-    """Product of two complex coefficient lists, truncated to the shorter."""
-    n = min(len(a), len(b)) - 1
-    out = [0j] * (n + 1)
-    for i in range(n + 1):
-        ai = a[i]
-        if not ai:
-            continue
-        for j in range(n + 1 - i):
-            bj = b[j]
-            if bj:
-                out[i + j] = out[i + j] + ai * bj
-    return out
-
-
-def complex_div(a, b):
-    """Quotient a / b of complex coefficient lists; needs b[0] != 0."""
-    inv0 = (1 + 0j) / b[0]
-    inv = [inv0] + [0j] * (len(b) - 1)
-    for k in range(1, len(b)):
-        acc = 0j
-        for j in range(1, k + 1):
-            acc = acc + b[j] * inv[k - j]
-        inv[k] = -inv0 * acc
-    return complex_mul(a, inv)
 
 
 class Series:

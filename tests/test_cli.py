@@ -123,6 +123,25 @@ class TestArgumentContracts:
         assert res.returncode == 0
         assert res.stdout.strip() == "[]"
 
+    def test_numeric_commands_leave_exact_arithmetic_unloaded(self, tmp_path):
+        quintic = tmp_path / "quintic.json"
+        quintic.write_text('{"f": [0, -1, 0, 0, 0, 1]}')
+        code = f"""
+import contextlib, io, sys
+from thetakernels import cli
+for argv in (["eval", "szego", "--curve", {str(quintic)!r},
+              "--e", "0.3+0.1j,-0.2+0.05j", "--x1", "2.0", "--x2", "-2.0"],
+             ["verify", "fay"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0, argv
+print(sorted({{"thetakernels.series", "thetakernels.jets", "fractions",
+               "numpy.polynomial"}} & set(sys.modules)))
+"""
+        res = subprocess.run([sys.executable, "-W", "error", "-c", code],
+                             capture_output=True, text=True, env=ENV)
+        assert res.returncode == 0, res.stderr
+        assert res.stdout.strip() == "[]"
+
 
 class TestEvalCommand:
     def test_theta_value(self):
@@ -264,6 +283,24 @@ class TestEvalInputContracts:
         assert out == "" and len(lines) == 1
         assert lines[0].startswith("error:")
         assert "True" in lines[0] or "False" in lines[0]
+
+    @pytest.mark.parametrize("argv", [
+        ["periods", "--curve", "CURVE"],
+        ["eval", "theta", "--omega", "[" * 50_000 + "]" * 50_000,
+         "--z", "0.1"],
+        ["eval", "szego", "--curve", "CURVE", "--e", "[" * 50_000,
+         "--x1", "2.0", "--x2", "-2.0"],
+    ])
+    def test_deeply_nested_json_exits_2(self, tmp_path, capsys, argv):
+        # the JSON parser recurses per level: too deep is a bad input
+        from thetakernels import cli
+        path = tmp_path / "deep.json"
+        path.write_text('{"f": ' + "[" * 100_000 + "]" * 100_000 + "}")
+        assert cli.main([str(path) if a == "CURVE" else a for a in argv]) == 2
+        out, err = capsys.readouterr()
+        lines = err.strip().splitlines()
+        assert out == "" and len(lines) == 1
+        assert lines[0].startswith("error:") and "nests too deeply" in lines[0]
 
     def test_wirtinger_honours_order(self, curve_file, monkeypatch, capsys):
         from thetakernels import cli

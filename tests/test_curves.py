@@ -7,12 +7,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from thetakernels.curves import (SurfacePoint, _gauss_legendre,
-                                 _half_gauss_legendre, build_curve,
+from thetakernels.curves import (_RULE_ORDERS, _RULE_TABLE, SurfacePoint,
+                                 _gauss_legendre, _half_gauss_legendre,
+                                 _positive_half, build_curve, complex_mul,
                                  curve_from_spec, lattice_coordinates)
 from thetakernels.errors import (DegreeTooSmall, InadmissiblePoint,
                                  NonSquarefree)
-from thetakernels.series import complex_mul
 
 
 def agm(a, b):
@@ -140,7 +140,57 @@ class TestPeriods:
             done += 1
 
 
+def gauss_legendre_table(orders=_RULE_ORDERS):
+    """Positive nodes (row 0) and their weights (row 1) of numpy's
+    leggauss(m) for each m of ``orders``, concatenated in that order.
+
+    src/thetakernels/gauss_legendre.npy was written by
+    ``np.save(_RULE_TABLE, gauss_legendre_table())``.
+    """
+    halves = [np.polynomial.legendre.leggauss(m) for m in orders]
+    return np.array([np.concatenate([r[k][m // 2:]
+                                     for m, r in zip(orders, halves)])
+                     for k in (0, 1)])
+
+
+def _hexes(values):
+    return [float(v).hex() for v in values]
+
+
 class TestQuadratureRules:
+    def test_rules_match_leggauss(self):
+        """Every tabulated order up to 1024, whole and folded, is numpy's
+        leggauss rule bit for bit (2048 and 4096 were compared when the
+        table was written: leggauss(4096) alone takes seconds)."""
+        for m in (m for m in _RULE_ORDERS if m <= 1024):
+            want = np.polynomial.legendre.leggauss(m)
+            for got, ref in zip(_gauss_legendre(m), want):
+                assert _hexes(got) == _hexes(ref), m
+            if m >= 32:
+                taus, weights = _half_gauss_legendre(m // 2)
+                assert _hexes(taus) == _hexes(want[0][m // 2:] ** 2), m
+                assert _hexes(weights) == _hexes(2.0 * want[1][m // 2:]), m
+
+    def test_table_shape_and_ranges(self):
+        assert np.load(_RULE_TABLE).shape == \
+            (2, sum(m // 2 for m in _RULE_ORDERS))
+        for m in _RULE_ORDERS:
+            nodes, weights = _positive_half(m)
+            assert nodes.shape == weights.shape == (m // 2,)
+            assert 0.0 < nodes[0] and nodes[-1] < 1.0
+            assert np.all(np.diff(nodes) > 0) and np.all(weights > 0)
+            assert len(_gauss_legendre(m)[0]) == m
+
+    @pytest.mark.parametrize("m", [0, 2, 13, 16, 768, 8192])
+    def test_other_orders_refused(self, m):
+        with pytest.raises(ValueError):
+            _gauss_legendre(m)
+
+    @pytest.mark.parametrize("m", [8, 100, 4096])
+    def test_other_half_rules_refused(self, m):
+        with pytest.raises(ValueError):
+            _half_gauss_legendre(m)
+
     @pytest.mark.parametrize("m", [16, 32])
     def test_half_rule_exact_below_degree_2m(self, m):
         # int_0^1 tau^(-1/2) tau^k dtau = 1 / (k + 1/2)

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from thetakernels.curves import complex_mul
 from thetakernels.jets import ConnectionJet, DiffOperator
-from thetakernels.series import QC, Series, complex_mul
+from thetakernels.series import QC, Series
 
 
 class TestQC:
