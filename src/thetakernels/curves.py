@@ -17,12 +17,11 @@ Evaluation points keep a fixed margin of ``MARGIN_FACTOR`` times the
 root scale from the branch points.
 
 Numerically computed germs (the local expansions of a curve and the
-theta compositions of the Wirtinger connection) are plain lists of
-Python ``complex`` coefficients; sums and scalings are list
-comprehensions, and :func:`complex_mul` and :func:`complex_div` give the
-truncated product and quotient.  They use CPython's complex arithmetic
-on purpose: numpy's complex128 multiply rounds differently in the last
-bit.
+theta compositions of the Wirtinger connection) are complex arrays of
+coefficients c_0..c_n; :func:`series_mul`, :func:`series_reciprocal`
+and :func:`series_combination` give coefficient k from coefficients
+0..k of their inputs alone, so a germ of order k is bit for bit the
+start of the same germ of any higher order.
 """
 
 from __future__ import annotations
@@ -177,50 +176,65 @@ class SurfacePoint:
     y: complex
     chart_scale: float = 1.0
 
+    def __post_init__(self):
+        if not 0.0 < self.chart_scale < math.inf:
+            raise InadmissiblePoint(
+                f"chart scale {self.chart_scale!r} is not finite and positive")
+
     def key(self):
         return (round(self.x.real, 12), round(self.x.imag, 12), self.sheet)
 
 
 @dataclass
 class LocalExpansion:
-    """Series data at a point: x(t), y(t), differentials and Abel map.
-
-    Each series is a list of order+1 complex coefficients c_0..c_order.
-    """
+    """Series data at a point: x(t), y(t), differentials and Abel map,
+    as arrays of complex coefficients c_0..c_order."""
 
     point: SurfacePoint
     order: int
-    x: list
-    y: list
-    omega: list          # omega_i(t)/dt, one coefficient list per i
-    abel: list           # A_i(t), with A_i(0) the Abel image of the point
+    x: np.ndarray        # shape (order+1,), as y
+    y: np.ndarray
+    omega: np.ndarray    # (g, order+1): omega_i(t)/dt in row i
+    abel: np.ndarray     # (g, order+1): A_i(t), A_i(0) the Abel image
 
 
-def complex_mul(a, b):
-    """Product of two complex coefficient lists, truncated to the shorter."""
-    n = min(len(a), len(b)) - 1
-    out = [0j] * (n + 1)
-    for i in range(n + 1):
-        ai = a[i]
-        if not ai:
-            continue
-        for j in range(n + 1 - i):
-            bj = b[j]
-            if bj:
-                out[i + j] = out[i + j] + ai * bj
-    return out
+def series_mul(a, b):
+    """Product of two coefficient arrays, truncated to the shorter; both
+    are cut to that length first, so coefficient k is the same dot
+    product of a_0..a_k and b_k..b_0 whatever the lengths."""
+    n = min(len(a), len(b))
+    return np.convolve(a[:n], b[:n])[:n]
 
 
-def complex_div(a, b):
-    """Quotient a / b of complex coefficient lists; needs b[0] != 0."""
-    inv0 = (1 + 0j) / b[0]
-    inv = [inv0] + [0j] * (len(b) - 1)
+def series_combination(m, rows):
+    """The series m @ rows (row r is sum_k m[r, k] rows[k]), each
+    coefficient its own vector-matrix product: one matrix product would
+    block the columns, and so round a coefficient, by the length."""
+    return (np.ascontiguousarray(rows.T)[:, None, :] @ m.T)[:, 0, :].T
+
+
+def series_reciprocal(b):
+    """Coefficients of 1 / b(t), as long as b (b[0] != 0), from the
+    recurrence on Python complex numbers, faster than numpy at n <= 33."""
+    b = b.tolist()
+    inv = [1.0 / b[0]]
     for k in range(1, len(b)):
         acc = 0j
         for j in range(1, k + 1):
-            acc = acc + b[j] * inv[k - j]
-        inv[k] = -inv0 * acc
-    return complex_mul(a, inv)
+            acc += b[j] * inv[k - j]
+        inv.append(-inv[0] * acc)
+    return np.array(inv)
+
+
+def _taylor_shift(coeffs, x0, lam, n):
+    """The first n coefficients of P(x0 + lam t) for the polynomial P with
+    ascending coefficients ``coeffs``, as a list: Horner's rule run once
+    per coefficient gives P(x0 + s), and s = lam t scales them."""
+    a = [complex(c) for c in coeffs]
+    for i in range(len(a) - 1):
+        for j in range(len(a) - 2, i - 1, -1):
+            a[j] += x0 * a[j + 1]
+    return [c * lam ** k for k, c in enumerate(a[:n])] + [0j] * (n - len(a))
 
 
 class HyperellipticCurve:
@@ -589,44 +603,38 @@ class HyperellipticCurve:
     # -- local expansions ---------------------------------------------------------
 
     def local_expansion(self, p: SurfacePoint, order: int) -> LocalExpansion:
-        if order > 32:
-            raise ValueError("expansion order capped at 32")
-        lam = p.chart_scale
-        zeros = [0j] * order
-        xs = ([complex(p.x), complex(lam)] + zeros)[:order + 1]
-        fser = [complex(self.coeffs[-1])] + zeros
-        for c in self.coeffs[-2::-1]:
-            fser = complex_mul(fser, xs)
-            fser[0] = fser[0] + complex(c)
+        if not 0 <= order <= 32:
+            raise ValueError("expansion order must lie in 0..32")
         if p.y == 0:
             raise InadmissiblePoint(f"x={p.x} is a branch point (y = 0)")
-        ys = [complex(p.y)] + zeros
-        for _ in range(order.bit_length() + 2):
-            ys = [(u + v) * 0.5 for u, v in zip(ys, complex_div(fser, ys))]
-        resid = [u - v for u, v in zip(complex_mul(ys, ys), fser)]
+        lam, n = p.chart_scale, order + 1
+        fser = _taylor_shift(self.coeffs.tolist(), p.x, lam, n)
+        # y_k = (f_k - sum_{j=1}^{k-1} y_j y_{k-j}) / (2 y_0), on Python
+        # complex numbers as in series_reciprocal
+        ys = [p.y]
+        for k in range(1, n):
+            yk = fser[k]
+            for j in range(1, k):
+                yk -= ys[j] * ys[k - j]
+            ys.append(yk / (2.0 * p.y))
+        ys = np.array(ys)
+        resid = series_mul(ys, ys) - fser
         # each residual coefficient against the size of the terms of the
         # matching ys * ys coefficient, since the coefficients grow like
         # (chart scale / distance to the nearest branch point)^k; a NaN fails
-        mags = np.abs(ys)
-        size = np.convolve(mags, mags)[:order + 1]
+        size = series_mul(np.abs(ys), np.abs(ys))
         if not np.all(np.abs(resid) <= 1e-8 * size):
             raise InadmissiblePoint("series square root failed; point too singular")
-        powers = [[1 + 0j] + zeros]
-        for _ in range(self.genus - 1):
-            powers.append(complex_mul(powers[-1], xs))
-        omega = []
-        for i in range(self.genus):
-            num = [0j] * (order + 1)
-            for j in range(self.genus):
-                d = complex(self.diff_norm[i, j])
-                num = [u + v * d for u, v in zip(num, powers[j])]
-            omega.append([v * lam for v in complex_div(num, ys)])
-        a0 = self.abel_map(p)
-        abel = [[complex(a0[i])] + [x * complex(1 / (k + 1))
-                                    for k, x in enumerate(omega[i][:order])]
-                for i in range(self.genus)]
-        return LocalExpansion(point=p, order=order, x=xs, y=ys,
-                              omega=omega, abel=abel)
+        # omega_i = lam sum_j C_ij x(t)^j / y(t), C = diff_norm
+        inv_y = lam * series_reciprocal(ys)
+        omega = np.array([series_mul(_taylor_shift(row, p.x, lam, n), inv_y)
+                          for row in self.diff_norm.tolist()])
+        abel = np.empty_like(omega)
+        abel[:, 0] = self.abel_map(p)
+        abel[:, 1:] = omega[:, :-1] / np.arange(1, n)
+        return LocalExpansion(point=p, order=order,
+                              x=np.array(_taylor_shift([0, 1], p.x, lam, n)),
+                              y=ys, omega=omega, abel=abel)
 
     # -- closed contours around cuts ------------------------------------------------
 

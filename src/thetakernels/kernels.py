@@ -14,7 +14,7 @@ weight (w1, w2) picks up chart_scale^w1 * chart_scale^w2).
 A point is on the theta divisor when ``theta._on_divisor`` says so:
 |theta| is below ``theta.THETA_FLOOR`` (read at call time) times the
 scale of its lattice sum, or that scale is 0.  The odd characteristic
-and the theta gradients at 0 are kept in the curve's memo
+and the theta jets at 0 are kept in the curve's memo
 (:meth:`HyperellipticCurve.memo`), next to its Abel images.
 """
 
@@ -26,8 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import theta
-from .curves import (HyperellipticCurve, SurfacePoint, complex_div,
-                     complex_mul, lattice_coordinates)
+from .curves import (HyperellipticCurve, SurfacePoint, lattice_coordinates,
+                     series_combination, series_mul, series_reciprocal)
 from .errors import (ConstraintViolation, NoNonsingularOddCharacteristic,
                      NotOnThetaSmoothLocus, OnDiagonal, PointOnTheta,
                      SeriesOrderInsufficient, SquareRootBranchUnresolvable)
@@ -103,8 +103,8 @@ def select_odd_characteristic(curve: HyperellipticCurve,
         for char in Characteristic.all(curve.genus):
             if char.parity != 1:
                 continue
-            grad, scale = _gradient_at_zero(curve, char, tol)
-            if np.linalg.norm(grad) > GRADIENT_FLOOR * max(scale, 1.0):
+            jet, _, scale = _jet_at_zero(curve, char, 1, tol)
+            if np.linalg.norm(jet[1:]) > GRADIENT_FLOOR * max(scale, 1.0):
                 return char
         raise NoNonsingularOddCharacteristic(
             "all odd characteristics have vanishing gradient")
@@ -112,23 +112,24 @@ def select_odd_characteristic(curve: HyperellipticCurve,
     return curve.memo(("odd", tol), first_nonsingular)
 
 
-def _gradient_at_zero(curve, char: Characteristic, tol):
-    """(grad theta[char](0), scale), computed once per (curve, char, tol);
-    the gradient is a read-only array."""
+def _jet_at_zero(curve, char: Characteristic, order, tol):
+    """(row, exponent, scale) of the order-``order`` theta_batch row of
+    theta[char] at 0 (the gradient is row[1:g + 1]), computed once per
+    (curve, char, order, tol); the row is a read-only array."""
     def compute():
-        vals, _, scales = theta_batch(np.zeros((1, curve.genus), complex),
-                                      curve.omega, [char], [1], tol)
-        grad = np.array(vals[0][1:])
-        grad.flags.writeable = False
-        return grad, scales[0]
+        vals, expos, scales = theta_batch(np.zeros((1, curve.genus), complex),
+                                          curve.omega, [char], [order], tol)
+        row = np.array(vals[0])
+        row.flags.writeable = False
+        return row, expos[0], scales[0]
 
-    return curve.memo(("gradient", char, tol), compute)
+    return curve.memo(("jet", char, order, tol), compute)
 
 
 def _h_factor(curve, delta: Characteristic, p: SurfacePoint, tol=DEFAULT_TOL):
     """Principal square root of s2(p) = sum_i d_i theta[delta](0) omega_i(p),
     times sqrt(chart_scale): the half-density h(p) up to sign."""
-    grad, _ = _gradient_at_zero(curve, delta, tol)
+    grad = _jet_at_zero(curve, delta, 1, tol)[0][1:]
     om_raw = curve.eval_differentials(
         SurfacePoint(p.x, p.sheet, p.y, chart_scale=1.0))
     s2 = complex(grad @ om_raw)
@@ -306,23 +307,23 @@ def klein_coordinates(curve: HyperellipticCurve, e,
 # Wirtinger projective connection by diagonal series extraction
 # ----------------------------------------------------------------------
 
-def _theta_compose(vals, zser, order):
-    """Coefficients of theta[char](v0 + z(t)) for a vector z of complex
-    coefficient lists (order+1 long) with z(0)=0, from ``vals``, an
-    order-3 ``theta_batch`` row of theta[char] at v0.
+def _theta_compose(vals, zser):
+    """Coefficients of theta[char_r](v_r + z(t)) for each order-3
+    ``theta_batch`` row r of theta[char_r] at v_r in ``vals``, and a
+    (g, n+1) array z of series with z(0) = 0.
 
-    Uses the exact third-order Taylor jet of theta at v0; the neglected
-    fourth-order remainder only affects series coefficients beyond t^3.
+    Uses the exact third-order Taylor jets; the neglected remainder only
+    affects coefficients beyond t^3.  Each product of z-series is built
+    once for all rows: P[(i, j, k)] = P[(i, j)] z_k.
     """
     combs, derivs = derivative_indices(len(zser), 3)
-    out = [0j] * (order + 1)
-    for comb, d, v in zip(combs, derivs, vals):
-        mult = math.prod(math.factorial(k) for k in d)
-        term = [complex(v / mult)] + [0j] * order
-        for i in comb:
-            term = complex_mul(term, zser[i])
-        out = [u + w for u, w in zip(out, term)]
-    return out
+    table = {(): np.eye(1, zser.shape[1], dtype=complex)[0]}
+    for comb in combs[1:]:
+        z = zser[comb[-1]]
+        table[comb] = z if len(comb) == 1 else series_mul(table[comb[:-1]], z)
+    mults = [math.prod(map(math.factorial, d)) for d in derivs]
+    return series_combination(np.array(vals) / mults,
+                              np.array([table[c] for c in combs]))
 
 
 def wirtinger_connection(curve: HyperellipticCurve, e, p: SurfacePoint,
@@ -332,8 +333,9 @@ def wirtinger_connection(curve: HyperellipticCurve, e, p: SurfacePoint,
     Expands the kernel at (x, y) = (p(t), p(-t)) as
     1/(t1-t2)^2 + R/6 + O(t1stuff) and returns R, extracted exactly from
     truncated series (never finite differences).  One ``theta_batch``
-    call gives theta(e) and the third-order jets of theta at e and -e
-    and of theta[delta] at 0.
+    call gives theta(e) and the third-order jets of theta at e and -e;
+    the jet of theta[delta] at 0 is kept in the curve's memo.  The germs
+    are prefix-stable, so R does not depend on ``order`` (at least 6).
     """
     if order < 6:
         raise SeriesOrderInsufficient("need series order >= 6")
@@ -341,42 +343,31 @@ def wirtinger_connection(curve: HyperellipticCurve, e, p: SurfacePoint,
     e = _class_vector(e, g)
     zero = Characteristic.zero(g)
     delta = select_odd_characteristic(curve, tol)
-    vals, expos, scales = theta_batch(
-        np.array([e, e, -e, np.zeros(g, complex)]), curve.omega,
-        [zero, zero, zero, delta], [0, 3, 3, 3], tol)
+    vals, expos, scales = theta_batch(np.array([e, e, -e]), curve.omega,
+                                      [zero] * 3, [0, 3, 3], tol)
     if _on_divisor(vals[0][0], scales[0]):
         raise PointOnTheta("Wirtinger connection undefined on the theta divisor")
     theta_e2 = ScaledComplex.make(vals[0][0] ** 2, 2 * expos[0])
+    jet_delta, ed, _ = _jet_at_zero(curve, delta, 3, tol)
     le = curve.local_expansion(p, order)
     # w(t) = A(p(-t)) - A(p(t)): twice the odd part of the Abel series
-    w = []
-    for ser in le.abel:
-        c = [0j] * (order + 1)
-        for k in range(1, order + 1, 2):
-            c[k] = -2.0 * ser[k]
-        w.append(c)
-    num_plus, num_minus, tdelta = (_theta_compose(v, w, order)
-                                   for v in vals[1:])
-    ep, em, ed = expos[1:]
+    w = np.zeros_like(le.abel)
+    w[:, 1::2] = -2.0 * le.abel[:, 1::2]
+    num_plus, num_minus, tdelta = _theta_compose([*vals[1:], jet_delta], w)
+    ep, em = expos[1:]
     # H(t) = sum_i d_i theta[delta](0) omega_i(t): the squared half-density
-    grad, _ = _gradient_at_zero(curve, delta, tol)
-    hplus = [0j] * (order + 1)
-    hminus = [0j] * (order + 1)
-    for i in range(g):
-        gi = complex(grad[i])
-        hplus = [h + v * gi for h, v in zip(hplus, le.omega[i])]
-        hminus = [h + v * (-1.0) ** k * gi
-                  for k, (h, v) in enumerate(zip(hminus, le.omega[i]))]
+    hplus, = series_combination(jet_delta[None, 1:g + 1], le.omega)
+    hminus = hplus * (-1.0) ** np.arange(len(hplus))
     # F(t) = num_plus num_minus H(t) H(-t) / (theta(e)^2 tdelta^2)
-    numer = complex_mul(complex_mul(complex_mul(num_plus, num_minus), hplus),
-                        hminus)
-    denom = complex_mul(tdelta, tdelta)
+    numer = series_mul(series_mul(series_mul(num_plus, num_minus), hplus),
+                       hminus)
+    denom = series_mul(tdelta, tdelta)
     # strip the double zero of tdelta^2 at t=0 (the low coefficients are
     # roundoff from theta[delta](0) ~ 0)
     lead = abs(denom[2])
     if abs(denom[0]) > 1e-10 * lead or abs(denom[1]) > 1e-10 * lead:
         raise SeriesOrderInsufficient("odd theta composition lost its zero")
-    gser = complex_div(numer[:order - 1], denom[2:])
+    gser = series_mul(numer[:order - 1], series_reciprocal(denom[2:]))
     # F(t) = gser(t) exp(ep + em - 2 ed) / theta(e)^2 / t^2
     #      = 1/(4 t^2) + R/6 + O(t): the leading 1/4 checks all factors
     pref = math.exp(ep + em - 2 * ed - theta_e2.exponent) / theta_e2.mantissa

@@ -6,11 +6,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from thetakernels.curves import (_RULE_ORDERS, _RULE_TABLE, SurfacePoint,
                                  _gauss_legendre, _half_gauss_legendre,
-                                 _positive_half, build_curve, complex_mul,
-                                 curve_from_spec, lattice_coordinates)
+                                 _positive_half, build_curve,
+                                 curve_from_spec, lattice_coordinates,
+                                 series_mul, series_reciprocal)
 from thetakernels.errors import (DegreeTooSmall, InadmissiblePoint,
                                  NonSquarefree)
 
@@ -232,6 +235,15 @@ class TestSurfacePoints:
             with pytest.raises(InadmissiblePoint):
                 genus2.point(2.0, sheet)
 
+    @pytest.mark.parametrize("scale", [0.0, -1.0, float("nan"),
+                                       float("inf")])
+    def test_chart_scale_must_be_finite_and_positive(self, genus2, scale):
+        with pytest.raises(InadmissiblePoint):
+            genus2.point(2.0, 1, chart_scale=scale)
+        p = genus2.point(2.0, 1)
+        with pytest.raises(InadmissiblePoint):
+            SurfacePoint(p.x, p.sheet, p.y, chart_scale=scale)
+
     @pytest.mark.parametrize("x", [float("nan"), float("inf"), 1e200,
                                    complex(1.0, float("-inf"))])
     def test_non_finite_point_rejected(self, genus2, x):
@@ -302,16 +314,64 @@ class TestAbelMap:
         assert integrality(v - w, c.omega) < 1e-9
 
 
+def schoolbook_mul(a, b):
+    """Product of two coefficient sequences, truncated to the shorter,
+    summed term by term."""
+    n = min(len(a), len(b))
+    return np.array([sum((a[i] * b[k - i] for i in range(k + 1)), 0j)
+                     for k in range(n)])
+
+
+def f_along_chart(c, x):
+    """f(x(t)) by Horner's rule with schoolbook products."""
+    f = np.zeros(len(x), dtype=complex)
+    f[0] = c.coeffs[-1]
+    for co in c.coeffs[-2::-1]:
+        f = schoolbook_mul(f, x)
+        f[0] += co
+    return f
+
+
+class TestGermArithmetic:
+    cplx = st.complex_numbers(max_magnitude=1e6, allow_nan=False,
+                              allow_infinity=False)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_product_within_rounding_of_schoolbook(self, data):
+        a, b = (np.array(data.draw(st.lists(self.cplx, min_size=n + 1,
+                                            max_size=n + 1)), dtype=complex)
+                for n in data.draw(st.tuples(st.integers(0, 10),
+                                             st.integers(0, 10))))
+        n = min(len(a), len(b))
+        got = series_mul(a, b)
+        assert len(got) == n
+        # each coefficient against the sum of the magnitudes of its terms,
+        # plus an absolute slack for terms that underflow
+        size = np.convolve(np.abs(a[:n]), np.abs(b[:n]))[:n]
+        err = np.abs(got - schoolbook_mul(a, b))
+        assert np.all(err <= (n + 4) * 2.0 ** -52 * size + 1e-300)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.complex_numbers(min_magnitude=1e-3, max_magnitude=1e3),
+                    min_size=1, max_size=1),
+           st.lists(st.complex_numbers(max_magnitude=1e3), max_size=16))
+    def test_reciprocal_residual_within_rounding(self, head, tail):
+        b = np.array(head + tail, dtype=complex)
+        inv = series_reciprocal(b)
+        one = np.zeros(len(b), dtype=complex)
+        one[0] = 1.0
+        size = np.convolve(np.abs(b), np.abs(inv))[:len(b)]
+        resid = np.abs(schoolbook_mul(b, inv) - one)
+        assert np.all(resid <= (len(b) + 4) * 2.0 ** -52 * size)
+
+
 class TestLocalExpansion:
     def test_defining_relation(self, lemniscatic, genus2):
         for c, x0 in ((lemniscatic, 2.0), (genus2, 1.7 + 0.4j)):
             p = c.point(x0, 1)
             le = c.local_expansion(p, 10)
-            f = [complex(c.coeffs[-1])] + [0j] * 10
-            for co in c.coeffs[-2::-1]:
-                f = complex_mul(f, le.x)
-                f[0] = f[0] + complex(co)
-            resid = [u - v for u, v in zip(complex_mul(le.y, le.y), f)]
+            resid = schoolbook_mul(le.y, le.y) - f_along_chart(c, le.x)
             assert max(abs(v) for v in resid) < 1e-10
 
     def test_abel_derivative_is_differential(self, genus2):
@@ -345,13 +405,10 @@ class TestLocalExpansion:
         for c, x0 in ((genus2, 0.3 - 1.1j), (sextic, 1.7 + 0.4j),
                       (sextic, -0.8 + 1.3j), (sextic, 0.3 - 1.1j)):
             le = c.local_expansion(c.point(x0, 1, chart_scale=2.0), 16)
-            f = [complex(c.coeffs[-1])] + [0j] * 16
-            for co in c.coeffs[-2::-1]:
-                f = complex_mul(f, le.x)
-                f[0] = f[0] + complex(co)
             mags = np.abs(le.y)
             size = np.convolve(mags, mags)[:17]
-            resid = np.abs(np.array(complex_mul(le.y, le.y)) - np.array(f))
+            resid = np.abs(schoolbook_mul(le.y, le.y)
+                           - f_along_chart(c, le.x))
             assert np.all(resid <= 1e-12 * size)
             assert np.max(mags) > 1e5
 

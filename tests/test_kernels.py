@@ -8,11 +8,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from thetakernels.curves import SurfacePoint, build_curve, lattice_coordinates
-from thetakernels.errors import (ConstraintViolation,
+from thetakernels.errors import (ConstraintViolation, ThetaKernelsError,
                                  NotOnThetaSmoothLocus, OnDiagonal,
                                  PointOnTheta)
 from thetakernels.kernels import (bergman_a_period, bergman_kernel,
@@ -175,14 +175,14 @@ class TestHalfDensityIsPure:
         assert np.array_equal(curve.abel_map(p),
                               fresh.abel_map(fresh.point(PARTNER, 1)))
         delta = select_odd_characteristic(curve)
-        grad = kernels_module._gradient_at_zero(curve, delta, DEFAULT_TOL)[0]
+        grad = kernels_module._jet_at_zero(curve, delta, 1, DEFAULT_TOL)[0][1:]
         with pytest.raises(ValueError):
             grad[0] = 0
 
     def test_diagonal_normalization_across_the_cut(self):
         curve = build_curve(QUINTIC)
         delta = select_odd_characteristic(curve)
-        grad = kernels_module._gradient_at_zero(curve, delta, DEFAULT_TOL)[0]
+        grad = kernels_module._jet_at_zero(curve, delta, 1, DEFAULT_TOL)[0][1:]
 
         def s2(x):
             return complex(grad @ curve.eval_differentials(curve.point(x, 1)))
@@ -859,9 +859,10 @@ def local_expansion_record():
 
     Two genus-2 curves, three points each, orders 6, 8 and 16, chart
     scales 1 and 2.  tests/data/local_expansion_hex.json was written by
-    this function while the expansions were still float-mode Series
-    (each field read through its coefficient list ``.c``), so the record
-    pins the plain-list rewrite to the same bits.
+    this function once the germs were numpy arrays (products by
+    series_mul, 1/y by series_reciprocal, y by its square-root
+    recurrence); a change that moves the rounding re-records it in a
+    commit of its own and states the largest change.
     """
     out = {}
     for name, f, e in RECORD_CURVES:
@@ -880,6 +881,60 @@ def local_expansion_record():
                         "abel": [_hex(s) for s in le.abel],
                         "wirtinger": _hex([r])}
     return out
+
+
+#: The curves of the abel_kernels benchmark and the lemniscatic curve.
+GERM_CURVES = {"x^5-x": [0, -1, 0, 0, 0, 1], "x^6+x+2": [2, 1, 0, 0, 0, 0, 1],
+               "x^3-x": [0, -1, 0, 1]}
+
+
+@functools.cache
+def germ_curve(name):
+    return build_curve(GERM_CURVES[name])
+
+
+@st.composite
+def germ_points(draw):
+    """A curve of GERM_CURVES and a point of it at least 0.3 from every
+    branch point in the square |Re x|, |Im x| <= 2.5, on either sheet, at
+    chart scale 1 or 2."""
+    c = germ_curve(draw(st.sampled_from(sorted(GERM_CURVES))))
+    side = st.floats(-2.5, 2.5)
+    x = complex(draw(side), draw(side))
+    assume(np.min(np.abs(c.branch_points - x)) > 0.3)
+    return c, c.point(x, draw(st.sampled_from([1, -1])),
+                      chart_scale=draw(st.sampled_from([1.0, 2.0])))
+
+
+class TestGermsArePrefixStable:
+    """A germ of order k is bit for bit the start of the same germ of any
+    higher order, so the Wirtinger value does not depend on the order."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(germ_points(), st.integers(0, 31))
+    def test_local_expansion_is_a_prefix(self, point, k):
+        c, p = point
+        low, high = c.local_expansion(p, k), c.local_expansion(p, 32)
+        for field in ("x", "y", "omega", "abel"):
+            want = getattr(high, field)[..., :k + 1]
+            assert _hex(np.ravel(getattr(low, field))) == \
+                _hex(np.ravel(want))
+
+    @settings(max_examples=25, deadline=None)
+    @given(germ_points(), st.data())
+    def test_wirtinger_does_not_depend_on_order(self, point, data):
+        c, p = point
+        ab = st.floats(-0.4, 0.4)
+        a, b = ([data.draw(ab) for _ in range(c.genus)] for _ in range(2))
+        e = np.array(a) + c.omega.entries @ np.array(b)
+
+        def outcome(order):
+            try:
+                return _hex([wirtinger_connection(c, e, p, order=order)])
+            except ThetaKernelsError as exc:
+                return type(exc).__name__
+
+        assert len({str(outcome(order)) for order in (6, 8, 16, 32)}) == 1
 
 
 class TestNumericRecord:

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from thetakernels.curves import complex_mul
 from thetakernels.jets import ConnectionJet, DiffOperator
 from thetakernels.series import QC, Series
 
@@ -209,25 +208,6 @@ class TestExactKernelProperties:
         t = Series.variable(f.n)
         assert f.compose(w) == t
         assert w.compose(f) == t
-
-    @settings(max_examples=100, deadline=None)
-    @given(st.data())
-    def test_float_product_bit_for_bit(self, data):
-        cplx = st.complex_numbers(max_magnitude=1e6, allow_nan=False,
-                                  allow_infinity=False)
-        a, b = (data.draw(st.lists(cplx, min_size=n + 1, max_size=n + 1))
-                for n in data.draw(st.tuples(st.integers(0, 10),
-                                             st.integers(0, 10))))
-        n = min(len(a), len(b)) - 1
-        want = [0j] * (n + 1)
-        for i in range(n + 1):
-            if a[i]:
-                for j in range(n + 1 - i):
-                    if b[j]:
-                        want[i + j] = want[i + j] + a[i] * b[j]
-        got = complex_mul(a, b)
-        assert [(z.real.hex(), z.imag.hex()) for z in got] == \
-            [(z.real.hex(), z.imag.hex()) for z in want]
 
 
 # ----------------------------------------------------------------------
