@@ -43,8 +43,8 @@ from .errors import (PointOnTheta, QuadratureNonConvergent,
                      ThetaKernelsError)
 from .kernels import (bergman_a_period, bergman_kernel, finiteness_probe,
                       find_theta_zero, gauss_limit_check, klein_coordinates,
-                      klein_kernel, prime_form, select_odd_characteristic,
-                      szego_kernel, wirtinger_connection)
+                      klein_kernel, prime_form, szego_kernel,
+                      wirtinger_connection)
 from .theta import (DEFAULT_TOL, Characteristic, RiemannMatrix,
                     second_order_theta_basis, theta_value)
 
@@ -190,8 +190,7 @@ def cmd_eval_wirtinger(args) -> int:
     curve = load_curve(args)
     e = parse_complex(args.e, vector=True)
     p = curve.point(parse_complex(args.x1), args.sheet1)
-    val = wirtinger_connection(curve, e, p, order=args.order,
-                               tol=args.theta_tol)
+    val = wirtinger_connection(curve, e, p, tol=args.theta_tol)
     emit({"what": "wirtinger", "e": [cplx(v) for v in e],
           "x": cplx(p.x), "sheet": p.sheet, "value": cplx(val)}, args)
     return 0
@@ -324,41 +323,39 @@ def _suite_curve(args):
 def _suite_kernels(args):
     curve = _suite_curve(args)
     checks = []
-    delta = select_odd_characteristic(curve, args.theta_tol)
     x = curve.point(2.2 + 0.3j, 1)
     y = curve.point(-1.9 + 0.4j, -1)
     tol = args.theta_tol
-    e1 = prime_form(curve, delta, x, y, tol=tol).value
-    e2 = prime_form(curve, delta, y, x, tol=tol).value
+    e1 = prime_form(curve, x, y, tol=tol).value
+    e2 = prime_form(curve, y, x, tol=tol).value
     checks.append(_check("prime_form_antisymmetry",
                          abs(e1 + e2) / abs(e1), 1e-9))
     p = curve.point(2.0, 1)
     vals = []
     for sep in (2e-3, 1e-3):
         q = curve.point(2.0 + sep, 1)
-        vals.append(prime_form(curve, delta, p, q, tol=tol).value / (p.x - q.x))
+        vals.append(prime_form(curve, p, q, tol=tol).value / (p.x - q.x))
     checks.append(_check("prime_form_diagonal",
                          abs(2 * vals[1] - vals[0] - 1.0), 1e-6))
     vals = []
     for sep in (2e-3, 1e-3):
         q = curve.point(2.0 + sep, 1)
-        vals.append(bergman_kernel(curve, p, q, delta=delta, tol=tol).value
+        vals.append(bergman_kernel(curve, p, q, tol=tol).value
                     * (p.x - q.x) ** 2)
     checks.append(_check("bergman_biresidue",
                          abs((4 * vals[1] - vals[0]) / 3 - 1.0), 1e-6))
-    wb1 = bergman_kernel(curve, x, y, delta=delta, tol=tol).value
-    wb2 = bergman_kernel(curve, y, x, delta=delta, tol=tol).value
+    wb1 = bergman_kernel(curve, x, y, tol=tol).value
+    wb2 = bergman_kernel(curve, y, x, tol=tol).value
     checks.append(_check("bergman_symmetry", abs(wb1 - wb2) / abs(wb1), 1e-9))
     worst = 0.0
     for k in range(curve.genus):
-        worst = max(worst, abs(bergman_a_period(curve, x, k, 256,
-                                                delta=delta, tol=tol)))
+        worst = max(worst, abs(bergman_a_period(curve, x, k, 256, tol=tol)))
     checks.append(_check("bergman_a_periods", worst, 1e-7))
     e = np.full(curve.genus, 0.3) + 1j * np.linspace(0.1, 0.2, curve.genus)
     vals = []
     for sep in (2e-3, 1e-3):
         q = curve.point(2.0 + sep, 1)
-        vals.append(szego_kernel(curve, e, p, q, delta=delta, tol=tol).value
+        vals.append(szego_kernel(curve, e, p, q, tol=tol).value
                     * (p.x - q.x))
     checks.append(_check("szego_residue", abs(2 * vals[1] - vals[0] - 1.0),
                          1e-6))
@@ -368,7 +365,6 @@ def _suite_kernels(args):
 def _suite_fay(args):
     curve = _suite_curve(args)
     rng = np.random.default_rng(args.seed)
-    delta = select_odd_characteristic(curve, args.theta_tol)
     g = curve.genus
     worst = 0.0
     count = 0
@@ -382,10 +378,8 @@ def _suite_fay(args):
                         rng.choice([-1, 1]))
         y = curve.point(rng.uniform(-2.6, -1.6) + 1j * rng.uniform(-0.6, 0.6),
                         rng.choice([-1, 1]))
-        kl = klein_kernel(curve, [e, -e], x, y, delta=delta,
-                          tol=args.theta_tol).value
-        wb = bergman_kernel(curve, x, y, delta=delta,
-                            tol=args.theta_tol).value
+        kl = klein_kernel(curve, [e, -e], x, y, tol=args.theta_tol).value
+        wb = bergman_kernel(curve, x, y, tol=args.theta_tol).value
         cc = klein_coordinates(curve, e, tol=args.theta_tol).matrix
         rhs = wb + complex(curve.eval_differentials(x) @ cc
                            @ curve.eval_differentials(y))
@@ -627,11 +621,9 @@ def make_parser() -> argparse.ArgumentParser:
             second_point, func=cmd_eval_klein)
     command(evals, "bergman", "Bergman kernel", curve_flags, theta_tol,
             first_point, second_point, func=cmd_eval_bergman)
-    p = command(evals, "wirtinger", "Wirtinger connection of the class e",
-                curve_flags, theta_tol, jacobian_point, first_point,
-                func=cmd_eval_wirtinger)
-    p.add_argument("--order", type=int, default=8,
-                   help="series order (at least 6)")
+    command(evals, "wirtinger", "Wirtinger connection of the class e",
+            curve_flags, theta_tol, jacobian_point, first_point,
+            func=cmd_eval_wirtinger)
 
     return parser
 

@@ -643,8 +643,14 @@ class HyperellipticCurve:
 
         The ellipse has foci at the cut endpoints and clears all other
         branch points; y is continued around by continuity (an even
-        number of enclosed branch points makes it close up).
+        number of enclosed branch points makes it close up).  ValueError
+        for a cut_index that names no cut (g of them for odd degree,
+        g + 1 for even) or for fewer than one node.
         """
+        cuts = len(self.branch_points) // 2
+        if not (0 <= cut_index < cuts and n_nodes >= 1):
+            raise ValueError(f"no cycle contour around cut {cut_index} with "
+                             f"{n_nodes} nodes (cuts 0..{cuts - 1})")
         j = 2 * cut_index
         p, q, mid, e, others = self._segment_data(j)
         clear = min(abs(r - mid) - abs(e) for r in others)

@@ -64,7 +64,7 @@ class NotOnThetaSmoothLocus(ThetaKernelsError):
 
 
 class SeriesOrderInsufficient(ThetaKernelsError):
-    """Local expansion order too small for the requested extraction."""
+    """Wirtinger series check failed: a lost zero or a leading term not 1/4."""
 
 
 # --- jet calculus ---

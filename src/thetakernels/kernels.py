@@ -13,8 +13,8 @@ weight (w1, w2) picks up chart_scale^w1 * chart_scale^w2).
 
 A point is on the theta divisor when ``theta._on_divisor`` says so:
 |theta| is below ``theta.THETA_FLOOR`` (read at call time) times the
-scale of its lattice sum, or that scale is 0.  The odd characteristic
-and the theta jets at 0 are kept in the curve's memo
+scale of its lattice sum, or that scale is 0.  The curve's one odd
+characteristic and the theta jets at 0 are kept in the curve's memo
 (:meth:`HyperellipticCurve.memo`), next to its Abel images.
 """
 
@@ -37,6 +37,10 @@ from .theta import (DEFAULT_TOL, Characteristic, RiemannMatrix,
                     log_theta_hessians, theta_batch, theta_value)
 
 GRADIENT_FLOOR = 1e-8
+
+#: Germ order of the Wirtinger connection: t^2 F(t) = numer / (denom / t^2)
+#: gives R at t^2, and denom vanishes to order 2, so t^4 suffices.
+_GERM_ORDER = 4
 
 
 @dataclass(frozen=True)
@@ -95,21 +99,21 @@ def is_on_theta(e, omega: RiemannMatrix, tol=DEFAULT_TOL) -> bool:
     return _on_divisor(vals[0][0], scales[0])
 
 
-def select_odd_characteristic(curve: HyperellipticCurve,
-                              tol=DEFAULT_TOL) -> Characteristic:
-    """First odd characteristic (lexicographic) with nonsingular gradient,
-    chosen once per (curve, tol)."""
+def select_odd_characteristic(curve: HyperellipticCurve) -> Characteristic:
+    """First odd characteristic (lexicographic) with nonsingular gradient
+    at 0 (at ``DEFAULT_TOL``), chosen once per curve: every kernel uses it,
+    and any nonsingular odd one gives the same kernels (Fay 1973)."""
     def first_nonsingular():
         for char in Characteristic.all(curve.genus):
             if char.parity != 1:
                 continue
-            jet, _, scale = _jet_at_zero(curve, char, 1, tol)
+            jet, _, scale = _jet_at_zero(curve, char, 1, DEFAULT_TOL)
             if np.linalg.norm(jet[1:]) > GRADIENT_FLOOR * max(scale, 1.0):
                 return char
         raise NoNonsingularOddCharacteristic(
             "all odd characteristics have vanishing gradient")
 
-    return curve.memo(("odd", tol), first_nonsingular)
+    return curve.memo(("odd",), first_nonsingular)
 
 
 def _jet_at_zero(curve, char: Characteristic, order, tol):
@@ -157,8 +161,8 @@ def _h_product(curve, delta: Characteristic, x: SurfacePoint, y: SurfacePoint,
     return hx * hy
 
 
-def prime_form(curve: HyperellipticCurve, delta: Characteristic,
-               x: SurfacePoint, y: SurfacePoint, tol=DEFAULT_TOL) -> KernelValue:
+def prime_form(curve: HyperellipticCurve, x: SurfacePoint, y: SurfacePoint,
+               tol=DEFAULT_TOL) -> KernelValue:
     """Prime form E(x,y) = theta[delta](A(x)-A(y)) / (h(x) h(y)).
 
     Antisymmetric, vanishing only on the diagonal, with
@@ -167,6 +171,7 @@ def prime_form(curve: HyperellipticCurve, delta: Characteristic,
     (:func:`_h_product`), so a value never depends on earlier calls.
     """
     _require_off_diagonal(x, y, "prime form")
+    delta = select_odd_characteristic(curve)
     w = curve.abel_map(x) - curve.abel_map(y)
     th = theta_value(w, curve.omega, delta, tol=tol)
     return KernelValue(value=_prime_form_value(curve, delta, x, y, th, tol),
@@ -181,14 +186,14 @@ def _prime_form_value(curve, delta, x, y, th: ScaledComplex, tol):
 
 
 def bergman_kernel(curve: HyperellipticCurve, x: SurfacePoint,
-                   y: SurfacePoint, delta: Characteristic = None,
-                   tol=DEFAULT_TOL) -> KernelValue:
+                   y: SurfacePoint, tol=DEFAULT_TOL) -> KernelValue:
     """Symmetric bidifferential with biresidue 1 and vanishing A-periods.
 
     Computed as the double diagonal derivative of log theta[delta] of
     the Abel difference; independent of the odd characteristic used.
     Weight (1, 1).
     """
+    delta = select_odd_characteristic(curve)
     val, = _bergman_values(curve, x, [y], delta, tol)
     return KernelValue(value=val, weight=(1.0, 1.0),
                        chart_x=_chart(x), chart_y=_chart(y))
@@ -197,14 +202,11 @@ def bergman_kernel(curve: HyperellipticCurve, x: SurfacePoint,
 def _bergman_values(curve, x, ys, delta, tol):
     """The Bergman kernel value at (x, y) for each point of ``ys``.
 
-    Checks every pair against the diagonal, then picks delta when it is
-    None; one theta_batch call gives the Hessian jet of theta[delta] at
-    A(x) - A(y) for every y, a row each.
+    Checks every pair against the diagonal; one theta_batch call gives
+    the Hessian jet of theta[delta] at A(x) - A(y) for every y, a row each.
     """
     for y in ys:
         _require_off_diagonal(x, y, "Bergman kernel")
-    if delta is None:
-        delta = select_odd_characteristic(curve, tol)
     g = curve.genus
     ax = curve.abel_map(x)
     w = np.array([ax - curve.abel_map(y) for y in ys])
@@ -221,8 +223,7 @@ def _bergman_values(curve, x, ys, delta, tol):
 
 
 def szego_kernel(curve: HyperellipticCurve, e, x: SurfacePoint,
-                 y: SurfacePoint, delta: Characteristic = None,
-                 tol=DEFAULT_TOL) -> KernelValue:
+                 y: SurfacePoint, tol=DEFAULT_TOL) -> KernelValue:
     """Szego kernel theta(A(y)-A(x)+e) / (theta(e) E(x,y)) of the class e.
 
     Requires e off the theta divisor; has a simple diagonal pole with
@@ -230,15 +231,12 @@ def szego_kernel(curve: HyperellipticCurve, e, x: SurfacePoint,
     call evaluates theta(e), theta(A(y)-A(x)+e) and the prime form's
     theta[delta](A(x)-A(y)).
     """
-    es = [_class_vector(e, curve.genus)]
-    if delta is None:
-        delta = select_odd_characteristic(curve, tol)
-    val, = _szego_values(curve, es, x, y, delta, tol)
+    val, = _szego_values(curve, [_class_vector(e, curve.genus)], x, y, tol)
     return KernelValue(value=val, weight=(0.5, 0.5),
                        chart_x=_chart(x), chart_y=_chart(y))
 
 
-def _szego_values(curve, es, x, y, delta, tol):
+def _szego_values(curve, es, x, y, tol):
     """The Szego kernel value of each class of ``es`` at (x, y).
 
     One theta_batch call gives theta(e) and theta(A(y)-A(x)+e) for every
@@ -247,6 +245,7 @@ def _szego_values(curve, es, x, y, delta, tol):
     comes first, then OnDiagonal for coinciding points.
     """
     g = curve.genus
+    delta = select_odd_characteristic(curve)
     ax, ay = curve.abel_map(x), curve.abel_map(y)
     w = ay - ax
     zero = Characteristic.zero(g)
@@ -270,8 +269,7 @@ def _szego_values(curve, es, x, y, delta, tol):
 
 
 def klein_kernel(curve: HyperellipticCurve, e_list, x: SurfacePoint,
-                 y: SurfacePoint, delta: Characteristic = None,
-                 tol=DEFAULT_TOL) -> KernelValue:
+                 y: SurfacePoint, tol=DEFAULT_TOL) -> KernelValue:
     """Determinant kernel of a split bundle: the product of Szego kernels.
 
     ``e_list`` must sum to zero modulo the period lattice (each lattice
@@ -285,10 +283,8 @@ def klein_kernel(curve: HyperellipticCurve, e_list, x: SurfacePoint,
     coords = np.concatenate([a, b])
     if np.max(np.abs(coords - np.round(coords))) > 1e-8:
         raise ConstraintViolation("classes do not sum to zero in the Jacobian")
-    if delta is None:
-        delta = select_odd_characteristic(curve, tol)
     val = 1.0 + 0.0j
-    for factor in _szego_values(curve, es, x, y, delta, tol):
+    for factor in _szego_values(curve, es, x, y, tol):
         val *= factor
     n = len(es)
     return KernelValue(value=val, weight=(n / 2.0, n / 2.0),
@@ -327,7 +323,7 @@ def _theta_compose(vals, zser):
 
 
 def wirtinger_connection(curve: HyperellipticCurve, e, p: SurfacePoint,
-                         order: int = 8, tol=DEFAULT_TOL) -> complex:
+                         tol=DEFAULT_TOL) -> complex:
     """Projective-connection value at p of the Klein kernel of (e, -e).
 
     Expands the kernel at (x, y) = (p(t), p(-t)) as
@@ -335,21 +331,19 @@ def wirtinger_connection(curve: HyperellipticCurve, e, p: SurfacePoint,
     truncated series (never finite differences).  One ``theta_batch``
     call gives theta(e) and the third-order jets of theta at e and -e;
     the jet of theta[delta] at 0 is kept in the curve's memo.  The germs
-    are prefix-stable, so R does not depend on ``order`` (at least 6).
+    are prefix-stable, so every order from ``_GERM_ORDER`` up gives R.
     """
-    if order < 6:
-        raise SeriesOrderInsufficient("need series order >= 6")
     g = curve.genus
     e = _class_vector(e, g)
     zero = Characteristic.zero(g)
-    delta = select_odd_characteristic(curve, tol)
+    delta = select_odd_characteristic(curve)
     vals, expos, scales = theta_batch(np.array([e, e, -e]), curve.omega,
                                       [zero] * 3, [0, 3, 3], tol)
     if _on_divisor(vals[0][0], scales[0]):
         raise PointOnTheta("Wirtinger connection undefined on the theta divisor")
     theta_e2 = ScaledComplex.make(vals[0][0] ** 2, 2 * expos[0])
     jet_delta, ed, _ = _jet_at_zero(curve, delta, 3, tol)
-    le = curve.local_expansion(p, order)
+    le = curve.local_expansion(p, _GERM_ORDER)
     # w(t) = A(p(-t)) - A(p(t)): twice the odd part of the Abel series
     w = np.zeros_like(le.abel)
     w[:, 1::2] = -2.0 * le.abel[:, 1::2]
@@ -367,7 +361,7 @@ def wirtinger_connection(curve: HyperellipticCurve, e, p: SurfacePoint,
     lead = abs(denom[2])
     if abs(denom[0]) > 1e-10 * lead or abs(denom[1]) > 1e-10 * lead:
         raise SeriesOrderInsufficient("odd theta composition lost its zero")
-    gser = series_mul(numer[:order - 1], series_reciprocal(denom[2:]))
+    gser = series_mul(numer, series_reciprocal(denom[2:]))
     # F(t) = gser(t) exp(ep + em - 2 ed) / theta(e)^2 / t^2
     #      = 1/(4 t^2) + R/6 + O(t): the leading 1/4 checks all factors
     pref = math.exp(ep + em - 2 * ed - theta_e2.exponent) / theta_e2.mantissa
@@ -624,14 +618,17 @@ def finiteness_probe(curve: HyperellipticCurve, n_samples: int,
             points.append(e)
             coords.append(c)
     pairs, rel = [], []
-    candidates = list(_collision_candidates(np.array(coords), collision_tol))
-    norms = {k: np.linalg.norm(coords[k]) for pair in candidates for k in pair}
-    for i, j in candidates:
-        norm = max(norms[i], norms[j])
-        dist = float(np.linalg.norm(coords[i] - coords[j]))
-        if dist < collision_tol * max(norm, 1e-300):
-            pairs.append((i, j))
-            rel.append(dist / max(norm, 1e-300))
+    with np.errstate(over="ignore"):  # overflow only adds candidates
+        candidates = list(_collision_candidates(np.array(coords),
+                                                collision_tol))
+        norms = {k: np.linalg.norm(coords[k])
+                 for pair in candidates for k in pair}
+        for i, j in candidates:
+            norm = max(norms[i], norms[j])
+            dist = float(np.linalg.norm(coords[i] - coords[j]))
+            if dist < collision_tol * max(norm, 1e-300):
+                pairs.append((i, j))
+                rel.append(dist / max(norm, 1e-300))
     kinds = _collision_kinds(np.array(points), pairs, omega)
     collisions = [Collision(i=i, j=j, relative_distance=r,
                             trivial=kind != "nontrivial", kind=kind)
@@ -652,7 +649,7 @@ def finiteness_probe(curve: HyperellipticCurve, n_samples: int,
 
 def bergman_a_period(curve: HyperellipticCurve, x: SurfacePoint,
                      cut_index: int, n_nodes: int = 256,
-                     delta: Characteristic = None, tol=DEFAULT_TOL) -> complex:
+                     tol=DEFAULT_TOL) -> complex:
     """A-period in the second argument of the Bergman kernel (expected 0).
 
     The kernel at every contour node is :func:`bergman_kernel`'s value,
@@ -661,8 +658,7 @@ def bergman_a_period(curve: HyperellipticCurve, x: SurfacePoint,
     memory grows linearly with ``n_nodes``.
     """
     xs, ys, dxs = curve.cycle_contour(cut_index, n_nodes)
-    if delta is None:
-        delta = select_odd_characteristic(curve, tol)
+    delta = select_odd_characteristic(curve)
     nodes = [SurfacePoint(x=complex(xv), sheet=1, y=complex(yv),
                           chart_scale=1.0) for xv, yv in zip(xs, ys)]
     total = 0j

@@ -16,7 +16,7 @@ series of ``jets._pow_fraction``.
 
 This is the exact-arithmetic module: only the jet calculus
 (:mod:`thetakernels.jets`) and ``verify jets`` import it.  Numerically
-computed germs are lists of Python ``complex`` coefficients, handled in
+computed germs are numpy arrays of complex coefficients, handled in
 :mod:`thetakernels.curves`.
 """
 

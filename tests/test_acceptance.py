@@ -12,7 +12,7 @@ from thetakernels.kernels import (bergman_a_period, bergman_kernel,
                                   finiteness_probe, find_theta_zero,
                                   gauss_limit_check, is_on_theta,
                                   klein_coordinates, klein_kernel,
-                                  select_odd_characteristic, szego_kernel)
+                                  szego_kernel)
 from thetakernels.theta import (Characteristic, RiemannMatrix,
                                 second_order_theta_basis, theta_value)
 
@@ -94,7 +94,6 @@ class TestAcceptance:
         t0 = time.perf_counter()
         worst = 0.0
         for c in (lemniscatic, genus2):
-            delta = select_odd_characteristic(c)
             rng = np.random.default_rng(17)
             g = c.genus
             count = 0
@@ -108,8 +107,8 @@ class TestAcceptance:
                             + 1j * rng.uniform(-0.6, 0.6), rng.choice([-1, 1]))
                 y = c.point(rng.uniform(-2.6, -1.6)
                             + 1j * rng.uniform(-0.6, 0.6), rng.choice([-1, 1]))
-                kl = klein_kernel(c, [e, -e], x, y, delta=delta).value
-                wb = bergman_kernel(c, x, y, delta=delta).value
+                kl = klein_kernel(c, [e, -e], x, y).value
+                wb = bergman_kernel(c, x, y).value
                 cc = klein_coordinates(c, e).matrix
                 rhs = wb + complex(c.eval_differentials(x) @ cc
                                    @ c.eval_differentials(y))
@@ -125,15 +124,14 @@ class TestAcceptance:
         t0 = time.perf_counter()
         details = []
         for c in (lemniscatic, genus2):
-            delta = select_odd_characteristic(c)
             p = c.point(2.0, 1)
             e = np.full(c.genus, 0.3) + 1j * np.linspace(0.1, 0.2, c.genus)
             sz, bg = [], []
             for sep in (2e-3, 1e-3):
                 q = c.point(2.0 + sep, 1)
-                sz.append(szego_kernel(c, e, p, q, delta=delta).value
+                sz.append(szego_kernel(c, e, p, q).value
                           * (p.x - q.x))
-                bg.append(bergman_kernel(c, p, q, delta=delta).value
+                bg.append(bergman_kernel(c, p, q).value
                           * (p.x - q.x) ** 2)
             err_s = abs(2 * sz[1] - sz[0] - 1.0)
             err_b = abs((4 * bg[1] - bg[0]) / 3 - 1.0)

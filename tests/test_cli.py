@@ -101,6 +101,17 @@ class TestProbeCommand:
         res = run_cli(["probe", "--curve", curve_file, "--samples", "1"])
         assert res.returncode == 2
 
+    def test_huge_collision_tol_is_not_a_warning(self, curve_file, capsys):
+        # the squared thresholds overflow to inf, which only adds pairs
+        from thetakernels import cli
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(["probe", "--curve", curve_file, "--samples", "3",
+                             "--collision-tol", "1e200"]) == 0
+        rep = json.loads(capsys.readouterr().out)
+        assert [(c["i"], c["j"]) for c in rep["collisions"]] == \
+            [(0, 1), (0, 2), (1, 2)]
+
 
 class TestArgumentContracts:
     @pytest.mark.parametrize("args", [
@@ -302,24 +313,13 @@ class TestEvalInputContracts:
         assert out == "" and len(lines) == 1
         assert lines[0].startswith("error:") and "nests too deeply" in lines[0]
 
-    def test_wirtinger_honours_order(self, curve_file, monkeypatch, capsys):
-        from thetakernels import cli
-        base = ["eval", "wirtinger", "--curve", curve_file,
-                "--e", "0.31+0.17j", "--x1", "2.0"]
-        orders = []
-        real = cli.wirtinger_connection
-
-        def recording(*args, order, **kwargs):
-            orders.append(order)
-            return real(*args, order=order, **kwargs)
-
-        monkeypatch.setattr(cli, "wirtinger_connection", recording)
-        for extra in ([], ["--order", "8"], ["--order", "20"]):
-            assert cli.main(base + extra) == 0
-        assert orders == [8, 8, 20]
-        out = capsys.readouterr().out
-        assert out.count('"what": "wirtinger"') == 3
-        assert_one_error_line(run_cli(base + ["--order", "5"]))
+    def test_wirtinger_takes_no_order(self, curve_file):
+        # the connection reads its germs at one fixed order
+        code, err = run_in_process(["eval", "wirtinger", "--curve", curve_file,
+                                    "--e", "0.31+0.17j", "--x1", "2.0",
+                                    "--order", "8"])
+        assert code == 2
+        assert "unrecognized arguments: --order 8" in err
 
     @pytest.mark.parametrize("args", [
         ["eval", "theta", "--omega", "[[[0.2,1.1]]]", "--z", "-0.1+0.2j"],
@@ -460,7 +460,7 @@ COMMAND_FLAGS = {
     + EVAL_TOL_FLAGS,
     "eval bergman": ("--curve", "--x1", "--x2", "--sheet1", "--sheet2")
     + EVAL_TOL_FLAGS,
-    "eval wirtinger": ("--curve", "--e", "--x1", "--sheet1", "--order")
+    "eval wirtinger": ("--curve", "--e", "--x1", "--sheet1")
     + EVAL_TOL_FLAGS,
     "verify theta": ("--seed", "--theta-tol", "--tol", "--out"),
     "verify jets": ("--seed", "--order", "--out"),

@@ -83,41 +83,37 @@ class TestPrimeForm:
     def test_antisymmetry(self, lemniscatic, genus2):
         rng = np.random.default_rng(3)
         for c in (lemniscatic, genus2):
-            delta = select_odd_characteristic(c)
             for _ in range(4):
                 x = c.point(2.0 + rng.uniform(0, 1) + 1j * rng.uniform(-1, 1), 1)
                 y = c.point(-2.0 + rng.uniform(0, 1) + 1j * rng.uniform(-1, 1), -1)
-                e1 = prime_form(c, delta, x, y).value
-                e2 = prime_form(c, delta, y, x).value
+                e1 = prime_form(c, x, y).value
+                e2 = prime_form(c, y, x).value
                 assert abs(e1 + e2) < 1e-9 * abs(e1)
 
     def test_diagonal_normalization(self, lemniscatic):
         c = lemniscatic
-        delta = select_odd_characteristic(c)
         p = c.point(2.0, 1)
         vals = []
         for sep in (2e-3, 1e-3):
             y = c.point(2.0 + sep, 1)
-            vals.append(prime_form(c, delta, p, y).value / (p.x - y.x))
+            vals.append(prime_form(c, p, y).value / (p.x - y.x))
         richardson = 2 * vals[1] - vals[0]
         assert abs(richardson - 1.0) < 1e-6
 
     def test_nonvanishing_off_diagonal(self, lemniscatic):
         c = lemniscatic
-        delta = select_odd_characteristic(c)
         rng = np.random.default_rng(11)
         for _ in range(100):
             x = c.point(rng.uniform(1.5, 3) + 1j * rng.uniform(-1, 1),
                         rng.choice([-1, 1]))
             y = c.point(rng.uniform(-3, -1.5) + 1j * rng.uniform(-1, 1),
                         rng.choice([-1, 1]))
-            assert abs(prime_form(c, delta, x, y).value) > 1e-12
+            assert abs(prime_form(c, x, y).value) > 1e-12
 
     def test_on_diagonal_raises(self, lemniscatic):
-        delta = select_odd_characteristic(lemniscatic)
         p = lemniscatic.point(2.0, 1)
         with pytest.raises(OnDiagonal):
-            prime_form(lemniscatic, delta, p, p)
+            prime_form(lemniscatic, p, p)
 
 
 # On y^2 = x^5 - x, s2 = sum_i d_i theta[delta](0) omega_i crosses the
@@ -139,7 +135,7 @@ def segment_value(curve, task):
     kind, x, y = task
     x, y = curve.point(x, 1), curve.point(y, 1)
     if kind == "prime":
-        return prime_form(curve, select_odd_characteristic(curve), x, y).value
+        return prime_form(curve, x, y).value
     return szego_kernel(curve, SZEGO_CLASS, x, y).value
 
 
@@ -155,13 +151,12 @@ class TestHalfDensityIsPure:
     def test_warm_up_leaves_values_unchanged(self):
         def values(warm):
             curve = build_curve(QUINTIC)
-            delta = select_odd_characteristic(curve)
             x, y = curve.point(CUT_END, 1), curve.point(PARTNER, 1)
             for k in range(20 if warm else 0):
                 p = curve.point(CUT_START + (CUT_END - CUT_START) * k / 20, 1)
-                prime_form(curve, delta, p, y)
+                prime_form(curve, p, y)
                 szego_kernel(curve, SZEGO_CLASS, p, y)
-            return (prime_form(curve, delta, x, y).value,
+            return (prime_form(curve, x, y).value,
                     szego_kernel(curve, SZEGO_CLASS, x, y).value)
 
         assert values(warm=True) == values(warm=False)
@@ -200,7 +195,7 @@ class TestHalfDensityIsPure:
         vals = []
         for sep in (2e-3j, 1e-3j):
             q = curve.point(p.x + sep, 1)
-            vals.append(prime_form(curve, delta, p, q).value / (p.x - q.x))
+            vals.append(prime_form(curve, p, q).value / (p.x - q.x))
         assert abs(2 * vals[1] - vals[0] - 1.0) < 1e-6
 
     @settings(max_examples=50, deadline=None)
@@ -238,11 +233,20 @@ class TestBergman:
                 ap = bergman_a_period(c, x, k, 256)
                 assert abs(ap) < 1e-7
 
+    # a cut index of -1 would otherwise index the branch points from the end
+    @pytest.mark.parametrize("cut,n_nodes", [(-1, 64), (2, 64), (0, 0)])
+    def test_a_period_rejects_contours_out_of_range(self, genus2, cut,
+                                                     n_nodes):
+        x = genus2.point(2.3 + 0.4j, 1)
+        with pytest.raises(ValueError, match="no cycle contour"):
+            bergman_a_period(genus2, x, cut, n_nodes)
+
     def test_odd_characteristic_independence(self, genus2):
         x = genus2.point(1.9, 1)
         y = genus2.point(-1.7 + 0.2j, -1)
         odd = [ch for ch in Characteristic.all(2) if ch.parity == 1]
-        vals = [bergman_kernel(genus2, x, y, delta=ch).value
+        vals = [kernels_module._bergman_values(genus2, x, [y], ch,
+                                               DEFAULT_TOL)[0]
                 for ch in odd[:3]]
         for v in vals[1:]:
             assert abs(v - vals[0]) < 1e-8 * abs(vals[0])
@@ -265,11 +269,10 @@ class TestSzego:
         # so the split product is swap-symmetric
         for c, e in ((lemniscatic, np.array([0.3 + 0.1j])),
                      (genus2, np.array([0.25 + 0.05j, -0.15 + 0.2j]))):
-            delta = select_odd_characteristic(c)
             x = c.point(2.2 + 0.3j, 1)
             y = c.point(-1.9 + 0.5j, -1)
-            splus = szego_kernel(c, e, x, y, delta=delta).value
-            sminus_sw = szego_kernel(c, -e, y, x, delta=delta).value
+            splus = szego_kernel(c, e, x, y).value
+            sminus_sw = szego_kernel(c, -e, y, x).value
             assert abs(splus + sminus_sw) < 1e-9 * abs(splus)
 
     def test_on_theta_rejected(self, lemniscatic):
@@ -335,7 +338,6 @@ class TestKleinKernel:
     @pytest.mark.parametrize("curve_name", ["lemniscatic", "genus2"])
     def test_fay_identity(self, curve_name, request):
         c = request.getfixturevalue(curve_name)
-        delta = select_odd_characteristic(c)
         rng = np.random.default_rng(17)
         g = c.genus
         for _ in range(20):
@@ -348,8 +350,8 @@ class TestKleinKernel:
                         rng.choice([-1, 1]))
             y = c.point(rng.uniform(-2.6, -1.6) + 1j * rng.uniform(-0.6, 0.6),
                         rng.choice([-1, 1]))
-            kl = klein_kernel(c, [e, -e], x, y, delta=delta).value
-            wb = bergman_kernel(c, x, y, delta=delta).value
+            kl = klein_kernel(c, [e, -e], x, y).value
+            wb = bergman_kernel(c, x, y).value
             cc = klein_coordinates(c, e).matrix
             ox = c.eval_differentials(x)
             oy = c.eval_differentials(y)
@@ -446,12 +448,6 @@ class TestWirtinger:
         with pytest.raises(PointOnTheta):
             wirtinger_connection(lemniscatic, [(1 + tau) / 2],
                                  lemniscatic.point(2.0, 1))
-
-    def test_order_validation(self, lemniscatic):
-        from thetakernels.errors import SeriesOrderInsufficient
-        with pytest.raises(SeriesOrderInsufficient):
-            wirtinger_connection(lemniscatic, [0.3 + 0.1j],
-                                 lemniscatic.point(2.0, 1), order=4)
 
 
 class TestErrorOrder:
@@ -756,11 +752,10 @@ class TestOddCharacteristicMemo:
 
     def test_prime_form_reuses_the_gradient(self, monkeypatch):
         curve = build_curve([0, -1, 0, 0, 0, 1])
-        delta = select_odd_characteristic(curve)
         x, y = curve.point(2.2 + 0.3j, 1), curve.point(-1.9 + 0.4j, -1)
-        want = prime_form(curve, delta, x, y).value
+        want = prime_form(curve, x, y).value
         calls = self.count_theta_batch(monkeypatch)
-        assert prime_form(curve, delta, x, y).value == want
+        assert prime_form(curve, x, y).value == want
         assert len(calls) == 1   # the numerator theta[delta](A(x) - A(y))
 
 
@@ -821,12 +816,11 @@ class TestConcurrency:
 class TestKernelValueCovariance:
     def test_weight_law_under_chart_rescaling(self, lemniscatic):
         c = lemniscatic
-        delta = select_odd_characteristic(c)
         lam = 4.0
         x1, y1 = c.point(2.0, 1), c.point(-2.1, -1)
         x2 = c.point(2.0, 1, chart_scale=lam)
         y2 = c.point(-2.1, -1, chart_scale=lam)
-        for func, weight in ((lambda a, b: prime_form(c, delta, a, b), -0.5),
+        for func, weight in ((lambda a, b: prime_form(c, a, b), -0.5),
                              (lambda a, b: bergman_kernel(c, a, b), 1.0),
                              (lambda a, b: szego_kernel(
                                  c, np.array([0.3 + 0.1j]), a, b), 0.5)):
@@ -858,7 +852,8 @@ def local_expansion_record():
     """float.hex of every local_expansion coefficient and Wirtinger value.
 
     Two genus-2 curves, three points each, orders 6, 8 and 16, chart
-    scales 1 and 2.  tests/data/local_expansion_hex.json was written by
+    scales 1 and 2; the Wirtinger value, which has no order, is filed
+    under each order.  tests/data/local_expansion_hex.json was written by
     this function once the germs were numpy arrays (products by
     series_mul, 1/y by series_reciprocal, y by its square-root
     recurrence); a change that moves the rounding re-records it in a
@@ -871,9 +866,9 @@ def local_expansion_record():
         for x, sheet in RECORD_POINTS:
             for scale in (1.0, 2.0):
                 p = c.point(x, sheet, chart_scale=scale)
+                r = wirtinger_connection(c, e, p)
                 for order in (6, 8, 16):
                     le = c.local_expansion(p, order)
-                    r = wirtinger_connection(c, e, p, order=order)
                     out[f"{name} x={x} sheet={sheet} scale={scale} "
                         f"order={order}"] = {
                         "x": _hex(le.x), "y": _hex(le.y),
@@ -929,12 +924,14 @@ class TestGermsArePrefixStable:
         e = np.array(a) + c.omega.entries @ np.array(b)
 
         def outcome(order):
-            try:
-                return _hex([wirtinger_connection(c, e, p, order=order)])
-            except ThetaKernelsError as exc:
-                return type(exc).__name__
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(kernels_module, "_GERM_ORDER", order)
+                try:
+                    return _hex([wirtinger_connection(c, e, p)])
+                except ThetaKernelsError as exc:
+                    return type(exc).__name__
 
-        assert len({str(outcome(order)) for order in (6, 8, 16, 32)}) == 1
+        assert len({str(outcome(order)) for order in (4, 8, 16, 32)}) == 1
 
 
 class TestNumericRecord:
