@@ -1,8 +1,8 @@
 """Theta functions, hyperelliptic period matrices, kernel functions and
 an exact jet calculus for opers and matrix opers."""
 
-from .curves import (HyperellipticCurve, LocalExpansion, SurfacePoint,
-                     build_curve, curve_from_spec, lattice_coordinates)
+from .curves import (HyperellipticCurve, SurfacePoint, build_curve,
+                     curve_from_spec, lattice_coordinates)
 from .errors import ThetaKernelsError
 from .kernels import (KernelValue, KleinCoordinates, bergman_a_period,
                       bergman_kernel, finiteness_probe, find_theta_zero,
@@ -17,7 +17,6 @@ __all__ = [
     "HyperellipticCurve",
     "KernelValue",
     "KleinCoordinates",
-    "LocalExpansion",
     "RiemannMatrix",
     "ScaledComplex",
     "SurfacePoint",

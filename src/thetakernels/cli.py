@@ -230,7 +230,7 @@ def cmd_eval_klein(args) -> int:
 def cmd_eval_bergman(args) -> int:
     _require(args, "x1", "x2")
     curve, x, y = _curve_and_points(args)
-    return _emit_kernel(bergman_kernel(curve, x, y, tol=args.theta_tol), args)
+    return _emit_kernel(bergman_kernel(curve, x, y), args)
 
 
 def parse_omega(text: str):
@@ -340,16 +340,16 @@ def _suite_kernels(args):
     vals = []
     for sep in (2e-3, 1e-3):
         q = curve.point(2.0 + sep, 1)
-        vals.append(bergman_kernel(curve, p, q, tol=tol).value
+        vals.append(bergman_kernel(curve, p, q).value
                     * (p.x - q.x) ** 2)
     checks.append(_check("bergman_biresidue",
                          abs((4 * vals[1] - vals[0]) / 3 - 1.0), 1e-6))
-    wb1 = bergman_kernel(curve, x, y, tol=tol).value
-    wb2 = bergman_kernel(curve, y, x, tol=tol).value
+    wb1 = bergman_kernel(curve, x, y).value
+    wb2 = bergman_kernel(curve, y, x).value
     checks.append(_check("bergman_symmetry", abs(wb1 - wb2) / abs(wb1), 1e-9))
     worst = 0.0
     for k in range(curve.genus):
-        worst = max(worst, abs(bergman_a_period(curve, x, k, 256, tol=tol)))
+        worst = max(worst, abs(bergman_a_period(curve, x, k, 256)))
     checks.append(_check("bergman_a_periods", worst, 1e-7))
     e = np.full(curve.genus, 0.3) + 1j * np.linspace(0.1, 0.2, curve.genus)
     vals = []
@@ -379,7 +379,7 @@ def _suite_fay(args):
         y = curve.point(rng.uniform(-2.6, -1.6) + 1j * rng.uniform(-0.6, 0.6),
                         rng.choice([-1, 1]))
         kl = klein_kernel(curve, [e, -e], x, y, tol=args.theta_tol).value
-        wb = bergman_kernel(curve, x, y, tol=args.theta_tol).value
+        wb = bergman_kernel(curve, x, y).value
         cc = klein_coordinates(curve, e, tol=args.theta_tol).matrix
         rhs = wb + complex(curve.eval_differentials(x) @ cc
                            @ curve.eval_differentials(y))
@@ -619,8 +619,8 @@ def make_parser() -> argparse.ArgumentParser:
     command(evals, "klein", "Klein kernel of the classes (e, -e)",
             curve_flags, theta_tol, jacobian_point, first_point,
             second_point, func=cmd_eval_klein)
-    command(evals, "bergman", "Bergman kernel", curve_flags, theta_tol,
-            first_point, second_point, func=cmd_eval_bergman)
+    command(evals, "bergman", "Bergman kernel", curve_flags, first_point,
+            second_point, func=cmd_eval_bergman)
     command(evals, "wirtinger", "Wirtinger connection of the class e",
             curve_flags, theta_tol, jacobian_point, first_point,
             func=cmd_eval_wirtinger)

@@ -1,27 +1,25 @@
-"""Hyperelliptic curves y^2 = f(x): periods, Abel map, local expansions.
+"""Hyperelliptic curves y^2 = f(x): periods, Abel map, Klein's algebraic data.
 
-Branch points are sorted lexicographically by (Re, Im) and paired
-consecutively into cuts (b_0 b_1), (b_2 b_3), ...; the k-th A-cycle
-encircles the k-th cut and the k-th B-cycle runs through cuts k..g+1 on
-both sheets.  Cycle integrals reduce to integrals over the cut and gap
-segments with Gauss-Chebyshev quadrature (the square-root endpoint
-singularity is exactly the Chebyshev weight); a single analytic branch
-of y is continued along the whole chain of segments, with the
-continuation through each branch point fixed by a small detour whose
-side is chosen deterministically.  Every root of f along a path comes
-from :func:`_sqrt_along`, and the node doubling of the Abel-map pieces
-from :func:`_until_stable`, with Gauss-Legendre rules read from the
-table ``gauss_legendre.npy`` (written from numpy's ``leggauss``, so the
-Abel images do not depend on the machine's eigenvalue solver).
-Evaluation points keep a fixed margin of ``MARGIN_FACTOR`` times the
-root scale from the branch points.
+Branch points are sorted lexicographically by (Re, Im) (see
+:func:`_chain_order`) and paired consecutively into cuts (b_0 b_1),
+(b_2 b_3), ...; the k-th A-cycle encircles the k-th cut and the k-th
+B-cycle runs through cuts k..g+1 on both sheets.  Cycle integrals reduce
+to integrals over the cut and gap segments with Gauss-Chebyshev
+quadrature (the square-root endpoint singularity is exactly the
+Chebyshev weight); a single analytic branch of y is continued along the
+whole chain of segments, with the continuation through each branch point
+fixed by a small detour whose side is chosen deterministically.  Every
+root of f along a path comes from :func:`_sqrt_along`, and the node
+doubling of the Abel-map pieces from :func:`_until_stable`, with Gauss-
+Legendre rules read from the table ``gauss_legendre.npy`` (written from
+numpy's ``leggauss``, so the Abel images do not depend on the machine's
+eigenvalue solver).  Evaluation points keep a fixed margin of
+``MARGIN_FACTOR`` times the root scale from the branch points.
 
-Numerically computed germs (the local expansions of a curve and the
-theta compositions of the Wirtinger connection) are complex arrays of
-coefficients c_0..c_n; :func:`series_mul`, :func:`series_reciprocal`
-and :func:`series_combination` give coefficient k from coefficients
-0..k of their inputs alone, so a germ of order k is bit for bit the
-start of the same germ of any higher order.
+The same cut integrals give the A-periods of x^k dx / y up to k = 2g,
+hence the matrix K of Klein's closed form of the Bergman kernel (see
+:mod:`thetakernels.kernels`); the curve also keeps the coefficient
+matrices of its polynomials F and Q, which :func:`bivariate` evaluates.
 """
 
 from __future__ import annotations
@@ -185,56 +183,93 @@ class SurfacePoint:
         return (round(self.x.real, 12), round(self.x.imag, 12), self.sheet)
 
 
-@dataclass
-class LocalExpansion:
-    """Series data at a point: x(t), y(t), differentials and Abel map,
-    as arrays of complex coefficients c_0..c_order."""
-
-    point: SurfacePoint
-    order: int
-    x: np.ndarray        # shape (order+1,), as y
-    y: np.ndarray
-    omega: np.ndarray    # (g, order+1): omega_i(t)/dt in row i
-    abel: np.ndarray     # (g, order+1): A_i(t), A_i(0) the Abel image
-
-
-def series_mul(a, b):
-    """Product of two coefficient arrays, truncated to the shorter; both
-    are cut to that length first, so coefficient k is the same dot
-    product of a_0..a_k and b_k..b_0 whatever the lengths."""
-    n = min(len(a), len(b))
-    return np.convolve(a[:n], b[:n])[:n]
+def bivariate(c, x1, x2):
+    """sum_ab c[a, b] x1^a x2^b by Horner's rule: in x2 for every power
+    of x1 at once, then in x1.  Elementwise in arrays x1 and x2 of one
+    shape (or scalars), so each entry is the one a single pair gives."""
+    x1, x2 = np.asarray(x1), np.asarray(x2)
+    inner = np.zeros((c.shape[0],) + x2.shape, dtype=complex)
+    for col in c.T[::-1]:
+        inner = inner * x2 + col.reshape(col.shape + (1,) * x2.ndim)
+    out = inner[-1]
+    for row in inner[-2::-1]:
+        out = out * x1 + row
+    return out
 
 
-def series_combination(m, rows):
-    """The series m @ rows (row r is sum_k m[r, k] rows[k]), each
-    coefficient its own vector-matrix product: one matrix product would
-    block the columns, and so round a coefficient, by the length."""
-    return (np.ascontiguousarray(rows.T)[:, None, :] @ m.T)[:, 0, :].T
+def _divide_by_difference(p):
+    """Coefficients (p[a, b] of x1^a x2^b) of P / (x1 - x2) for P(x, x) = 0:
+    synthetic division in x1, with coefficients polynomials in x2."""
+    rows, cols = p.shape
+    q = np.zeros((rows - 1, cols + 1), dtype=complex)
+    q[-1, :cols] = p[-1]
+    for a in range(rows - 2, 0, -1):
+        q[a - 1, :cols] = p[a]
+        q[a - 1, 1:] += q[a, :-1]
+    return q
 
 
-def series_reciprocal(b):
-    """Coefficients of 1 / b(t), as long as b (b[0] != 0), from the
-    recurrence on Python complex numbers, faster than numpy at n <= 33."""
-    b = b.tolist()
-    inv = [1.0 / b[0]]
-    for k in range(1, len(b)):
-        acc = 0j
-        for j in range(1, k + 1):
-            acc += b[j] * inv[k - j]
-        inv.append(-inv[0] * acc)
-    return np.array(inv)
+def _klein_polynomials(lam, g):
+    """Coefficient matrices of F (g + 2 square) and of
+    Q = (F^2 - 4 f(x1) f(x2)) / (x1 - x2)^2 (2g + 1 square)."""
+    n = len(lam) - 1
+    m = g + 2
+    F = np.zeros((m, m), dtype=complex)
+    for k in range(n // 2 + 1):
+        F[k, k] += 2.0 * lam[2 * k]
+        if 2 * k + 1 <= n:
+            F[k + 1, k] += lam[2 * k + 1]
+            F[k, k + 1] += lam[2 * k + 1]
+    p = np.zeros((2 * m - 1, 2 * m - 1), dtype=complex)
+    p[:n + 1, :n + 1] = -4.0 * np.outer(lam, lam)
+    for (a, b), c in np.ndenumerate(F):
+        p[a:a + m, b:b + m] += c * F
+    q = _divide_by_difference(_divide_by_difference(p))
+    # Q is symmetric, so its degree in x2 is its degree 2g in x1; the
+    # columns past it are rounding left by the divisions
+    return F, q[:, :2 * g + 1]
 
 
-def _taylor_shift(coeffs, x0, lam, n):
-    """The first n coefficients of P(x0 + lam t) for the polynomial P with
-    ascending coefficients ``coeffs``, as a list: Horner's rule run once
-    per coefficient gives P(x0 + s), and s = lam t scales them."""
-    a = [complex(c) for c in coeffs]
-    for i in range(len(a) - 1):
-        for j in range(len(a) - 2, i - 1, -1):
-            a[j] += x0 * a[j + 1]
-    return [c * lam ** k for k, c in enumerate(a[:n])] + [0j] * (n - len(a))
+#: Least Bernstein-ellipse parameter - 1 of a chain: closer branch points
+#: would make a segment's Chebyshev rule need over about 1,300 nodes.
+_CHAIN_CLEARANCE = 0.01
+
+
+def _chain_order(roots, scale):
+    """Indices that order ``roots`` into the chain of cuts and gaps.
+
+    Lexicographically by (Re, Im), with real parts within 1e-9 of
+    ``scale`` counted as equal, so that rounding noise cannot order the
+    roots on one vertical line.  When a segment of that chain passes
+    close to another root (:func:`_chain_clearance` below 1 +
+    _CHAIN_CLEARANCE), the roots are ordered the same way along the
+    direction e^(i k pi / 12) of the first k = 1..11 that keeps the
+    clearance, else of the k with the largest.  A chain ordered along
+    any direction is monotone in it, so it never crosses itself.
+    """
+    orders = []
+    for k in range(12):
+        z = roots * cmath.exp(-1j * math.pi * k / 12)
+        orders.append(np.lexsort((z.imag,
+                                  np.round(z.real / (1e-9 * scale)))))
+        if _chain_clearance(roots[orders[-1]]) >= 1.0 + _CHAIN_CLEARANCE:
+            return orders[-1]
+    return max(orders, key=lambda order: _chain_clearance(roots[order]))
+
+
+def _chain_clearance(b):
+    """The least Bernstein-ellipse parameter of a branch point of the
+    chain b_0, b_1, ... with respect to a segment (b_j, b_j+1) that it
+    does not end; the Chebyshev rule on the segment converges like its
+    power -2n."""
+    rho = math.inf
+    for j in range(len(b) - 1):
+        mid, e = 0.5 * (b[j] + b[j + 1]), 0.5 * (b[j + 1] - b[j])
+        u = (np.delete(b, [j, j + 1]) - mid) / e
+        w = np.sqrt(u * u - 1.0)
+        rho = min(rho, np.min(np.maximum(np.abs(u + w), np.abs(u - w)),
+                              initial=math.inf))
+    return float(rho)
 
 
 class HyperellipticCurve:
@@ -259,8 +294,7 @@ class HyperellipticCurve:
                    for b in roots[i + 1:])
         if dmin <= 1e-10 * self.scale:
             raise NonSquarefree(f"min root separation {dmin:.2e}")
-        order = np.lexsort((roots.imag, roots.real))
-        self.branch_points = roots[order]
+        self.branch_points = roots[_chain_order(roots, self.scale)]
         self.odd_degree = (degree % 2 == 1)
         self.margin = MARGIN_FACTOR * self.scale
         # how far Abel-map paths keep off the branch points
@@ -318,7 +352,9 @@ class HyperellipticCurve:
         return self.lead * np.prod(x[:, None] - others[None, :], axis=1)
 
     def _segment_integrals(self, n_nodes):
-        """Per-segment integrals of x^(i-1) dx / y_chain and the chain signs."""
+        """Per-segment integrals of x^k dx / y_chain, k = 0..2g, with the
+        chain signs.  The first-kind rows k < g are summed on their own,
+        so their bits do not depend on how many rows follow."""
         g = self.genus
         nseg = 2 * g if self.odd_degree else 2 * g + 1
         k = np.arange(1, n_nodes + 1)
@@ -336,7 +372,10 @@ class HyperellipticCurve:
             w_plus.append(w_hi)
             x = mid + e * s_nodes
             powers = np.vander(x, g, increasing=True).T  # rows: x^0..x^(g-1)
-            seg_int.append((math.pi / n_nodes) * (powers / wn).sum(axis=1))
+            higher = np.vander(x, 2 * g + 1, increasing=True).T[g:]
+            seg_int.append(np.concatenate([
+                (math.pi / n_nodes) * (powers / wn).sum(axis=1),
+                (math.pi / n_nodes) * (higher / wn).sum(axis=1)]))
         signs = self._chain_signs(w_minus, w_plus, nseg)
         return [(-1j) * signs[j] * seg_int[j] for j in range(nseg)]
 
@@ -379,8 +418,20 @@ class HyperellipticCurve:
             out.append(eps * side)
         return out
 
+    def _second_kind(self):
+        """D with eta = D @ (A-periods of x^k dx / y, k <= 2g): row j holds
+        dr_j = sum_k (k - j) lam_(k+j+2) x^k dx / (4y), k = j+1..2g-j."""
+        g, lam = self.genus, self.coeffs
+        D = np.zeros((g, 2 * g + 1), dtype=complex)
+        for j in range(g):
+            for k in range(j + 1, 2 * g - j + 1):
+                if k + j + 2 <= self.degree:
+                    D[j, k] = 0.25 * (k - j) * lam[k + j + 2]
+        return D
+
     def _compute_periods(self):
         g = self.genus
+        D = self._second_kind()
         prev = None
         n = _MIN_NODES
         while n <= _MAX_NODES:
@@ -388,12 +439,15 @@ class HyperellipticCurve:
             A = np.empty((g, g), dtype=complex)
             B = np.empty((g, g), dtype=complex)
             for c in range(1, g + 1):
-                A[:, c - 1] = 2.0 * seg[2 * (c - 1)]
+                A[:, c - 1] = 2.0 * seg[2 * (c - 1)][:g]
             for k in range(1, g + 1):
-                B[:, k - 1] = 2.0 * sum(seg[2 * j - 1] for j in range(k, g + 1))
-            cur = np.concatenate([A.ravel(), B.ravel()])
+                B[:, k - 1] = 2.0 * sum(seg[2 * j - 1][:g]
+                                        for j in range(k, g + 1))
+            eta = D @ np.array([2.0 * seg[2 * c] for c in range(g)]).T
+            cur = [np.concatenate([A.ravel(), B.ravel()]), eta.ravel()]
             if prev is not None:
-                err = np.max(np.abs(cur - prev)) / max(1.0, np.max(np.abs(cur)))
+                err = max(np.max(np.abs(c - p)) / max(1.0, np.max(np.abs(c)))
+                          for c, p in zip(cur, prev))
                 if err <= self.quadrature_tol:
                     break
             prev = cur
@@ -401,7 +455,7 @@ class HyperellipticCurve:
         else:
             raise QuadratureNonConvergent(
                 f"period quadrature did not converge at {_MAX_NODES} nodes")
-        self._segments_cache = seg
+        self._segments_cache = [s[:g] for s in seg]
         omega = np.linalg.solve(A, B)
         self.symmetry_residual = float(np.max(np.abs(omega - omega.T)))
         omega = 0.5 * (omega + omega.T)
@@ -420,6 +474,9 @@ class HyperellipticCurve:
         self.omega = RiemannMatrix(omega)
         # rows C with omega_i = sum_j C_ij x^j dx / y, so A-periods = Id
         self.diff_norm = np.linalg.inv(A)
+        # the A-periods of B(x1, .) are u(x1)^T (eta + K A): zero
+        self.K = -eta @ self.diff_norm
+        self.F_coeffs, self.Q_coeffs = _klein_polynomials(self.coeffs, g)
 
     # -- differentials ------------------------------------------------------
 
@@ -599,42 +656,6 @@ class HyperellipticCurve:
             return np.zeros(self.genus, dtype=complex)
         total = sum(self._segments_cache[j] for j in range(i))
         return self.diff_norm @ np.asarray(total)
-
-    # -- local expansions ---------------------------------------------------------
-
-    def local_expansion(self, p: SurfacePoint, order: int) -> LocalExpansion:
-        if not 0 <= order <= 32:
-            raise ValueError("expansion order must lie in 0..32")
-        if p.y == 0:
-            raise InadmissiblePoint(f"x={p.x} is a branch point (y = 0)")
-        lam, n = p.chart_scale, order + 1
-        fser = _taylor_shift(self.coeffs.tolist(), p.x, lam, n)
-        # y_k = (f_k - sum_{j=1}^{k-1} y_j y_{k-j}) / (2 y_0), on Python
-        # complex numbers as in series_reciprocal
-        ys = [p.y]
-        for k in range(1, n):
-            yk = fser[k]
-            for j in range(1, k):
-                yk -= ys[j] * ys[k - j]
-            ys.append(yk / (2.0 * p.y))
-        ys = np.array(ys)
-        resid = series_mul(ys, ys) - fser
-        # each residual coefficient against the size of the terms of the
-        # matching ys * ys coefficient, since the coefficients grow like
-        # (chart scale / distance to the nearest branch point)^k; a NaN fails
-        size = series_mul(np.abs(ys), np.abs(ys))
-        if not np.all(np.abs(resid) <= 1e-8 * size):
-            raise InadmissiblePoint("series square root failed; point too singular")
-        # omega_i = lam sum_j C_ij x(t)^j / y(t), C = diff_norm
-        inv_y = lam * series_reciprocal(ys)
-        omega = np.array([series_mul(_taylor_shift(row, p.x, lam, n), inv_y)
-                          for row in self.diff_norm.tolist()])
-        abel = np.empty_like(omega)
-        abel[:, 0] = self.abel_map(p)
-        abel[:, 1:] = omega[:, :-1] / np.arange(1, n)
-        return LocalExpansion(point=p, order=order,
-                              x=np.array(_taylor_shift([0, 1], p.x, lam, n)),
-                              y=ys, omega=omega, abel=abel)
 
     # -- closed contours around cuts ------------------------------------------------
 

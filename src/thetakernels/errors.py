@@ -63,9 +63,6 @@ class NotOnThetaSmoothLocus(ThetaKernelsError):
     """Point is not a smooth zero of theta."""
 
 
-class SeriesOrderInsufficient(ThetaKernelsError):
-    """Wirtinger series check failed: a lost zero or a leading term not 1/4."""
-
 
 # --- jet calculus ---
 

@@ -3,9 +3,18 @@
 Prime form, Bergman kernel, Szego kernels of line bundles off the theta
 divisor, rank-n Klein kernels of split bundles, the Klein coordinate map
 (second logarithmic derivatives of theta), the Wirtinger projective
-connection extracted from diagonal jets, the squared-Gauss-map limit at
-smooth theta zeros, and a sampling probe for fibers of the Klein
-coordinate map.
+connection, the squared-Gauss-map limit at smooth theta zeros, and a
+sampling probe for fibers of the Klein coordinate map.
+
+The Bergman kernel is Klein's closed form (Fay 1973, ch. III;
+Buchstaber, Enolski & Leykin 1997), with no theta sum or Abel map: for
+f = sum_i lam_i x^i and u_i = x^i dx / y (i < g),
+B = (2 y1 y2 + F(x1, x2)) / (4 (x1 - x2)^2 y1 y2) dx1 dx2 + u(x1)^T K u(x2)
+with F = sum_k (x1 x2)^k (2 lam_2k + lam_2k+1 (x1 + x2)) and the curve's
+K = -eta A^-1 (:class:`HyperellipticCurve`).  The Wirtinger connection is
+R(e, p) = S_B(p) + 6 omega(p)^T c(e) omega(p), S_B six times the regular
+part of B on the diagonal and c(e) the Klein coordinates.  So Fay's
+identity K_klein = B + omega^T c omega compares two constructions.
 
 Kernel values are densities with respect to the chart parameters of the
 two surface points; weights record the transformation law (a section of
@@ -14,7 +23,7 @@ weight (w1, w2) picks up chart_scale^w1 * chart_scale^w2).
 A point is on the theta divisor when ``theta._on_divisor`` says so:
 |theta| is below ``theta.THETA_FLOOR`` (read at call time) times the
 scale of its lattice sum, or that scale is 0.  The curve's one odd
-characteristic and the theta jets at 0 are kept in the curve's memo
+characteristic and its theta gradient at 0 are kept in the curve's memo
 (:meth:`HyperellipticCurve.memo`), next to its Abel images.
 """
 
@@ -26,21 +35,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import theta
-from .curves import (HyperellipticCurve, SurfacePoint, lattice_coordinates,
-                     series_combination, series_mul, series_reciprocal)
-from .errors import (ConstraintViolation, NoNonsingularOddCharacteristic,
-                     NotOnThetaSmoothLocus, OnDiagonal, PointOnTheta,
-                     SeriesOrderInsufficient, SquareRootBranchUnresolvable)
+from .curves import (HyperellipticCurve, SurfacePoint, bivariate,
+                     lattice_coordinates)
+from .errors import (ConstraintViolation, InadmissiblePoint,
+                     NoNonsingularOddCharacteristic, NotOnThetaSmoothLocus,
+                     OnDiagonal, PointOnTheta, SquareRootBranchUnresolvable)
 from .theta import (DEFAULT_TOL, Characteristic, RiemannMatrix,
                     ScaledComplex, _on_divisor, _triu_indices,
-                    derivative_indices, hessian_numerators, log_theta_hessian,
-                    log_theta_hessians, theta_batch, theta_value)
+                    hessian_numerators, log_theta_hessian, log_theta_hessians,
+                    theta_batch, theta_value)
 
 GRADIENT_FLOOR = 1e-8
-
-#: Germ order of the Wirtinger connection: t^2 F(t) = numer / (denom / t^2)
-#: gives R at t^2, and denom vanishes to order 2, so t^4 suffices.
-_GERM_ORDER = 4
 
 
 @dataclass(frozen=True)
@@ -90,6 +95,12 @@ def _require_off_diagonal(x: SurfacePoint, y: SurfacePoint, what):
         raise OnDiagonal(f"{what} evaluated at coinciding points")
 
 
+def _require_off_branch(*points: SurfacePoint):
+    for p in points:
+        if p.y == 0:
+            raise InadmissiblePoint(f"x={p.x} is a branch point (y = 0)")
+
+
 def is_on_theta(e, omega: RiemannMatrix, tol=DEFAULT_TOL) -> bool:
     """Whether e lies on the theta divisor, the test every kernel applies
     to its class."""
@@ -107,8 +118,8 @@ def select_odd_characteristic(curve: HyperellipticCurve) -> Characteristic:
         for char in Characteristic.all(curve.genus):
             if char.parity != 1:
                 continue
-            jet, _, scale = _jet_at_zero(curve, char, 1, DEFAULT_TOL)
-            if np.linalg.norm(jet[1:]) > GRADIENT_FLOOR * max(scale, 1.0):
+            grad, scale = _gradient_at_zero(curve, char, DEFAULT_TOL)
+            if np.linalg.norm(grad) > GRADIENT_FLOOR * max(scale, 1.0):
                 return char
         raise NoNonsingularOddCharacteristic(
             "all odd characteristics have vanishing gradient")
@@ -116,24 +127,24 @@ def select_odd_characteristic(curve: HyperellipticCurve) -> Characteristic:
     return curve.memo(("odd",), first_nonsingular)
 
 
-def _jet_at_zero(curve, char: Characteristic, order, tol):
-    """(row, exponent, scale) of the order-``order`` theta_batch row of
-    theta[char] at 0 (the gradient is row[1:g + 1]), computed once per
-    (curve, char, order, tol); the row is a read-only array."""
+def _gradient_at_zero(curve, char: Characteristic, tol):
+    """(gradient, scale) of theta[char] at 0 from its order-1 theta_batch
+    row, computed once per (curve, char, tol); the gradient is a
+    read-only array."""
     def compute():
-        vals, expos, scales = theta_batch(np.zeros((1, curve.genus), complex),
-                                          curve.omega, [char], [order], tol)
-        row = np.array(vals[0])
-        row.flags.writeable = False
-        return row, expos[0], scales[0]
+        vals, _, scales = theta_batch(np.zeros((1, curve.genus), complex),
+                                      curve.omega, [char], [1], tol)
+        grad = np.array(vals[0][1:])
+        grad.flags.writeable = False
+        return grad, scales[0]
 
-    return curve.memo(("jet", char, order, tol), compute)
+    return curve.memo(("gradient", char, tol), compute)
 
 
 def _h_factor(curve, delta: Characteristic, p: SurfacePoint, tol=DEFAULT_TOL):
     """Principal square root of s2(p) = sum_i d_i theta[delta](0) omega_i(p),
     times sqrt(chart_scale): the half-density h(p) up to sign."""
-    grad = _jet_at_zero(curve, delta, 1, tol)[0][1:]
+    grad = _gradient_at_zero(curve, delta, tol)[0]
     om_raw = curve.eval_differentials(
         SurfacePoint(p.x, p.sheet, p.y, chart_scale=1.0))
     s2 = complex(grad @ om_raw)
@@ -186,40 +197,63 @@ def _prime_form_value(curve, delta, x, y, th: ScaledComplex, tol):
 
 
 def bergman_kernel(curve: HyperellipticCurve, x: SurfacePoint,
-                   y: SurfacePoint, tol=DEFAULT_TOL) -> KernelValue:
+                   y: SurfacePoint) -> KernelValue:
     """Symmetric bidifferential with biresidue 1 and vanishing A-periods.
 
-    Computed as the double diagonal derivative of log theta[delta] of
-    the Abel difference; independent of the odd characteristic used.
-    Weight (1, 1).
+    Klein's closed form (:func:`_bergman_values` on the one pair), so it
+    needs no theta sum and no Abel map.  Weight (1, 1).  OnDiagonal for
+    coinciding points, InadmissiblePoint for a point with y = 0.
     """
-    delta = select_odd_characteristic(curve)
-    val, = _bergman_values(curve, x, [y], delta, tol)
-    return KernelValue(value=val, weight=(1.0, 1.0),
+    _require_off_diagonal(x, y, "Bergman kernel")
+    _require_off_branch(x, y)
+    val, = _bergman_values(curve, x, np.array([y.x]), np.array([y.y]))
+    return KernelValue(value=complex(val * y.chart_scale), weight=(1.0, 1.0),
                        chart_x=_chart(x), chart_y=_chart(y))
 
 
-def _bergman_values(curve, x, ys, delta, tol):
-    """The Bergman kernel value at (x, y) for each point of ``ys``.
+def _bergman_values(curve, x: SurfacePoint, x2, y2):
+    """B(x, q) in the chart of x and the x-chart of q, for the points
+    q = (x2, y2) of complex arrays (y2 != 0, q off the diagonal),
+    elementwise, so an entry is the one a single pair gives.
 
-    Checks every pair against the diagonal; one theta_batch call gives
-    the Hessian jet of theta[delta] at A(x) - A(y) for every y, a row each.
+    Where |F - 2 y1 y2| > |F + 2 y1 y2| (q near x on the other sheet) the
+    numerator 2 y1 y2 + F cancels, and the algebraic part takes the form
+    Q / (4 y1 y2 (F - 2 y1 y2)), Q = (F^2 - 4 f(x1) f(x2)) / (x1 - x2)^2,
+    exact up to x2 = x1.
     """
-    for y in ys:
-        _require_off_diagonal(x, y, "Bergman kernel")
+    x1, y1 = x.x, x.y
     g = curve.genus
-    ax = curve.abel_map(x)
-    w = np.array([ax - curve.abel_map(y) for y in ys])
-    vals, _, scales = theta_batch(w, curve.omega, [delta] * len(ys),
-                                  [2] * len(ys), tol)
-    hessians, errors = log_theta_hessians(g, vals, scales)
-    omx = curve.eval_differentials(x)
-    out = []
-    for y, hess, error in zip(ys, hessians, errors):
-        if error is not None:
-            raise error
-        out.append(-complex(omx @ hess @ curve.eval_differentials(y)))
-    return out
+    yy = y1 * y2
+    F = bivariate(curve.F_coeffs, x1, x2)
+    plus, minus = F + 2.0 * yy, F - 2.0 * yy
+    conj = np.abs(minus) > np.abs(plus)
+    alg = np.empty_like(plus)
+    d = x1 - x2[~conj]
+    alg[~conj] = plus[~conj] / (4.0 * (d * d) * yy[~conj])
+    if conj.any():
+        q = bivariate(curve.Q_coeffs, x1, x2[conj])
+        alg[conj] = q / (4.0 * yy[conj] * minus[conj])
+    # u(x1)^T K u(x2) = (sum_j v_j x2^j) / y2 with v = u(x1)^T K
+    v = (x1 ** np.arange(g) / y1) @ curve.K
+    poly = np.full_like(x2, v[-1])
+    for vj in v[-2::-1]:
+        poly = poly * x2 + vj
+    return (alg + poly / y2) * x.chart_scale
+
+
+def _bergman_regular_part(curve, p: SurfacePoint):
+    """S_B(p): six times the regular part of B on the diagonal at p, in
+    the chart of p.  With f, f', f'' and F_22 = d^2F/dx2^2 at (x, x), it
+    is 6 [(F_22 - f'') / (8 f) + f'^2 / (16 f^2) + u(p)^T K u(p)] times
+    chart_scale^2."""
+    x, c = p.x, curve.coeffs[::-1]
+    f, f1, f2 = (complex(np.polyval(np.polyder(c, k), x)) for k in range(3))
+    b = np.arange(2, curve.F_coeffs.shape[1])
+    f22 = complex(bivariate(curve.F_coeffs[:, 2:] * (b * (b - 1)), x, x))
+    u = x ** np.arange(curve.genus) / p.y
+    reg = (f22 - f2) / (8.0 * f) + f1 * f1 / (16.0 * f * f) \
+        + complex(u @ curve.K @ u)
+    return 6.0 * reg * p.chart_scale ** 2
 
 
 def szego_kernel(curve: HyperellipticCurve, e, x: SurfacePoint,
@@ -300,77 +334,24 @@ def klein_coordinates(curve: HyperellipticCurve, e,
 
 
 # ----------------------------------------------------------------------
-# Wirtinger projective connection by diagonal series extraction
+# Wirtinger projective connection
 # ----------------------------------------------------------------------
-
-def _theta_compose(vals, zser):
-    """Coefficients of theta[char_r](v_r + z(t)) for each order-3
-    ``theta_batch`` row r of theta[char_r] at v_r in ``vals``, and a
-    (g, n+1) array z of series with z(0) = 0.
-
-    Uses the exact third-order Taylor jets; the neglected remainder only
-    affects coefficients beyond t^3.  Each product of z-series is built
-    once for all rows: P[(i, j, k)] = P[(i, j)] z_k.
-    """
-    combs, derivs = derivative_indices(len(zser), 3)
-    table = {(): np.eye(1, zser.shape[1], dtype=complex)[0]}
-    for comb in combs[1:]:
-        z = zser[comb[-1]]
-        table[comb] = z if len(comb) == 1 else series_mul(table[comb[:-1]], z)
-    mults = [math.prod(map(math.factorial, d)) for d in derivs]
-    return series_combination(np.array(vals) / mults,
-                              np.array([table[c] for c in combs]))
-
 
 def wirtinger_connection(curve: HyperellipticCurve, e, p: SurfacePoint,
                          tol=DEFAULT_TOL) -> complex:
     """Projective-connection value at p of the Klein kernel of (e, -e).
 
-    Expands the kernel at (x, y) = (p(t), p(-t)) as
-    1/(t1-t2)^2 + R/6 + O(t1stuff) and returns R, extracted exactly from
-    truncated series (never finite differences).  One ``theta_batch``
-    call gives theta(e) and the third-order jets of theta at e and -e;
-    the jet of theta[delta] at 0 is kept in the curve's memo.  The germs
-    are prefix-stable, so every order from ``_GERM_ORDER`` up gives R.
+    The kernel at (x, y) = (p(t1), p(t2)) is 1/(t1-t2)^2 + R/6 + O(t1 -
+    t2); R = S_B(p) + 6 omega(p)^T c(e) omega(p), with S_B from Klein's
+    closed form and c(e) = :func:`klein_coordinates` (one
+    ``theta_batch`` call).  PointOnTheta for e on the theta divisor,
+    InadmissiblePoint for a point with y = 0.
     """
-    g = curve.genus
-    e = _class_vector(e, g)
-    zero = Characteristic.zero(g)
-    delta = select_odd_characteristic(curve)
-    vals, expos, scales = theta_batch(np.array([e, e, -e]), curve.omega,
-                                      [zero] * 3, [0, 3, 3], tol)
-    if _on_divisor(vals[0][0], scales[0]):
-        raise PointOnTheta("Wirtinger connection undefined on the theta divisor")
-    theta_e2 = ScaledComplex.make(vals[0][0] ** 2, 2 * expos[0])
-    jet_delta, ed, _ = _jet_at_zero(curve, delta, 3, tol)
-    le = curve.local_expansion(p, _GERM_ORDER)
-    # w(t) = A(p(-t)) - A(p(t)): twice the odd part of the Abel series
-    w = np.zeros_like(le.abel)
-    w[:, 1::2] = -2.0 * le.abel[:, 1::2]
-    num_plus, num_minus, tdelta = _theta_compose([*vals[1:], jet_delta], w)
-    ep, em = expos[1:]
-    # H(t) = sum_i d_i theta[delta](0) omega_i(t): the squared half-density
-    hplus, = series_combination(jet_delta[None, 1:g + 1], le.omega)
-    hminus = hplus * (-1.0) ** np.arange(len(hplus))
-    # F(t) = num_plus num_minus H(t) H(-t) / (theta(e)^2 tdelta^2)
-    numer = series_mul(series_mul(series_mul(num_plus, num_minus), hplus),
-                       hminus)
-    denom = series_mul(tdelta, tdelta)
-    # strip the double zero of tdelta^2 at t=0 (the low coefficients are
-    # roundoff from theta[delta](0) ~ 0)
-    lead = abs(denom[2])
-    if abs(denom[0]) > 1e-10 * lead or abs(denom[1]) > 1e-10 * lead:
-        raise SeriesOrderInsufficient("odd theta composition lost its zero")
-    gser = series_mul(numer, series_reciprocal(denom[2:]))
-    # F(t) = gser(t) exp(ep + em - 2 ed) / theta(e)^2 / t^2
-    #      = 1/(4 t^2) + R/6 + O(t): the leading 1/4 checks all factors
-    pref = math.exp(ep + em - 2 * ed - theta_e2.exponent) / theta_e2.mantissa
-    g0 = gser[0] * pref
-    g2 = gser[2] * pref
-    if abs(g0 - 0.25) > 1e-6:
-        raise SeriesOrderInsufficient(
-            f"diagonal normalization check failed: leading {g0}")
-    return complex(6.0 * g2)
+    e = _class_vector(e, curve.genus)
+    _require_off_branch(p)
+    c = log_theta_hessian(e, curve.omega, tol=tol)
+    om = curve.eval_differentials(p)
+    return _bergman_regular_part(curve, p) + 6.0 * complex(om @ c @ om)
 
 
 # ----------------------------------------------------------------------
@@ -648,20 +629,19 @@ def finiteness_probe(curve: HyperellipticCurve, n_samples: int,
 # ----------------------------------------------------------------------
 
 def bergman_a_period(curve: HyperellipticCurve, x: SurfacePoint,
-                     cut_index: int, n_nodes: int = 256,
-                     tol=DEFAULT_TOL) -> complex:
+                     cut_index: int, n_nodes: int = 256) -> complex:
     """A-period in the second argument of the Bergman kernel (expected 0).
 
-    The kernel at every contour node is :func:`bergman_kernel`'s value,
-    with the theta Hessians of all nodes from one ``theta_batch`` call;
-    that call holds the lattice arrays of all nodes at once, so its
-    memory grows linearly with ``n_nodes``.
+    The trapezoid rule on :meth:`HyperellipticCurve.cycle_contour`, with
+    the kernel at every node from one :func:`_bergman_values` call, so
+    each node's value is :func:`bergman_kernel`'s.  The contour nodes
+    count as sheet 1 for the diagonal test.
     """
+    _require_off_branch(x)
     xs, ys, dxs = curve.cycle_contour(cut_index, n_nodes)
-    delta = select_odd_characteristic(curve)
-    nodes = [SurfacePoint(x=complex(xv), sheet=1, y=complex(yv),
-                          chart_scale=1.0) for xv, yv in zip(xs, ys)]
+    if x.sheet == 1 and np.any(np.abs(x.x - xs) < 1e-13):
+        raise OnDiagonal("Bergman kernel evaluated at coinciding points")
     total = 0j
-    for val, dxv in zip(_bergman_values(curve, x, nodes, delta, tol), dxs):
+    for val, dxv in zip(_bergman_values(curve, x, xs, ys).tolist(), dxs):
         total += val * dxv
     return total * (2 * math.pi / n_nodes) / (2 * math.pi)

@@ -1,8 +1,10 @@
 import os
 import warnings
 
+import numpy as np
 import pytest
-from hypothesis import settings
+from hypothesis import assume, settings
+from hypothesis import strategies as st
 
 from thetakernels.curves import build_curve
 
@@ -41,3 +43,25 @@ def hexagonal():
 def genus2():
     """y^2 = x^5 - x, genus 2."""
     return build_curve([0, -1, 0, 0, 0, 1])
+
+
+@st.composite
+def squarefree_polynomials(draw):
+    """Ascending complex coefficients of a squarefree f of degree 3 to 8:
+    its roots lie in the square |Re|, |Im| <= 2, at least 0.3 apart, and
+    its leading coefficient has modulus 0.5 to 2."""
+    degree = draw(st.integers(3, 8))
+    part = st.floats(-2.0, 2.0, allow_subnormal=False)
+    roots = draw(st.lists(st.builds(complex, part, part),
+                          min_size=degree, max_size=degree))
+    gaps = np.abs(np.subtract.outer(roots, roots)) + 9 * np.eye(degree)
+    assume(np.min(gaps) >= 0.3)
+    lead = draw(st.floats(0.5, 2.0)) * np.exp(1j * draw(st.floats(-3.1, 3.1)))
+    return (lead * np.poly(roots))[::-1].tolist()
+
+
+@pytest.fixture(scope="session")
+def random_curves():
+    """The hypothesis strategy of squarefree curves: draw from it with
+    ``data.draw(random_curves)`` in a test given ``st.data()``."""
+    return squarefree_polynomials().map(build_curve)

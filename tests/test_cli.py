@@ -313,6 +313,15 @@ class TestEvalInputContracts:
         assert out == "" and len(lines) == 1
         assert lines[0].startswith("error:") and "nests too deeply" in lines[0]
 
+    @pytest.mark.parametrize("flag", ["--theta-tol", "--tol"])
+    def test_bergman_takes_no_theta_tol(self, curve_file, flag):
+        # Klein's closed form sums no theta series
+        code, err = run_in_process(["eval", "bergman", "--curve", curve_file,
+                                    "--x1", "2.0", "--x2", "-2.0", flag,
+                                    "1e-10"])
+        assert code == 2
+        assert f"unrecognized arguments: {flag} 1e-10" in err
+
     def test_wirtinger_takes_no_order(self, curve_file):
         # the connection reads its germs at one fixed order
         code, err = run_in_process(["eval", "wirtinger", "--curve", curve_file,
@@ -350,13 +359,14 @@ class TestEvalInputContracts:
 
 
 class TestThetaTolReachesSuites:
-    """--theta-tol is passed to every theta-dependent call of a verify suite."""
+    """--theta-tol is passed to every theta-dependent call of a verify
+    suite; the Bergman kernel, Klein's closed form, has no theta sum."""
 
     @pytest.mark.parametrize("suite,names", [
         ("theta", ["theta_value", "second_order_theta_basis"]),
-        ("kernels", ["prime_form", "bergman_kernel", "bergman_a_period",
-                     "szego_kernel"]),
+        ("kernels", ["prime_form", "szego_kernel"]),
         ("gauss", ["find_theta_zero", "gauss_limit_check"]),
+        ("fay", ["klein_kernel", "klein_coordinates"]),
     ])
     def test_tol_is_forwarded(self, tmp_path, monkeypatch, capsys, suite, names):
         from thetakernels import cli
@@ -458,8 +468,8 @@ COMMAND_FLAGS = {
     + EVAL_TOL_FLAGS,
     "eval klein": ("--curve", "--e", "--x1", "--x2", "--sheet1", "--sheet2")
     + EVAL_TOL_FLAGS,
-    "eval bergman": ("--curve", "--x1", "--x2", "--sheet1", "--sheet2")
-    + EVAL_TOL_FLAGS,
+    "eval bergman": ("--curve", "--x1", "--x2", "--sheet1", "--sheet2",
+                     "--quadrature-tol", "--out"),
     "eval wirtinger": ("--curve", "--e", "--x1", "--sheet1")
     + EVAL_TOL_FLAGS,
     "verify theta": ("--seed", "--theta-tol", "--tol", "--out"),

@@ -12,7 +12,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from thetakernels.curves import SurfacePoint, build_curve, lattice_coordinates
-from thetakernels.errors import (ConstraintViolation, ThetaKernelsError,
+from thetakernels.errors import (ConstraintViolation, InadmissiblePoint,
                                  NotOnThetaSmoothLocus, OnDiagonal,
                                  PointOnTheta)
 from thetakernels.kernels import (bergman_a_period, bergman_kernel,
@@ -21,7 +21,8 @@ from thetakernels.kernels import (bergman_a_period, bergman_kernel,
                                   klein_coordinates, klein_kernel,
                                   prime_form, select_odd_characteristic,
                                   szego_kernel, wirtinger_connection)
-from thetakernels.theta import DEFAULT_TOL, Characteristic, theta_batch
+from thetakernels.theta import (DEFAULT_TOL, Characteristic,
+                                log_theta_hessians, theta_batch)
 
 kernels_module = importlib.import_module("thetakernels.kernels")
 theta_module = importlib.import_module("thetakernels.theta")
@@ -60,6 +61,18 @@ def theta1d(v, tau, a=0.0, b=0.0, box=12, deriv=0):
         term = np.exp(1j * np.pi * tau * na * na + 2j * np.pi * na * (v + b))
         total += term * (2j * np.pi * na) ** deriv
     return total
+
+
+def theta_bergman(curve, x, y, delta):
+    """The theta path to the Bergman kernel, the oracle of Klein's closed
+    form: minus the omega-contraction of the Hessian of log theta[delta]
+    at A(x) - A(y), for a nonsingular odd characteristic delta."""
+    w = (curve.abel_map(x) - curve.abel_map(y))[None]
+    vals, _, scales = theta_batch(w, curve.omega, [delta], [2], DEFAULT_TOL)
+    (hess,), (error,) = log_theta_hessians(curve.genus, vals, scales)
+    assert error is None
+    return -complex(curve.eval_differentials(x) @ hess
+                    @ curve.eval_differentials(y))
 
 
 class TestOddCharacteristic:
@@ -170,14 +183,14 @@ class TestHalfDensityIsPure:
         assert np.array_equal(curve.abel_map(p),
                               fresh.abel_map(fresh.point(PARTNER, 1)))
         delta = select_odd_characteristic(curve)
-        grad = kernels_module._jet_at_zero(curve, delta, 1, DEFAULT_TOL)[0][1:]
+        grad = kernels_module._gradient_at_zero(curve, delta, DEFAULT_TOL)[0]
         with pytest.raises(ValueError):
             grad[0] = 0
 
     def test_diagonal_normalization_across_the_cut(self):
         curve = build_curve(QUINTIC)
         delta = select_odd_characteristic(curve)
-        grad = kernels_module._jet_at_zero(curve, delta, 1, DEFAULT_TOL)[0][1:]
+        grad = kernels_module._gradient_at_zero(curve, delta, DEFAULT_TOL)[0]
 
         def s2(x):
             return complex(grad @ curve.eval_differentials(curve.point(x, 1)))
@@ -242,14 +255,41 @@ class TestBergman:
             bergman_a_period(genus2, x, cut, n_nodes)
 
     def test_odd_characteristic_independence(self, genus2):
+        # the theta path gives the closed form with every nonsingular odd
+        # characteristic (all six are nonsingular on y^2 = x^5 - x)
         x = genus2.point(1.9, 1)
         y = genus2.point(-1.7 + 0.2j, -1)
+        want = bergman_kernel(genus2, x, y).value
         odd = [ch for ch in Characteristic.all(2) if ch.parity == 1]
-        vals = [kernels_module._bergman_values(genus2, x, [y], ch,
-                                               DEFAULT_TOL)[0]
-                for ch in odd[:3]]
-        for v in vals[1:]:
-            assert abs(v - vals[0]) < 1e-8 * abs(vals[0])
+        assert len(odd) == 6
+        for ch in odd:
+            assert abs(theta_bergman(genus2, x, y, ch) - want) \
+                < 1e-11 * abs(want)
+
+    @pytest.mark.parametrize("f", [[0, -1, 0, 0, 0, 1], [2, 1, 0, 0, 0, 0, 1]])
+    @pytest.mark.parametrize("dist", [0.0, 1e-9, 1e-6, 1e-4, 1e-2])
+    def test_opposite_sheets_near_the_diagonal(self, f, dist):
+        # there (2 y1 y2 + F) cancels; the conjugate form Q / (4 y1 y2
+        # (F - 2 y1 y2)) keeps the value exact up to x1 = x2
+        c = build_curve(f)
+        delta = select_odd_characteristic(c)
+        x = c.point(1.9 + 0.3j, 1)
+        y = c.point(x.x + dist * (0.6 + 0.8j), -1)
+        want = theta_bergman(c, x, y, delta)
+        for a, b in ((x, y), (y, x)):
+            got = bergman_kernel(c, a, b).value
+            assert abs(got - want) < 1e-11 * abs(want)
+
+    @pytest.mark.parametrize("x", [1e4, 1e4j, -3e5])
+    def test_far_points(self, genus2, x):
+        # beyond the reach of the Abel map: symmetric, with vanishing
+        # A-periods relative to the size of the kernel there
+        p, y = genus2.point(x, 1), genus2.point(2.0, 1)
+        value = bergman_kernel(genus2, p, y).value
+        assert abs(bergman_kernel(genus2, y, p).value - value) \
+            <= 1e-12 * abs(value)
+        for k in range(genus2.genus):
+            assert abs(bergman_a_period(genus2, p, k)) <= 1e-10 * abs(value)
 
 
 class TestSzego:
@@ -429,9 +469,11 @@ class TestWirtinger:
         for xv, sh in [(2.0, 1), (1.7, 1), (2.5, -1), (0.3 + 1.1j, 1)]:
             p = c.point(xv, sh)
             r = wirtinger_connection(c, e, p)
-            a = c.local_expansion(p, 8).abel[0]
-            a1, a2, a3 = a[1], 2 * a[2], 6 * a[3]
-            schwarzian = a3 / a1 - 1.5 * (a2 / a1) ** 2
+            # A'(x) = omega(p) is a constant times f^(-1/2), whose
+            # Schwarzian is S{A; x} = 3 f'^2 / (8 f^2) - f'' / (2 f)
+            f, f1, f2 = p.y ** 2, 3 * p.x ** 2 - 1, 6 * p.x
+            schwarzian = 3 * f1 ** 2 / (8 * f ** 2) - f2 / (2 * f)
+            a1 = c.eval_differentials(p)[0]
             vals.append((r - schwarzian) / a1 ** 2)
         vals = np.array(vals)
         assert np.max(np.abs(vals - vals[0])) < 1e-8 * max(1, abs(vals[0]))
@@ -509,7 +551,8 @@ class TestErrorOrder:
 
 class TestOneThetaCall:
     """Each kernel evaluation makes one theta_batch call once the curve's
-    odd characteristic and Abel images are in its memo."""
+    odd characteristic and Abel images are in its memo; the Bergman
+    kernel and its A-periods, Klein's closed form, make none."""
 
     @pytest.mark.parametrize("what", ["szego", "klein", "wirtinger",
                                       "bergman", "bergman_a_period", "gauss",
@@ -533,7 +576,7 @@ class TestOneThetaCall:
         want = run()
         calls = TestOddCharacteristicMemo.count_theta_batch(monkeypatch)
         assert run() == want
-        assert len(calls) == 1
+        assert len(calls) == (0 if what.startswith("bergman") else 1)
 
     def test_a_period_sums_kernel_values(self, genus2):
         # each row of the batched call keeps the bits of bergman_kernel
@@ -546,6 +589,88 @@ class TestOneThetaCall:
             total += bergman_kernel(c, x, q).value * dxv
         assert bergman_a_period(c, x, 0, n) == \
             total * (2 * math.pi / n) / (2 * math.pi)
+
+
+def draw_point(data, curve):
+    """A point of ``curve`` on either sheet in the square |Re x|, |Im x|
+    <= 3, at least 0.3 from every branch point."""
+    side = st.floats(-3.0, 3.0)
+    x = complex(data.draw(side), data.draw(side))
+    assume(np.min(np.abs(curve.branch_points - x)) > 0.3)
+    return curve.point(x, data.draw(st.sampled_from([1, -1])))
+
+
+def draw_class(data, curve):
+    """A class a + Omega b, a and b in [-0.4, 0.4]^g, off the theta
+    divisor."""
+    ab = st.floats(-0.4, 0.4)
+    a, b = (np.array([data.draw(ab) for _ in range(curve.genus)])
+            for _ in range(2))
+    e = a + curve.omega.entries @ b
+    assume(not is_on_theta(e, curve.omega))
+    return e
+
+
+class TestRandomCurves:
+    """Klein's closed form against theta on squarefree f of degree 3-8
+    with complex coefficients."""
+
+    @settings(max_examples=20, deadline=None)
+    @given(data=st.data())
+    def test_K_is_symmetric(self, random_curves, data):
+        c = data.draw(random_curves)
+        assert np.max(np.abs(c.K - c.K.T)) \
+            <= 1e-10 * max(1.0, np.max(np.abs(c.K)))
+
+    @settings(max_examples=10, deadline=None)
+    @given(data=st.data())
+    def test_bergman_matches_theta_path(self, random_curves, data):
+        c = data.draw(random_curves)
+        x, y = draw_point(data, c), draw_point(data, c)
+        assume(abs(x.x - y.x) > 0.2)
+        want = theta_bergman(c, x, y, select_odd_characteristic(c))
+        assert abs(bergman_kernel(c, x, y).value - want) <= 1e-10 * abs(want)
+
+    @settings(max_examples=8, deadline=None)
+    @given(data=st.data())
+    def test_wirtinger_difference_law(self, random_curves, data):
+        # R(e1) - R(e2) = 6 omega^T (c(e1) - c(e2)) omega, and
+        # R - 6 omega^T c omega is six times the constant term of B(p, q)
+        # - 1/(x_q - x_p)^2 at q = p: the mean of B(p, q) over the circle
+        # |x_q - x_p| = 0.1, q continued from p (no branch point within 0.3)
+        c = data.draw(random_curves.filter(lambda c: c.genus >= 2))
+        p = draw_point(data, c)
+        e1, e2 = draw_class(data, c), draw_class(data, c)
+        r1 = wirtinger_connection(c, e1, p)
+        r2 = wirtinger_connection(c, e2, p)
+        om = c.eval_differentials(p)
+        c1 = klein_coordinates(c, e1).matrix
+        law = 6 * complex(om @ (c1 - klein_coordinates(c, e2).matrix) @ om)
+        assert abs((r1 - r2) - law) <= 1e-10 * max(1.0, abs(law))
+        circle = p.x + 0.1 * np.exp(2j * np.pi * np.arange(64) / 64)
+        near = [min((c.point(x, s) for s in (1, -1)),
+                    key=lambda q: abs(q.y - p.y)) for x in circle]
+        regular = 6 * np.mean([bergman_kernel(c, p, q).value for q in near])
+        s_b = r1 - 6 * complex(om @ c1 @ om)
+        assert abs(s_b - regular) <= 1e-10 * max(1.0, abs(s_b))
+
+
+class TestBranchPointContract:
+    @pytest.mark.parametrize("what", ["bergman_x", "bergman_y",
+                                      "bergman_a_period", "wirtinger"])
+    def test_y_zero_is_inadmissible(self, genus2, what):
+        c = genus2
+        b = SurfacePoint(x=1 + 0j, sheet=1, y=0j)
+        p = c.point(2.2 + 0.3j, 1)
+        e = np.array([0.3 + 0.1j, -0.2 + 0.05j])
+        run = {
+            "bergman_x": lambda: bergman_kernel(c, b, p),
+            "bergman_y": lambda: bergman_kernel(c, p, b),
+            "bergman_a_period": lambda: bergman_a_period(c, b, 0, 64),
+            "wirtinger": lambda: wirtinger_connection(c, e, b),
+        }[what]
+        with pytest.raises(InadmissiblePoint, match="y = 0"):
+            run()
 
 
 class TestGaussLimit:
@@ -832,10 +957,13 @@ class TestKernelValueCovariance:
 
 
 # ----------------------------------------------------------------------
-# Bit-for-bit record of the numerical series path
+# The Wirtinger connection against the germ path it replaced
 # ----------------------------------------------------------------------
 
-NUMERIC_RECORD = Path(__file__).parent / "data" / "local_expansion_hex.json"
+#: float.hex of twelve Wirtinger values of the diagonal-germ path (theta
+#: jets composed with numerical local expansions), which the closed form
+#: replaced; copied bit for bit from that path's record.
+GERM_RECORD = Path(__file__).parent / "data" / "wirtinger_germ_hex.json"
 
 RECORD_CURVES = (
     ("x^5-x", [0, -1, 0, 0, 0, 1], [0.31 + 0.17j, -0.12 + 0.23j]),
@@ -844,96 +972,19 @@ RECORD_CURVES = (
 RECORD_POINTS = ((2.6 + 1.1j, 1), (-2.4 + 1.8j, -1), (0.4 - 2.9j, 1))
 
 
-def _hex(coeffs):
-    return [[z.real.hex(), z.imag.hex()] for z in coeffs]
-
-
-def local_expansion_record():
-    """float.hex of every local_expansion coefficient and Wirtinger value.
-
-    Two genus-2 curves, three points each, orders 6, 8 and 16, chart
-    scales 1 and 2; the Wirtinger value, which has no order, is filed
-    under each order.  tests/data/local_expansion_hex.json was written by
-    this function once the germs were numpy arrays (products by
-    series_mul, 1/y by series_reciprocal, y by its square-root
-    recurrence); a change that moves the rounding re-records it in a
-    commit of its own and states the largest change.
-    """
-    out = {}
-    for name, f, e in RECORD_CURVES:
-        c = build_curve(f)
-        e = np.array(e)
-        for x, sheet in RECORD_POINTS:
-            for scale in (1.0, 2.0):
-                p = c.point(x, sheet, chart_scale=scale)
-                r = wirtinger_connection(c, e, p)
-                for order in (6, 8, 16):
-                    le = c.local_expansion(p, order)
-                    out[f"{name} x={x} sheet={sheet} scale={scale} "
-                        f"order={order}"] = {
-                        "x": _hex(le.x), "y": _hex(le.y),
-                        "omega": [_hex(s) for s in le.omega],
-                        "abel": [_hex(s) for s in le.abel],
-                        "wirtinger": _hex([r])}
-    return out
-
-
-#: The curves of the abel_kernels benchmark and the lemniscatic curve.
-GERM_CURVES = {"x^5-x": [0, -1, 0, 0, 0, 1], "x^6+x+2": [2, 1, 0, 0, 0, 0, 1],
-               "x^3-x": [0, -1, 0, 1]}
-
-
-@functools.cache
-def germ_curve(name):
-    return build_curve(GERM_CURVES[name])
-
-
-@st.composite
-def germ_points(draw):
-    """A curve of GERM_CURVES and a point of it at least 0.3 from every
-    branch point in the square |Re x|, |Im x| <= 2.5, on either sheet, at
-    chart scale 1 or 2."""
-    c = germ_curve(draw(st.sampled_from(sorted(GERM_CURVES))))
-    side = st.floats(-2.5, 2.5)
-    x = complex(draw(side), draw(side))
-    assume(np.min(np.abs(c.branch_points - x)) > 0.3)
-    return c, c.point(x, draw(st.sampled_from([1, -1])),
-                      chart_scale=draw(st.sampled_from([1.0, 2.0])))
-
-
-class TestGermsArePrefixStable:
-    """A germ of order k is bit for bit the start of the same germ of any
-    higher order, so the Wirtinger value does not depend on the order."""
-
-    @settings(max_examples=40, deadline=None)
-    @given(germ_points(), st.integers(0, 31))
-    def test_local_expansion_is_a_prefix(self, point, k):
-        c, p = point
-        low, high = c.local_expansion(p, k), c.local_expansion(p, 32)
-        for field in ("x", "y", "omega", "abel"):
-            want = getattr(high, field)[..., :k + 1]
-            assert _hex(np.ravel(getattr(low, field))) == \
-                _hex(np.ravel(want))
-
-    @settings(max_examples=25, deadline=None)
-    @given(germ_points(), st.data())
-    def test_wirtinger_does_not_depend_on_order(self, point, data):
-        c, p = point
-        ab = st.floats(-0.4, 0.4)
-        a, b = ([data.draw(ab) for _ in range(c.genus)] for _ in range(2))
-        e = np.array(a) + c.omega.entries @ np.array(b)
-
-        def outcome(order):
-            with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(kernels_module, "_GERM_ORDER", order)
-                try:
-                    return _hex([wirtinger_connection(c, e, p)])
-                except ThetaKernelsError as exc:
-                    return type(exc).__name__
-
-        assert len({str(outcome(order)) for order in (4, 8, 16, 32)}) == 1
-
-
-class TestNumericRecord:
-    def test_local_expansion_and_wirtinger_match_record(self):
-        assert local_expansion_record() == json.loads(NUMERIC_RECORD.read_text())
+class TestGermRecord:
+    def test_closed_form_matches_germ_path(self):
+        record = json.loads(GERM_RECORD.read_text())
+        seen = set()
+        for name, f, e in RECORD_CURVES:
+            c = build_curve(f)
+            for x, sheet in RECORD_POINTS:
+                for scale in (1.0, 2.0):
+                    key = f"{name} x={x} sheet={sheet} scale={scale}"
+                    re_, im_ = record[key]
+                    want = complex(float.fromhex(re_), float.fromhex(im_))
+                    got = wirtinger_connection(
+                        c, np.array(e), c.point(x, sheet, chart_scale=scale))
+                    assert abs(got - want) <= 1e-12 * abs(want), key
+                    seen.add(key)
+        assert seen == set(record)
