@@ -9,10 +9,13 @@ quadrature (the square-root endpoint singularity is exactly the
 Chebyshev weight); a single analytic branch of y is continued along the
 whole chain of segments, with the continuation through each branch point
 fixed by a small detour whose side is chosen deterministically.  Every
-root of f along a path comes from :func:`_sqrt_along`, and the node
-doubling of the Abel-map pieces from :func:`_until_stable`, with Gauss-
-Legendre rules read from the table ``gauss_legendre.npy`` (written from
-numpy's ``leggauss``, so the Abel images do not depend on the machine's
+root of f along a path comes from :func:`_sqrt_along`.  The Abel map
+integrates from the first branch point along straight legs, each cut up
+front into pieces no longer than ``_GRADING`` times the distance from
+their start to the nearest branch point; one composite Gauss-Legendre
+rule covers a leg, its order doubling in :func:`_until_stable`, with
+rules read from the table ``gauss_legendre.npy`` (written from numpy's
+``leggauss``, so the Abel images do not depend on the machine's
 eigenvalue solver).  Evaluation points keep a fixed margin of
 ``MARGIN_FACTOR`` times the root scale from the branch points.
 
@@ -39,6 +42,9 @@ from .theta import RiemannMatrix
 
 DEFAULT_QUADRATURE_TOL = 1e-11
 MARGIN_FACTOR = 1e-3
+#: Longest piece of an Abel-map leg, as a fraction of the distance from its
+#: start to the nearest branch point.
+_GRADING = 0.5
 _MIN_NODES = 32
 _MAX_NODES = 4096
 
@@ -48,10 +54,9 @@ _MAX_NODES = 4096
 # ----------------------------------------------------------------------
 
 #: Orders of the Gauss-Legendre rules in gauss_legendre.npy, ascending:
-#: m = 12, 24, ..., 384 for the path pieces and 2m = 32, ..., 4096 for
-#: the branch-base piece, the orders the node doubling can reach.
-_RULE_ORDERS = (12, 24, 32, 48, 64, 96, 128, 192, 256, 384, 512, 1024,
-                2048, 4096)
+#: the orders m = 12, 24, ..., 384 that the node doubling of an Abel-map
+#: leg can reach.
+_RULE_ORDERS = (12, 24, 48, 96, 192, 384)
 _RULE_TABLE = os.path.join(os.path.dirname(__file__), "gauss_legendre.npy")
 
 
@@ -72,20 +77,16 @@ def _rule_halves():
             for m, end in zip(_RULE_ORDERS, ends)}
 
 
-def _positive_half(m):
-    halves = _rule_halves()
-    if m not in halves:
-        raise ValueError(f"no {m}-point Gauss-Legendre rule in the table "
-                         f"(orders {', '.join(map(str, _RULE_ORDERS))})")
-    return halves[m]
-
-
 @functools.cache
 def _gauss_legendre(m):
     """Nodes (ascending) and weights of the m-point Gauss-Legendre rule on
     [-1, 1] for m in _RULE_ORDERS, built once per order from the table and
     returned as read-only arrays; ValueError for any other m."""
-    x, w = _positive_half(m)
+    halves = _rule_halves()
+    if m not in halves:
+        raise ValueError(f"no {m}-point Gauss-Legendre rule in the table "
+                         f"(orders {', '.join(map(str, _RULE_ORDERS))})")
+    x, w = halves[m]
     nodes = np.concatenate((-x[::-1], x))
     weights = np.concatenate((w[::-1], w))
     nodes.flags.writeable = False
@@ -93,16 +94,12 @@ def _gauss_legendre(m):
     return nodes, weights
 
 
-def _half_gauss_legendre(m):
-    """m-node Gauss rule for int_0^1 tau^(-1/2) F(tau) dtau.
-
-    With tau = s^2 the integral is int_{-1}^{1} F(s^2) ds, so the rule
-    is the positive half of the 2m-point Gauss-Legendre rule, folded:
-    nodes s_i^2 (ascending) with doubled weights.  It is exact for
-    polynomials F of degree < 2m, like the Gauss-Jacobi rule it equals.
-    """
-    s, w = _positive_half(2 * m)
-    return s ** 2, 2.0 * w
+def _composite_rule(breaks, m):
+    """Nodes (ascending) and weights of the m-point Gauss-Legendre rule on
+    every piece [breaks[i], breaks[i + 1]] of an ascending array."""
+    x, w = _gauss_legendre(m)
+    lo, half = breaks[:-1, None], 0.5 * np.diff(breaks)[:, None]
+    return (lo + half * (x + 1.0)).ravel(), (half * w).ravel()
 
 
 # ----------------------------------------------------------------------
@@ -541,109 +538,98 @@ class HyperellipticCurve:
         right = self._route(detour, b, depth + 1)
         return left + right[1:]
 
-    def _integrate_piece(self, z0, z1, y0, tol, depth=0):
-        """Integral of the normalized differentials over one straight
-        piece, and y at its end, with y continued from y(z0) = y0.
+    def _leg_breaks(self, z0, z1, others):
+        """Break points 0 = t_0 < ... < t_k = 1 of the leg z0 + t (z1 - z0),
+        fixed greedily: each piece is at most _GRADING times the distance
+        from its start to the nearest of the branch points ``others``;
+        PathThroughBranchPoint when the pieces stop advancing, at a leg
+        that starts at, or runs into, one of them."""
+        d = z1 - z0
+        reach = _GRADING / abs(d)
+        ts = [0.0]
+        while ts[-1] < 1.0:
+            x = z0 + ts[-1] * d
+            t = min(1.0, ts[-1] + reach * min(abs(x - b) for b in others))
+            if t <= ts[-1]:
+                raise PathThroughBranchPoint(
+                    f"path leg {z0} -> {z1} meets a branch point")
+            ts.append(t)
+        return np.array(ts)
 
-        Node counts double until two successive values agree; pieces are
-        split in half when plain doubling stalls (nearby branch points).
+    def _integrate_leg(self, z0, z1, y0, tol):
+        """Integral of the normalized differentials along the straight leg
+        z0 -> z1, and y at z1, with y continued from y(z0) = y0.
+
+        Every piece between the :meth:`_leg_breaks` gets the same m-point
+        Gauss-Legendre rule, and m doubles until the leg's total is stable.
+        With y0 = None the leg starts at the first branch point b_0 and
+        runs in s, x = b_0 + s^2 (z1 - b_0): then dx / y is the smooth
+        2 sqrt(z1 - b_0) ds / h(x), with h the root of f(x) / (x - b_0)
+        continued from its principal value at b_0.
         """
+        d = z1 - z0
+        if y0 is None:
+            breaks = np.sqrt(self._leg_breaks(
+                z0, z1, self.branch_points[1:].tolist()))
+            root = np.sqrt(complex(d))
+            factor, end_factor = 2.0 * root, root
+
+            def path(s):
+                return z0 + s * s * d
+
+            def radicand(s):
+                return self._deflated_f(path(s), [0])
+        else:
+            breaks = self._leg_breaks(z0, z1, self.branch_points.tolist())
+            factor, end_factor = d, 1.0
+
+            def path(t):
+                return z0 + t * d
+
+            def radicand(t):
+                return self.f(path(t))
+
         def rule(m):
-            nodes, weights = _gauss_legendre(m)
-            ts = 0.5 * (nodes + 1.0)
-            ys, _, y_end = _sqrt_along(
-                lambda taus: self.f(z0 + taus * (z1 - z0)), ts, 0.0, 1.0,
-                anchor=y0)
-            x = z0 + ts * (z1 - z0)
-            powers = np.vander(x, self.genus, increasing=True).T
-            vals = (self.diff_norm @ powers) / ys
-            return 0.5 * (z1 - z0) * (vals @ weights), y_end
+            nodes, weights = _composite_rule(breaks, m)
+            roots, _, end = _sqrt_along(radicand, nodes, 0.0, 1.0, anchor=y0)
+            powers = np.vander(path(nodes), self.genus, increasing=True).T
+            vals = (self.diff_norm @ powers) / roots
+            return factor * (vals @ weights), end_factor * end
 
         done = _until_stable(rule, 12, 384, tol)
-        if done is not None:
-            return done
-        if depth >= 10:
+        if done is None:
             raise QuadratureNonConvergent("path quadrature did not converge")
-        mid = 0.5 * (z0 + z1)
-        left, y_mid = self._integrate_piece(z0, mid, y0, 0.5 * tol, depth + 1)
-        right, y_end = self._integrate_piece(mid, z1, y_mid, 0.5 * tol, depth + 1)
-        return left + right, y_end
+        return done
 
     def _integrate_path(self, waypoints, y0, tol):
+        """Integral of the normalized differentials along the polygon
+        ``waypoints``, and y at its end, continued from y0 at its start
+        (None when the start is b_0, as in :meth:`_integrate_leg`)."""
         total = np.zeros(self.genus, dtype=complex)
         y = y0
         for a, b in zip(waypoints[:-1], waypoints[1:]):
-            part, y = self._integrate_piece(a, b, y, tol)
+            part, y = self._integrate_leg(a, b, y, tol)
             total += part
         return total, y
-
-    def _first_piece_from_branch(self, x1, tol):
-        """Singular piece from the base branch point b_0 to x1, and y(x1).
-
-        The integrand is tau^(-1/2) times a smooth function of the path
-        parameter tau, integrated by :func:`_half_gauss_legendre`.
-        """
-        b0 = self.branch_points[0]
-        root_pref = np.sqrt(complex(x1 - b0))
-
-        def rule(m):
-            taus, weights = _half_gauss_legendre(m)
-            gv, _, g_end = _sqrt_along(
-                lambda ts: self._deflated_f(
-                    b0 + np.asarray(ts, dtype=complex) * (x1 - b0), [0]),
-                taus, 0.0, 1.0)
-            x = b0 + taus * (x1 - b0)
-            powers = np.vander(x, self.genus, increasing=True).T
-            integrand = (self.diff_norm @ powers) / (root_pref * gv)
-            return (x1 - b0) * (integrand @ weights), root_pref * g_end
-
-        done = _until_stable(rule, 16, 2048, tol)
-        if done is None:
-            raise QuadratureNonConvergent(
-                "branch-base quadrature did not converge")
-        return done
 
     # -- Abel map -------------------------------------------------------------
 
     def abel_map(self, p: SurfacePoint, base: SurfacePoint = None):
-        """Abel image of p (minus base), modulo the period lattice.
+        """Abel image of p (minus that of base), modulo the period lattice.
 
-        With ``base=None``, integration starts at the first branch point,
-        and the image is memoised per exact (x, sheet); every call
-        returns a fresh array.
+        Images are integrated from the first branch point and memoised
+        per exact (x, sheet); every call returns a fresh array.
         """
-        tol = max(self.quadrature_tol, 1e-13)
-        if base is None:
-            return self.memo(("abel", p.x, p.sheet),
-                             lambda: self._abel_from_b0(p, tol)).copy()
-        waypoints = self._route(base.x, p.x)
-        total, y_end = self._integrate_path(waypoints, base.y, tol)
-        if abs(y_end - p.y) <= abs(y_end + p.y):
-            return total
-        # wrong sheet: prepend a loop around the first branch point
-        b0 = self.branch_points[0]
-        r = max(3.0 * self.margin,
-                0.4 * min(abs(b - b0) for b in self.branch_points[1:]))
-        corners = [b0 + r, b0 + 1j * r, b0 - r, b0 - 1j * r, b0 + r]
-        loop = self._route(base.x, corners[0])
-        for a, b in zip(corners[:-1], corners[1:]):
-            loop += self._route(a, b)[1:]
-        loop += self._route(corners[0], p.x)[1:]
-        total, y_end = self._integrate_path(loop, base.y, tol)
-        if abs(y_end - p.y) > 1e-4 * max(1.0, abs(p.y)):
-            raise PathThroughBranchPoint("sheet tracking inconsistent after detour")
-        return total
+        image = self.memo(("abel", p.x, p.sheet),
+                          lambda: self._abel_from_b0(p)).copy()
+        if base is not None:
+            image -= self.abel_map(base)
+        return image
 
-    def _abel_from_b0(self, p: SurfacePoint, tol):
-        b0 = self.branch_points[0]
-        waypoints = self._route(b0, p.x)
-        # keep the endpoint-singular piece short, clear of other branch points
-        leg = waypoints[1] - b0
-        step = min(1.0, self._clearance / abs(leg))
-        x1 = b0 + step * leg
-        first, y1 = self._first_piece_from_branch(x1, tol)
-        rest, y_end = self._integrate_path([x1] + waypoints[1:], y1, tol)
-        total = first + rest
+    def _abel_from_b0(self, p: SurfacePoint):
+        waypoints = self._route(self.branch_points[0], p.x)
+        total, y_end = self._integrate_path(
+            waypoints, None, max(self.quadrature_tol, 1e-13))
         d_plus = abs(y_end - p.y)
         d_minus = abs(y_end + p.y)
         if min(d_plus, d_minus) > 1e-4 * max(1.0, abs(p.y)):

@@ -186,6 +186,18 @@ class TestEvalCommand:
                    - (0.40809817348537 + 0.17383322084278j)) < 1e-8
 
 
+    @pytest.mark.parametrize("what, x1", [("szego", "3000"), ("klein", "1e6")])
+    def test_far_point(self, tmp_path, what, x1):
+        # the Abel map reaches far points (exit 3 when its path
+        # quadrature gave up at a split depth, from about |x| = 2,200)
+        curve = tmp_path / "quintic.json"
+        curve.write_text('{"f": [0, -1, 0, 0, 0, 1]}\n')
+        res = run_cli(["eval", what, "--curve", str(curve), "--e",
+                       "0.3+0.1j,-0.2+0.05j", "--x1", x1, "--x2", "2.0"])
+        assert res.returncode == 0, res.stderr
+        assert np.all(np.isfinite(json.loads(res.stdout)["value"]))
+
+
 def assert_one_error_line(res):
     assert res.returncode == 2
     assert "Traceback" not in res.stderr

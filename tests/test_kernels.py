@@ -655,6 +655,24 @@ class TestRandomCurves:
         assert abs(s_b - regular) <= 1e-10 * max(1.0, abs(s_b))
 
 
+    @settings(max_examples=12, deadline=None)
+    @given(data=st.data())
+    def test_fay_identity_at_far_points(self, random_curves, data):
+        # K_klein(x, y) = B(x, y) + omega(x)^T c(e) omega(y) with x at
+        # |x| from 1e3 to 1e6 in any direction, on either sheet
+        c = data.draw(random_curves)
+        r = 10.0 ** data.draw(st.floats(3.0, 6.0))
+        phi = data.draw(st.floats(-math.pi, math.pi))
+        x = c.point(r * complex(math.cos(phi), math.sin(phi)),
+                    data.draw(st.sampled_from([1, -1])))
+        y, e = draw_point(data, c), draw_class(data, c)
+        want = bergman_kernel(c, x, y).value + complex(
+            c.eval_differentials(x) @ klein_coordinates(c, e).matrix
+            @ c.eval_differentials(y))
+        got = klein_kernel(c, [e, -e], x, y).value
+        assert abs(got - want) <= 1e-10 * abs(want)
+
+
 class TestBranchPointContract:
     @pytest.mark.parametrize("what", ["bergman_x", "bergman_y",
                                       "bergman_a_period", "wirtinger"])

@@ -444,26 +444,35 @@ class TestThetaValues:
         assert abs(got - brute_theta(z, om.entries, deriv=(3,))) < 1e-9
 
     def test_truncation_certificate(self):
-        # doubling the radius beyond the error-bound radius changes the
-        # (scaled) sum by no more than tol, over 50 random (z, Omega)
-        from thetakernels.theta import _enumerate_ellipsoid
+        # every value and derivative of a row of order 0 to 3 changes by
+        # no more than tol (times exp(exponent)) when the sum runs to twice
+        # the truncation radius, beyond a rounding allowance of 1e-14 times
+        # the sum of the summands' moduli: random Omega, characteristics
+        # and tol, |Im z| up to 10
         rng = np.random.default_rng(17)
-        tol = 1e-12
-        for g in (1, 2, 3):
-            for _ in range(17 if g == 1 else 17 if g == 2 else 16):
-                om = random_riemann(rng, g)
-                z = rng.standard_normal(g) + 1j * rng.uniform(-0.5, 0.5, g)
-                a = theta_value(z, om, tol=tol)
-                y = z.imag
-                c = om.im_inv @ y
-                exponent = math.pi * float(y @ c)
-                radius = 2 * _truncation_radius(om, 0, tol, float(np.linalg.norm(c)))
-                pts = np.array(_enumerate_ellipsoid(om.chol, c[None],
-                                                    [radius])[0], float)
-                quad = np.einsum("ij,jk,ik->i", pts, om.entries, pts)
-                big = np.sum(np.exp(1j * np.pi * quad + 2j * np.pi * (pts @ z)
-                                    - exponent))
-                assert abs(a.mantissa * math.exp(a.exponent - exponent) - big) <= tol
+        for order in range(4):
+            for g in (1, 2, 3):
+                for _ in range(8):
+                    om = random_riemann(rng, g)
+                    tol = 10.0 ** rng.uniform(-12, -6)
+                    alpha, beta = rng.integers(0, 2, (2, g))
+                    char = Characteristic(tuple(alpha.tolist()),
+                                          tuple(beta.tolist()))
+                    z = rng.standard_normal(g) + 1j * rng.uniform(-10, 10, g)
+                    (vals,), (exponent,), _ = theta_batch(z[None], om, [char],
+                                                          [order], tol)
+                    c = om.im_inv @ z.imag
+                    radius = 2 * _truncation_radius(om, order, tol,
+                                                    float(np.linalg.norm(c)))
+                    na = _enumerate_ellipsoid(om.chol, (alpha / 2 + c)[None],
+                                              [radius])[0] + alpha / 2
+                    terms = np.exp(1j * np.pi * _quadratic_form(na, om.entries)
+                                   + 2j * np.pi * (na @ (z + beta / 2))
+                                   - exponent)
+                    for got, d in zip(vals, derivative_indices(g, order)[1]):
+                        summands = terms * np.prod((2j * np.pi * na) ** d, 1)
+                        assert abs(got - summands.sum()) <= \
+                            tol + 1e-14 * np.abs(summands).sum(), (order, d)
 
     def test_tol_too_small(self):
         om = RiemannMatrix([[1j]])
