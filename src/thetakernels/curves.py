@@ -13,8 +13,8 @@ root of f along a path comes from :func:`_sqrt_along`.  The Abel map
 integrates from the first branch point along straight legs, each cut up
 front into pieces no longer than ``_GRADING`` times the distance from
 their start to the nearest branch point; one composite Gauss-Legendre
-rule covers a leg, its order doubling in :func:`_until_stable`, with
-rules read from the table ``gauss_legendre.npy`` (written from numpy's
+rule covers a leg, its order doubling until the leg's total is stable,
+with rules read from the table ``gauss_legendre.npy`` (written from numpy's
 ``leggauss``, so the Abel images do not depend on the machine's
 eigenvalue solver).  Evaluation points keep a fixed margin of
 ``MARGIN_FACTOR`` times the root scale from the branch points.
@@ -94,16 +94,8 @@ def _gauss_legendre(m):
     return nodes, weights
 
 
-def _composite_rule(breaks, m):
-    """Nodes (ascending) and weights of the m-point Gauss-Legendre rule on
-    every piece [breaks[i], breaks[i + 1]] of an ascending array."""
-    x, w = _gauss_legendre(m)
-    lo, half = breaks[:-1, None], 0.5 * np.diff(breaks)[:, None]
-    return (lo + half * (x + 1.0)).ravel(), (half * w).ravel()
-
-
 # ----------------------------------------------------------------------
-# Square-root continuation along ordered sample points, node doubling
+# Square-root continuation along ordered sample points
 # ----------------------------------------------------------------------
 
 def _continued_sqrt(values, anchor=None):
@@ -143,19 +135,6 @@ def _sqrt_along(func, nodes, lo, hi, anchor=None):
     grid, vals = _refine_samples(func, np.concatenate(([lo], nodes, [hi])))
     roots = _continued_sqrt(vals, anchor)
     return roots[np.searchsorted(grid, nodes)], roots[0], roots[-1]
-
-
-def _until_stable(rule, m, m_max, tol):
-    """The first rule(k) = (integral, extra), k = m, 2m, 4m, ... <= m_max,
-    whose integral is within tol of the one before; None if none is."""
-    prev = None
-    while m <= m_max:
-        integral, extra = rule(m)
-        if prev is not None and np.max(np.abs(integral - prev)) <= tol:
-            return integral, extra
-        prev = integral
-        m *= 2
-    return None
 
 
 # ----------------------------------------------------------------------
@@ -561,7 +540,8 @@ class HyperellipticCurve:
         z0 -> z1, and y at z1, with y continued from y(z0) = y0.
 
         Every piece between the :meth:`_leg_breaks` gets the same m-point
-        Gauss-Legendre rule, and m doubles until the leg's total is stable.
+        Gauss-Legendre rule, m running through _RULE_ORDERS until the
+        leg's total agrees with the one before within tol.
         With y0 = None the leg starts at the first branch point b_0 and
         runs in s, x = b_0 + s^2 (z1 - b_0): then dx / y is the smooth
         2 sqrt(z1 - b_0) ds / h(x), with h the root of f(x) / (x - b_0)
@@ -589,17 +569,19 @@ class HyperellipticCurve:
             def radicand(t):
                 return self.f(path(t))
 
-        def rule(m):
-            nodes, weights = _composite_rule(breaks, m)
+        lo, half = breaks[:-1, None], 0.5 * np.diff(breaks)[:, None]
+        prev = None
+        for m in _RULE_ORDERS:
+            x, w = _gauss_legendre(m)
+            nodes = (lo + half * (x + 1.0)).ravel()
+            weights = (half * w).ravel()
             roots, _, end = _sqrt_along(radicand, nodes, 0.0, 1.0, anchor=y0)
             powers = np.vander(path(nodes), self.genus, increasing=True).T
-            vals = (self.diff_norm @ powers) / roots
-            return factor * (vals @ weights), end_factor * end
-
-        done = _until_stable(rule, 12, 384, tol)
-        if done is None:
-            raise QuadratureNonConvergent("path quadrature did not converge")
-        return done
+            total = factor * (((self.diff_norm @ powers) / roots) @ weights)
+            if prev is not None and np.max(np.abs(total - prev)) <= tol:
+                return total, end_factor * end
+            prev = total
+        raise QuadratureNonConvergent("path quadrature did not converge")
 
     def _integrate_path(self, waypoints, y0, tol):
         """Integral of the normalized differentials along the polygon

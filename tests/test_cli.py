@@ -185,11 +185,9 @@ class TestEvalCommand:
         assert abs(complex(*rep["value"])
                    - (0.40809817348537 + 0.17383322084278j)) < 1e-8
 
-
     @pytest.mark.parametrize("what, x1", [("szego", "3000"), ("klein", "1e6")])
     def test_far_point(self, tmp_path, what, x1):
-        # the Abel map reaches far points (exit 3 when its path
-        # quadrature gave up at a split depth, from about |x| = 2,200)
+        # the Abel map's path to x1 is one long leg of graded pieces
         curve = tmp_path / "quintic.json"
         curve.write_text('{"f": [0, -1, 0, 0, 0, 1]}\n')
         res = run_cli(["eval", what, "--curve", str(curve), "--e",

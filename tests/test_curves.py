@@ -344,12 +344,11 @@ class TestAbelMap:
         c = lemniscatic
         base = c.point(2.0, 1)
         tgt = c.point(2.5, -1)
-        _, y_end = c._integrate_path(c._route(base.x, tgt.x), base.y, 1e-13)
+        direct, y_end = c._integrate_path([base.x, tgt.x], base.y, 1e-13)
         assert abs(y_end + tgt.y) < 1e-9
-        assert routed_defect(c, base, tgt) < 1e-9
-        direct, _ = c._integrate_path([base.x, tgt.x], base.y, 1e-13)
         assert integrality(c.abel_map(tgt) - c.abel_map(base) - direct,
                            c.omega) > 0.1
+        assert routed_defect(c, base, tgt) < 1e-9
 
 
 class TestKleinPolynomials:

@@ -654,7 +654,6 @@ class TestRandomCurves:
         s_b = r1 - 6 * complex(om @ c1 @ om)
         assert abs(s_b - regular) <= 1e-10 * max(1.0, abs(s_b))
 
-
     @settings(max_examples=12, deadline=None)
     @given(data=st.data())
     def test_fay_identity_at_far_points(self, random_curves, data):
