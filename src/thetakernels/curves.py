@@ -279,11 +279,14 @@ class HyperellipticCurve:
         self.quadrature_tol = quadrature_tol
         self._lock = threading.Lock()
         self._memo = {}
+        self._slots = {}
         self._compute_periods()
 
     def memo(self, key, compute):
         """The value stored under ``key``, from compute() on a miss: Abel
-        images under ("abel", x, sheet), and the kernels' theta data.
+        images under ("abel", x, sheet), and the kernels' odd
+        characteristic and its theta gradient at 0.  Entries are never
+        dropped; data that depends on a class goes in a :meth:`slot`.
 
         compute() runs outside the lock; when two threads miss at once,
         both compute the same deterministic value and the first one
@@ -296,6 +299,27 @@ class HyperellipticCurve:
             with self._lock:
                 hit = self._memo.setdefault(key, value)
         return hit
+
+    def slot(self, kind, key, compute):
+        """The value of compute() for ``key``, kept in one entry per
+        ``kind`` that holds the last key computed, so the curve keeps one
+        value per kind however many keys are asked for (the kernels keep
+        the Klein coordinates of the last class under "klein").
+
+        compute() runs outside the lock and its value replaces the entry;
+        a compute() that raises leaves the entry as it was.  The entry is
+        read and written as one (key, value) pair under the lock, so
+        threads asking for different keys each get the value of their
+        own key.
+        """
+        with self._lock:
+            hit = self._slots.get(kind)
+        if hit is not None and hit[0] == key:
+            return hit[1]
+        value = compute()
+        with self._lock:
+            self._slots[kind] = (key, value)
+        return value
 
     # -- construction -----------------------------------------------------
 

@@ -24,7 +24,10 @@ A point is on the theta divisor when ``theta._on_divisor`` says so:
 |theta| is below ``theta.THETA_FLOOR`` (read at call time) times the
 scale of its lattice sum, or that scale is 0.  The curve's one odd
 characteristic and its theta gradient at 0 are kept in the curve's memo
-(:meth:`HyperellipticCurve.memo`), next to its Abel images.
+(:meth:`HyperellipticCurve.memo`), next to its Abel images.  The Klein
+coordinates c(e) of the last class asked for are kept in the curve's
+"klein" slot (:meth:`HyperellipticCurve.slot`), one g x g matrix that
+:func:`klein_coordinates` and :func:`wirtinger_connection` share.
 """
 
 from __future__ import annotations
@@ -180,8 +183,11 @@ def prime_form(curve: HyperellipticCurve, x: SurfacePoint, y: SurfacePoint,
     E(x,y)/(t(x)-t(y)) -> 1 along the diagonal.  Weight (-1/2, -1/2).
     The signs of the half-densities come from the pair (x, y) alone
     (:func:`_h_product`), so a value never depends on earlier calls.
+    OnDiagonal for coinciding points, InadmissiblePoint for a point with
+    y = 0.
     """
     _require_off_diagonal(x, y, "prime form")
+    _require_off_branch(x, y)
     delta = select_odd_characteristic(curve)
     w = curve.abel_map(x) - curve.abel_map(y)
     th = theta_value(w, curve.omega, delta, tol=tol)
@@ -263,7 +269,7 @@ def szego_kernel(curve: HyperellipticCurve, e, x: SurfacePoint,
     Requires e off the theta divisor; has a simple diagonal pole with
     residue normalization 1.  Weight (1/2, 1/2).  One ``theta_batch``
     call evaluates theta(e), theta(A(y)-A(x)+e) and the prime form's
-    theta[delta](A(x)-A(y)).
+    theta[delta](A(x)-A(y)).  InadmissiblePoint for a point with y = 0.
     """
     val, = _szego_values(curve, [_class_vector(e, curve.genus)], x, y, tol)
     return KernelValue(value=val, weight=(0.5, 0.5),
@@ -275,9 +281,11 @@ def _szego_values(curve, es, x, y, tol):
 
     One theta_batch call gives theta(e) and theta(A(y)-A(x)+e) for every
     class and theta[delta](A(x)-A(y)) once; the prime form is computed
-    once.  Class by class, PointOnTheta for a class on the theta divisor
-    comes first, then OnDiagonal for coinciding points.
+    once.  InadmissiblePoint for a point with y = 0 comes before any Abel
+    map; then, class by class, PointOnTheta for a class on the theta
+    divisor, then OnDiagonal for coinciding points.
     """
+    _require_off_branch(x, y)
     g = curve.genus
     delta = select_odd_characteristic(curve)
     ax, ay = curve.abel_map(x), curve.abel_map(y)
@@ -310,6 +318,7 @@ def klein_kernel(curve: HyperellipticCurve, e_list, x: SurfacePoint,
     coordinate within 1e-8 of an integer).  The result has an order-n
     diagonal pole with unit leading coefficient and weight (n/2, n/2).
     All its theta values come from one ``theta_batch`` call.
+    InadmissiblePoint for a point with y = 0.
     """
     es = [_class_vector(e, curve.genus) for e in e_list]
     total = sum(es)
@@ -327,10 +336,29 @@ def klein_kernel(curve: HyperellipticCurve, e_list, x: SurfacePoint,
 
 def klein_coordinates(curve: HyperellipticCurve, e,
                       tol=DEFAULT_TOL) -> KleinCoordinates:
-    """Coordinates of the Klein kernel of e relative to the Bergman kernel."""
-    c = log_theta_hessian(_class_vector(e, curve.genus), curve.omega,
-                          tol=tol)
-    return KleinCoordinates(matrix=c)
+    """Coordinates of the Klein kernel of e relative to the Bergman kernel:
+    a writable copy of :func:`_klein_matrix`."""
+    return KleinCoordinates(
+        matrix=_klein_matrix(curve, _class_vector(e, curve.genus), tol).copy())
+
+
+def _klein_matrix(curve, e, tol):
+    """c(e), the log-theta Hessian at the class vector e, read-only.
+
+    The curve keeps the matrix of the last class asked for in its
+    "klein" slot (:meth:`HyperellipticCurve.slot`), keyed by tol,
+    ``theta.THETA_FLOOR`` and the bytes of e, so the Klein coordinates and
+    the Wirtinger connection of one class share one ``theta_batch`` call.
+    A hit holds the bits a recompute gives, and a class on the theta
+    divisor raises PointOnTheta on every call and leaves the slot as it was.
+    """
+    def compute():
+        c = log_theta_hessian(e, curve.omega, tol=tol)
+        c.flags.writeable = False
+        return c
+
+    return curve.slot("klein", (tol, theta.THETA_FLOOR, e.tobytes()),
+                      compute)
 
 
 # ----------------------------------------------------------------------
@@ -343,13 +371,14 @@ def wirtinger_connection(curve: HyperellipticCurve, e, p: SurfacePoint,
 
     The kernel at (x, y) = (p(t1), p(t2)) is 1/(t1-t2)^2 + R/6 + O(t1 -
     t2); R = S_B(p) + 6 omega(p)^T c(e) omega(p), with S_B from Klein's
-    closed form and c(e) = :func:`klein_coordinates` (one
-    ``theta_batch`` call).  PointOnTheta for e on the theta divisor,
-    InadmissiblePoint for a point with y = 0.
+    closed form and c(e) the Klein coordinates (:func:`_klein_matrix`:
+    one ``theta_batch`` call, none when the curve's slot holds e).
+    PointOnTheta for e on the theta divisor, InadmissiblePoint for a
+    point with y = 0.
     """
     e = _class_vector(e, curve.genus)
     _require_off_branch(p)
-    c = log_theta_hessian(e, curve.omega, tol=tol)
+    c = _klein_matrix(curve, e, tol)
     om = curve.eval_differentials(p)
     return _bergman_regular_part(curve, p) + 6.0 * complex(om @ c @ om)
 

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import re
@@ -15,6 +16,7 @@ from thetakernels.curves import (_RULE_ORDERS, _RULE_TABLE, SurfacePoint,
                                  curve_from_spec, lattice_coordinates)
 from thetakernels.errors import (DegreeTooSmall, InadmissiblePoint,
                                  NonSquarefree)
+from thetakernels.theta import DEFAULT_TOL, Characteristic, theta_batch
 
 
 def agm(a, b):
@@ -185,6 +187,53 @@ class TestPeriods:
                 / agm(math.sqrt(b2 - b0), math.sqrt(b1 - b0))
             assert abs(tau - tau_agm) < 1e-9
             done += 1
+
+
+class TestThomae:
+    """Thomae's formula (Thomae 1870; Mumford, Tata Lectures on Theta II,
+    ch. IIIa): theta[m](0)^4 = const * prod_{i<j in T} (b_i - b_j)
+    * prod_{i<j not in T} (b_i - b_j), T a (g+1)-subset of the finite
+    branch points for each even m, one subset per complementary pair at
+    even degree.  Sorting both sides' moduli makes the check independent
+    of the correspondence between characteristics and subsets, so it
+    tests the period matrix, the homology basis and theta against the
+    branch points alone."""
+
+    @staticmethod
+    def thomae_products(b, g):
+        n = len(b)
+        dist = np.abs(np.subtract.outer(b, b))
+
+        def pairs(idx):
+            return math.prod(dist[i, j] for i, j in
+                             itertools.combinations(idx, 2))
+
+        out = []
+        for T in itertools.combinations(range(n), g + 1):
+            rest = tuple(k for k in range(n) if k not in T)
+            if n % 2 == 0 and 0 not in T:
+                continue   # the complement of a subset already counted
+            out.append(pairs(T) * pairs(rest))
+        return np.sort(out)
+
+    @settings(max_examples=16, deadline=None)
+    @given(data=st.data())
+    def test_even_theta_constants(self, random_curves, data):
+        c = data.draw(random_curves)
+        g = c.genus
+        evens = [m for m in Characteristic.all(g) if m.parity == 0]
+        vals, expos, _ = theta_batch(np.zeros((len(evens), g)), c.omega,
+                                     evens, [0] * len(evens), DEFAULT_TOL)
+        fourth = np.sort([abs(v[0] * math.exp(x)) ** 4
+                          for v, x in zip(vals, expos)])
+        if g == 3:
+            # exactly one even theta constant vanishes at genus 3
+            assert fourth[0] < 1e-40 * fourth[-1] <= fourth[1]
+            fourth = fourth[1:]
+        else:
+            assert fourth[0] >= 1e-40 * fourth[-1]
+        ratio = fourth / self.thomae_products(c.branch_points, g)
+        assert np.max(ratio) - np.min(ratio) <= 1e-10 * np.max(ratio)
 
 
 def gauss_legendre_table(orders=_RULE_ORDERS):

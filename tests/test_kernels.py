@@ -552,7 +552,9 @@ class TestErrorOrder:
 class TestOneThetaCall:
     """Each kernel evaluation makes one theta_batch call once the curve's
     odd characteristic and Abel images are in its memo; the Bergman
-    kernel and its A-periods, Klein's closed form, make none."""
+    kernel and its A-periods, Klein's closed form, make none.  The Klein
+    coordinates and the Wirtinger connection make one at a new class and
+    none at the class whose c(e) the curve's "klein" slot holds."""
 
     @pytest.mark.parametrize("what", ["szego", "klein", "wirtinger",
                                       "bergman", "bergman_a_period", "gauss",
@@ -576,7 +578,24 @@ class TestOneThetaCall:
         want = run()
         calls = TestOddCharacteristicMemo.count_theta_batch(monkeypatch)
         assert run() == want
-        assert len(calls) == (0 if what.startswith("bergman") else 1)
+        repeat_free = what.startswith("bergman") or what == "wirtinger"
+        assert len(calls) == (0 if repeat_free else 1)
+
+    def test_new_class_makes_one_call(self, monkeypatch):
+        c = build_curve([0, -1, 0, 0, 0, 1])
+        e1 = np.array([0.3 + 0.1j, -0.2 + 0.05j])
+        e2 = np.array([-0.1 + 0.2j, 0.25 - 0.1j])
+        x, y = c.point(2.2 + 0.3j, 1), c.point(-1.9 + 0.4j, -1)
+        wirtinger_connection(c, e1, x)
+        calls = TestOddCharacteristicMemo.count_theta_batch(monkeypatch)
+        for run, want in ((lambda: wirtinger_connection(c, e2, x), 1),
+                          (lambda: wirtinger_connection(c, e2, y), 1),
+                          (lambda: klein_coordinates(c, e2), 1),
+                          (lambda: klein_coordinates(c, e1), 2),
+                          (lambda: wirtinger_connection(c, e1, y), 2),
+                          (lambda: wirtinger_connection(c, e2, x), 3)):
+            run()
+            assert len(calls) == want
 
     def test_a_period_sums_kernel_values(self, genus2):
         # each row of the batched call keeps the bits of bergman_kernel
@@ -672,9 +691,86 @@ class TestRandomCurves:
         assert abs(got - want) <= 1e-10 * abs(want)
 
 
+class TestKleinSlot:
+    """The curve's "klein" slot keeps c(e) of the last class asked for;
+    no value depends on which classes were asked for before."""
+
+    @staticmethod
+    def bits(value):
+        return [float.hex(float(v)) for z in np.ravel(value)
+                for v in (z.real, z.imag)]
+
+    @staticmethod
+    def evaluate(curve, op, classes, points):
+        kind, k, j = op
+        if kind == "klein":
+            return klein_coordinates(curve, classes[k]).matrix
+        return wirtinger_connection(curve, classes[k], points[j])
+
+    def check_interleaving(self, coeffs, data, classes, points):
+        ops = data.draw(st.lists(
+            st.tuples(st.sampled_from(["klein", "wirtinger"]),
+                      st.integers(0, len(classes) - 1),
+                      st.integers(0, len(points) - 1)),
+            min_size=2, max_size=10))
+        curve = build_curve(coeffs)
+        got = [self.bits(self.evaluate(curve, op, classes, points))
+               for op in ops]
+        fresh = {op: self.bits(self.evaluate(build_curve(coeffs), op,
+                                             classes, points))
+                 for op in set(ops)}
+        assert got == [fresh[op] for op in ops]
+
+    @settings(max_examples=15, deadline=None)
+    @given(data=st.data())
+    def test_interleaving_on_genus2(self, genus2, data):
+        classes = [draw_class(data, genus2) for _ in range(2)]
+        points = [draw_point(data, genus2) for _ in range(3)]
+        self.check_interleaving(genus2.coeffs, data, classes, points)
+
+    @settings(max_examples=10, deadline=None)
+    @given(data=st.data())
+    def test_interleaving_on_random_curves(self, random_curves, data):
+        c = data.draw(random_curves)
+        classes = [draw_class(data, c) for _ in range(2)]
+        points = [draw_point(data, c) for _ in range(3)]
+        self.check_interleaving(c.coeffs, data, classes, points)
+
+    def test_class_on_theta_leaves_the_slot(self, monkeypatch):
+        # every call at the theta zero computes and raises; the slot still
+        # holds e afterwards, so its next use makes no theta_batch call
+        c = build_curve([0, -1, 0, 1])
+        e, p = np.array([0.31 + 0.17j]), c.point(2.0, 1)
+        zero = TestErrorOrder.theta_zero(c)
+        want = wirtinger_connection(c, e, p)
+        calls = TestOddCharacteristicMemo.count_theta_batch(monkeypatch)
+        for _ in range(2):
+            with pytest.raises(PointOnTheta):
+                klein_coordinates(c, zero)
+            with pytest.raises(PointOnTheta):
+                wirtinger_connection(c, zero, p)
+        assert len(calls) == 4
+        assert wirtinger_connection(c, e, p) == want
+        assert len(calls) == 4
+
+    def test_writing_the_returned_matrix_changes_nothing(self):
+        c = build_curve([0, -1, 0, 0, 0, 1])
+        e = np.array([0.3 + 0.1j, -0.2 + 0.05j])
+        p = c.point(2.2 + 0.3j, 1)
+        want_c = self.bits(klein_coordinates(c, e).matrix)
+        want_r = self.bits(wirtinger_connection(c, e, p))
+        m = klein_coordinates(c, e).matrix
+        assert m.flags.writeable
+        m[...] = np.nan
+        assert self.bits(wirtinger_connection(c, e, p)) == want_r
+        assert self.bits(klein_coordinates(c, e).matrix) == want_c
+
+
 class TestBranchPointContract:
     @pytest.mark.parametrize("what", ["bergman_x", "bergman_y",
-                                      "bergman_a_period", "wirtinger"])
+                                      "bergman_a_period", "wirtinger",
+                                      "prime_x", "prime_y", "szego",
+                                      "klein"])
     def test_y_zero_is_inadmissible(self, genus2, what):
         c = genus2
         b = SurfacePoint(x=1 + 0j, sheet=1, y=0j)
@@ -685,6 +781,10 @@ class TestBranchPointContract:
             "bergman_y": lambda: bergman_kernel(c, p, b),
             "bergman_a_period": lambda: bergman_a_period(c, b, 0, 64),
             "wirtinger": lambda: wirtinger_connection(c, e, b),
+            "prime_x": lambda: prime_form(c, b, p),
+            "prime_y": lambda: prime_form(c, p, b),
+            "szego": lambda: szego_kernel(c, e, b, p),
+            "klein": lambda: klein_kernel(c, [e, -e], p, b),
         }[what]
         with pytest.raises(InadmissiblePoint, match="y = 0"):
             run()
@@ -915,31 +1015,19 @@ class TestConcurrency:
                 lambda xy: szego_kernel(c, e, xy[0], xy[1]).value, pts))
         assert np.allclose(serial, parallel, rtol=1e-12)
 
-    def test_first_use_from_four_threads(self):
-        # no serial warm-up: the odd characteristic, its gradient and the
-        # Abel images are all first computed by racing threads.  The points
-        # are spaced 0.4 apart only to spread the Abel routes; the
-        # half-density signs come from each pair alone, whatever the order.
-        coeffs = [0, -1, 0, 0, 0, 1]
-        e = np.array([0.3 + 0.1j, -0.2 + 0.05j])
-        xs = [(1.6 + 0.4 * k, -1.6 - 0.4 * k) for k in range(4)]
-
-        def values(curve, order):
-            out = {}
-            for k in order:
-                x = curve.point(xs[k][0], 1)
-                y = curve.point(xs[k][1], -1)
-                out[k] = szego_kernel(curve, e, x, y).value
-            return out
-
-        serial = values(build_curve(coeffs), range(4))
+    @staticmethod
+    def race(values, coeffs, n):
+        """values(curve, order) for a fresh curve and order 0..n-1, and
+        from four threads that share one fresh curve, thread t starting at
+        t; the threads start behind a barrier with a 1 us switch interval."""
+        serial = values(build_curve(coeffs), range(n))
         curve = build_curve(coeffs)
         barrier = threading.Barrier(4, timeout=60)
         results = [None] * 4
 
         def worker(t):
             barrier.wait()
-            results[t] = values(curve, [(t + k) % 4 for k in range(4)])
+            results[t] = values(curve, [(t + k) % n for k in range(n)])
 
         threads = [threading.Thread(target=worker, args=(t,)) for t in range(4)]
         interval = sys.getswitchinterval()
@@ -952,6 +1040,43 @@ class TestConcurrency:
         finally:
             sys.setswitchinterval(interval)
         assert not any(th.is_alive() for th in threads)
+        return serial, results
+
+    def test_first_use_from_four_threads(self):
+        # no serial warm-up: the odd characteristic, its gradient and the
+        # Abel images are all first computed by racing threads.  The points
+        # are spaced 0.4 apart only to spread the Abel routes; the
+        # half-density signs come from each pair alone, whatever the order.
+        e = np.array([0.3 + 0.1j, -0.2 + 0.05j])
+        xs = [(1.6 + 0.4 * k, -1.6 - 0.4 * k) for k in range(4)]
+
+        def values(curve, order):
+            out = {}
+            for k in order:
+                x = curve.point(xs[k][0], 1)
+                y = curve.point(xs[k][1], -1)
+                out[k] = szego_kernel(curve, e, x, y).value
+            return out
+
+        serial, results = self.race(values, [0, -1, 0, 0, 0, 1], 4)
+        assert results == [serial] * 4
+
+    def test_two_classes_from_four_threads(self):
+        # the threads alternate two classes, so they keep replacing each
+        # other's entry in the curve's "klein" slot
+        es = [np.array([0.3 + 0.1j, -0.2 + 0.05j]),
+              np.array([-0.1 + 0.2j, 0.25 - 0.1j])]
+        bits = TestKleinSlot.bits
+
+        def values(curve, order):
+            out = {}
+            for k in order:
+                e, p = es[k % 2], curve.point(1.6 + 0.4 * (k % 4), 1)
+                out[k] = (bits(klein_coordinates(curve, e).matrix),
+                          bits(wirtinger_connection(curve, e, p)))
+            return out
+
+        serial, results = self.race(values, [0, -1, 0, 0, 0, 1], 8)
         assert results == [serial] * 4
 
 
