@@ -321,6 +321,12 @@ class HyperellipticCurve:
             self._slots[kind] = (key, value)
         return value
 
+    def holds(self, kind, key):
+        """Whether the ``kind`` entry of :meth:`slot` holds ``key``."""
+        with self._lock:
+            hit = self._slots.get(kind)
+        return hit is not None and hit[0] == key
+
     # -- construction -----------------------------------------------------
 
     def _polished_roots(self):
@@ -477,6 +483,12 @@ class HyperellipticCurve:
         # the A-periods of B(x1, .) are u(x1)^T (eta + K A): zero
         self.K = -eta @ self.diff_norm
         self.F_coeffs, self.Q_coeffs = _klein_polynomials(self.coeffs, g)
+        # f, f', f'', d^2F/dx2^2 and the powers of u = x^i / y, per curve
+        self.f_derivs = tuple(np.polyder(self.coeffs[::-1], k)
+                              for k in range(3))
+        b = np.arange(2, g + 2)
+        self.F22_coeffs = self.F_coeffs[:, 2:] * (b * (b - 1))
+        self.u_degrees = np.arange(g)
 
     # -- differentials ------------------------------------------------------
 

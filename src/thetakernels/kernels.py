@@ -27,7 +27,9 @@ characteristic and its theta gradient at 0 are kept in the curve's memo
 (:meth:`HyperellipticCurve.memo`), next to its Abel images.  The Klein
 coordinates c(e) of the last class asked for are kept in the curve's
 "klein" slot (:meth:`HyperellipticCurve.slot`), one g x g matrix that
-:func:`klein_coordinates` and :func:`wirtinger_connection` share.
+:func:`klein_coordinates` and :func:`wirtinger_connection` share; the
+Klein kernel's theta call also carries the order-2 row of its first
+class when the slot lacks it, and fills the slot.
 """
 
 from __future__ import annotations
@@ -228,7 +230,6 @@ def _bergman_values(curve, x: SurfacePoint, x2, y2):
     exact up to x2 = x1.
     """
     x1, y1 = x.x, x.y
-    g = curve.genus
     yy = y1 * y2
     F = bivariate(curve.F_coeffs, x1, x2)
     plus, minus = F + 2.0 * yy, F - 2.0 * yy
@@ -240,7 +241,7 @@ def _bergman_values(curve, x: SurfacePoint, x2, y2):
         q = bivariate(curve.Q_coeffs, x1, x2[conj])
         alg[conj] = q / (4.0 * yy[conj] * minus[conj])
     # u(x1)^T K u(x2) = (sum_j v_j x2^j) / y2 with v = u(x1)^T K
-    v = (x1 ** np.arange(g) / y1) @ curve.K
+    v = (x1 ** curve.u_degrees / y1) @ curve.K
     poly = np.full_like(x2, v[-1])
     for vj in v[-2::-1]:
         poly = poly * x2 + vj
@@ -252,11 +253,9 @@ def _bergman_regular_part(curve, p: SurfacePoint):
     the chart of p.  With f, f', f'' and F_22 = d^2F/dx2^2 at (x, x), it
     is 6 [(F_22 - f'') / (8 f) + f'^2 / (16 f^2) + u(p)^T K u(p)] times
     chart_scale^2."""
-    x, c = p.x, curve.coeffs[::-1]
-    f, f1, f2 = (complex(np.polyval(np.polyder(c, k), x)) for k in range(3))
-    b = np.arange(2, curve.F_coeffs.shape[1])
-    f22 = complex(bivariate(curve.F_coeffs[:, 2:] * (b * (b - 1)), x, x))
-    u = x ** np.arange(curve.genus) / p.y
+    f, f1, f2 = (complex(np.polyval(d, p.x)) for d in curve.f_derivs)
+    f22 = complex(bivariate(curve.F22_coeffs, p.x, p.x))
+    u = p.x ** curve.u_degrees / p.y
     reg = (f22 - f2) / (8.0 * f) + f1 * f1 / (16.0 * f * f) \
         + complex(u @ curve.K @ u)
     return 6.0 * reg * p.chart_scale ** 2
@@ -276,34 +275,42 @@ def szego_kernel(curve: HyperellipticCurve, e, x: SurfacePoint,
                        chart_x=_chart(x), chart_y=_chart(y))
 
 
-def _szego_values(curve, es, x, y, tol):
+def _szego_values(curve, es, x, y, tol, klein=False):
     """The Szego kernel value of each class of ``es`` at (x, y).
 
     One theta_batch call gives theta(e) and theta(A(y)-A(x)+e) for every
-    class and theta[delta](A(x)-A(y)) once; the prime form is computed
-    once.  InadmissiblePoint for a point with y = 0 comes before any Abel
-    map; then, class by class, PointOnTheta for a class on the theta
-    divisor, then OnDiagonal for coinciding points.
+    class, theta[delta](A(x)-A(y)) once for the one prime form and, with
+    ``klein``, c(e) of the first class when the curve's "klein" slot lacks
+    it (stored there unless e is on the theta divisor).  InadmissiblePoint
+    for a y = 0 point comes before any Abel map; then, class by class,
+    PointOnTheta for a class on the theta divisor, then OnDiagonal.
     """
     _require_off_branch(x, y)
     g = curve.genus
     delta = select_odd_characteristic(curve)
     ax, ay = curve.abel_map(x), curve.abel_map(y)
     w = ay - ax
-    zero = Characteristic.zero(g)
-    rows = [v for e in es for v in (e, w + e)] + [ax - ay]
+    zero, n = Characteristic.zero(g), 2 * len(es)
+    key = _klein_key(es[0], tol)
+    fill = int(klein and not curve.holds("klein", key))  # 0 or 1 rows
+    rows = [v for e in es for v in (e, w + e)] + [ax - ay] + [es[0]] * fill
     vals, expos, scales = theta_batch(np.array(rows), curve.omega,
-                                      [zero] * (2 * len(es)) + [delta],
-                                      [0] * len(rows), tol)
+                                      [zero] * n + [delta] + [zero] * fill,
+                                      [0] * (n + 1) + [2] * fill, tol)
+    if fill:
+        (c,), (error,) = log_theta_hessians(g, vals[-1:], scales[-1:])
+        if error is None:
+            c.flags.writeable = False
+            curve.slot("klein", key, lambda: c)
     out = []
-    for k in range(0, 2 * len(es), 2):
+    for k in range(0, n, 2):
         if _on_divisor(vals[k][0], scales[k]):
             raise PointOnTheta("Szego kernel undefined on the theta divisor")
         if k == 0:
             _require_off_diagonal(x, y, "prime form")
             prime = _prime_form_value(
                 curve, delta, x, y,
-                ScaledComplex.make(vals[-1][0], expos[-1]), tol)
+                ScaledComplex.make(vals[n][0], expos[n]), tol)
         num = ScaledComplex.make(vals[k + 1][0], expos[k + 1])
         out.append(complex(
             num.ratio(ScaledComplex.make(vals[k][0], expos[k])) / prime))
@@ -317,7 +324,8 @@ def klein_kernel(curve: HyperellipticCurve, e_list, x: SurfacePoint,
     ``e_list`` must sum to zero modulo the period lattice (each lattice
     coordinate within 1e-8 of an integer).  The result has an order-n
     diagonal pole with unit leading coefficient and weight (n/2, n/2).
-    All its theta values come from one ``theta_batch`` call.
+    All its theta values, and c(e) of the first class when the curve's
+    "klein" slot lacks it, come from one ``theta_batch`` call.
     InadmissiblePoint for a point with y = 0.
     """
     es = [_class_vector(e, curve.genus) for e in e_list]
@@ -327,7 +335,7 @@ def klein_kernel(curve: HyperellipticCurve, e_list, x: SurfacePoint,
     if np.max(np.abs(coords - np.round(coords))) > 1e-8:
         raise ConstraintViolation("classes do not sum to zero in the Jacobian")
     val = 1.0 + 0.0j
-    for factor in _szego_values(curve, es, x, y, tol):
+    for factor in _szego_values(curve, es, x, y, tol, klein=True):
         val *= factor
     n = len(es)
     return KernelValue(value=val, weight=(n / 2.0, n / 2.0),
@@ -346,9 +354,9 @@ def _klein_matrix(curve, e, tol):
     """c(e), the log-theta Hessian at the class vector e, read-only.
 
     The curve keeps the matrix of the last class asked for in its
-    "klein" slot (:meth:`HyperellipticCurve.slot`), keyed by tol,
-    ``theta.THETA_FLOOR`` and the bytes of e, so the Klein coordinates and
-    the Wirtinger connection of one class share one ``theta_batch`` call.
+    "klein" slot (:meth:`HyperellipticCurve.slot`), keyed by
+    :func:`_klein_key`, so the Klein coordinates, the Wirtinger connection
+    and the Klein kernel of one class share one ``theta_batch`` call.
     A hit holds the bits a recompute gives, and a class on the theta
     divisor raises PointOnTheta on every call and leaves the slot as it was.
     """
@@ -357,8 +365,13 @@ def _klein_matrix(curve, e, tol):
         c.flags.writeable = False
         return c
 
-    return curve.slot("klein", (tol, theta.THETA_FLOOR, e.tobytes()),
-                      compute)
+    return curve.slot("klein", _klein_key(e, tol), compute)
+
+
+def _klein_key(e, tol):
+    """The "klein" slot key of the class vector e: the divisor test reads
+    ``theta.THETA_FLOOR`` at call time, so a changed floor misses."""
+    return (tol, theta.THETA_FLOOR, e.tobytes())
 
 
 # ----------------------------------------------------------------------

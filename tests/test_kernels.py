@@ -554,7 +554,11 @@ class TestOneThetaCall:
     odd characteristic and Abel images are in its memo; the Bergman
     kernel and its A-periods, Klein's closed form, make none.  The Klein
     coordinates and the Wirtinger connection make one at a new class and
-    none at the class whose c(e) the curve's "klein" slot holds."""
+    none at the class whose c(e) the curve's "klein" slot holds.  The
+    Klein kernel's call also carries the order-2 row of its first class
+    when the slot lacks it and fills the slot, so the Szego, Bergman and
+    Klein kernels, the Klein coordinates and the Wirtinger connection at
+    a new class make two calls in all."""
 
     @pytest.mark.parametrize("what", ["szego", "klein", "wirtinger",
                                       "bergman", "bergman_a_period", "gauss",
@@ -596,6 +600,51 @@ class TestOneThetaCall:
                           (lambda: wirtinger_connection(c, e2, x), 3)):
             run()
             assert len(calls) == want
+
+    def test_kernel_op_at_a_new_class_makes_two_calls(self, monkeypatch):
+        c = build_curve([0, -1, 0, 0, 0, 1])
+        x, y = c.point(2.2 + 0.3j, 1), c.point(-1.9 + 0.4j, -1)
+        e1 = np.array([0.3 + 0.1j, -0.2 + 0.05j])
+        e2 = np.array([-0.1 + 0.2j, 0.25 - 0.1j])
+
+        def op(e):
+            return (szego_kernel(c, e, x, y).value,
+                    bergman_kernel(c, x, y).value,
+                    klein_kernel(c, [e, -e], x, y).value,
+                    klein_coordinates(c, e).matrix.tolist(),
+                    wirtinger_connection(c, e, x))
+
+        op(e1)
+        calls = TestOddCharacteristicMemo.count_theta_batch(monkeypatch)
+        got = op(e2)
+        assert len(calls) == 2
+        assert got == op(e2)   # a repeat: Szego's call and Klein's
+        assert len(calls) == 4
+
+    def test_klein_kernel_fills_the_slot_only_when_it_lacks_the_class(
+            self, monkeypatch):
+        c = build_curve([0, -1, 0, 0, 0, 1])
+        x, y = c.point(2.2 + 0.3j, 1), c.point(-1.9 + 0.4j, -1)
+        e1 = np.array([0.3 + 0.1j, -0.2 + 0.05j])
+        e2 = np.array([-0.1 + 0.2j, 0.25 - 0.1j])
+        klein_kernel(c, [e1, -e1], x, y)
+        calls = TestOddCharacteristicMemo.count_theta_batch(monkeypatch)
+
+        def rows():
+            return [len(args[0]) for args in calls]
+
+        klein_kernel(c, [e1, -e1], x, y)
+        assert rows() == [5]
+        klein_kernel(c, [e2, -e2], x, y)
+        assert rows() == [5, 6]
+        klein_coordinates(c, e2)
+        wirtinger_connection(c, e2, x)
+        assert rows() == [5, 6]
+        klein_kernel(c, [-e2, e2], x, y)   # e2 is not the first class
+        assert rows() == [5, 6, 6]
+        # Szego's own call never carries the row
+        szego_kernel(c, e1, x, y)
+        assert rows() == [5, 6, 6, 3]
 
     def test_a_period_sums_kernel_values(self, genus2):
         # each row of the batched call keeps the bits of bergman_kernel
@@ -673,6 +722,15 @@ class TestRandomCurves:
         s_b = r1 - 6 * complex(om @ c1 @ om)
         assert abs(s_b - regular) <= 1e-10 * max(1.0, abs(s_b))
 
+    @settings(max_examples=20, deadline=None)
+    @given(data=st.data())
+    def test_prime_form_is_antisymmetric(self, random_curves, data):
+        c = data.draw(random_curves)
+        x, y = draw_point(data, c), draw_point(data, c)
+        assume(abs(x.x - y.x) > 0.05)
+        exy = prime_form(c, x, y).value
+        assert abs(exy + prime_form(c, y, x).value) <= 1e-10 * abs(exy)
+
     @settings(max_examples=12, deadline=None)
     @given(data=st.data())
     def test_fay_identity_at_far_points(self, random_curves, data):
@@ -692,8 +750,9 @@ class TestRandomCurves:
 
 
 class TestKleinSlot:
-    """The curve's "klein" slot keeps c(e) of the last class asked for;
-    no value depends on which classes were asked for before."""
+    """The curve's "klein" slot keeps c(e) of the last class asked for,
+    also when the Klein kernel's theta call filled it; no value depends
+    on which classes were asked for before."""
 
     @staticmethod
     def bits(value):
@@ -703,13 +762,26 @@ class TestKleinSlot:
     @staticmethod
     def evaluate(curve, op, classes, points):
         kind, k, j = op
+        e, x, y = classes[k], points[j], points[(j + 1) % len(points)]
         if kind == "klein":
-            return klein_coordinates(curve, classes[k]).matrix
-        return wirtinger_connection(curve, classes[k], points[j])
+            return klein_coordinates(curve, e).matrix
+        if kind == "klein_kernel":
+            return klein_kernel(curve, [e, -e], x, y).value
+        if kind == "szego":
+            return szego_kernel(curve, e, x, y).value
+        return wirtinger_connection(curve, e, x)
+
+    @staticmethod
+    def draw_points(data, curve):
+        points = [draw_point(data, curve) for _ in range(3)]
+        assume(all(abs(p.x - q.x) > 0.05
+                   for i, p in enumerate(points) for q in points[:i]))
+        return points
 
     def check_interleaving(self, coeffs, data, classes, points):
         ops = data.draw(st.lists(
-            st.tuples(st.sampled_from(["klein", "wirtinger"]),
+            st.tuples(st.sampled_from(["klein", "wirtinger", "klein_kernel",
+                                       "szego"]),
                       st.integers(0, len(classes) - 1),
                       st.integers(0, len(points) - 1)),
             min_size=2, max_size=10))
@@ -725,7 +797,7 @@ class TestKleinSlot:
     @given(data=st.data())
     def test_interleaving_on_genus2(self, genus2, data):
         classes = [draw_class(data, genus2) for _ in range(2)]
-        points = [draw_point(data, genus2) for _ in range(3)]
+        points = self.draw_points(data, genus2)
         self.check_interleaving(genus2.coeffs, data, classes, points)
 
     @settings(max_examples=10, deadline=None)
@@ -733,7 +805,7 @@ class TestKleinSlot:
     def test_interleaving_on_random_curves(self, random_curves, data):
         c = data.draw(random_curves)
         classes = [draw_class(data, c) for _ in range(2)]
-        points = [draw_point(data, c) for _ in range(3)]
+        points = self.draw_points(data, c)
         self.check_interleaving(c.coeffs, data, classes, points)
 
     def test_class_on_theta_leaves_the_slot(self, monkeypatch):
@@ -741,17 +813,22 @@ class TestKleinSlot:
         # holds e afterwards, so its next use makes no theta_batch call
         c = build_curve([0, -1, 0, 1])
         e, p = np.array([0.31 + 0.17j]), c.point(2.0, 1)
+        q = c.point(-1.9 + 0.4j, -1)
         zero = TestErrorOrder.theta_zero(c)
         want = wirtinger_connection(c, e, p)
+        select_odd_characteristic(c)
         calls = TestOddCharacteristicMemo.count_theta_batch(monkeypatch)
         for _ in range(2):
             with pytest.raises(PointOnTheta):
                 klein_coordinates(c, zero)
             with pytest.raises(PointOnTheta):
                 wirtinger_connection(c, zero, p)
-        assert len(calls) == 4
+            with pytest.raises(PointOnTheta):
+                klein_kernel(c, [zero, -zero], p, q)
+        # the Klein kernel's call carried the order-2 row at the zero
+        assert [len(args[0]) for args in calls] == [1, 1, 6] * 2
         assert wirtinger_connection(c, e, p) == want
-        assert len(calls) == 4
+        assert len(calls) == 6
 
     def test_writing_the_returned_matrix_changes_nothing(self):
         c = build_curve([0, -1, 0, 0, 0, 1])
@@ -1074,6 +1151,26 @@ class TestConcurrency:
                 e, p = es[k % 2], curve.point(1.6 + 0.4 * (k % 4), 1)
                 out[k] = (bits(klein_coordinates(curve, e).matrix),
                           bits(wirtinger_connection(curve, e, p)))
+            return out
+
+        serial, results = self.race(values, [0, -1, 0, 0, 0, 1], 8)
+        assert results == [serial] * 4
+
+    def test_klein_kernel_and_coordinates_from_four_threads(self):
+        # the Klein kernel's call fills the slot that the threads keep
+        # replacing, and the Klein coordinates read it
+        es = [np.array([0.3 + 0.1j, -0.2 + 0.05j]),
+              np.array([-0.1 + 0.2j, 0.25 - 0.1j])]
+        bits = TestKleinSlot.bits
+
+        def values(curve, order):
+            out = {}
+            for k in order:
+                e = es[k % 2]
+                x = curve.point(1.6 + 0.4 * (k % 4), 1)
+                y = curve.point(-1.6 - 0.4 * (k % 4), -1)
+                out[k] = (bits(klein_kernel(curve, [e, -e], x, y).value),
+                          bits(klein_coordinates(curve, e).matrix))
             return out
 
         serial, results = self.race(values, [0, -1, 0, 0, 0, 1], 8)
