@@ -9,14 +9,17 @@ quadrature (the square-root endpoint singularity is exactly the
 Chebyshev weight); a single analytic branch of y is continued along the
 whole chain of segments, with the continuation through each branch point
 fixed by a small detour whose side is chosen deterministically.  Every
-root of f along a path comes from :func:`_sqrt_along`.  The Abel map
-integrates from the first branch point along straight legs, each cut up
-front into pieces no longer than ``_GRADING`` times the distance from
-their start to the nearest branch point; one composite Gauss-Legendre
-rule covers a leg, its order doubling until the leg's total is stable,
-with rules read from the table ``gauss_legendre.npy`` (written from numpy's
-``leggauss``, so the Abel images do not depend on the machine's
-eigenvalue solver).  Evaluation points keep a fixed margin of
+root of f along a path comes from :func:`_sqrt_grids`, which continues
+it along many grids at once.  The Abel map integrates from the first
+branch point along straight legs, each cut up front into pieces no longer
+than ``_GRADING`` times the distance from their start to the nearest
+branch point; one composite Gauss-Legendre rule covers a leg, its order
+doubling until the leg's total is stable, with rules read from the table
+``gauss_legendre.npy`` (written from numpy's ``leggauss``, so the Abel
+images do not depend on the machine's eigenvalue solver).  The images of
+several points (:meth:`HyperellipticCurve.abel_images`) are integrated in
+one sweep over the legs at each depth of their routes, and each keeps the
+bits it gets alone.  Evaluation points keep a fixed margin of
 ``MARGIN_FACTOR`` times the root scale from the branch points.
 
 The same cut integrals give the A-periods of x^k dx / y up to k = 2g,
@@ -98,42 +101,66 @@ def _gauss_legendre(m):
 # Square-root continuation along ordered sample points
 # ----------------------------------------------------------------------
 
-def _continued_sqrt(values, anchor=None):
-    """Square roots of the nonzero samples ``values`` of an analytic
-    function along a path, continued from the principal root of the first
-    (or from ``anchor``); raises when two consecutive samples are too far
-    apart to tell the branch."""
-    ratios = values[1:] / values[:-1]
-    if np.any(np.abs(np.angle(ratios)) > 0.75 * math.pi):
-        raise PathThroughBranchPoint("square-root continuation lost track")
-    start = cmath.sqrt(values[0]) if anchor is None else anchor
-    out = np.empty(len(values), dtype=complex)
-    out[0] = start
-    out[1:] = start * np.cumprod(np.sqrt(ratios))
-    return out
+def _sqrt_grids(func, grids, anchors):
+    """sqrt(func) along each ascending grid of ``grids``, continued from
+    the principal root at its first point (or from its anchor, when that
+    is not None) once midpoints resolve the winding of func on the grid:
+    every ratio of consecutive samples turns by at most pi/2.
 
-
-def _refine_samples(func, ts):
-    """Insert midpoints until consecutive func-ratios wind by at most pi/2."""
-    ts = np.asarray(ts, dtype=float)
-    vals = func(ts)
+    func(ts, grid) gives the samples at the points ts of the grids
+    ``grid`` (an index per point), elementwise.  The grids that need
+    samples get them from one call, one winding test and one np.sqrt of
+    their ratios, while each grid keeps its own cumprod chain, so its
+    roots are the ones a call with that grid alone gives.  Returns
+    (refined grid, roots at its points) per grid; PathThroughBranchPoint
+    when 40 rounds of midpoints leave a grid winding.
+    """
+    out = [None] * len(grids)
+    grids = list(grids)
+    todo = list(range(len(grids)))
     for _ in range(40):
+        if not todo:
+            return out
+        sizes = [len(grids[i]) for i in todo]
+        vals = func(np.concatenate([grids[i] for i in todo]),
+                    np.repeat(todo, sizes))
+        # the ratios across the border of two grids are never read
         ratios = vals[1:] / vals[:-1]
-        bad = np.abs(np.angle(ratios)) > 0.5 * math.pi
-        if not np.any(bad):
-            return ts, vals
-        mids = 0.5 * (ts[:-1][bad] + ts[1:][bad])
-        ts = np.sort(np.concatenate([ts, mids]))
-        vals = func(ts)
+        # np.angle of the ratios
+        bad = np.abs(np.arctan2(ratios.imag, ratios.real)) > 0.5 * math.pi
+        ends = np.cumsum(sizes).tolist()
+        bad[[end - 1 for end in ends[:-1]]] = False
+        roots = np.sqrt(ratios)
+        any_bad = bad.any()
+        winding = []
+        for i, start, end in zip(todo, [0] + ends, ends):
+            grid = grids[i]
+            worse = bad[start:end - 1]
+            if any_bad and worse.any():
+                mids = 0.5 * (grid[:-1][worse] + grid[1:][worse])
+                grids[i] = np.sort(np.concatenate([grid, mids]))
+                winding.append(i)
+                continue
+            first = cmath.sqrt(vals[start]) if anchors[i] is None \
+                else anchors[i]
+            out[i] = grid, np.concatenate(
+                ([first], first * np.cumprod(roots[start:end - 1])))
+        todo = winding
+    if not todo:
+        return out
     raise PathThroughBranchPoint("sample refinement failed to resolve winding")
+
+
+_ZERO, _ONE = np.zeros(1), np.ones(1)
 
 
 def _sqrt_along(func, nodes, lo, hi, anchor=None):
     """sqrt(func) at the nodes, at lo and at hi, continued along the
     ascending grid [lo, nodes, hi] from the principal root at lo (or from
-    ``anchor``) once midpoints resolve the winding of func."""
-    grid, vals = _refine_samples(func, np.concatenate(([lo], nodes, [hi])))
-    roots = _continued_sqrt(vals, anchor)
+    ``anchor``): the one-grid call of :func:`_sqrt_grids`."""
+    (grid, roots), = _sqrt_grids(lambda ts, grid: func(ts),
+                                 [np.concatenate(([lo], nodes, [hi]))],
+                                 [anchor])
     return roots[np.searchsorted(grid, nodes)], roots[0], roots[-1]
 
 
@@ -283,10 +310,11 @@ class HyperellipticCurve:
         self._compute_periods()
 
     def memo(self, key, compute):
-        """The value stored under ``key``, from compute() on a miss: Abel
-        images under ("abel", x, sheet), and the kernels' odd
-        characteristic and its theta gradient at 0.  Entries are never
-        dropped; data that depends on a class goes in a :meth:`slot`.
+        """The value stored under ``key``, from compute() on a miss: the
+        kernels' odd characteristic and its theta gradient at 0, and the
+        Abel images under ("abel", x, sheet), which :meth:`abel_images`
+        reads and stores itself.  Entries are never dropped; data that
+        depends on a class or a pair goes in a :meth:`slot`.
 
         compute() runs outside the lock; when two threads miss at once,
         both compute the same deterministic value and the first one
@@ -304,28 +332,33 @@ class HyperellipticCurve:
         """The value of compute() for ``key``, kept in one entry per
         ``kind`` that holds the last key computed, so the curve keeps one
         value per kind however many keys are asked for (the kernels keep
-        the Klein coordinates of the last class under "klein").
+        the Klein coordinates of the last class under "klein" and the
+        prime form of the last pair under "pair").
 
         compute() runs outside the lock and its value replaces the entry;
         a compute() that raises leaves the entry as it was.  The entry is
-        read and written as one (key, value) pair under the lock, so
-        threads asking for different keys each get the value of their
-        own key.
+        read (:meth:`held`) and written (:meth:`hold`) as one (key, value)
+        pair under the lock, so threads asking for different keys each get
+        the value of their own key.
         """
-        with self._lock:
-            hit = self._slots.get(kind)
-        if hit is not None and hit[0] == key:
-            return hit[1]
-        value = compute()
-        with self._lock:
-            self._slots[kind] = (key, value)
+        value = self.held(kind, key)
+        if value is None:
+            value = compute()
+            self.hold(kind, key, value)
         return value
 
-    def holds(self, kind, key):
-        """Whether the ``kind`` entry of :meth:`slot` holds ``key``."""
+    def held(self, kind, key):
+        """The value the ``kind`` entry of :meth:`slot` holds for ``key``,
+        or None when it holds another key or none."""
         with self._lock:
             hit = self._slots.get(kind)
-        return hit is not None and hit[0] == key
+        return hit[1] if hit is not None and hit[0] == key else None
+
+    def hold(self, kind, key, value):
+        """Make ``value`` (never None) the ``kind`` entry of :meth:`slot`,
+        for ``key``."""
+        with self._lock:
+            self._slots[kind] = (key, value)
 
     # -- construction -----------------------------------------------------
 
@@ -564,95 +597,183 @@ class HyperellipticCurve:
         ts = [0.0]
         while ts[-1] < 1.0:
             x = z0 + ts[-1] * d
-            t = min(1.0, ts[-1] + reach * min(abs(x - b) for b in others))
+            t = min(1.0, ts[-1] + reach * min([abs(x - b) for b in others]))
             if t <= ts[-1]:
                 raise PathThroughBranchPoint(
                     f"path leg {z0} -> {z1} meets a branch point")
             ts.append(t)
         return np.array(ts)
 
-    def _integrate_leg(self, z0, z1, y0, tol):
-        """Integral of the normalized differentials along the straight leg
-        z0 -> z1, and y at z1, with y continued from y(z0) = y0.
+    def _integrate_legs(self, legs, tol):
+        """Integral of the normalized differentials along each straight leg
+        (z0, z1, y0) of ``legs``, and y at z1, continued from y(z0) = y0.
 
-        Every piece between the :meth:`_leg_breaks` gets the same m-point
-        Gauss-Legendre rule, m running through _RULE_ORDERS until the
-        leg's total agrees with the one before within tol.
+        Every piece between a leg's :meth:`_leg_breaks` gets the same
+        m-point Gauss-Legendre rule, m running through _RULE_ORDERS until
+        the leg's total agrees with the one before within tol.
         With y0 = None the leg starts at the first branch point b_0 and
         runs in s, x = b_0 + s^2 (z1 - b_0): then dx / y is the smooth
         2 sqrt(z1 - b_0) ds / h(x), with h the root of f(x) / (x - b_0)
-        continued from its principal value at b_0.
+        continued from its principal value at b_0.  Either every leg
+        starts at b_0 or none does.
+
+        The legs are swept together: the first round takes the rules of
+        orders 12 and 24 of every leg, each later round the next order of
+        every leg still open, and the grids of a round share one
+        Vandermonde array and one :func:`_sqrt_grids` call.  Each grid
+        keeps its own matrix products, whose BLAS bits depend on the
+        column count, so every leg gets the bits it gets on its own.
         """
-        d = z1 - z0
-        if y0 is None:
-            breaks = np.sqrt(self._leg_breaks(
-                z0, z1, self.branch_points[1:].tolist()))
-            root = np.sqrt(complex(d))
-            factor, end_factor = 2.0 * root, root
+        from_b0 = legs[0][2] is None
+        others = (self.branch_points[1:] if from_b0
+                  else self.branch_points).tolist()
+        rules = []  # per leg: piece starts, half widths, factor, end factor
+        for z0, z1, _ in legs:
+            d = z1 - z0
+            breaks = self._leg_breaks(z0, z1, others)
+            if from_b0:
+                breaks, root = np.sqrt(breaks), np.sqrt(complex(d))
+                factors = 2.0 * root, root
+            else:
+                factors = d, 1.0
+            rules.append((breaks[:-1, None], 0.5 * np.diff(breaks)[:, None],
+                          *factors))
+        origins = np.array([z0 for z0, _, _ in legs], dtype=complex)
+        steps = np.array([z1 - z0 for z0, z1, _ in legs], dtype=complex)
+        out = [None] * len(legs)
+        prev = [None] * len(legs)
+        later = [iter(_RULE_ORDERS[2:]) for _ in legs]
+        pending = [(k, m) for k in range(len(legs)) for m in _RULE_ORDERS[:2]]
 
-            def path(s):
-                return z0 + s * s * d
+        def path(ts, z0, d):
+            return z0 + (ts * ts if from_b0 else ts) * d
 
-            def radicand(s):
-                return self._deflated_f(path(s), [0])
-        else:
-            breaks = self._leg_breaks(z0, z1, self.branch_points.tolist())
-            factor, end_factor = d, 1.0
+        def radicand(x):
+            return self._deflated_f(x, [0]) if from_b0 else self.f(x)
 
-            def path(t):
-                return z0 + t * d
+        while pending:
+            owner = [k for k, _ in pending]
+            z0, d = origins[owner], steps[owner]
+            nodes, weights = [], []
+            for k, m in pending:
+                lo, half = rules[k][:2]
+                u, w = _gauss_legendre(m)
+                nodes.append((lo + half * (u + 1.0)).ravel())
+                weights.append((half * w).ravel())
+            # the grids [0, nodes, 1] of the round in one array
+            ts = np.concatenate([part for n in nodes
+                                 for part in (_ZERO, n, _ONE)])
+            sizes = [len(n) + 2 for n in nodes]
+            starts = np.cumsum([0] + sizes).tolist()
+            x = path(ts, np.repeat(z0, sizes), np.repeat(d, sizes))
+            powers = np.vander(x, self.genus, increasing=True)
+            roots = _sqrt_grids(
+                lambda t, grid: radicand(path(t, z0[grid], d[grid])),
+                [ts[a:a + size] for a, size in zip(starts, sizes)],
+                [legs[k][2] for k in owner])
+            for (k, _), (grid, r), n, w, a in zip(pending, roots, nodes,
+                                                  weights, starts):
+                at = r[1:-1] if len(grid) == len(n) + 2 \
+                    else r[np.searchsorted(grid, n)]
+                _, _, factor, end_factor = rules[k]
+                total = factor * (((self.diff_norm
+                                    @ powers[a + 1:a + 1 + len(n)].T) / at)
+                                  @ w)
+                if prev[k] is not None and abs(total - prev[k]).max() <= tol:
+                    out[k] = total, end_factor * r[-1]
+                prev[k] = total
+            pending = []
+            for k in range(len(legs)):
+                if out[k] is None:
+                    m = next(later[k], None)
+                    if m is None:
+                        raise QuadratureNonConvergent(
+                            "path quadrature did not converge")
+                    pending.append((k, m))
+        return out
 
-            def radicand(t):
-                return self.f(path(t))
-
-        lo, half = breaks[:-1, None], 0.5 * np.diff(breaks)[:, None]
-        prev = None
-        for m in _RULE_ORDERS:
-            x, w = _gauss_legendre(m)
-            nodes = (lo + half * (x + 1.0)).ravel()
-            weights = (half * w).ravel()
-            roots, _, end = _sqrt_along(radicand, nodes, 0.0, 1.0, anchor=y0)
-            powers = np.vander(path(nodes), self.genus, increasing=True).T
-            total = factor * (((self.diff_norm @ powers) / roots) @ weights)
-            if prev is not None and np.max(np.abs(total - prev)) <= tol:
-                return total, end_factor * end
-            prev = total
-        raise QuadratureNonConvergent("path quadrature did not converge")
+    def _integrate_paths(self, routes, y0, tol):
+        """Integral of the normalized differentials along each polygon of
+        ``routes``, and y at its end, continued from y0 at their common
+        start (None when that is b_0, as in :meth:`_integrate_legs`); the
+        legs at one depth of all the polygons make one sweep."""
+        totals = [np.zeros(self.genus, dtype=complex) for _ in routes]
+        ys = [y0] * len(routes)
+        for depth in range(max(map(len, routes)) - 1):
+            open_ = [k for k, route in enumerate(routes)
+                     if depth < len(route) - 1]
+            legs = [(routes[k][depth], routes[k][depth + 1], ys[k])
+                    for k in open_]
+            for k, (part, y) in zip(open_, self._integrate_legs(legs, tol)):
+                totals[k] += part
+                ys[k] = y
+        return list(zip(totals, ys))
 
     def _integrate_path(self, waypoints, y0, tol):
         """Integral of the normalized differentials along the polygon
         ``waypoints``, and y at its end, continued from y0 at its start
-        (None when the start is b_0, as in :meth:`_integrate_leg`)."""
-        total = np.zeros(self.genus, dtype=complex)
-        y = y0
-        for a, b in zip(waypoints[:-1], waypoints[1:]):
-            part, y = self._integrate_leg(a, b, y, tol)
-            total += part
-        return total, y
+        (None when the start is b_0): :meth:`_integrate_paths` of one."""
+        return self._integrate_paths([waypoints], y0, tol)[0]
 
     # -- Abel map -------------------------------------------------------------
 
-    def abel_map(self, p: SurfacePoint, base: SurfacePoint = None):
-        """Abel image of p (minus that of base), modulo the period lattice.
+    def abel_images(self, points):
+        """Abel image of each of ``points``, modulo the period lattice, as
+        fresh arrays.
 
         Images are integrated from the first branch point and memoised
-        per exact (x, sheet); every call returns a fresh array.
+        per exact (x, sheet); the ones the memo lacks are integrated in
+        one :meth:`_integrate_paths` sweep, each with the bits it gets on
+        its own.  When the sweep raises, the points go one at a time, so
+        the first point that fails raises what it raises on its own.
         """
-        image = self.memo(("abel", p.x, p.sheet),
-                          lambda: self._abel_from_b0(p)).copy()
-        if base is not None:
-            image -= self.abel_map(base)
+        keys = [("abel", p.x, p.sheet) for p in points]
+        with self._lock:
+            images = [self._memo.get(key) for key in keys]
+        missing = {}
+        for key, p, image in zip(keys, points, images):
+            if image is None:
+                missing.setdefault(key, p)
+        if missing:
+            todo = list(missing.values())
+            try:
+                found = self._abel_from_b0(todo)
+            except (PathThroughBranchPoint, QuadratureNonConvergent):
+                if len(todo) == 1:
+                    raise
+                for p in todo:
+                    self.abel_images((p,))
+                raise
+            with self._lock:
+                for key, image in zip(missing, found):
+                    missing[key] = self._memo.setdefault(key, image)
+            images = [missing.get(key, image)
+                      for key, image in zip(keys, images)]
+        return [image.copy() for image in images]
+
+    def abel_map(self, p: SurfacePoint, base: SurfacePoint = None):
+        """Abel image of p (minus that of base), modulo the period lattice:
+        :meth:`abel_images` of p, or of p and base."""
+        if base is None:
+            image, = self.abel_images((p,))
+            return image
+        image, start = self.abel_images((p, base))
+        image -= start
         return image
 
-    def _abel_from_b0(self, p: SurfacePoint):
-        waypoints = self._route(self.branch_points[0], p.x)
-        total, y_end = self._integrate_path(
-            waypoints, None, max(self.quadrature_tol, 1e-13))
-        d_plus = abs(y_end - p.y)
-        d_minus = abs(y_end + p.y)
-        if min(d_plus, d_minus) > 1e-4 * max(1.0, abs(p.y)):
-            raise PathThroughBranchPoint("sheet tracking inconsistent at target")
-        return -total if d_minus < d_plus else total
+    def _abel_from_b0(self, points):
+        """The Abel images of ``points``, integrated from b_0 together."""
+        routes = [self._route(self.branch_points[0], p.x) for p in points]
+        out = []
+        for p, (total, y_end) in zip(points, self._integrate_paths(
+                routes, None, max(self.quadrature_tol, 1e-13))):
+            d_plus = abs(y_end - p.y)
+            d_minus = abs(y_end + p.y)
+            if min(d_plus, d_minus) > 1e-4 * max(1.0, abs(p.y)):
+                raise PathThroughBranchPoint(
+                    "sheet tracking inconsistent at target")
+            out.append(-total if d_minus < d_plus else total)
+        return out
 
     def abel_branch_point(self, i: int):
         """Abel image of the i-th branch point along the segment chain."""

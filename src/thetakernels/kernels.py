@@ -29,7 +29,12 @@ coordinates c(e) of the last class asked for are kept in the curve's
 "klein" slot (:meth:`HyperellipticCurve.slot`), one g x g matrix that
 :func:`klein_coordinates` and :func:`wirtinger_connection` share; the
 Klein kernel's theta call also carries the order-2 row of its first
-class when the slot lacks it, and fills the slot.
+class when the slot lacks it, and fills the slot.  The "pair" slot
+keeps the prime form E(x, y) of the last pair, so the Szego and Klein
+kernels and the prime form at one pair share it, and the kernels' theta
+calls carry the prime form's row only when the slot lacks it.  Both
+Abel images of a pair come from one
+:meth:`HyperellipticCurve.abel_images` call.
 """
 
 from __future__ import annotations
@@ -185,16 +190,21 @@ def prime_form(curve: HyperellipticCurve, x: SurfacePoint, y: SurfacePoint,
     E(x,y)/(t(x)-t(y)) -> 1 along the diagonal.  Weight (-1/2, -1/2).
     The signs of the half-densities come from the pair (x, y) alone
     (:func:`_h_product`), so a value never depends on earlier calls.
-    OnDiagonal for coinciding points, InadmissiblePoint for a point with
-    y = 0.
+    The curve's "pair" slot keeps E of the last pair, keyed by
+    (tol, x, y), which this reads and fills.  OnDiagonal for coinciding points,
+    InadmissiblePoint for a point with y = 0.
     """
     _require_off_diagonal(x, y, "prime form")
     _require_off_branch(x, y)
     delta = select_odd_characteristic(curve)
-    w = curve.abel_map(x) - curve.abel_map(y)
-    th = theta_value(w, curve.omega, delta, tol=tol)
-    return KernelValue(value=_prime_form_value(curve, delta, x, y, th, tol),
-                       weight=(-0.5, -0.5),
+    key = (tol, x, y)
+    value = curve.held("pair", key)
+    if value is None:
+        ax, ay = curve.abel_images((x, y))
+        th = theta_value(ax - ay, curve.omega, delta, tol=tol)
+        value = _prime_form_value(curve, delta, x, y, th, tol)
+        curve.hold("pair", key, value)
+    return KernelValue(value=value, weight=(-0.5, -0.5),
                        chart_x=_chart(x), chart_y=_chart(y))
 
 
@@ -267,8 +277,9 @@ def szego_kernel(curve: HyperellipticCurve, e, x: SurfacePoint,
 
     Requires e off the theta divisor; has a simple diagonal pole with
     residue normalization 1.  Weight (1/2, 1/2).  One ``theta_batch``
-    call evaluates theta(e), theta(A(y)-A(x)+e) and the prime form's
-    theta[delta](A(x)-A(y)).  InadmissiblePoint for a point with y = 0.
+    call evaluates theta(e), theta(A(y)-A(x)+e) and, when the curve's
+    "pair" slot lacks E(x, y), the prime form's theta[delta](A(x)-A(y))
+    (:func:`_szego_values`).  InadmissiblePoint for a point with y = 0.
     """
     val, = _szego_values(curve, [_class_vector(e, curve.genus)], x, y, tol)
     return KernelValue(value=val, weight=(0.5, 0.5),
@@ -279,38 +290,47 @@ def _szego_values(curve, es, x, y, tol, klein=False):
     """The Szego kernel value of each class of ``es`` at (x, y).
 
     One theta_batch call gives theta(e) and theta(A(y)-A(x)+e) for every
-    class, theta[delta](A(x)-A(y)) once for the one prime form and, with
-    ``klein``, c(e) of the first class when the curve's "klein" slot lacks
-    it (stored there unless e is on the theta divisor).  InadmissiblePoint
+    class, theta[delta](A(x)-A(y)) for the prime form when the curve's
+    "pair" slot lacks E(x, y) (which then fills it)
+    and, with ``klein``, c(e) of the first class when the curve's "klein"
+    slot lacks it (stored there unless e is on the theta divisor).  Both
+    Abel images come from one ``abel_images`` call.  InadmissiblePoint
     for a y = 0 point comes before any Abel map; then, class by class,
     PointOnTheta for a class on the theta divisor, then OnDiagonal.
     """
     _require_off_branch(x, y)
     g = curve.genus
     delta = select_odd_characteristic(curve)
-    ax, ay = curve.abel_map(x), curve.abel_map(y)
+    ax, ay = curve.abel_images((x, y))
     w = ay - ax
     zero, n = Characteristic.zero(g), 2 * len(es)
+    pair = (tol, x, y)
+    prime = curve.held("pair", pair)
+    rows = [v for e in es for v in (e, w + e)]
+    chars = [zero] * n
+    if prime is None:
+        rows.append(ax - ay)
+        chars.append(delta)
     key = _klein_key(es[0], tol)
-    fill = int(klein and not curve.holds("klein", key))  # 0 or 1 rows
-    rows = [v for e in es for v in (e, w + e)] + [ax - ay] + [es[0]] * fill
-    vals, expos, scales = theta_batch(np.array(rows), curve.omega,
-                                      [zero] * n + [delta] + [zero] * fill,
-                                      [0] * (n + 1) + [2] * fill, tol)
+    fill = int(klein and curve.held("klein", key) is None)  # 0 or 1 rows
+    vals, expos, scales = theta_batch(
+        np.array(rows + [es[0]] * fill), curve.omega,
+        chars + [zero] * fill, [0] * len(rows) + [2] * fill, tol)
     if fill:
         (c,), (error,) = log_theta_hessians(g, vals[-1:], scales[-1:])
         if error is None:
             c.flags.writeable = False
-            curve.slot("klein", key, lambda: c)
+            curve.hold("klein", key, c)
     out = []
     for k in range(0, n, 2):
         if _on_divisor(vals[k][0], scales[k]):
             raise PointOnTheta("Szego kernel undefined on the theta divisor")
-        if k == 0:
+        if prime is None:
             _require_off_diagonal(x, y, "prime form")
             prime = _prime_form_value(
                 curve, delta, x, y,
                 ScaledComplex.make(vals[n][0], expos[n]), tol)
+            curve.hold("pair", pair, prime)
         num = ScaledComplex.make(vals[k + 1][0], expos[k + 1])
         out.append(complex(
             num.ratio(ScaledComplex.make(vals[k][0], expos[k])) / prime))
@@ -324,8 +344,9 @@ def klein_kernel(curve: HyperellipticCurve, e_list, x: SurfacePoint,
     ``e_list`` must sum to zero modulo the period lattice (each lattice
     coordinate within 1e-8 of an integer).  The result has an order-n
     diagonal pole with unit leading coefficient and weight (n/2, n/2).
-    All its theta values, and c(e) of the first class when the curve's
-    "klein" slot lacks it, come from one ``theta_batch`` call.
+    All its theta values, the prime form's only when the curve's "pair"
+    slot lacks E(x, y), and c(e) of the first class when its "klein" slot
+    lacks it, come from one ``theta_batch`` call (:func:`_szego_values`).
     InadmissiblePoint for a point with y = 0.
     """
     es = [_class_vector(e, curve.genus) for e in e_list]

@@ -545,15 +545,20 @@ def log_theta_hessians(g: int, vals, scales):
     is :func:`_on_divisor` of each row, and every quotient is the one a
     single row divides.
     """
-    th, num = hessian_numerators(g, vals)
+    th, upper = _hessian_upper(g, vals)
     errors = [PointOnTheta(f"|theta(e)| = {abs(v[0]):.3e} under floor "
                            f"{THETA_FLOOR:g} * {scale:.3e}")
               if _on_divisor(v[0], scale) else None
               for v, scale in zip(vals, scales)]
-    ok = np.array([error is None for error in errors], dtype=bool)
-    out = np.full_like(num, np.nan)
-    out[ok] = num[ok] / _python_product(th, th)[ok, None, None]
-    return out, errors
+    # a matrix entry and its mirror image have one numerator, so dividing
+    # the upper triangle gives both quotients
+    if not any(errors):
+        quotients = upper / _python_product(th, th)[:, None]
+    else:
+        ok = np.array([error is None for error in errors], dtype=bool)
+        quotients = np.full_like(upper, np.nan)
+        quotients[ok] = upper[ok] / _python_product(th[ok], th[ok])[:, None]
+    return _symmetric(g, quotients), errors
 
 
 def _on_divisor(mantissa, scale) -> bool:
@@ -574,15 +579,36 @@ def hessian_numerators(g: int, vals):
     scalars, so each entry is the one a row computed on its own in
     Python scalars gives.
     """
+    th, upper = _hessian_upper(g, vals)
+    return th, _symmetric(g, upper)
+
+
+def _hessian_upper(g, vals):
+    """:func:`hessian_numerators` with the upper triangle of each matrix,
+    row by row, as an (N, g (g + 1) / 2) array: each product is formed
+    from real and imaginary parts as CPython forms it, (ac - bd) +
+    i(ad + bc), and the two products of an entry are then subtracted."""
     v = np.array(vals)
-    theta, grad = v[:, 0], v[:, 1:1 + g]
     rows, cols = _triu_indices(g)
-    upper = (_python_product(theta[:, None], v[:, 1 + g:1 + g + len(rows)])
-             - _python_product(grad[:, rows], grad[:, cols]))
-    m = np.empty((len(v), g, g), dtype=complex)
+    re, im = v.real, v.imag
+    t_re, t_im = re[:, :1], im[:, :1]
+    h_re, h_im = re[:, 1 + g:1 + g + len(rows)], im[:, 1 + g:1 + g + len(rows)]
+    a_re, a_im, b_re, b_im = re[:, 1 + rows], im[:, 1 + rows], \
+        re[:, 1 + cols], im[:, 1 + cols]
+    upper = np.empty(h_re.shape, dtype=complex)
+    upper.real = (t_re * h_re - t_im * h_im) - (a_re * b_re - a_im * b_im)
+    upper.imag = (t_re * h_im + t_im * h_re) - (a_re * b_im + a_im * b_re)
+    return v[:, 0], upper
+
+
+def _symmetric(g, upper):
+    """The (N, g, g) symmetric matrices whose upper triangles, row by row,
+    are the rows of ``upper``."""
+    rows, cols = _triu_indices(g)
+    m = np.empty((len(upper), g, g), dtype=complex)
     m[:, rows, cols] = upper
     m[:, cols, rows] = upper
-    return theta, m
+    return m
 
 
 @functools.cache

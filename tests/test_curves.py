@@ -1,3 +1,4 @@
+import cmath
 import itertools
 import json
 import math
@@ -15,7 +16,7 @@ from thetakernels.curves import (_RULE_ORDERS, _RULE_TABLE, SurfacePoint,
                                  _rule_halves, bivariate, build_curve,
                                  curve_from_spec, lattice_coordinates)
 from thetakernels.errors import (DegreeTooSmall, InadmissiblePoint,
-                                 NonSquarefree)
+                                 NonSquarefree, PathThroughBranchPoint)
 from thetakernels.theta import DEFAULT_TOL, Characteristic, theta_batch
 
 
@@ -49,6 +50,30 @@ def draw_point(data, curve):
     x = complex(data.draw(side), data.draw(side))
     assume(np.min(np.abs(curve.branch_points - x)) > 0.3)
     return curve.point(x, data.draw(st.sampled_from([1, -1])))
+
+
+def draw_abel_point(data, curve):
+    """A point of ``curve`` on either sheet: in the square |Re x|,
+    |Im x| <= 3, at |x| from 10 to 1e6, or within 0.003 to 0.3 of a
+    branch point b_j, j > 0, mostly beyond it as seen from b_0, where the
+    route from b_0 takes a detour around b_j."""
+    kind = data.draw(st.sampled_from(["square", "far", "behind"]))
+    if kind == "square":
+        side = st.floats(-3.0, 3.0)
+        x = complex(data.draw(side), data.draw(side))
+    elif kind == "far":
+        x = 10.0 ** data.draw(st.floats(1.0, 6.0)) \
+            * cmath.exp(1j * data.draw(st.floats(-math.pi, math.pi)))
+    else:
+        b0, b = curve.branch_points[0], data.draw(
+            st.sampled_from(curve.branch_points[1:].tolist()))
+        turn = cmath.exp(1j * data.draw(st.floats(-0.3, 0.3)))
+        x = b + 10.0 ** data.draw(st.floats(-2.5, -0.5)) * turn \
+            * (b - b0) / abs(b - b0)
+    try:
+        return curve.point(x, data.draw(st.sampled_from([1, -1])))
+    except InadmissiblePoint:
+        assume(False)
 
 
 class TestBuildCurve:
@@ -375,6 +400,34 @@ class TestAbelMap:
                 for j in range(i + 1, n):
                     v = 2.0 * (images[i] - images[j])
                     assert integrality(v, c.omega) < 1e-8
+
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_abel_images_match_single_points(self, random_curves, data):
+        # one sweep over 1-4 points, some already in the memo, gives each
+        # the bits that abel_map gives it alone on a fresh curve
+        c = data.draw(random_curves)
+        points = [draw_abel_point(data, c)
+                  for _ in range(data.draw(st.integers(1, 4)))]
+        for p in data.draw(st.lists(st.sampled_from(points), max_size=2)):
+            c.abel_map(p)
+        fresh = build_curve(c.coeffs)
+        assert _hex(c.abel_images(points)) \
+            == _hex([fresh.abel_map(p) for p in points])
+
+    def test_a_failing_point_raises_and_the_others_are_kept(self, genus2):
+        # a point off the curve fails the sheet check at its end; the
+        # images of the points that succeed still go into the memo
+        c = build_curve(genus2.coeffs)
+        good = c.point(2.2 + 0.3j, 1)
+        off = [SurfacePoint(x=x, sheet=1, y=3 * c.point(x).y)
+               for x in (-1.9 + 0.4j, 0.5 - 1.2j)]
+        for points in ((good, off[0]), (off[0], good), (off[1], off[0])):
+            with pytest.raises(PathThroughBranchPoint,
+                               match="sheet tracking"):
+                c.abel_images(points)
+        assert len(c._memo) == 1
+        assert _hex(c.abel_images((good,))) == _hex(genus2.abel_map(good))
 
     def test_memo_keys_on_the_exact_point(self):
         # 4e-13 apart: the same point once x is rounded to 12 digits

@@ -555,10 +555,12 @@ class TestOneThetaCall:
     kernel and its A-periods, Klein's closed form, make none.  The Klein
     coordinates and the Wirtinger connection make one at a new class and
     none at the class whose c(e) the curve's "klein" slot holds.  The
-    Klein kernel's call also carries the order-2 row of its first class
-    when the slot lacks it and fills the slot, so the Szego, Bergman and
-    Klein kernels, the Klein coordinates and the Wirtinger connection at
-    a new class make two calls in all."""
+    Szego and Klein kernels' calls carry the prime form's row only when
+    the curve's "pair" slot lacks E(x, y).  The Klein kernel's call also
+    carries the order-2 row of its first class when the "klein" slot
+    lacks it and fills that slot, so the Szego, Bergman and Klein
+    kernels, the Klein coordinates and the Wirtinger connection at a new
+    class make two calls in all."""
 
     @pytest.mark.parametrize("what", ["szego", "klein", "wirtinger",
                                       "bergman", "bergman_a_period", "gauss",
@@ -617,9 +619,11 @@ class TestOneThetaCall:
         op(e1)
         calls = TestOddCharacteristicMemo.count_theta_batch(monkeypatch)
         got = op(e2)
-        assert len(calls) == 2
+        # the prime form of the pair is held: Szego sends e2 and w + e2,
+        # Klein those, -e2, w - e2 and the order-2 row at e2
+        assert [len(args[0]) for args in calls] == [2, 5]
         assert got == op(e2)   # a repeat: Szego's call and Klein's
-        assert len(calls) == 4
+        assert [len(args[0]) for args in calls] == [2, 5, 2, 4]
 
     def test_klein_kernel_fills_the_slot_only_when_it_lacks_the_class(
             self, monkeypatch):
@@ -633,18 +637,38 @@ class TestOneThetaCall:
         def rows():
             return [len(args[0]) for args in calls]
 
+        # the curve's "pair" slot holds the prime form of (x, y)
         klein_kernel(c, [e1, -e1], x, y)
-        assert rows() == [5]
+        assert rows() == [4]
         klein_kernel(c, [e2, -e2], x, y)
-        assert rows() == [5, 6]
+        assert rows() == [4, 5]
         klein_coordinates(c, e2)
         wirtinger_connection(c, e2, x)
-        assert rows() == [5, 6]
+        assert rows() == [4, 5]
         klein_kernel(c, [-e2, e2], x, y)   # e2 is not the first class
-        assert rows() == [5, 6, 6]
+        assert rows() == [4, 5, 5]
         # Szego's own call never carries the row
         szego_kernel(c, e1, x, y)
-        assert rows() == [5, 6, 6, 3]
+        assert rows() == [4, 5, 5, 2]
+
+    def test_klein_after_szego_at_a_pair_sends_five_rows(self, monkeypatch):
+        # the Szego call leaves E(x, y) in the "pair" slot: the Klein
+        # kernel of [e, -e] sends e, w + e, -e, w - e and the order-2 row
+        # at e, and forms no half-densities
+        c = build_curve([0, -1, 0, 0, 0, 1])
+        x, y = c.point(2.2 + 0.3j, 1), c.point(-1.9 + 0.4j, -1)
+        e = np.array([0.3 + 0.1j, -0.2 + 0.05j])
+        want = klein_kernel(build_curve(c.coeffs), [e, -e], x, y).value
+        szego_kernel(c, e, x, y)
+        calls = TestOddCharacteristicMemo.count_theta_batch(monkeypatch)
+        halves = []
+        real = kernels_module._h_product
+        monkeypatch.setattr(kernels_module, "_h_product",
+                            lambda *args: halves.append(args) or real(*args))
+        assert klein_kernel(c, [e, -e], x, y).value == want
+        assert [len(args[0]) for args in calls] == [5]
+        assert [list(args[3]) for args in calls] == [[0, 0, 0, 0, 2]]
+        assert halves == []
 
     def test_a_period_sums_kernel_values(self, genus2):
         # each row of the batched call keeps the bits of bergman_kernel
@@ -751,8 +775,9 @@ class TestRandomCurves:
 
 class TestKleinSlot:
     """The curve's "klein" slot keeps c(e) of the last class asked for,
-    also when the Klein kernel's theta call filled it; no value depends
-    on which classes were asked for before."""
+    also when the Klein kernel's theta call filled it, and its "pair"
+    slot the prime form of the last pair; no value depends on which
+    classes and pairs were asked for before."""
 
     @staticmethod
     def bits(value):
@@ -769,6 +794,8 @@ class TestKleinSlot:
             return klein_kernel(curve, [e, -e], x, y).value
         if kind == "szego":
             return szego_kernel(curve, e, x, y).value
+        if kind == "prime":
+            return prime_form(curve, x, y).value
         return wirtinger_connection(curve, e, x)
 
     @staticmethod
@@ -779,12 +806,18 @@ class TestKleinSlot:
         return points
 
     def check_interleaving(self, coeffs, data, classes, points):
-        ops = data.draw(st.lists(
+        # a pair index of -1 repeats the pair of the op before, so that
+        # runs of ops meet the pair the "pair" slot holds
+        drawn = data.draw(st.lists(
             st.tuples(st.sampled_from(["klein", "wirtinger", "klein_kernel",
-                                       "szego"]),
+                                       "szego", "prime"]),
                       st.integers(0, len(classes) - 1),
-                      st.integers(0, len(points) - 1)),
+                      st.integers(-1, len(points) - 1)),
             min_size=2, max_size=10))
+        ops, j = [], 0
+        for kind, k, i in drawn:
+            j = j if i < 0 else i
+            ops.append((kind, k, j))
         curve = build_curve(coeffs)
         got = [self.bits(self.evaluate(curve, op, classes, points))
                for op in ops]
@@ -1075,7 +1108,9 @@ class TestOddCharacteristicMemo:
         want = prime_form(curve, x, y).value
         calls = self.count_theta_batch(monkeypatch)
         assert prime_form(curve, x, y).value == want
-        assert len(calls) == 1   # the numerator theta[delta](A(x) - A(y))
+        assert len(calls) == 0   # the curve's "pair" slot holds E(x, y)
+        prime_form(curve, y, x)
+        assert len(calls) == 1   # the numerator theta[delta](A(y) - A(x))
 
 
 class TestConcurrency:
@@ -1151,6 +1186,29 @@ class TestConcurrency:
                 e, p = es[k % 2], curve.point(1.6 + 0.4 * (k % 4), 1)
                 out[k] = (bits(klein_coordinates(curve, e).matrix),
                           bits(wirtinger_connection(curve, e, p)))
+            return out
+
+        serial, results = self.race(values, [0, -1, 0, 0, 0, 1], 8)
+        assert results == [serial] * 4
+
+    def test_szego_and_klein_at_two_pairs_from_four_threads(self):
+        # the threads alternate two pairs, so they keep replacing each
+        # other's entry in the curve's "pair" slot, while the Klein kernel
+        # reads the prime form a Szego call left there
+        es = [np.array([0.3 + 0.1j, -0.2 + 0.05j]),
+              np.array([-0.1 + 0.2j, 0.25 - 0.1j])]
+        pairs = [(1.6, -1.6), (2.2 + 0.3j, -1.9 + 0.4j)]
+        bits = TestKleinSlot.bits
+
+        def values(curve, order):
+            out = {}
+            for k in order:
+                e = es[k % 2]
+                x, y = (curve.point(v, s)
+                        for v, s in zip(pairs[(k // 2) % 2], (1, -1)))
+                out[k] = (bits(szego_kernel(curve, e, x, y).value),
+                          bits(klein_kernel(curve, [e, -e], x, y).value),
+                          bits(prime_form(curve, x, y).value))
             return out
 
         serial, results = self.race(values, [0, -1, 0, 0, 0, 1], 8)
