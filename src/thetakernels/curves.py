@@ -4,25 +4,30 @@ Branch points are sorted lexicographically by (Re, Im) (see
 :func:`_chain_order`) and paired consecutively into cuts (b_0 b_1),
 (b_2 b_3), ...; the k-th A-cycle encircles the k-th cut and the k-th
 B-cycle runs through cuts k..g+1 on both sheets.  Cycle integrals reduce
-to integrals over the cut and gap segments with Gauss-Chebyshev
-quadrature (the square-root endpoint singularity is exactly the
-Chebyshev weight); a single analytic branch of y is continued along the
-whole chain of segments, with the continuation through each branch point
-fixed by a small detour whose side is chosen deterministically.  Every
-root of f along a path comes from :func:`_sqrt_grids`, which continues
-it along many grids at once.  The Abel map integrates from the first
-branch point along straight legs, each cut up front into pieces no longer
-than ``_GRADING`` times the distance from their start to the nearest
-branch point; one composite Gauss-Legendre rule covers a leg, its order
-doubling until the leg's total is stable, with rules read from the table
-``gauss_legendre.npy`` (written from numpy's ``leggauss``, so the Abel
-images do not depend on the machine's eigenvalue solver).  The images of
+to integrals over the cut and gap segments of the chain, and every
+integral, of a segment or of an Abel-map path, goes through one leg
+integrator (:meth:`HyperellipticCurve._integrate_legs`).  A leg is
+straight and cut up front into pieces no longer than ``_GRADING`` times
+the distance from their start to the nearest branch point; one composite
+Gauss-Legendre rule covers a leg, its order doubling until the leg's
+total is stable, with rules read from the table ``gauss_legendre.npy``
+(written from numpy's ``leggauss``, so the results do not depend on the
+machine's eigenvalue solver).  A leg that starts at a branch point runs
+in s, x = b + s^2 (z - b), which takes the square-root singularity out.
+Every root of f along a leg comes from :func:`_sqrt_grids`, which
+continues it along many grids at once.
+
+A segment (b_j, b_j+1) is the two legs from its ends to its midpoint; a
+single analytic branch of y is continued along the whole chain, through
+each branch point by a small detour whose side is chosen
+deterministically.  The Abel map integrates from the first branch point
+along the legs of a route around the branch points; the images of
 several points (:meth:`HyperellipticCurve.abel_images`) are integrated in
 one sweep over the legs at each depth of their routes, and each keeps the
 bits it gets alone.  Evaluation points keep a fixed margin of
 ``MARGIN_FACTOR`` times the root scale from the branch points.
 
-The same cut integrals give the A-periods of x^k dx / y up to k = 2g,
+The segment integrals give the A-periods of x^k dx / y up to k = 2g,
 hence the matrix K of Klein's closed form of the Bergman kernel (see
 :mod:`thetakernels.kernels`); the curve also keeps the coefficient
 matrices of its polynomials F and Q, which :func:`bivariate` evaluates.
@@ -45,11 +50,9 @@ from .theta import RiemannMatrix
 
 DEFAULT_QUADRATURE_TOL = 1e-11
 MARGIN_FACTOR = 1e-3
-#: Longest piece of an Abel-map leg, as a fraction of the distance from its
-#: start to the nearest branch point.
+#: Longest piece of a leg, as a fraction of the distance from its start to
+#: the nearest branch point.
 _GRADING = 0.5
-_MIN_NODES = 32
-_MAX_NODES = 4096
 
 
 # ----------------------------------------------------------------------
@@ -57,8 +60,8 @@ _MAX_NODES = 4096
 # ----------------------------------------------------------------------
 
 #: Orders of the Gauss-Legendre rules in gauss_legendre.npy, ascending:
-#: the orders m = 12, 24, ..., 384 that the node doubling of an Abel-map
-#: leg can reach.
+#: the orders m = 12, 24, ..., 384 that the node doubling of a leg can
+#: reach.
 _RULE_ORDERS = (12, 24, 48, 96, 192, 384)
 _RULE_TABLE = os.path.join(os.path.dirname(__file__), "gauss_legendre.npy")
 
@@ -154,16 +157,6 @@ def _sqrt_grids(func, grids, anchors):
 _ZERO, _ONE = np.zeros(1), np.ones(1)
 
 
-def _sqrt_along(func, nodes, lo, hi, anchor=None):
-    """sqrt(func) at the nodes, at lo and at hi, continued along the
-    ascending grid [lo, nodes, hi] from the principal root at lo (or from
-    ``anchor``): the one-grid call of :func:`_sqrt_grids`."""
-    (grid, roots), = _sqrt_grids(lambda ts, grid: func(ts),
-                                 [np.concatenate(([lo], nodes, [hi]))],
-                                 [anchor])
-    return roots[np.searchsorted(grid, nodes)], roots[0], roots[-1]
-
-
 # ----------------------------------------------------------------------
 # Surface points and local data
 # ----------------------------------------------------------------------
@@ -233,46 +226,14 @@ def _klein_polynomials(lam, g):
     return F, q[:, :2 * g + 1]
 
 
-#: Least Bernstein-ellipse parameter - 1 of a chain: closer branch points
-#: would make a segment's Chebyshev rule need over about 1,300 nodes.
-_CHAIN_CLEARANCE = 0.01
-
-
 def _chain_order(roots, scale):
-    """Indices that order ``roots`` into the chain of cuts and gaps.
-
-    Lexicographically by (Re, Im), with real parts within 1e-9 of
+    """Indices that order ``roots`` into the chain of cuts and gaps:
+    lexicographically by (Re, Im), with real parts within 1e-9 of
     ``scale`` counted as equal, so that rounding noise cannot order the
-    roots on one vertical line.  When a segment of that chain passes
-    close to another root (:func:`_chain_clearance` below 1 +
-    _CHAIN_CLEARANCE), the roots are ordered the same way along the
-    direction e^(i k pi / 12) of the first k = 1..11 that keeps the
-    clearance, else of the k with the largest.  A chain ordered along
-    any direction is monotone in it, so it never crosses itself.
-    """
-    orders = []
-    for k in range(12):
-        z = roots * cmath.exp(-1j * math.pi * k / 12)
-        orders.append(np.lexsort((z.imag,
-                                  np.round(z.real / (1e-9 * scale)))))
-        if _chain_clearance(roots[orders[-1]]) >= 1.0 + _CHAIN_CLEARANCE:
-            return orders[-1]
-    return max(orders, key=lambda order: _chain_clearance(roots[order]))
-
-
-def _chain_clearance(b):
-    """The least Bernstein-ellipse parameter of a branch point of the
-    chain b_0, b_1, ... with respect to a segment (b_j, b_j+1) that it
-    does not end; the Chebyshev rule on the segment converges like its
-    power -2n."""
-    rho = math.inf
-    for j in range(len(b) - 1):
-        mid, e = 0.5 * (b[j] + b[j + 1]), 0.5 * (b[j + 1] - b[j])
-        u = (np.delete(b, [j, j + 1]) - mid) / e
-        w = np.sqrt(u * u - 1.0)
-        rho = min(rho, np.min(np.maximum(np.abs(u + w), np.abs(u - w)),
-                              initial=math.inf))
-    return float(rho)
+    roots on one vertical line.  The chain is monotone in (Re, Im), so it
+    never crosses itself and none of its segments runs through a root;
+    the graded legs integrate a segment that passes close to one."""
+    return np.lexsort((roots.imag, np.round(roots.real / (1e-9 * scale))))
 
 
 class HyperellipticCurve:
@@ -377,85 +338,75 @@ class HyperellipticCurve:
 
     # -- segment chain -----------------------------------------------------
 
-    def _segment_data(self, j):
+    def _deflated_f(self, offset, drop):
+        """f(x) / (x - b_i) at x = b_i + offset, for each entry of the array
+        ``offset`` and b_i the branch point whose index is the matching
+        entry of the array ``drop``: the linear factors (b_i - b) + offset,
+        which keep their relative precision next to a close root b,
+        multiplied in one at a time, with 1 in place of the dropped one.
+        Adding 0.0 makes every zero part +0, so the legs that start at one
+        branch point from two directions take the same principal root
+        there."""
         b = self.branch_points
-        p, q = b[j], b[j + 1]
-        mid, e = 0.5 * (p + q), 0.5 * (q - p)
-        others = np.delete(b, [j, j + 1])
-        return p, q, mid, e, others
+        factors = (b[drop] - b[:, None]) + offset
+        factors[drop, np.arange(len(offset))] = 1.0
+        out = self.lead * factors[0]
+        for row in factors[1:]:
+            out = out * row
+        return out + 0.0
 
-    def _deflated_f(self, x, drop):
-        """f(x) with the linear factors of the branch points ``drop``
-        (indices) divided out, at each entry of the array x."""
-        others = np.delete(self.branch_points, drop)
-        return self.lead * np.prod(x[:, None] - others[None, :], axis=1)
-
-    def _segment_integrals(self, n_nodes):
-        """Per-segment integrals of x^k dx / y_chain, k = 0..2g, with the
-        chain signs.  The first-kind rows k < g are summed on their own,
-        so their bits do not depend on how many rows follow."""
-        g = self.genus
-        nseg = 2 * g if self.odd_degree else 2 * g + 1
-        k = np.arange(1, n_nodes + 1)
-        s_nodes = np.cos((2 * k - 1) * math.pi / (2 * n_nodes))[::-1]
-        seg_int = []
-        w_minus = []
-        w_plus = []
-        for j in range(nseg):
-            _, _, mid, e, _ = self._segment_data(j)
-            wn, w_lo, w_hi = _sqrt_along(
-                lambda ts: self._deflated_f(
-                    mid + e * np.asarray(ts, dtype=complex), [j, j + 1]),
-                s_nodes, -1.0, 1.0)
-            w_minus.append(w_lo)
-            w_plus.append(w_hi)
-            x = mid + e * s_nodes
-            powers = np.vander(x, g, increasing=True).T  # rows: x^0..x^(g-1)
-            higher = np.vander(x, 2 * g + 1, increasing=True).T[g:]
-            seg_int.append(np.concatenate([
-                (math.pi / n_nodes) * (powers / wn).sum(axis=1),
-                (math.pi / n_nodes) * (higher / wn).sum(axis=1)]))
-        signs = self._chain_signs(w_minus, w_plus, nseg)
-        return [(-1j) * signs[j] * seg_int[j] for j in range(nseg)]
-
-    def _chain_signs(self, w_minus, w_plus, nseg):
-        """Branch and side signs for each segment of the chain.
+    def _chain_signs(self, mids, ratios, first):
+        """Sign of each segment's integral on the branch of y of the leg
+        from its first end, given ``ratios``, the sign of that leg's y over
+        the other leg's at the midpoint ``mids``, and the sign ``first`` of
+        the first segment.
 
         The continuation through branch point b passes around it on an
-        arc sweeping the principal angle between the outgoing and the
-        incoming directions (ties resolved to +pi); the germ matching
-        through the arc propagates the branch sign, and the side of each
-        segment on which the continuation runs (relative to a fixed
-        reference side used by the cycle orientations) flips whenever
-        the swept angle is negative.
+        arc sweeping the principal angle between the incoming and the
+        outgoing directions (ties resolved to +pi).  The legs on either
+        side of b start from one principal root of f(x) / (x - b), so the
+        incoming germ sqrt(x - b), turned through that angle, is the
+        outgoing one up to the sign e^(i (turned - principal) / 2); the
+        side of each segment on which the continuation runs (relative to
+        a fixed reference side used by the cycle orientations) flips
+        whenever the swept angle is negative.
         """
-        eps = 1.0
+        b = self.branch_points
+        eps = first
         side = 1.0
-        out = [1.0]
-        for j in range(nseg - 1):
-            _, _, _, e_in, _ = self._segment_data(j)
-            _, _, _, e_out, _ = self._segment_data(j + 1)
-            th_in = cmath.phase(-e_in)
-            delta = cmath.phase(e_out) - th_in
+        out = [first]
+        for j in range(len(mids) - 1):
+            th_in = cmath.phase(mids[j] - b[j + 1])
+            principal = cmath.phase(mids[j + 1] - b[j + 1]) - th_in
+            delta = principal
             while delta <= -math.pi:
                 delta += 2 * math.pi
             while delta > math.pi:
                 delta -= 2 * math.pi
             if abs(abs(delta) - math.pi) < 1e-12:
                 delta = math.pi
-            th_out = th_in + delta
-            num = e_in * w_plus[j] * abs(e_in) ** -0.5 \
-                * cmath.exp(-0.5j * th_in)
-            den = e_out * w_minus[j + 1] * abs(e_out) ** -0.5 \
-                * cmath.exp(-0.5j * th_out)
-            rho = num / den
-            if abs(abs(rho) - 1.0) > 1e-6 or abs(rho.imag) > 1e-6:
-                raise QuadratureNonConvergent(
-                    f"joint matching failed at branch point {j + 1}: rho={rho}")
-            eps = eps * (1.0 if rho.real > 0 else -1.0)
+            turned = 1.0 if abs(delta - principal) < math.pi else -1.0
+            eps = eps * ratios[j] * turned
             side = side * (1.0 if delta > 0 else -1.0)
             out.append(eps * side)
         return out
+
+    def _first_cut_sign(self, y_root):
+        """The sign that takes the first leg's branch of y, sqrt(x - b_0)
+        times ``y_root`` (the principal root of f(x) / (x - b_0) at b_0)
+        near b_0, to the branch that orients every cycle: i e w(s)
+        sqrt(1 - s^2) on the first cut x = mid + e s, with w the root of
+        f(x) / ((x - b_0)(x - b_1)) principal at s = -1.  On a real curve
+        that radicand lies on the negative real axis up to rounding, and
+        its rounding picks the root; it is evaluated at mid - e, the
+        factors multiplied by np.prod, which fixes that rounding."""
+        b = self.branch_points
+        mid, e = 0.5 * (b[0] + b[1]), 0.5 * (b[1] - b[0])
+        x = mid + e * np.array([-1.0], dtype=complex)
+        w = cmath.sqrt((self.lead * np.prod(x[:, None] - b[None, 2:],
+                                            axis=1))[0])
+        germ = np.sqrt(complex(mid - b[0])) * y_root
+        return 1.0 if (1j * e * math.sqrt(2.0) * w / germ).real > 0 else -1.0
 
     def _second_kind(self):
         """D with eta = D @ (A-periods of x^k dx / y, k <= 2g): row j holds
@@ -469,31 +420,32 @@ class HyperellipticCurve:
         return D
 
     def _compute_periods(self):
-        g = self.genus
-        D = self._second_kind()
-        prev = None
-        n = _MIN_NODES
-        while n <= _MAX_NODES:
-            seg = self._segment_integrals(n)
-            A = np.empty((g, g), dtype=complex)
-            B = np.empty((g, g), dtype=complex)
-            for c in range(1, g + 1):
-                A[:, c - 1] = 2.0 * seg[2 * (c - 1)][:g]
-            for k in range(1, g + 1):
-                B[:, k - 1] = 2.0 * sum(seg[2 * j - 1][:g]
-                                        for j in range(k, g + 1))
-            eta = D @ np.array([2.0 * seg[2 * c] for c in range(g)]).T
-            cur = [np.concatenate([A.ravel(), B.ravel()]), eta.ravel()]
-            if prev is not None:
-                err = max(np.max(np.abs(c - p)) / max(1.0, np.max(np.abs(c)))
-                          for c, p in zip(cur, prev))
-                if err <= self.quadrature_tol:
-                    break
-            prev = cur
-            n *= 2
-        else:
-            raise QuadratureNonConvergent(
-                f"period quadrature did not converge at {_MAX_NODES} nodes")
+        """A, B, Omega and the rest from the integrals of x^k dx / y,
+        k <= 2g, over the segments of the chain, each the two legs from
+        its ends to its midpoint, all in one sweep of
+        :meth:`_integrate_legs`."""
+        g, b = self.genus, self.branch_points
+        mids = 0.5 * (b[:-1] + b[1:])
+        legs = [(b[j + end], mid, None) for j, mid in enumerate(mids)
+                for end in (0, 1)]
+        totals, ys = zip(*self._integrate_legs(
+            legs, max(self.quadrature_tol, 1e-13), np.eye(2 * g + 1)))
+        ratios = [1.0 if (y0 / y1).real > 0 else -1.0
+                  for y0, y1 in zip(ys[0::2], ys[1::2])]
+        y_root = cmath.sqrt(self._deflated_f(np.zeros(1),
+                                             np.zeros(1, int))[0])
+        signs = self._chain_signs(mids, ratios, self._first_cut_sign(y_root))
+        seg = [sign * (first - ratio * second) for sign, ratio, first, second
+               in zip(signs, ratios, totals[0::2], totals[1::2])]
+        A = np.empty((g, g), dtype=complex)
+        B = np.empty((g, g), dtype=complex)
+        for c in range(1, g + 1):
+            A[:, c - 1] = 2.0 * seg[2 * (c - 1)][:g]
+        for k in range(1, g + 1):
+            B[:, k - 1] = 2.0 * sum(seg[2 * j - 1][:g]
+                                    for j in range(k, g + 1))
+        eta = self._second_kind() @ np.array([2.0 * seg[2 * c]
+                                              for c in range(g)]).T
         self._segments_cache = [s[:g] for s in seg]
         omega = np.linalg.solve(A, B)
         self.symmetry_residual = float(np.max(np.abs(omega - omega.T)))
@@ -604,18 +556,21 @@ class HyperellipticCurve:
             ts.append(t)
         return np.array(ts)
 
-    def _integrate_legs(self, legs, tol):
-        """Integral of the normalized differentials along each straight leg
-        (z0, z1, y0) of ``legs``, and y at z1, continued from y(z0) = y0.
+    def _integrate_legs(self, legs, tol, basis):
+        """Integrals of the rows basis @ (x^0, x^1, ...) dx / y along each
+        straight leg (z0, z1, y0) of ``legs``, and y at z1, continued from
+        y(z0) = y0: the normalized differentials (basis diff_norm) for the
+        Abel map, and x^k dx / y, k <= 2g (the identity) for the periods.
 
         Every piece between a leg's :meth:`_leg_breaks` gets the same
         m-point Gauss-Legendre rule, m running through _RULE_ORDERS until
-        the leg's total agrees with the one before within tol.
-        With y0 = None the leg starts at the first branch point b_0 and
-        runs in s, x = b_0 + s^2 (z1 - b_0): then dx / y is the smooth
-        2 sqrt(z1 - b_0) ds / h(x), with h the root of f(x) / (x - b_0)
-        continued from its principal value at b_0.  Either every leg
-        starts at b_0 or none does.
+        the leg's total agrees with the one before within tol, relative to
+        its largest entry where that exceeds 1.
+        With y0 = None the leg starts at the branch point z0 = b_i and runs
+        in s, x = b_i + s^2 (z1 - b_i): then dx / y is the smooth
+        2 sqrt(z1 - b_i) ds / h(x), with h the root of f(x) / (x - b_i)
+        continued from its principal value at b_i.  Either every leg
+        starts at a branch point or none does.
 
         The legs are swept together: the first round takes the rules of
         orders 12 and 24 of every leg, each later round the next order of
@@ -624,17 +579,20 @@ class HyperellipticCurve:
         keeps its own matrix products, whose BLAS bits depend on the
         column count, so every leg gets the bits it gets on its own.
         """
-        from_b0 = legs[0][2] is None
-        others = (self.branch_points[1:] if from_b0
-                  else self.branch_points).tolist()
+        b = self.branch_points
+        at_branch = legs[0][2] is None
+        if at_branch:
+            drops = np.array([np.argmin(np.abs(b - z0)) for z0, _, _ in legs])
         rules = []  # per leg: piece starts, half widths, factor, end factor
-        for z0, z1, _ in legs:
+        for k, (z0, z1, _) in enumerate(legs):
             d = z1 - z0
-            breaks = self._leg_breaks(z0, z1, others)
-            if from_b0:
+            if at_branch:
+                breaks = self._leg_breaks(z0, z1,
+                                          np.delete(b, drops[k]).tolist())
                 breaks, root = np.sqrt(breaks), np.sqrt(complex(d))
                 factors = 2.0 * root, root
             else:
+                breaks = self._leg_breaks(z0, z1, b.tolist())
                 factors = d, 1.0
             rules.append((breaks[:-1, None], 0.5 * np.diff(breaks)[:, None],
                           *factors))
@@ -646,14 +604,17 @@ class HyperellipticCurve:
         pending = [(k, m) for k in range(len(legs)) for m in _RULE_ORDERS[:2]]
 
         def path(ts, z0, d):
-            return z0 + (ts * ts if from_b0 else ts) * d
+            return z0 + (ts * ts if at_branch else ts) * d
 
-        def radicand(x):
-            return self._deflated_f(x, [0]) if from_b0 else self.f(x)
+        def radicand(ts, grid):
+            if at_branch:
+                return self._deflated_f(ts * ts * d[grid], drop[grid])
+            return self.f(path(ts, z0[grid], d[grid]))
 
         while pending:
             owner = [k for k, _ in pending]
             z0, d = origins[owner], steps[owner]
+            drop = drops[owner] if at_branch else None
             nodes, weights = [], []
             for k, m in pending:
                 lo, half = rules[k][:2]
@@ -666,20 +627,19 @@ class HyperellipticCurve:
             sizes = [len(n) + 2 for n in nodes]
             starts = np.cumsum([0] + sizes).tolist()
             x = path(ts, np.repeat(z0, sizes), np.repeat(d, sizes))
-            powers = np.vander(x, self.genus, increasing=True)
+            powers = np.vander(x, basis.shape[1], increasing=True)
             roots = _sqrt_grids(
-                lambda t, grid: radicand(path(t, z0[grid], d[grid])),
-                [ts[a:a + size] for a, size in zip(starts, sizes)],
+                radicand, [ts[a:a + size] for a, size in zip(starts, sizes)],
                 [legs[k][2] for k in owner])
             for (k, _), (grid, r), n, w, a in zip(pending, roots, nodes,
                                                   weights, starts):
                 at = r[1:-1] if len(grid) == len(n) + 2 \
                     else r[np.searchsorted(grid, n)]
                 _, _, factor, end_factor = rules[k]
-                total = factor * (((self.diff_norm
-                                    @ powers[a + 1:a + 1 + len(n)].T) / at)
-                                  @ w)
-                if prev[k] is not None and abs(total - prev[k]).max() <= tol:
+                total = factor * (((basis @ powers[a + 1:a + 1 + len(n)].T)
+                                   / at) @ w)
+                if prev[k] is not None and abs(total - prev[k]).max() \
+                        <= tol * max(1.0, abs(total).max()):
                     out[k] = total, end_factor * r[-1]
                 prev[k] = total
             pending = []
@@ -687,8 +647,10 @@ class HyperellipticCurve:
                 if out[k] is None:
                     m = next(later[k], None)
                     if m is None:
+                        z0, z1, _ = legs[k]
                         raise QuadratureNonConvergent(
-                            "path quadrature did not converge")
+                            f"quadrature did not converge on the leg "
+                            f"{z0} -> {z1}")
                     pending.append((k, m))
         return out
 
@@ -704,7 +666,8 @@ class HyperellipticCurve:
                      if depth < len(route) - 1]
             legs = [(routes[k][depth], routes[k][depth + 1], ys[k])
                     for k in open_]
-            for k, (part, y) in zip(open_, self._integrate_legs(legs, tol)):
+            for k, (part, y) in zip(open_, self._integrate_legs(
+                    legs, tol, self.diff_norm)):
                 totals[k] += part
                 ys[k] = y
         return list(zip(totals, ys))
@@ -798,19 +761,20 @@ class HyperellipticCurve:
             raise ValueError(f"no cycle contour around cut {cut_index} with "
                              f"{n_nodes} nodes (cuts 0..{cuts - 1})")
         j = 2 * cut_index
-        p, q, mid, e, others = self._segment_data(j)
-        clear = min(abs(r - mid) - abs(e) for r in others)
+        b = self.branch_points
+        mid, e = 0.5 * (b[j] + b[j + 1]), 0.5 * (b[j + 1] - b[j])
+        clear = min(abs(r - mid) - abs(e) for r in np.delete(b, [j, j + 1]))
         clear = max(min(0.5 * clear, abs(e)), 2 * self.margin)
         mu = math.asinh(clear / abs(e))
         theta = 2 * math.pi * np.arange(n_nodes) / n_nodes
-        ys, y_lo, y_hi = _sqrt_along(
-            lambda ths: self.f(mid + e * np.cosh(mu + 1j * ths)),
-            theta[1:], 0.0, 2 * math.pi)
-        if abs(y_hi - y_lo) > 1e-6 * max(abs(y_lo), 1e-30):
+        (grid, roots), = _sqrt_grids(
+            lambda ths, _: self.f(mid + e * np.cosh(mu + 1j * ths)),
+            [np.append(theta, 2 * math.pi)], [None])
+        if abs(roots[-1] - roots[0]) > 1e-6 * max(abs(roots[0]), 1e-30):
             raise PathThroughBranchPoint("cycle contour did not close up")
         x = mid + e * np.cosh(mu + 1j * theta)
         dx = e * np.sinh(mu + 1j * theta) * 1j
-        return x, np.concatenate(([y_lo], ys)), dx
+        return x, roots[np.searchsorted(grid, theta)], dx
 
     def __repr__(self):
         return (f"HyperellipticCurve(degree={self.degree}, genus={self.genus})")

@@ -12,7 +12,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from thetakernels.curves import build_curve
 from thetakernels.errors import (NotPositiveDefinite, PointOnTheta,
                                  ToleranceTooSmall)
 from thetakernels import theta as theta_module
@@ -816,12 +815,44 @@ class TestSecondOrderBasis:
 
 THETA_RECORD = Path(__file__).parent / "data" / "theta_batch_hex.json"
 
-THETA_RECORD_CURVES = (
-    ("x^3-x", [0, -1, 0, 1]),
-    ("x^5-x", [0, -1, 0, 0, 0, 1]),
-    ("x^6+x+2", [2, 1, 0, 0, 0, 0, 1]),
-    ("x^7-x", [0, -1, 0, 0, 0, 0, 0, 1]),
+#: The period matrix of each curve of the record, float.hex (re, im) of
+#: its upper triangle row by row, as build_curve gave it when the
+#: record was written: the record's inputs, kept apart from the period
+#: quadrature so that changes there leave the record's values as they are.
+THETA_RECORD_OMEGAS = (
+    ("x^3-x", (
+        ("-0x0.0p+0", "0x1.ffffffffffffap-1"),
+    )),
+    ("x^5-x", (
+        ("-0x1.5555555555554p-2", "0x1.e2b7dddfefa66p-1"),
+        ("0x1.5555555555556p-2", "0x1.e2b7dddfefa59p-2"),
+        ("0x1.5555555555554p-1", "0x1.e2b7dddfefa5cp-1"),
+    )),
+    ("x^6+x+2", (
+        ("0x1.ffffffffffffep-1", "0x1.c78366b204436p+0"),
+        ("0x1.0000000000002p-1", "0x1.c47e0502c692ap-1"),
+        ("0x1.ffffffffffffbp-1", "0x1.bedc85e3c404bp-1"),
+    )),
+    ("x^7-x", (
+        ("-0x1.47ae147ae1486p-2", "0x1.3d70a3d70a3d6p+0"),
+        ("0x1.47ae147ae147fp-2", "0x1.851eb851eb851p-1"),
+        ("0x1.47ae147ae1488p-4", "0x1.c28f5c28f5c2ep-2"),
+        ("-0x1.47ae147ae1477p-2", "0x1.3d70a3d70a3d8p+0"),
+        ("-0x1.47ae147ae1470p-4", "0x1.1eb851eb851eep-1"),
+        ("0x1.eb851eb851eb2p-2", "0x1.47ae147ae147dp-1"),
+    )),
 )
+
+
+def record_omega(upper):
+    """The RiemannMatrix whose upper triangle, row by row, is the float.hex
+    pairs ``upper``."""
+    g = (math.isqrt(8 * len(upper) + 1) - 1) // 2
+    i, j = np.triu_indices(g)
+    m = np.empty((g, g), dtype=complex)
+    m[i, j] = m[j, i] = [complex(float.fromhex(re), float.fromhex(im))
+                         for re, im in upper]
+    return RiemannMatrix(m)
 
 
 def theta_record_points(omega, seed):
@@ -847,11 +878,12 @@ def _hex(values):
 def theta_record_cases():
     """(key prefix, omega, characteristic, order, points) of every
     (curve, characteristic, order) in the record: genus 1-3 (the
-    lemniscatic curve and the three benchmark curves), the zero and the
-    first odd characteristic, derivative orders 0-3, at the points of
+    lemniscatic curve and the three benchmark curves, at the period
+    matrices THETA_RECORD_OMEGAS), the zero and the first odd
+    characteristic, derivative orders 0-3, at the points of
     :func:`theta_record_points`."""
-    for k, (name, f) in enumerate(THETA_RECORD_CURVES):
-        omega = build_curve(f).omega
+    for k, (name, upper) in enumerate(THETA_RECORD_OMEGAS):
+        omega = record_omega(upper)
         g = omega.dim
         odd = next(ch for ch in Characteristic.all(g) if ch.parity)
         pts = theta_record_points(omega, 100 + k)
