@@ -355,11 +355,11 @@ class HyperellipticCurve:
             out = out * row
         return out + 0.0
 
-    def _chain_signs(self, mids, ratios, first):
+    def _chain_signs(self, mids, ratios):
         """Sign of each segment's integral on the branch of y of the leg
         from its first end, given ``ratios``, the sign of that leg's y over
-        the other leg's at the midpoint ``mids``, and the sign ``first`` of
-        the first segment.
+        the other leg's at the midpoint ``mids``; the first segment's is
+        :meth:`_first_cut_sign`.
 
         The continuation through branch point b passes around it on an
         arc sweeping the principal angle between the incoming and the
@@ -372,9 +372,9 @@ class HyperellipticCurve:
         whenever the swept angle is negative.
         """
         b = self.branch_points
-        eps = first
+        eps = self._first_cut_sign()
         side = 1.0
-        out = [first]
+        out = [eps]
         for j in range(len(mids) - 1):
             th_in = cmath.phase(mids[j] - b[j + 1])
             principal = cmath.phase(mids[j + 1] - b[j + 1]) - th_in
@@ -391,21 +391,27 @@ class HyperellipticCurve:
             out.append(eps * side)
         return out
 
-    def _first_cut_sign(self, y_root):
-        """The sign that takes the first leg's branch of y, sqrt(x - b_0)
-        times ``y_root`` (the principal root of f(x) / (x - b_0) at b_0)
-        near b_0, to the branch that orients every cycle: i e w(s)
-        sqrt(1 - s^2) on the first cut x = mid + e s, with w the root of
-        f(x) / ((x - b_0)(x - b_1)) principal at s = -1.  On a real curve
-        that radicand lies on the negative real axis up to rounding, and
-        its rounding picks the root; it is evaluated at mid - e, the
-        factors multiplied by np.prod, which fixes that rounding."""
+    def _first_cut_sign(self):
+        """+1 or -1: the sign that takes the first leg's branch of y to
+        the branch that orients every cycle.
+
+        Near b_0 the first leg's y is sqrt(x - b_0) h, with h the principal
+        root of f(x) / (x - b_0) at b_0, as the leg takes it.  The cycles
+        are oriented by y = i e w(s) sqrt(1 - s^2) on the first cut
+        x = mid + e s, with w the principal root of
+        f(x) / ((x - b_0)(x - b_1)) at s = -1.  On a real curve that
+        radicand lies on the negative real axis up to rounding, and its
+        rounding picks w; it is evaluated at x = mid - e with the factors
+        multiplied by np.prod, and the signs of A, B and every Abel image
+        depend on that arithmetic, so it must not change.
+        """
         b = self.branch_points
         mid, e = 0.5 * (b[0] + b[1]), 0.5 * (b[1] - b[0])
         x = mid + e * np.array([-1.0], dtype=complex)
         w = cmath.sqrt((self.lead * np.prod(x[:, None] - b[None, 2:],
                                             axis=1))[0])
-        germ = np.sqrt(complex(mid - b[0])) * y_root
+        germ = np.sqrt(complex(mid - b[0])) * cmath.sqrt(
+            self._deflated_f(np.zeros(1), np.zeros(1, int))[0])
         return 1.0 if (1j * e * math.sqrt(2.0) * w / germ).real > 0 else -1.0
 
     def _second_kind(self):
@@ -432,9 +438,7 @@ class HyperellipticCurve:
             legs, max(self.quadrature_tol, 1e-13), np.eye(2 * g + 1)))
         ratios = [1.0 if (y0 / y1).real > 0 else -1.0
                   for y0, y1 in zip(ys[0::2], ys[1::2])]
-        y_root = cmath.sqrt(self._deflated_f(np.zeros(1),
-                                             np.zeros(1, int))[0])
-        signs = self._chain_signs(mids, ratios, self._first_cut_sign(y_root))
+        signs = self._chain_signs(mids, ratios)
         seg = [sign * (first - ratio * second) for sign, ratio, first, second
                in zip(signs, ratios, totals[0::2], totals[1::2])]
         A = np.empty((g, g), dtype=complex)
@@ -579,20 +583,21 @@ class HyperellipticCurve:
         keeps its own matrix products, whose BLAS bits depend on the
         column count, so every leg gets the bits it gets on its own.
         """
-        b = self.branch_points
+        b = self.branch_points.tolist()
         at_branch = legs[0][2] is None
-        if at_branch:
-            drops = np.array([np.argmin(np.abs(b - z0)) for z0, _, _ in legs])
+        # the index of the branch point each leg starts at
+        drops = np.array([b.index(z0) if at_branch else 0
+                          for z0, _, _ in legs])
         rules = []  # per leg: piece starts, half widths, factor, end factor
         for k, (z0, z1, _) in enumerate(legs):
             d = z1 - z0
             if at_branch:
-                breaks = self._leg_breaks(z0, z1,
-                                          np.delete(b, drops[k]).tolist())
+                i = drops[k]
+                breaks = self._leg_breaks(z0, z1, b[:i] + b[i + 1:])
                 breaks, root = np.sqrt(breaks), np.sqrt(complex(d))
                 factors = 2.0 * root, root
             else:
-                breaks = self._leg_breaks(z0, z1, b.tolist())
+                breaks = self._leg_breaks(z0, z1, b)
                 factors = d, 1.0
             rules.append((breaks[:-1, None], 0.5 * np.diff(breaks)[:, None],
                           *factors))
@@ -606,15 +611,14 @@ class HyperellipticCurve:
         def path(ts, z0, d):
             return z0 + (ts * ts if at_branch else ts) * d
 
-        def radicand(ts, grid):
+        def radicand(ts, z0, d, drop):
             if at_branch:
-                return self._deflated_f(ts * ts * d[grid], drop[grid])
-            return self.f(path(ts, z0[grid], d[grid]))
+                return self._deflated_f(ts * ts * d, drop)
+            return self.f(path(ts, z0, d))
 
         while pending:
             owner = [k for k, _ in pending]
-            z0, d = origins[owner], steps[owner]
-            drop = drops[owner] if at_branch else None
+            z0, d, drop = origins[owner], steps[owner], drops[owner]
             nodes, weights = [], []
             for k, m in pending:
                 lo, half = rules[k][:2]
@@ -629,7 +633,8 @@ class HyperellipticCurve:
             x = path(ts, np.repeat(z0, sizes), np.repeat(d, sizes))
             powers = np.vander(x, basis.shape[1], increasing=True)
             roots = _sqrt_grids(
-                radicand, [ts[a:a + size] for a, size in zip(starts, sizes)],
+                lambda t, grid: radicand(t, z0[grid], d[grid], drop[grid]),
+                [ts[a:a + size] for a, size in zip(starts, sizes)],
                 [legs[k][2] for k in owner])
             for (k, _), (grid, r), n, w, a in zip(pending, roots, nodes,
                                                   weights, starts):

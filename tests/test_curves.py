@@ -273,11 +273,11 @@ class TestThomae:
 
 class TestCloseRootPairs:
     """Curves with one root pair 1e-7 to 1e-4 times the root scale apart,
-    which the squarefree test accepts down to 1e-10.  On 600 such curves
-    (150 each at 1e-4, 1e-5, 1e-6 and 1e-7, degree 3-8) the largest
-    |Omega - Omega^T| was 1.8e-14 times max |Omega| and the largest
-    Thomae spread 1.8e-12; the bounds leave a factor of about 50, and
-    the Thomae bound is the one of TestThomae."""
+    which the squarefree test accepts down to 1e-10.  On 1,000 such
+    curves (250 each at 1e-4, 1e-5, 1e-6 and 1e-7, degree 3-8) the
+    largest |Omega - Omega^T| was 2.6e-14 times max |Omega| and the
+    largest Thomae spread 2.0e-12; the bounds leave a factor of about
+    40, and the Thomae bound is the one of TestThomae."""
 
     @settings(max_examples=20, deadline=None)
     @given(data=st.data())
