@@ -32,7 +32,7 @@ from fractions import Fraction
 from .errors import (DiagonalValueMismatch, NonInvertibleChart, NotMonic,
                      NotMonicOn2Delta, TraceNotZero, TruncationUnderflow,
                      WeightMismatch)
-from .series import QC, Series
+from .series import QC, Series, _compose, _dot, _power, _powers
 
 DEFAULT_ORDER = 16
 
@@ -56,12 +56,20 @@ def _mat_add(a, b):
 def _mat_scale(a, s):
     return [[x * s for x in row] for row in a]
 
-def _mat_mul(a, b):
-    return [[sum((a[i][k] * b[k][j] for k in range(1, len(b))), a[i][0] * b[0][j])
-             for j in range(len(b[0]))] for i in range(len(a))]
+def _mat_dot(pairs, r, n):
+    """Sum of the r x r products a b over the matrix pairs (a, b), a 1 x 1
+    factor as a scalar: one ``series._dot`` (orders at most n) per entry."""
+    def entry(a, b, i, j):
+        if len(a) == len(b):
+            return [(a[i][k], b[k][j]) for k in range(len(b))]
+        return [(a[0][0], b[i][j])] if len(a) == 1 else [(a[i][j], b[0][0])]
+    return [[_dot([x for a, b in pairs for x in entry(a, b, i, j)], n)
+             for j in range(r)] for i in range(r)]
 
-def _mat_deriv(a):
-    return [[x.derivative() for x in row] for row in a]
+def _mat_deriv(a, k=1):
+    for _ in range(k):
+        a = [[x.derivative() for x in row] for row in a]
+    return a
 
 def _mat_trace(a):
     return sum((a[i][i] for i in range(1, len(a))), a[0][0])
@@ -79,9 +87,7 @@ def _taylor_shift(mat, m, skip=0):
     They are the u-expansion of mat(z - u) for ``skip`` 0 and of
     (mat(z) - mat(z - u)) / u for ``skip`` 1.
     """
-    d = mat
-    for _ in range(skip):
-        d = _mat_deriv(d)
+    d = _mat_deriv(mat, skip)
     out = []
     for k in range(m):
         if k:
@@ -193,24 +199,11 @@ class JetKernel:
         r1, r2 = self.rank, other.rank
         if r1 != r2 and 1 not in (r1, r2):
             raise WeightMismatch("rank mismatch in kernel product")
-        rank = max(r1, r2)
-        out = [_mat_zero(rank, self.series_order) for _ in range(m)]
-        for i in range(m):
-            ai = self.coeffs[i] if i < self.order else None
-            if ai is None or _mat_is_zero(ai):
-                continue
-            for j in range(m - i):
-                bj = other.coeffs[j]
-                if _mat_is_zero(bj):
-                    continue
-                if r1 == r2:
-                    prod = _mat_mul(ai, bj)
-                elif r1 == 1:
-                    prod = _mat_scale(bj, ai[0][0])
-                else:
-                    prod = _mat_scale(ai, bj[0][0])
-                out[i + j] = _mat_add(out[i + j], prod)
-        return JetKernel(rank, self.weight + other.weight,
+        a = [(i, x) for i, x in enumerate(self.coeffs[:m]) if not _mat_is_zero(x)]
+        b = [(j, y) for j, y in enumerate(other.coeffs[:m]) if not _mat_is_zero(y)]
+        out = [_mat_dot([(x, y) for i, x in a for j, y in b if i + j == k],
+                        max(r1, r2), self.series_order) for k in range(m)]
+        return JetKernel(max(r1, r2), self.weight + other.weight,
                          self.pole + other.pole, out)
 
     def swap(self):
@@ -280,14 +273,7 @@ def tensor_power(s: JetKernel, k: int) -> JetKernel:
         return tensor_power(_reciprocal(s), -k)
     if k == 0:
         return mu_nu(0, s.order, s.series_order)
-    out, base = None, s
-    while k:
-        if k & 1:
-            out = base if out is None else _expansion_mul(out, base)
-        k >>= 1
-        if k:
-            base = _expansion_mul(base, base)
-    return out
+    return _power(s, k, _expansion_mul)
 
 
 def _reciprocal(s: JetKernel) -> JetKernel:
@@ -299,8 +285,7 @@ def _reciprocal(s: JetKernel) -> JetKernel:
     lead = a[0].reciprocal()
     out = [lead]
     for k in range(1, s.order):
-        acc = sum((a[j] * out[k - j] for j in range(1, k + 1)), Series.zero(n))
-        out.append(-(lead * acc))
+        out.append(-(lead * _dot([(a[j], out[k - j]) for j in range(1, k + 1)], n)))
     return JetKernel(1, -s.weight, -s.pole, [[[x]] for x in out])
 
 
@@ -318,6 +303,8 @@ def _pow_fraction(s: JetKernel, alpha: Fraction) -> JetKernel:
         fact *= k
         out = out + term.scale(coeff / fact)
         coeff *= (alpha - k)
+        if not coeff:  # the later terms are zero, of the orders of x^1
+            break
     return out
 
 
@@ -428,14 +415,9 @@ def kernel_to_operator(s: JetKernel) -> DiffOperator:
     for i in range(n + 1):
         acc = _mat_zero(r, s.series_order)
         for j in range(n - i + 1):
-            mat = s.coeff(j)
-            k = n - j - i
-            d = mat
-            for _ in range(k):
-                d = _mat_deriv(d)
             factor = Fraction(math.factorial(n), math.factorial(n - j)) \
                 * math.comb(n - j, i)
-            acc = _mat_add(acc, _mat_scale(d, factor))
+            acc = _mat_add(acc, _mat_scale(_mat_deriv(s.coeff(j), n - j - i), factor))
         cs.append(acc)
     lead = cs[n]
     if not _mat_eq(lead, _mat_id(r, s.series_order)):
@@ -459,12 +441,9 @@ def operator_to_kernel(L: DiffOperator, order: int = None) -> JetKernel:
         # c_{n-j} = (n!/(n-j)!) a_j + contributions from a_{j'} with j' < j
         acc = cs[n - j]
         for jp in range(j):
-            d = a[jp]
-            for _ in range(j - jp):
-                d = _mat_deriv(d)
             factor = (Fraction(math.factorial(n), math.factorial(n - jp))
                       * math.comb(n - jp, n - j))
-            acc = _mat_add(acc, _mat_scale(d, -factor))
+            acc = _mat_add(acc, _mat_scale(_mat_deriv(a[jp], j - jp), -factor))
         a.append(_mat_scale(acc, Fraction(math.factorial(n - j),
                                           math.factorial(n))))
     m = order or (n + 1)
@@ -540,9 +519,7 @@ def flat_extension(conn: ConnectionJet, m: int) -> JetKernel:
     gs = _taylor_shift(conn.gamma, m)   # u-expansion of Gamma(z1 - u)
     a = [_mat_id(r, nser)]
     for j in range(m - 1):
-        acc = _mat_zero(r, nser)
-        for i in range(j + 1):
-            acc = _mat_add(acc, _mat_mul(a[i], gs[j - i]))
+        acc = _mat_dot([(a[i], gs[j - i]) for i in range(j + 1)], r, nser)
         a.append(_mat_scale(acc, Fraction(1, j + 1)))
     return JetKernel(r, 0, 0, a)
 
@@ -578,15 +555,20 @@ def change_coordinate(s: JetKernel, w: Series) -> JetKernel:
         raise NonInvertibleChart("need w(0) = 0 and w'(0) != 0")
     m = s.order
     dw = _chart_difference(w, m)
-    dwi = _reciprocal(dw)
+    # dw^k and dw^-k, each one running product in ascending k
+    unit = mu_nu(0, m, dw.series_order)
+    powers = {1: [unit, dw], -1: [unit, _reciprocal(dw)]}
+    w_powers = _powers(w, w.n)
     total = JetKernel(1, 0, 0, [_mat_zero(1, w.n) for _ in range(m)])
     for j in range(m):
         aj = s.scalar_coeff(j)
         if aj.is_zero():
             continue
         rel = j - s.pole
-        term = tensor_power(dw if rel >= 0 else dwi, abs(rel)) \
-            .scale(aj.compose(w))
+        run = powers[1 if rel >= 0 else -1]
+        while len(run) <= abs(rel):
+            run.append(_expansion_mul(run[-1], run[1]))
+        term = run[abs(rel)].scale(_compose(aj, w_powers, min(aj.n, w.n)))
         total = total + _shift_up(term, j, w.n)
     return _weight_factor(JetKernel(1, s.weight, s.pole, total.coeffs), w)
 
@@ -599,9 +581,9 @@ def _chart_difference(w: Series, m: int) -> JetKernel:
 def _shift_up(s: JetKernel, j: int, n: int) -> JetKernel:
     """u^j times rank-1 ``s`` at the same weight and pole: its coefficients
     moved up j slots, below them zeros of series order n (not the series
-    order of ``s``, so that a sum keeps the orders of its lower slots)."""
-    coeffs = [_mat_zero(1, n) for _ in range(j)] + s.coeffs
-    return JetKernel(1, s.weight, s.pole, coeffs[:s.order])
+    order of ``s``, so that a sum keeps the orders of its lower slots);
+    a sum cuts the j slots that it adds past those of ``s``."""
+    return JetKernel(1, s.weight, s.pole, [_mat_zero(1, n) for _ in range(j)] + s.coeffs)
 
 
 def _weight_factor(s: JetKernel, w: Series) -> JetKernel:
@@ -700,10 +682,11 @@ def build_oper(q: Series, v: dict, n: int, m: int) -> JetKernel:
     wp = w.derivative()
     mult = mu_nu(0, m, w.n)
     for i, vi in sorted(v.items()):
-        if i == 2 or vi.is_zero():
+        if i == 2 or i >= m or vi.is_zero():
             continue
-        # v_i dz^i = (v_i / w'^i) dw^i, and dw^i = v^i ((w1 - w2) / v)^i
-        term = tensor_power(dw, i).scale(vi / (wp ** i))
+        # v_i dz^i = (v_i / w'^i) dw^i, and dw^i = v^i ((w1 - w2) / v)^i;
+        # after the shift by v^i only the first m - i slots of dw^i remain
+        term = tensor_power(dw.restrict(m - i), i).scale(vi / (wp ** i))
         mult = mult + _shift_up(term, i, w.n)
     return gamma * mult
 

@@ -7,12 +7,12 @@ truncates at the minimum order of the operands.
 Exact series are stored the way FLINT's ``fmpq_poly`` stores a rational
 polynomial: Gaussian-integer numerators re[k] + i im[k] over one shared
 positive denominator, reduced so that no integer > 1 divides them all.
-Every operation (sums, products, powers, reciprocals, derivatives,
-composition, reversion and comparison) runs on those integers with plain
-``int`` arithmetic; :class:`QC` values and their Fractions are built
-only when a coefficient is read, and a write to ``Series.c`` goes
-through to the integers.  Fractional powers of jets are the binomial
-series of ``jets._pow_fraction``.
+Every operation runs on those integers with plain ``int`` arithmetic; a
+sum of products, a product and a composition each accumulate over one
+common denominator and are reduced once per output series.  :class:`QC`
+values and their Fractions are built only when a coefficient is read,
+and a write to ``Series.c`` goes through to the integers.  Fractional
+powers of jets are the binomial series of ``jets._pow_fraction``.
 
 This is the exact-arithmetic module: only the jet calculus
 (:mod:`thetakernels.jets`) and ``verify jets`` import it.  Numerically
@@ -95,14 +95,7 @@ class QC:
     def __pow__(self, n: int):
         if n < 0:
             return QC(1) / self ** (-n)
-        out = QC(1)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        return _power(self, n, QC.__mul__) if n else QC(1)
 
     def __eq__(self, other):
         try:
@@ -139,6 +132,19 @@ def _qc(re: Fraction, im: Fraction) -> QC:
     return z
 
 
+def _power(base, k, mul):
+    """base^k, k >= 1, by binary powering with the product ``mul``: the
+    first needed power starts the result, and no square goes unused."""
+    out = None
+    while True:
+        if k & 1:
+            out = base if out is None else mul(out, base)
+        k >>= 1
+        if not k:
+            return out
+        base = mul(base, base)
+
+
 def _operand(x):
     """x as a QC, or None when x is not a number.
 
@@ -157,9 +163,11 @@ def _operand(x):
 # A Series stores its coefficients as Gaussian-integer numerators
 # re[k] + i im[k] over one shared denominator den, in canonical form:
 # den > 0 and gcd(den, *re, *im) == 1 (FLINT's fmpq_poly layout).  The
-# kernels below run on such numerator lists with plain ``int``
-# arithmetic; a list held by a Series is never changed in place, and QC
-# values (with their Fractions) are built only when a coefficient is read.
+# kernels below run on such lists with plain ``int`` arithmetic and never
+# change a list held by a Series.  ``_dot`` is the one product kernel:
+# schoolbook over the nonzero coefficients (jet products are small and
+# sparse, so Kronecker substitution does not pay), every product of a
+# sum over one denominator, and one gcd reduction per output series.
 
 def _lift(coeffs):
     """(re, im, den), canonical, with coeffs[k] == (re[k] + i im[k]) / den."""
@@ -188,22 +196,31 @@ def _scalar(x):
     return re, im, den
 
 
-def _convolve(ar, ai, br, bi, n):
-    """Gaussian-integer product of two coefficient lists modulo t^(n+1)."""
+def _dot(pairs, n):
+    """Sum of a * b over the Series pairs (a, b) modulo t^(m+1), m the
+    lowest of n and the operands' orders, over the lcm of the a._den b._den."""
+    n = min([n] + [x.n for pair in pairs for x in pair])
+    den = math.lcm(*[a._den * b._den for a, b in pairs])
     cr = [0] * (n + 1)
     ci = [0] * (n + 1)
-    nonzero_b = [(j, br[j], bi[j]) for j in range(n + 1) if br[j] or bi[j]]
-    for i in range(n + 1):
-        xr, xi = ar[i], ai[i]
-        if not (xr or xi):
+    for a, b in pairs:
+        br, bi = b._re, b._im
+        nonzero_b = [(j, br[j], bi[j]) for j in range(n + 1) if br[j] or bi[j]]
+        if not nonzero_b:
             continue
-        for j, yr, yi in nonzero_b:
-            k = i + j
-            if k > n:
-                break
-            cr[k] += xr * yr - xi * yi
-            ci[k] += xr * yi + xi * yr
-    return cr, ci
+        f = den // (a._den * b._den)
+        for i, xr, xi in zip(range(n + 1), a._re, a._im):
+            if not (xr or xi):
+                continue
+            if f != 1:
+                xr, xi = xr * f, xi * f
+            for j, yr, yi in nonzero_b:
+                k = i + j
+                if k > n:
+                    break
+                cr[k] += xr * yr - xi * yi
+                ci[k] += xr * yi + xi * yr
+    return _series(cr, ci, den, n)
 
 
 def _reciprocal_ints(re, im, den, n):
@@ -262,6 +279,23 @@ def _canonical(re, im, den, n):
     s._den = den
     s._c = None
     return s
+
+
+def _powers(inner, n):
+    """[1, inner, inner^2, ...] modulo t^(n+1), up to inner^n or the first
+    zero power: one list serves every composition with inner."""
+    out = [Series.const(1, n), inner.truncate(n)]
+    while len(out) <= n and not out[-1].is_zero():
+        out.append(out[-1] * inner)
+    return out
+
+
+def _compose(outer, powers, n):
+    """outer(inner) modulo t^(n+1), from powers = _powers(inner, N), N >= n:
+    one :func:`_dot` of the coefficients of outer with the powers."""
+    re, im, den = outer._re, outer._im, outer._den
+    return _dot([(p, _series([re[k]] + [0] * n, [im[k]] + [0] * n, den, n))
+                 for k, p in enumerate(powers[:n + 1]) if re[k] or im[k]], n)
 
 
 class _Coeffs(list):
@@ -429,9 +463,7 @@ class Series:
     def __mul__(self, other):
         if not isinstance(other, Series):
             return self._scaled(*_scalar(other))
-        n = min(self.n, other.n)
-        cr, ci = _convolve(self._re, self._im, other._re, other._im, n)
-        return _series(cr, ci, self._den * other._den, n)
+        return _dot([(self, other)], self.n)
 
     __rmul__ = __mul__
 
@@ -463,14 +495,8 @@ class Series:
     def __pow__(self, k: int):
         if k < 0:
             return self.reciprocal() ** (-k)
-        out = Series.const(1, self.n)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
+        out = _power(self, k, Series.__mul__) if k else Series.const(1, self.n)
+        return out.copy() if out is self else out
 
     # -- calculus ---------------------------------------------------------
 
@@ -487,16 +513,7 @@ class Series:
         if inner._re[0] or inner._im[0]:
             raise ValueError("composition requires inner constant term 0")
         n = min(self.n, inner.n)
-        re, im, den = self._re, self._im, self._den
-        out = _series([re[0]] + [0] * n, [im[0]] + [0] * n, den, n)
-        power = Series.const(1, n)
-        for k in range(1, n + 1):
-            power = power * inner
-            if power.is_zero():
-                break
-            if re[k] or im[k]:
-                out = out + power._scaled(re[k], im[k], den)
-        return out
+        return _compose(self, _powers(inner, n), n)
 
     def reversion(self):
         """Functional inverse w with self(w(t)) = t; needs c0=0, c1 != 0."""

@@ -19,7 +19,9 @@ from thetakernels.jets import (ConnectionJet, DiffOperator, JetKernel,
                                matrix_oper, mu_nu, operator_to_kernel,
                                projective_jet, quadratic_S, quadratic_S_jet,
                                rescale_shift, tensor_power, trace_map,
-                               _mat_zero, _taylor_shift)
+                               _chart_difference, _expansion_mul,
+                               _gamma_from_chart, _mat_zero, _taylor_shift,
+                               projective_chart)
 from thetakernels.series import QC, Series
 
 N = 16  # series truncation order for the exact battery
@@ -120,7 +122,128 @@ class TestExpansionAlgebra:
                 assert x[0][0].n <= y[0][0].n and x[0][0] == y[0][0]
 
 
+def assert_identical(a, b):
+    """Same shape, and every entry the same value at the same order."""
+    assert (a.rank, a.weight, a.pole, a.order) == (b.rank, b.weight, b.pole, b.order)
+    for x, y in zip(a.coeffs, b.coeffs):
+        for row_x, row_y in zip(x, y):
+            for s, t in zip(row_x, row_y):
+                assert s.n == t.n and s.ints == t.ints
+
+
+def qc_mul(a, b):
+    """Series product from QC arithmetic, one coefficient at a time."""
+    n = min(a.n, b.n)
+    return Series([sum((a[i] * b[k - i] for i in range(k + 1)), QC())
+                   for k in range(n + 1)], n)
+
+
+def is_zero_matrix(mat):
+    return all(x.is_zero() for row in mat for x in row)
+
+
+def term_by_term_mul(a, b):
+    """``a * b`` one Series product and one sum at a time: a zero
+    coefficient matrix is skipped, and the slots start as zeros of the
+    series order of ``a``."""
+    m, r1, r2 = min(a.order, b.order), a.rank, b.rank
+    rank = max(r1, r2)
+    out = [_mat_zero(rank, a.series_order) for _ in range(m)]
+    for i in range(m):
+        for j in range(m - i):
+            x, y = a.coeffs[i], b.coeffs[j]
+            if is_zero_matrix(x) or is_zero_matrix(y):
+                continue
+            for p in range(rank):
+                for q in range(rank):
+                    if r1 == r2:
+                        terms = [qc_mul(x[p][k], y[k][q]) for k in range(rank)]
+                    elif r1 == 1:
+                        terms = [qc_mul(y[p][q], x[0][0])]
+                    else:
+                        terms = [qc_mul(x[p][q], y[0][0])]
+                    out[i + j][p][q] = sum(terms, out[i + j][p][q])
+    return JetKernel(rank, a.weight + b.weight, a.pole + b.pole, out)
+
+
+@st.composite
+def random_jets(draw, rank):
+    """A jet with some zero coefficient matrices, some zero entries and
+    series orders that differ from entry to entry."""
+    m = draw(st.integers(1, 4))
+    coeffs = []
+    for _ in range(m):
+        zero = draw(st.booleans())
+        coeffs.append([[Series.zero(draw(st.integers(2, 6))) if zero
+                        or not draw(st.integers(0, 4)) else
+                        draw(small_series(draw(st.integers(2, 6))))
+                        for _ in range(rank)] for _ in range(rank)])
+    return JetKernel(rank, draw(st.integers(0, 3)), draw(st.integers(0, 3)), coeffs)
+
+
+class TestFusedProducts:
+    """The fused products give the term-by-term values and truncation
+    orders, zero-skipping included."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data(), st.sampled_from([(1, 1), (1, 2), (2, 1), (2, 2)]))
+    def test_product_matches_term_by_term(self, data, ranks):
+        a = data.draw(random_jets(ranks[0]), label="a")
+        b = data.draw(random_jets(ranks[1]), label="b")
+        want = term_by_term_mul(a, b)
+        assert_identical(a * b, want)
+        n = math.inf
+        for k, mat in enumerate(want.coeffs):
+            n = min([n] + [x.n for f in (a, b) for row in f.coeff(k) for x in row])
+            want.coeffs[k] = [[x.truncate(min(n, x.n)) for x in row] for row in mat]
+        assert_identical(_expansion_mul(a, b), want)
+
+
+def per_slot_change_coordinate(s, w):
+    """change_coordinate with a fresh power and composition per slot, and
+    the binomial series of the weight factor summed to the last slot."""
+    m = s.order
+    dw = _chart_difference(w, m)
+    total = JetKernel(1, 0, 0, [_mat_zero(1, w.n) for _ in range(m)])
+    for j in range(m):
+        aj = s.scalar_coeff(j)
+        if not aj.is_zero():
+            term = tensor_power(dw, j - s.pole).scale(aj.compose(w))
+            total = total + JetKernel(1, 0, 0, ([_mat_zero(1, w.n)] * j + term.coeffs)[:m])
+    wp = w.derivative()
+    ratio = JetKernel(1, 0, 0, _taylor_shift([[wp]], m)).scale(wp.reciprocal())
+    one = mu_nu(0, m, ratio.series_order)
+    alpha = Fraction(s.weight, 2)
+    prefactor = power = one
+    for k in range(1, m):
+        power = _expansion_mul(power, ratio - one)
+        prefactor = prefactor + power.scale(
+            math.prod(alpha - i for i in range(k)) / math.factorial(k))
+    wp_nu = Series.const(1, wp.n)
+    for _ in range(s.weight):
+        wp_nu = wp_nu * wp
+    return _expansion_mul(JetKernel(1, s.weight, s.pole, total.coeffs),
+                          prefactor).scale(wp_nu)
+
+
 class TestChangeCoordinate:
+    @settings(max_examples=40, deadline=None)
+    @given(st.data(), st.integers(0, 4), st.integers(0, 4))
+    def test_matches_per_slot_reference(self, data, weight, pole):
+        # weight 0 is alpha = 0 in the weight factor: the k = 1 term of its
+        # binomial series is zero but still bounds the truncation orders
+        n = data.draw(st.integers(4, 8), label="n")
+        w = data.draw(small_series(n), label="w")
+        w.c[0] = QC()
+        if not w.c[1]:
+            w.c[1] = QC(2)
+        m = data.draw(st.integers(1, 5), label="m")
+        coeffs = [Series.zero(n) if data.draw(st.booleans()) else
+                  data.draw(small_series(data.draw(st.integers(n - 2, n))))
+                  for _ in range(m)]
+        s = JetKernel(1, weight, pole, [[[x]] for x in coeffs])
+        assert_identical(change_coordinate(s, w), per_slot_change_coordinate(s, w))
+
     def test_mu_invariance_on_2delta(self):
         r = rng()
         for _ in range(20):
@@ -400,6 +523,26 @@ class TestBuildOper:
             dev = (s - base).scalar_coeff(i)
             lim = min(dev.n, 8)
             assert dev.truncate(lim) == vi.truncate(lim)
+
+    @pytest.mark.parametrize("n, m, i", [(4, 3, 3), (4, 4, 4), (5, 4, 5)])
+    def test_slot_past_the_jet_is_dropped(self, n, m, i):
+        q = poly([1, 2 + 1j, -3])
+        assert_identical(build_oper(q, {i: poly([2, -1j, 1])}, n, m),
+                         build_oper(q, {}, n, m))
+
+    @pytest.mark.parametrize("n, m, i", [(3, 4, 3), (4, 5, 4), (5, 6, 5),
+                                         (4, 6, 3), (5, 6, 4)])
+    def test_restricted_power_matches_the_full_power(self, n, m, i):
+        # slot degree i keeps m - i slots of dw^i (one for i = m - 1):
+        # compare with the power taken over all m slots
+        q, vi = poly([1, 2 + 1j, -3]), poly([2, -1j, 1])
+        w = projective_chart(q, q.n)
+        wp = w.derivative()
+        term = tensor_power(_chart_difference(w, m), i).scale(vi / (wp ** i))
+        mult = mu_nu(0, m, w.n) + JetKernel(
+            1, 0, 0, ([_mat_zero(1, w.n)] * i + term.coeffs)[:m])
+        assert_identical(build_oper(q, {i: vi}, n, m),
+                         _gamma_from_chart(w, n + 1, m) * mult)
 
     def test_degree_two_slot_rejected(self):
         with pytest.raises(ValueError):

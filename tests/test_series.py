@@ -6,7 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from thetakernels.jets import ConnectionJet, DiffOperator
-from thetakernels.series import QC, Series
+from thetakernels.series import QC, Series, _compose, _dot, _powers
 
 
 class TestQC:
@@ -349,6 +349,36 @@ class TestIntegerKernelProperties:
         assert back.ints == a.truncate(back.n).ints
         assert Series(list(a.c), a.n).ints == a.ints
         assert (a * 2 * Fraction(1, 2)).ints == a.ints
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.tuples(series(), series()), max_size=4), st.integers(0, 10))
+    def test_sum_of_products(self, pairs, n):
+        # one reduction over the common denominator gives the sum of the
+        # term-by-term products, at the lowest order among n and the operands
+        want = Series.zero(min([n] + [x.n for pair in pairs for x in pair]))
+        for a, b in pairs:
+            want = schoolbook_add(want, schoolbook_mul(a, b))
+        got = _dot(pairs, n)
+        assert same(got, want) and canonical(got)
+
+    @settings(max_examples=60, deadline=None)
+    @given(series(), series(min_order=1), st.data())
+    def test_composition_with_shared_powers(self, a, inner, data):
+        inner.c[0] = QC()
+        assert same(a.compose(inner), schoolbook_compose(a, inner))
+        # powers built at the order of inner serve every lower order
+        n = min(a.n, data.draw(st.integers(0, inner.n), label="n"))
+        got = _compose(a, _powers(inner, inner.n), n)
+        assert same(got, schoolbook_compose(a.truncate(n), inner)) and canonical(got)
+
+    @settings(max_examples=60, deadline=None)
+    @given(series(max_order=6), st.integers(0, 6))
+    def test_integer_power(self, a, k):
+        want = Series.const(1, a.n)
+        for _ in range(k):
+            want = schoolbook_mul(want, a)
+        got = a ** k
+        assert same(got, want) and got is not a
 
     @settings(max_examples=40, deadline=None)
     @given(st.lists(series(max_order=6), min_size=1, max_size=3),
