@@ -108,7 +108,6 @@ class TestExpansionAlgebra:
         # a polynomial chart of order n stands for any chart that agrees
         # with it up to z^n, so every claimed order must survive a z^(n+1)
         # term (a zero coefficient still bounds the orders it touches)
-        from thetakernels.jets import _gamma_from_chart
         n, m = 8, 5
         w = poly(chart, n)
         ext = poly(chart + [0] * (n + 1 - len(chart)) + [3 + 1j], n + 1)
@@ -209,7 +208,8 @@ def per_slot_change_coordinate(s, w):
         aj = s.scalar_coeff(j)
         if not aj.is_zero():
             term = tensor_power(dw, j - s.pole).scale(aj.compose(w))
-            total = total + JetKernel(1, 0, 0, ([_mat_zero(1, w.n)] * j + term.coeffs)[:m])
+            shifted = ([_mat_zero(1, w.n)] * j + term.coeffs)[:m]
+            total = total + JetKernel(1, 0, 0, shifted)
     wp = w.derivative()
     ratio = JetKernel(1, 0, 0, _taylor_shift([[wp]], m)).scale(wp.reciprocal())
     one = mu_nu(0, m, ratio.series_order)
