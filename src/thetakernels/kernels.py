@@ -532,50 +532,37 @@ class ProbeReport:
         }
 
 
-#: Rows per tile of the collision filter: its three float64 tile-sized
-#: temporaries stay near 16 MB whatever the sample count.
-_PAIR_TILE = 836
-
-#: Lattice points per theta_batch call of the probe: enough to spread the
-#: fixed cost of a call, few enough to keep the lattice arrays small.
-_PROBE_POINTS = 8192
-
-
 def _collision_candidates(coords, collision_tol):
     """Pairs (i, j), i < j, in ascending order, that may satisfy
     ||c_i - c_j|| < collision_tol * max(||c_i||, ||c_j||, 1e-300).
 
-    Squared distances are summed component by component over square
-    tiles of rows.  The squared threshold is widened by a relative 1e-6
-    and raised to the smallest normal double, so rounding and underflow
-    can only add candidates, never drop a pair that passes the exact test.
+    Since | ||c_i|| - ||c_j|| | <= ||c_i - c_j||, a sweep over the sorted
+    norms pairs each row only with the rows whose norms lie within its
+    reach below it.  A row's reach is its threshold, from its norm taken
+    no lower than 1e-150 and widened by a relative 1e-6, plus 1e-12 of
+    its norm and 1e-150 for the rounding and underflow of the norms, so
+    the sweep can only add candidates, never drop a pair that passes the
+    exact test.  A row whose norm overflows, or comes near it, where the
+    exact test's norm can overflow, is a candidate with every other row.
     """
     parts = np.concatenate([coords.real, coords.imag], axis=1)
     norms = np.sqrt(np.sum(parts * parts, axis=1))
-    thr = collision_tol * np.maximum(norms, 1e-300)
-    bound = np.maximum(thr * thr, np.finfo(float).tiny) * (1.0 + 1e-6)
-    n = len(parts)
-    ii, jj = [], []
-    for i0 in range(0, n, _PAIR_TILE):
-        rows = slice(i0, i0 + _PAIR_TILE)
-        for j0 in range(i0, n, _PAIR_TILE):
-            cols = slice(j0, j0 + _PAIR_TILE)
-            sq = np.zeros((len(parts[rows]), len(parts[cols])))
-            for x in parts.T:
-                d = np.subtract.outer(x[rows], x[cols])
-                d *= d
-                sq += d
-            # not (sq > bound), so a NaN distance stays a candidate
-            i, j = np.nonzero(
-                ~(sq > np.maximum.outer(bound[rows], bound[cols])))
-            i += i0
-            j += j0
-            upper = j > i
-            ii.append(i[upper])
-            jj.append(j[upper])
-    ii, jj = np.concatenate(ii), np.concatenate(jj)
-    order = np.lexsort((jj, ii))
-    return zip(ii[order].tolist(), jj[order].tolist())
+    tame = norms < 2.0 ** 511  # NaN fails the test too
+    key = np.where(tame, norms, np.inf)
+    safe = np.where(tame, norms, 0.0)
+    reach = ((1.0 + 1e-6) * collision_tol * np.maximum(safe, 1e-150)
+             + 1e-12 * safe + 1e-150)
+    order = np.argsort(key, kind="stable")
+    # the rows at sorted positions lo[p] .. p - 1 pair with the row at p
+    pos = np.arange(len(key))
+    lo = np.minimum(pos, np.where(
+        tame[order], np.searchsorted(key[order], (key - reach)[order]), 0))
+    counts = pos - lo
+    first = np.cumsum(counts) - counts
+    a = order[np.repeat(pos, counts)]
+    b = order[np.arange(counts.sum()) - np.repeat(first - lo, counts)]
+    pairs = np.sort(np.minimum(a, b) * len(key) + np.maximum(a, b))
+    return zip((pairs // len(key)).tolist(), (pairs % len(key)).tolist())
 
 
 def _klein_vectors(points, omega, tol):
@@ -623,44 +610,51 @@ def finiteness_probe(curve: HyperellipticCurve, n_samples: int,
     coordinate norms is reported and classified as trivial when
     e' = +-e modulo the lattice within 1e-6 in lattice coordinates.
 
-    Samples are drawn in the order a single-point loop draws them and
-    evaluated in chunks of about ``_PROBE_POINTS`` lattice points (at
-    least one row) per theta_batch call, with the points per row from
-    :func:`theta.points_per_row`; the extra points take one more call.
-    Pairs are found by a candidate filter with bounded memory (see
-    :func:`_collision_candidates`) followed by the exact relative test
-    on the candidates only, in ascending (i, j) order, and classified
-    all at once; the report is the one a test of every pair gives.
+    Samples are drawn in the order a single-point loop draws them: each
+    draw takes all the samples still needed and evaluates them in one
+    :func:`theta.theta_batch` call, which chunks its own rows, and the
+    first draw also carries the extra points.  An extra point of the
+    wrong length raises ValueError, and one on the theta divisor raises
+    its :class:`PointOnTheta` once sampling is done.  Pairs are found by
+    a sweep over the coordinate norms (see :func:`_collision_candidates`)
+    followed by the exact relative test on the candidates only, in
+    ascending (i, j) order, and classified all at once; the report is the
+    one a test of every pair gives.
     """
     if n_samples < 2:
         raise ValueError("need at least two samples")
     omega = curve.omega
     g = omega.dim
-    rows = max(1, int(_PROBE_POINTS / theta.points_per_row(omega, 2, tol)))
+    extra = [] if extra_points is None else \
+        [np.asarray(e, dtype=complex).reshape(-1) for e in extra_points]
+    if any(len(e) != g for e in extra):
+        raise ValueError("dimension mismatch between z, char and Omega")
+    extra = np.array(extra, dtype=complex).reshape(-1, g)
     rng = np.random.default_rng(seed)
     points = []
     coords = []
     rejected = 0
+    pending, extra_coords = extra, []  # the first draw carries the extras
     while len(points) < n_samples:
         # a then b for each sample: the stream of per-sample draws
-        ab = rng.uniform(-0.5, 0.5,
-                         (min(rows, n_samples - len(points)), 2, g))
+        ab = rng.uniform(-0.5, 0.5, (n_samples - len(points), 2, g))
         # stacked products match omega.entries @ b row by row
-        chunk = ab[:, 0] + (omega.entries @ ab[:, 1, :, None])[:, :, 0]
-        for e, c in zip(chunk, _klein_vectors(chunk, omega, tol)):
+        draw = ab[:, 0] + (omega.entries @ ab[:, 1, :, None])[:, :, 0]
+        vectors = _klein_vectors(np.concatenate([draw, pending]), omega,
+                                 tol)
+        extra_coords += vectors[len(draw):]
+        pending = extra[:0]
+        for e, c in zip(draw, vectors):
             if isinstance(c, PointOnTheta):
                 rejected += 1
                 continue
             points.append(e)
             coords.append(c)
-    extra = [] if extra_points is None else \
-        [np.asarray(e, dtype=complex).reshape(-1) for e in extra_points]
-    if extra:
-        for e, c in zip(extra, _klein_vectors(np.array(extra), omega, tol)):
-            if isinstance(c, PointOnTheta):
-                raise c
-            points.append(e)
-            coords.append(c)
+    for e, c in zip(extra, extra_coords):
+        if isinstance(c, PointOnTheta):
+            raise c
+        points.append(e)
+        coords.append(c)
     pairs, rel = [], []
     with np.errstate(over="ignore"):  # overflow only adds candidates
         candidates = list(_collision_candidates(np.array(coords),

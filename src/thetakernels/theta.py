@@ -34,6 +34,13 @@ DEFAULT_TOL = 1e-12
 #: time.
 THETA_FLOOR = 1e-8
 
+#: Expected lattice points per chunk of a :func:`theta_batch` call: the
+#: call enumerates its rows in consecutive chunks of at most this many
+#: points (a row that expects more is a chunk of its own), so its memory
+#: is bounded whatever its row count.  A probe draw of 200 samples at
+#: genus 2 or 40 at genus 3 (about 12k and 19k points) fits in one chunk.
+_CHUNK_POINTS = 2 ** 15
+
 
 class RiemannMatrix:
     """A symmetric g x g complex matrix with positive definite imaginary part.
@@ -331,17 +338,23 @@ def _check_tol(tol):
 def points_per_row(omega: RiemannMatrix, order: int,
                    tol: float = DEFAULT_TOL) -> float:
     """Expected lattice points of a :func:`theta_batch` row of derivative
-    order ``order`` at Im z = 0: the volume of the ellipsoid ||T x|| <= R
-    at that row's truncation radius R, or 1 when that is smaller or does
-    not fit a double.  Raises as theta_batch does for a ``tol`` it
+    order ``order`` at Im z = 0: :func:`_expected_points` at that row's
+    truncation radius.  Raises as theta_batch does for a ``tol`` it
     rejects."""
     _check_tol(tol)
+    return _expected_points(omega, _truncation_radius(omega, order, tol, 0.0))
+
+
+def _expected_points(omega: RiemannMatrix, R: float) -> float:
+    """Expected lattice points in ||T (n + c)|| <= R over the centres c:
+    the volume of that ellipsoid, or 1 when that is smaller.  It never
+    decreases with R: a volume that overflows counts as inf."""
     g = omega.dim
-    R = _truncation_radius(omega, order, tol, 0.0)
     vol = (math.pi ** (0.5 * g) / math.gamma(0.5 * g + 1)
-           * float(np.prod(R / np.diag(omega.chol))))
-    # not (vol < inf) also holds for NaN, from 0 * inf in the product
-    return vol if 1.0 < vol < math.inf else 1.0
+           * math.prod(R / t for t in omega.chol.diagonal().tolist()))
+    # not (vol > 1) also holds for NaN, from 0 * inf in the product, which
+    # arises only where every smaller R gives a volume of 0
+    return vol if vol > 1.0 else 1.0
 
 
 # ----------------------------------------------------------------------
@@ -370,9 +383,13 @@ def theta_batch(z, omega: RiemannMatrix, chars, orders,
     Row r holds the derivatives ``derivative_indices(g, orders[r])``, a
     prefix of the list for the call's highest order, and its truncation
     radius comes from its own order (:func:`_truncation_radius`, which
-    evaluates no tail bound for most rows).  All rows share a single
-    lattice enumeration, and each derivative is summed from a real
-    product of powers of the lattice vectors times the terms.  Returns
+    evaluates no tail bound for most rows).  The rows are split into
+    consecutive chunks, each of at least one row and, when it holds
+    several, at most ``_CHUNK_POINTS`` expected lattice points
+    (:func:`_expected_points` at each row's radius); the rows of a chunk
+    share one lattice enumeration, so the call's memory is bounded by
+    its largest chunk.  Each derivative is summed from a real product of
+    powers of the lattice vectors times the terms.  Returns
     ``(mantissas, exponents, scales)``, three lists with one entry per
     row: ``value_k = mantissas[r][k] * exp(exponents[r])``, and
     ``scales[r]`` is the largest term magnitude of the row's order-zero
@@ -381,8 +398,9 @@ def theta_batch(z, omega: RiemannMatrix, chars, orders,
     bit the result of a call with that row, its characteristic and its
     order alone.  Values are certified absolutely: the truncation error
     of value_k is at most ``tol * exp(exponents[r])``.  Raises
-    ValueError when an entry of z, or of a row's lattice centre, is not
-    finite or reaches 2**53 in absolute value.
+    ValueError, before any chunk is enumerated, when an entry of z, or of
+    a row's lattice centre, is not finite or reaches 2**53 in absolute
+    value.
     """
     _check_tol(tol)
     z = np.asarray(z, dtype=complex)
@@ -414,12 +432,42 @@ def theta_batch(z, omega: RiemannMatrix, chars, orders,
     radii = [_truncation_radius(omega, order, tol, norm_c)
              for order, norm_c in zip(orders, np.sqrt(
                  (c[:, None, :] @ c[:, :, None])[:, 0, 0]).tolist())]
+    # one matrix-vector product per row, as a single-row call makes it
+    zb = z + beta
+    # the estimate grows with R, so a call within the budget at its
+    # largest radius is one chunk, found without a walk over its rows
+    if len(radii) * _expected_points(omega, max(radii, default=0.0)) \
+            <= _CHUNK_POINTS:
+        mantissas, scales = _theta_rows(omega, alpha, zb, c, exponents,
+                                        radii, orders)
+        return mantissas, exponents, scales
+    # a chunk closes before the row that would take it past the budget
+    expected = {R: _expected_points(omega, R) for R in set(radii)}
+    bounds, points = [0], 0.0
+    for r, R in enumerate(radii):
+        points += expected[R]
+        if points > _CHUNK_POINTS and r > bounds[-1]:
+            bounds.append(r)
+            points = expected[R]
+    bounds.append(len(radii))
+    mantissas, scales = [], []
+    for s, e in zip(bounds, bounds[1:]):
+        m, sc = _theta_rows(omega, alpha[s:e], zb[s:e], c[s:e],
+                            exponents[s:e], radii[s:e], orders[s:e])
+        mantissas += m
+        scales += sc
+    return mantissas, exponents, scales
+
+
+def _theta_rows(omega, alpha, zb, c, exponents, radii, orders):
+    """The mantissas and scales of :func:`theta_batch` for the rows of
+    one chunk, from one lattice enumeration: ``zb`` is z + beta and ``c``
+    the lattice centre offset of each row."""
+    g = omega.dim
     pts, counts = _enumerate_ellipsoid(omega.chol, alpha + c, radii)
     ends = np.cumsum(counts).tolist()
     na = pts + np.repeat(alpha, counts, axis=0)
     quad = _quadratic_form(na, omega.entries)
-    # one matrix-vector product per row, as a single-row call makes it
-    zb = z + beta
     lin = np.empty(len(na), dtype=complex)
     start = 0
     for zr, end in zip(zb, ends):
@@ -467,11 +515,11 @@ def theta_batch(z, omega: RiemannMatrix, chars, orders,
             np.add.reduce(prods[:sizes[order], s:e], axis=1).tolist())
     # the largest |term| of each row; a maximum is exact in any order, and
     # a row with no lattice points has scale 0
-    scales = np.zeros(len(z))
+    scales = np.zeros(len(zb))
     filled = counts > 0
     scales[filled] = np.maximum.reduceat(np.abs(terms),
                                          (np.cumsum(counts) - counts)[filled])
-    return mantissas, exponents, scales.tolist()
+    return mantissas, scales.tolist()
 
 
 def theta_value(z, omega: RiemannMatrix, char: Characteristic = None,

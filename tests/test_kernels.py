@@ -997,11 +997,6 @@ class TestCollisionFilter:
         assert kinds[(n, n + 2)] == "equal"
         assert kinds[(n + 1, n + 2)] == "negation"
 
-    def test_tile_size_leaves_report_unchanged(self, genus2, monkeypatch):
-        want = self.probe(genus2, 40, 0.3).to_dict()
-        monkeypatch.setattr(kernels_module, "_PAIR_TILE", 7)
-        assert self.probe(genus2, 40, 0.3).to_dict() == want
-
     def test_equal_takes_precedence_over_negation(self, genus2):
         # h is a half period, so h - (h + 1) and h + (h + 1) both lie in
         # the lattice; the pair is reported as "equal"
@@ -1013,11 +1008,9 @@ class TestCollisionFilter:
                 for c in rep.collisions] == \
             all_pairs_collisions(rep, genus2.omega)
 
-    def test_chunk_size_leaves_report_unchanged(self, genus2, monkeypatch):
-        # floor 0.6 rejects about one sample in twelve, so the draw order
-        # and the rejection count are exercised too; a budget below one
-        # row's lattice points evaluates the samples one at a time, and
-        # one of 100 rows draws all 40 samples in the first call
+    @staticmethod
+    def counted_rows(monkeypatch):
+        """The row count of each theta_batch call the probe makes."""
         rows = []
         batch = kernels_module.theta_batch
 
@@ -1025,22 +1018,53 @@ class TestCollisionFilter:
             rows.append(len(points))
             return batch(points, *args, **kwargs)
 
+        monkeypatch.setattr(kernels_module, "theta_batch", counted)
+        return rows
+
+    def test_chunk_size_leaves_report_unchanged(self, genus2, monkeypatch):
+        # floor 0.6 rejects about one sample in twelve, so the draw order
+        # and the rejection count are exercised too; every draw is one
+        # theta_batch call of all the samples still needed, whatever the
+        # budget: one row per chunk, three, or all 40
         def report():
             rows.clear()
             return finiteness_probe(genus2, 40, collision_tol=0.3,
                                     seed=5).to_dict()
 
         monkeypatch.setattr(theta_module, "THETA_FLOOR", 0.6)
-        monkeypatch.setattr(kernels_module, "theta_batch", counted)
+        rows = self.counted_rows(monkeypatch)
         want = report()
-        assert want["n_rejected"] > 0
+        assert want["n_rejected"] > 0 and len(rows) > 1
+        want_rows = list(rows)
         per_row = theta_module.points_per_row(genus2.omega, 2)
-        for budget, chunk in ((1, 1), (3.5 * per_row, 3),
-                              (100 * per_row, 40)):
-            monkeypatch.setattr(kernels_module, "_PROBE_POINTS", budget)
+        for budget in (1, 3.5 * per_row, 100 * per_row):
+            monkeypatch.setattr(theta_module, "_CHUNK_POINTS", budget)
             assert report() == want
-            assert rows[0] == chunk and max(rows) == chunk
-            assert sum(rows) == 40 + want["n_rejected"]
+            assert rows == want_rows
+            assert rows[0] == 40 and sum(rows) == 40 + want["n_rejected"]
+            assert all(b < a for a, b in zip(rows, rows[1:]))
+
+    def test_first_draw_carries_the_extra_points(self, genus2, monkeypatch):
+        rows = self.counted_rows(monkeypatch)
+        self.probe(genus2, 40, 0.3)
+        assert rows == [43]
+
+    def test_extra_point_errors(self, lemniscatic, monkeypatch):
+        # a wrong length is refused up front; a point on the theta divisor
+        # raises once every draw is done
+        for bad in ([np.zeros(2)], [np.zeros(1), np.zeros(2)]):
+            with pytest.raises(ValueError, match="dimension mismatch"):
+                finiteness_probe(lemniscatic, 4, extra_points=bad)
+        monkeypatch.setattr(theta_module, "THETA_FLOOR", 0.6)
+        rows = self.counted_rows(monkeypatch)
+        rep = finiteness_probe(lemniscatic, 30, seed=4)
+        assert rep.n_rejected > 0
+        want_rows = [rows[0] + 1] + rows[1:]
+        rows.clear()
+        zero = (1 + lemniscatic.omega.entries[0]) / 2
+        with pytest.raises(PointOnTheta):
+            finiteness_probe(lemniscatic, 30, seed=4, extra_points=[zero])
+        assert rows == want_rows
 
     def test_exact_test_rejects_candidates_in_the_margin(self, lemniscatic,
                                                          monkeypatch):
@@ -1079,6 +1103,49 @@ class TestCollisionFilter:
                 if dist < collision_tol * max(norm, 1e-300):
                     assert (i, j) in cand
         assert (2, 5) in cand and (4, 9) in cand
+
+    def test_pairs_at_the_threshold_survive_norm_rounding(self):
+        # radial partners a relative 0.999 tol apart: at tol = 1e-14 the
+        # rounding of the two norms is a tenth of their difference, so a
+        # sweep without slack for it drops some of the passing pairs
+        tol = 1e-14
+        rng = np.random.default_rng(0)
+        base = rng.standard_normal((200, 3)) + 1j * rng.standard_normal((200, 3))
+        coords = np.concatenate([base, base * (1 - 0.999 * tol)])
+        cand = set(kernels_module._collision_candidates(coords, tol))
+        passing = 0
+        for i in range(200):
+            a, b = coords[i], coords[i + 200]
+            norm = max(np.linalg.norm(a), np.linalg.norm(b))
+            if float(np.linalg.norm(a - b)) < tol * norm:
+                passing += 1
+                assert (i, i + 200) in cand
+        assert passing > 100
+
+    @pytest.mark.parametrize("collision_tol", [1e-160, 1e-6])
+    def test_underflowing_norms_keep_pairs_at_zero_distance(self,
+                                                            collision_tol):
+        # the squares of these norms round to one and two subnormal ulps,
+        # so the norms differ by about 1e-162, while the squared difference
+        # underflows to 0 and the pair passes the exact test at any tol
+        coords = np.array([[2.7e-162, 0.0], [2.75e-162, 0.0]], dtype=complex)
+        assert np.linalg.norm(coords[0] - coords[1]) == 0.0
+        norms = np.sqrt(np.sum(np.abs(coords) ** 2, axis=1))
+        assert norms[1] - norms[0] > 5e-163
+        assert list(kernels_module._collision_candidates(
+            coords, collision_tol)) == [(0, 1)]
+
+    def test_rows_near_norm_overflow_pair_with_every_row(self):
+        # rows 1 and 3 have norms whose squares overflow, or come within a
+        # factor 4 of it, where np.linalg.norm in the exact test can
+        # overflow too and pass any pair at a finite distance; they stay
+        # candidates with every row, the others only with each other
+        coords = np.array([[1.0, 1.0], [1e160, 1e160], [1.0, 1.0 + 1e-9],
+                           [2.0 ** 511, 0.0], [1e150, 0.0]], dtype=complex)
+        with np.errstate(over="ignore"):
+            cand = list(kernels_module._collision_candidates(coords, 1e-6))
+        assert cand == [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (1, 4),
+                        (2, 3), (3, 4)]
 
 
 class TestOddCharacteristicMemo:

@@ -1,3 +1,4 @@
+import contextlib
 import itertools
 import json
 import math
@@ -5,6 +6,7 @@ import sys
 import threading
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import mpmath
 import numpy as np
@@ -348,6 +350,19 @@ class TestPointsPerRow:
             points_per_row(om, 2, 0.0)
         with pytest.raises(ToleranceTooSmall):
             points_per_row(om, 2, 1e-15)
+
+    def test_never_decreases_with_the_radius(self):
+        # theta_batch finds a call within its chunk budget from the largest
+        # radius alone, so the estimate must grow with R, also where the
+        # volume overflows (Im Omega = 1e-300 I at genus 3, from R = 1)
+        grid = np.linspace(0.0, 80.0, 321).tolist()
+        for om in (RiemannMatrix(1e-300j * np.eye(3)),
+                   random_riemann(np.random.default_rng(5), 3)):
+            est = [theta_module._expected_points(om, R) for R in grid]
+            assert est == sorted(est) and est[0] == 1.0
+        assert est[-1] > 1e3 and math.isinf(
+            theta_module._expected_points(RiemannMatrix(1e-300j * np.eye(3)),
+                                          1.0))
 
 
 class TestQuadraticForm:
@@ -1033,6 +1048,84 @@ class TestThetaBatchRows:
         for bad in (4, -1):
             with pytest.raises(ValueError, match="orders"):
                 theta_batch(z, genus2.omega, [zero] * 3, [0, bad, 0])
+
+
+@contextlib.contextmanager
+def chunk_budget(points):
+    """theta_batch with ``_CHUNK_POINTS = points``, yielding the roots of
+    each lattice enumeration it makes, as (centres, radii) pairs."""
+    calls = []
+    enumerate_ellipsoid = theta_module._enumerate_ellipsoid
+
+    def recorded(T, centers, radii):
+        calls.append((np.array(centers), list(radii)))
+        return enumerate_ellipsoid(T, centers, radii)
+
+    with mock.patch.object(theta_module, "_CHUNK_POINTS", points), \
+            mock.patch.object(theta_module, "_enumerate_ellipsoid", recorded):
+        yield calls
+
+
+class TestThetaBatchChunks:
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), g=st.integers(1, 4),
+           n=st.integers(1, 12),
+           im_scale=st.sampled_from([0.3, 1.0, 30.0, 3000.0]),
+           log_im=st.floats(-2, 2), bad_row=st.none() | st.integers(0, 11))
+    def test_one_row_per_chunk_keeps_every_bit(self, seed, g, n, im_scale,
+                                               log_im, bad_row):
+        """A budget of one point evaluates every row in a chunk of its own,
+        with the bits of the default call: mixed orders 0-3 and
+        characteristics, on Omega whose rows range from thousands of
+        lattice points (Im Omega 0.3) to none (3000, where a row with a
+        nonzero alpha has no lattice point in reach).  A non-finite row
+        raises the same ValueError before any chunk is enumerated."""
+        rng = np.random.default_rng(seed)
+        om = random_riemann(rng, g)
+        om = RiemannMatrix(om.entries.real + 1j * im_scale * om.im)
+        chars = list(Characteristic.all(g))
+        row_chars = [chars[k] for k in rng.integers(0, len(chars), n)]
+        row_orders = rng.integers(0, 4, n).tolist()
+        z = (rng.uniform(-3, 3, (n, g))
+             + 1j * 10.0 ** log_im * rng.uniform(-1, 1, (n, g)))
+        if bad_row is not None:
+            z[bad_row % n, rng.integers(g)] = [np.nan, np.inf][bad_row % 2]
+        args = (z, om, row_chars, row_orders)
+        want = _batch_or_error(theta_batch, *args)
+        with chunk_budget(1) as calls:
+            assert _batch_or_error(theta_batch, *args) == want
+        if bad_row is None:
+            assert [len(radii) for _, radii in calls] == [1] * n
+        else:
+            assert want == "ValueError" and calls == []
+
+    def test_large_call_enumerates_in_chunks_within_the_budget(self, genus2):
+        # 1,000 order-2 rows expect about 60 points each at genus 2, twice
+        # the budget; every chunk but a single-row one stays within it, and
+        # the chunks take the rows in order, each as many as fit
+        om = genus2.omega
+        rng = np.random.default_rng(4)
+        n = 1000
+        z = (rng.uniform(-0.5, 0.5, (n, 2))
+             + 1j * rng.uniform(-0.5, 0.5, (n, 2)))
+        args = (z, om, [Characteristic.zero(2)] * n, [2] * n)
+        with chunk_budget(theta_module._CHUNK_POINTS) as calls:
+            got = _batch_or_error(theta_batch, *args)
+        budget = theta_module._CHUNK_POINTS
+        expected = [[theta_module._expected_points(om, r) for r in radii]
+                    for _, radii in calls]
+        assert sum(map(sum, expected)) > budget and len(calls) > 1
+        assert all(sum(points) <= budget for points in expected
+                   if len(points) > 1)
+        assert all(sum(points) + following[0] > budget
+                   for points, following in zip(expected, expected[1:]))
+        with chunk_budget(math.inf) as whole:
+            assert _batch_or_error(theta_batch, *args) == got
+        assert len(whole) == 1
+        assert np.array_equal(np.concatenate([c for c, _ in calls]),
+                              whole[0][0])
+        with chunk_budget(1):
+            assert _batch_or_error(theta_batch, *args) == got
 
 
 def loop_theta_batch(z, omega, chars, orders, tol=1e-12):
