@@ -518,8 +518,8 @@ def cmd_verify(args) -> int:
 
 def _positive_float(text: str) -> float:
     value = float(text)
-    if not value > 0:
-        raise argparse.ArgumentTypeError(f"must be positive, got {text}")
+    if not 0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be positive and finite, got {text}")
     return value
 
 
@@ -656,6 +656,9 @@ def main(argv=None) -> int:
     except QuadratureNonConvergent as exc:
         sys.stderr.write(f"quadrature failure: {exc}\n")
         return 3
+    except MemoryError:
+        sys.stderr.write("error: out of memory; use a smaller order or input\n")
+        return 2
     except (ThetaKernelsError, ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2

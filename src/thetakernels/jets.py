@@ -17,6 +17,12 @@ one entry of a matrix jet) is a rank-1, weight-0, pole-0
 products of u-expansions also bound each slot's truncation order by
 the orders of their factors (:func:`_expansion_mul`).
 
+Every power, negative and fractional ones included, is J.C.P. Miller's
+recurrence in :func:`tensor_power`, one ``series._dot`` per slot; every
+sum of Taylor terms (a swap, a Taylor shift, the operator dictionary)
+is one ``series._combination`` per entry, and every other sum of
+products (a chart change, an oper, a determinant) one ``_dot``.
+
 Index conventions: ``u = z1 - z2``; the restriction to the diagonal in
 the canonical trivialization is the coefficient a_d with d = pole -
 weight, so "monic" means a_j = 0 for j < d and a_d = Id.
@@ -24,6 +30,7 @@ weight, so "monic" means a_j = 0 for j < d and a_d = Id.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -32,7 +39,7 @@ from fractions import Fraction
 from .errors import (DiagonalValueMismatch, NonInvertibleChart, NotMonic,
                      NotMonicOn2Delta, TraceNotZero, TruncationUnderflow,
                      WeightMismatch)
-from .series import QC, Series, _compose, _dot, _power, _powers
+from .series import QC, Series, _combination, _compose, _dot, _powers
 
 DEFAULT_ORDER = 16
 
@@ -50,26 +57,22 @@ def _mat_id(r, n, value=1):
         m[i][i] = Series.const(value, n)
     return m
 
-def _mat_add(a, b):
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-def _mat_scale(a, s):
-    return [[x * s for x in row] for row in a]
-
-def _mat_dot(pairs, r, n):
-    """Sum of the r x r products a b over the matrix pairs (a, b), a 1 x 1
-    factor as a scalar: one ``series._dot`` (orders at most n) per entry."""
-    def entry(a, b, i, j):
+def _mat_dot(terms, r, n):
+    """Sum of the r x r products c a b over the terms (c, a, b), c rational
+    and a 1 x 1 factor a scalar: one ``series._dot`` (orders at most n)
+    per entry."""
+    def entry(c, a, b, i, j):
         if len(a) == len(b):
-            return [(a[i][k], b[k][j]) for k in range(len(b))]
-        return [(a[0][0], b[i][j])] if len(a) == 1 else [(a[i][j], b[0][0])]
-    return [[_dot([x for a, b in pairs for x in entry(a, b, i, j)], n)
+            return [(c, a[i][k], b[k][j]) for k in range(len(b))]
+        return [(c, a[0][0], b[i][j])] if len(a) == 1 else [(c, a[i][j], b[0][0])]
+    return [[_dot([x for c, a, b in terms for x in entry(c, a, b, i, j)], n)
              for j in range(r)] for i in range(r)]
 
-def _mat_deriv(a, k=1):
-    for _ in range(k):
-        a = [[x.derivative() for x in row] for row in a]
-    return a
+def _mat_combination(terms, r, n):
+    """Sum of c a^(k) / k! over the terms (c, a, k) of r x r matrices: one
+    ``series._combination`` (orders at most n) per entry."""
+    return [[_combination([(c, a[i][j], k) for c, a, k in terms], n)
+             for j in range(r)] for i in range(r)]
 
 def _mat_trace(a):
     return sum((a[i][i] for i in range(1, len(a))), a[0][0])
@@ -87,13 +90,8 @@ def _taylor_shift(mat, m, skip=0):
     They are the u-expansion of mat(z - u) for ``skip`` 0 and of
     (mat(z) - mat(z - u)) / u for ``skip`` 1.
     """
-    d = _mat_deriv(mat, skip)
-    out = []
-    for k in range(m):
-        if k:
-            d = _mat_deriv(d)
-        out.append(_mat_scale(d, Fraction((-1) ** k, math.factorial(k + skip))))
-    return out
+    return [_mat_combination([((-1) ** k, mat, k + skip)], len(mat), math.inf)
+            for k in range(m)]
 
 
 # ----------------------------------------------------------------------
@@ -173,7 +171,8 @@ class JetKernel:
             raise WeightMismatch("cannot add kernels of different weights")
         m = min(a.order, b.order)
         return JetKernel(a.rank, a.weight, p,
-                         [_mat_add(a.coeffs[j], b.coeffs[j]) for j in range(m)])
+                         [_mat_combination([(1, a.coeffs[j], 0), (1, b.coeffs[j], 0)],
+                                           a.rank, math.inf) for j in range(m)])
 
     def __sub__(self, other):
         return self + other.scale(-1)
@@ -189,7 +188,7 @@ class JetKernel:
 
     def scale(self, s):
         return JetKernel(self.rank, self.weight, self.pole,
-                         [_mat_scale(mat, s) for mat in self.coeffs])
+                         [[[x * s for x in row] for row in mat] for mat in self.coeffs])
 
     def __mul__(self, other):
         """Tensor product of kernels: weights and poles add."""
@@ -201,22 +200,21 @@ class JetKernel:
             raise WeightMismatch("rank mismatch in kernel product")
         a = [(i, x) for i, x in enumerate(self.coeffs[:m]) if not _mat_is_zero(x)]
         b = [(j, y) for j, y in enumerate(other.coeffs[:m]) if not _mat_is_zero(y)]
-        out = [_mat_dot([(x, y) for i, x in a for j, y in b if i + j == k],
+        out = [_mat_dot([(1, x, y) for i, x in a for j, y in b if i + j == k],
                         max(r1, r2), self.series_order) for k in range(m)]
         return JetKernel(max(r1, r2), self.weight + other.weight,
                          self.pole + other.pole, out)
 
     def swap(self):
-        """Pullback under (z1, z2) -> (z2, z1), no matrix transpose."""
-        m = self.order
-        out = [_mat_zero(self.rank, self.series_order) for _ in range(m)]
-        for j, mat in enumerate(self.coeffs):
-            if _mat_is_zero(mat):
-                continue
-            if (j - self.pole) % 2:
-                mat = _mat_scale(mat, -1)
-            for k, term in enumerate(_taylor_shift(mat, m - j)):
-                out[j + k] = _mat_add(out[j + k], term)
+        """Pullback under (z1, z2) -> (z2, z1), no matrix transpose: slot i
+        is (-1)^(i - pole) sum_(j <= i) a_j^(i-j) / (i-j)!, the Taylor
+        terms of a_j(z1 - u), one ``series._combination`` per entry."""
+        nonzero = [(j, mat) for j, mat in enumerate(self.coeffs)
+                   if not _mat_is_zero(mat)]
+        out = [_mat_combination([((-1) ** (i - self.pole), mat, i - j)
+                                 for j, mat in nonzero if j <= i],
+                                self.rank, self.series_order)
+               for i in range(self.order)]
         return JetKernel(self.rank, self.weight, self.pole, out)
 
     def trace(self, normalized=True):
@@ -266,46 +264,32 @@ def _expansion_mul(a: JetKernel, b: JetKernel) -> JetKernel:
     return out
 
 
-def tensor_power(s: JetKernel, k: int) -> JetKernel:
-    """s^k by binary powering: the weight-0 unit for k = 0, and for k < 0
-    the power of the reciprocal of a rank-1 ``s``."""
-    if k < 0:
-        return tensor_power(_reciprocal(s), -k)
-    if k == 0:
-        return mu_nu(0, s.order, s.series_order)
-    return _power(s, k, _expansion_mul)
+def tensor_power(s: JetKernel, alpha) -> JetKernel:
+    """s^alpha for a rank-1 ``s`` with an invertible leading Series a_0,
+    by J.C.P. Miller's recurrence (Knuth, TAOCP vol. 2, 4.7): Q_0 =
+    a_0^alpha and Q_k = (1/k) sum_{j=1..k} ((alpha+1) j - k) (a_j/a_0) Q_(k-j).
 
-
-def _reciprocal(s: JetKernel) -> JetKernel:
-    """1/s for a rank-1 jet whose leading Series has a nonzero constant."""
+    ``alpha`` is any integer (0 gives the unit, -1 the reciprocal) or,
+    when ``s`` has weight 0, pole 0 and a_0 = 1, a Fraction.  Q_k is one
+    ``series._dot`` at the lowest series order among a_0..a_k, the order
+    a product of u-expansions gives its slot k (:func:`_expansion_mul`).
+    """
     if s.rank != 1:
-        raise WeightMismatch("only rank-1 jets have reciprocals")
+        raise WeightMismatch("only rank-1 jets have tensor powers")
+    alpha = Fraction(alpha)
+    p, q = alpha.numerator, alpha.denominator
     a = [mat[0][0] for mat in s.coeffs]
-    n = a[0].n
-    lead = a[0].reciprocal()
+    lead = Series.const(1, a[0].n)
+    if q != 1 and (s.weight or s.pole or a[0] != lead):
+        raise ValueError("fractional jet powers need weight 0, pole 0 and a_0 = 1")
+    if a[0] != lead:
+        inv = a[0].reciprocal()
+        lead, a = inv ** -p if p < 0 else a[0] ** p, [x * inv for x in a]
     out = [lead]
     for k in range(1, s.order):
-        out.append(-(lead * _dot([(a[j], out[k - j]) for j in range(1, k + 1)], n)))
-    return JetKernel(1, -s.weight, -s.pole, [[[x]] for x in out])
-
-
-def _pow_fraction(s: JetKernel, alpha: Fraction) -> JetKernel:
-    """s^alpha for a rank-1 weight-0 jet whose leading Series is 1."""
-    one = mu_nu(0, s.order, s.series_order)
-    if not s.scalar_coeff(0) == one.scalar_coeff(0):
-        raise ValueError("fractional jet powers need leading coefficient 1")
-    x = s - one
-    out = term = one
-    coeff = Fraction(alpha)
-    fact = 1
-    for k in range(1, s.order):
-        term = _expansion_mul(term, x)
-        fact *= k
-        out = out + term.scale(coeff / fact)
-        coeff *= (alpha - k)
-        if not coeff:  # the later terms are zero, of the orders of x^1
-            break
-    return out
+        out.append(_dot([(Fraction((p + q) * j - q * k, q * k), a[j], out[k - j])
+                         for j in range(1, k + 1)], lead.n))
+    return JetKernel(1, p * s.weight, p * s.pole, [[[x]] for x in out])
 
 
 # ----------------------------------------------------------------------
@@ -410,19 +394,13 @@ def kernel_to_operator(s: JetKernel) -> DiffOperator:
     if s.order < n + 1:
         raise TruncationUnderflow(f"need jet order {n + 1}, have {s.order}")
     r = s.rank
-    # c_i = sum_j n!/(n-j)! * binom(n-j, i) * a_j^{(n-j-i)}
-    cs = []
-    for i in range(n + 1):
-        acc = _mat_zero(r, s.series_order)
-        for j in range(n - i + 1):
-            factor = Fraction(math.factorial(n), math.factorial(n - j)) \
-                * math.comb(n - j, i)
-            acc = _mat_add(acc, _mat_scale(_mat_deriv(s.coeff(j), n - j - i), factor))
-        cs.append(acc)
-    lead = cs[n]
-    if not _mat_eq(lead, _mat_id(r, s.series_order)):
+    # c_i = sum_j n!/(n-j)! binom(n-j, i) a_j^(n-j-i)
+    #     = n!/i! sum_j a_j^(n-j-i) / (n-j-i)!, so c_n = a_0 and q_i = -c_(n-i)
+    if not _mat_eq(s.coeff(0), _mat_id(r, s.series_order)):
         raise NotMonic("kernel is not monic; leading operator coefficient != Id")
-    q = [_mat_scale(cs[n - i], -1) for i in range(1, n + 1)]
+    q = [_mat_combination([(-math.perm(n, i), s.coeff(j), i - j)
+                           for j in range(i + 1)], r, s.series_order)
+         for i in range(1, n + 1)]
     return DiffOperator(order=n, rank=r, q=q)
 
 
@@ -432,23 +410,16 @@ def operator_to_kernel(L: DiffOperator, order: int = None) -> JetKernel:
     r = L.rank
     nser = max((q[i][k].n for q in L.q for i in range(r) for k in range(r)),
                default=DEFAULT_ORDER)
-    cs = [_mat_scale(L.q[n - 1 - i], -1) for i in range(n)]
-    # monicity is exact, so the identity row carries extra series order
-    # and its derivatives never degrade the reconstruction
-    cs.append(_mat_id(r, nser + n))
+    # monicity is exact, so the identity carries extra series order and
+    # its derivatives never degrade the reconstruction
     a = [_mat_id(r, nser + n)]
     for j in range(1, n + 1):
-        # c_{n-j} = (n!/(n-j)!) a_j + contributions from a_{j'} with j' < j
-        acc = cs[n - j]
-        for jp in range(j):
-            factor = (Fraction(math.factorial(n), math.factorial(n - jp))
-                      * math.comb(n - jp, n - j))
-            acc = _mat_add(acc, _mat_scale(_mat_deriv(a[jp], j - jp), -factor))
-        a.append(_mat_scale(acc, Fraction(math.factorial(n - j),
-                                          math.factorial(n))))
+        # -q_j = c_(n-j) = n!/(n-j)! sum_(j' <= j) a_j'^(j-j') / (j-j')!
+        a.append(_mat_combination(
+            [(Fraction(-1, math.perm(n, j)), L.q[j - 1], 0)]
+            + [(-1, a[jp], j - jp) for jp in range(j)], r, math.inf))
     m = order or (n + 1)
-    while len(a) < m:
-        a.append(_mat_zero(r, nser))
+    a += [_mat_zero(r, nser) for _ in range(m - len(a))]
     return JetKernel(r, n + 1, n + 1, a[:m])
 
 
@@ -519,8 +490,8 @@ def flat_extension(conn: ConnectionJet, m: int) -> JetKernel:
     gs = _taylor_shift(conn.gamma, m)   # u-expansion of Gamma(z1 - u)
     a = [_mat_id(r, nser)]
     for j in range(m - 1):
-        acc = _mat_dot([(a[i], gs[j - i]) for i in range(j + 1)], r, nser)
-        a.append(_mat_scale(acc, Fraction(1, j + 1)))
+        a.append(_mat_dot([(Fraction(1, j + 1), a[i], gs[j - i])
+                           for i in range(j + 1)], r, nser))
     return JetKernel(r, 0, 0, a)
 
 
@@ -555,35 +526,26 @@ def change_coordinate(s: JetKernel, w: Series) -> JetKernel:
         raise NonInvertibleChart("need w(0) = 0 and w'(0) != 0")
     m = s.order
     dw = _chart_difference(w, m)
-    # dw^k and dw^-k, each one running product in ascending k
-    unit = mu_nu(0, m, dw.series_order)
-    powers = {1: [unit, dw], -1: [unit, _reciprocal(dw)]}
     w_powers = _powers(w, w.n)
-    total = JetKernel(1, 0, 0, [_mat_zero(1, w.n) for _ in range(m)])
-    for j in range(m):
-        aj = s.scalar_coeff(j)
-        if aj.is_zero():
-            continue
-        rel = j - s.pole
-        run = powers[1 if rel >= 0 else -1]
-        while len(run) <= abs(rel):
-            run.append(_expansion_mul(run[-1], run[1]))
-        term = run[abs(rel)].scale(_compose(aj, w_powers, min(aj.n, w.n)))
-        total = total + _shift_up(term, j, w.n)
-    return _weight_factor(JetKernel(1, s.weight, s.pole, total.coeffs), w)
+    # a_j(z) u^(j - pole) = a_j(w(t)) dw^(j - pole) v^(j - pole), u = dw v;
+    # the first power by the recurrence, each next one a product with dw
+    terms, power = [], None
+    for j, aj in enumerate(mat[0][0] for mat in s.coeffs):
+        if power is not None:
+            power = _expansion_mul(power, dw)
+        elif not aj.is_zero():
+            power = tensor_power(dw, j - s.pole)
+        if not aj.is_zero():
+            terms.append((j, power, _compose(aj, w_powers, min(aj.n, w.n))))
+    total = [[[_dot([(1, power.scalar_coeff(i - j), c)
+                     for j, power, c in terms if j <= i], w.n)]]
+             for i in range(m)]
+    return _weight_factor(JetKernel(1, s.weight, s.pole, total), w)
 
 
 def _chart_difference(w: Series, m: int) -> JetKernel:
     """The u-expansion of (w(t1) - w(t2)) / v, v = t1 - t2."""
     return JetKernel(1, 0, 0, _taylor_shift([[w]], m, 1))
-
-
-def _shift_up(s: JetKernel, j: int, n: int) -> JetKernel:
-    """u^j times rank-1 ``s`` at the same weight and pole: its coefficients
-    moved up j slots, below them zeros of series order n (not the series
-    order of ``s``, so that a sum keeps the orders of its lower slots);
-    a sum cuts the j slots that it adds past those of ``s``."""
-    return JetKernel(1, s.weight, s.pole, [_mat_zero(1, n) for _ in range(j)] + s.coeffs)
 
 
 def _weight_factor(s: JetKernel, w: Series) -> JetKernel:
@@ -592,7 +554,7 @@ def _weight_factor(s: JetKernel, w: Series) -> JetKernel:
     # (w'(t1) w'(t2))^(nu/2) = w'(t1)^nu * [w'(t1 - v)/w'(t1)]^(nu/2)
     ratio = JetKernel(1, 0, 0, _taylor_shift([[wp]], s.order)) \
         .scale(wp.reciprocal())
-    prefactor = _pow_fraction(ratio, Fraction(s.weight, 2))
+    prefactor = tensor_power(ratio, Fraction(s.weight, 2))
     return _expansion_mul(s, prefactor).scale(wp ** s.weight)
 
 
@@ -656,10 +618,8 @@ def rescale_shift(s: JetKernel, k: int) -> Series:
 def projective_jet(q: Series, k: int, nu: int = None, m: int = 3) -> JetKernel:
     """Inverse of :func:`rescale_shift`: the canonical jet plus deviation -k q/6."""
     nu = k if nu is None else nu
-    base = mu_nu(nu, m, q.n)
-    dev = q * Fraction(-k, 6)
-    out = base.copy()
-    out.coeffs[2][0][0] = out.coeffs[2][0][0] + dev
+    out = mu_nu(nu, m, q.n)
+    out.coeffs[2][0][0] = out.coeffs[2][0][0] + q * Fraction(-k, 6)
     return out
 
 
@@ -680,15 +640,15 @@ def build_oper(q: Series, v: dict, n: int, m: int) -> JetKernel:
     gamma = _gamma_from_chart(w, n + 1, m)
     dw = _chart_difference(w, m)
     wp = w.derivative()
-    mult = mu_nu(0, m, w.n)
-    for i, vi in sorted(v.items()):
-        if i == 2 or i >= m or vi.is_zero():
-            continue
-        # v_i dz^i = (v_i / w'^i) dw^i, and dw^i = v^i ((w1 - w2) / v)^i;
-        # after the shift by v^i only the first m - i slots of dw^i remain
-        term = tensor_power(dw.restrict(m - i), i).scale(vi / (wp ** i))
-        mult = mult + _shift_up(term, i, w.n)
-    return gamma * mult
+    # v_i dz^i = (v_i / w'^i) dw^i, and dw^i = v^i ((w1 - w2) / v)^i;
+    # after the shift by v^i only the first m - i slots of dw^i remain
+    terms = [(i, tensor_power(dw.restrict(m - i), i), vi / (wp ** i))
+             for i, vi in sorted(v.items())
+             if i != 2 and i < m and not vi.is_zero()]
+    mult = [[[Series.const(1, w.n)]]] + [
+        [[_dot([(1, power.scalar_coeff(k - i), c) for i, power, c in terms
+                if i <= k], w.n)]] for k in range(1, m)]
+    return gamma * JetKernel(1, 0, 0, mult)
 
 
 # ----------------------------------------------------------------------
@@ -749,16 +709,21 @@ def _permutations_with_sign(r):
 
 
 def _det_of_coefficients(s: JetKernel, out_pole, out_weight) -> JetKernel:
-    """Leibniz determinant of the coefficient matrix as a function jet."""
-    m, nser = s.order, s.series_order
-    total = JetKernel(1, 0, 0, [_mat_zero(1, nser) for _ in range(m)])
-    for perm, sign in _permutations_with_sign(s.rank):
-        prod = mu_nu(0, m, nser)
-        for i, k in enumerate(perm):
-            prod = _expansion_mul(
-                prod, JetKernel(1, 0, 0, [[[mat[i][k]]] for mat in s.coeffs]))
-        total = total + prod.scale(sign)
-    return JetKernel(1, out_weight, out_pole, total.coeffs)
+    """Leibniz determinant of the coefficient matrix as a function jet:
+    the last factor of each product and the signed sum over the
+    permutations are one ``series._dot`` per slot."""
+    m, nser, r = s.order, s.series_order, s.rank
+    terms = [[] for _ in range(m)]
+    for perm, sign in _permutations_with_sign(r):
+        factors = [JetKernel(1, 0, 0, [[[mat[i][k]]] for mat in s.coeffs])
+                   for i, k in enumerate(perm)]
+        head = (functools.reduce(_expansion_mul, factors[:-1]) if r > 1
+                else mu_nu(0, m, nser))
+        for a in range(m):
+            for b in range(m - a):
+                terms[a + b].append((sign, head.scalar_coeff(a),
+                                     factors[-1].scalar_coeff(b)))
+    return JetKernel(1, out_weight, out_pole, [[[_dot(t, nser)]] for t in terms])
 
 
 def det_kernel(s: JetKernel) -> JetKernel:

@@ -11,8 +11,10 @@ Every operation runs on those integers with plain ``int`` arithmetic; a
 sum of products, a product and a composition each accumulate over one
 common denominator and are reduced once per output series.  :class:`QC`
 values and their Fractions are built only when a coefficient is read,
-and a write to ``Series.c`` goes through to the integers.  Fractional
-powers of jets are the binomial series of ``jets._pow_fraction``.
+and a write to ``Series.c`` goes through to the integers.  :func:`_dot`
+(sums of products) and :func:`_combination` (sums of Taylor terms) do
+all the summing; powers of jets, fractional ones included, are J.C.P.
+Miller's recurrence in ``jets.tensor_power``, one ``_dot`` per slot.
 
 This is the exact-arithmetic module: only the jet calculus
 (:mod:`thetakernels.jets`) and ``verify jets`` import it.  Numerically
@@ -168,6 +170,7 @@ def _operand(x):
 # schoolbook over the nonzero coefficients (jet products are small and
 # sparse, so Kronecker substitution does not pay), every product of a
 # sum over one denominator, and one gcd reduction per output series.
+# ``_combination`` is the one sum kernel, with the same single reduction.
 
 def _lift(coeffs):
     """(re, im, den), canonical, with coeffs[k] == (re[k] + i im[k]) / den."""
@@ -196,19 +199,21 @@ def _scalar(x):
     return re, im, den
 
 
-def _dot(pairs, n):
-    """Sum of a * b over the Series pairs (a, b) modulo t^(m+1), m the
-    lowest of n and the operands' orders, over the lcm of the a._den b._den."""
-    n = min([n] + [x.n for pair in pairs for x in pair])
-    den = math.lcm(*[a._den * b._den for a, b in pairs])
+def _dot(terms, n):
+    """Sum of c * a * b over the terms (c, a, b), c rational and a, b
+    Series, modulo t^(m+1), m the lowest of n and the orders of the a and
+    b, over the lcm of the c.denominator a._den b._den."""
+    n = min([n] + [x.n for _, a, b in terms for x in (a, b)])
+    ratios = [c.as_integer_ratio() for c, _, _ in terms]
+    den = math.lcm(*[q * a._den * b._den for (_, q), (_, a, b) in zip(ratios, terms)])
     cr = [0] * (n + 1)
     ci = [0] * (n + 1)
-    for a, b in pairs:
+    for (p, q), (_, a, b) in zip(ratios, terms):
         br, bi = b._re, b._im
         nonzero_b = [(j, br[j], bi[j]) for j in range(n + 1) if br[j] or bi[j]]
-        if not nonzero_b:
+        if not (p and nonzero_b):
             continue
-        f = den // (a._den * b._den)
+        f = den // (q * a._den * b._den) * p
         for i, xr, xi in zip(range(n + 1), a._re, a._im):
             if not (xr or xi):
                 continue
@@ -220,6 +225,35 @@ def _dot(pairs, n):
                     break
                 cr[k] += xr * yr - xi * yi
                 ci[k] += xr * yi + xi * yr
+    return _series(cr, ci, den, n)
+
+
+def _combination(terms, n):
+    """Sum of c * x^(k) / k! over the terms (c, x, k), x a Series and c
+    rational or a Gaussian rational (re, im, den), modulo t^(m+1), m the
+    lowest of n and the x.n - k (at least 0, the order of a derivative of
+    a constant), over the lcm of the denominators.
+
+    Coefficient i of x^(k) / k! is C(i + k, k) x[i + k], so a Taylor
+    shift, a derivative list or a linear combination (every k = 0) costs
+    no per-term derivative or scaling and one reduction.
+    """
+    n = min([n] + [max(x.n - k, 0) for _, x, k in terms])
+    weights = [c if type(c) is tuple else _scalar(c) for c, _, _ in terms]
+    den = math.lcm(*[d * x._den for (_, _, d), (_, x, _) in zip(weights, terms)])
+    cr = [0] * (n + 1)
+    ci = [0] * (n + 1)
+    for (wr, wi, d), (_, x, k) in zip(weights, terms):
+        f = den // (d * x._den)
+        wr, wi = wr * f, wi * f
+        binom = 1                         # C(i + k, k)
+        for i, (xr, xi) in enumerate(zip(x._re[k:k + n + 1], x._im[k:k + n + 1])):
+            if xr or xi:
+                sr, si = wr * binom, wi * binom
+                cr[i] += xr * sr - xi * si
+                ci[i] += xr * si + xi * sr
+            if k:
+                binom = binom * (i + k + 1) // (i + 1)
     return _series(cr, ci, den, n)
 
 
@@ -292,10 +326,10 @@ def _powers(inner, n):
 
 def _compose(outer, powers, n):
     """outer(inner) modulo t^(n+1), from powers = _powers(inner, N), N >= n:
-    one :func:`_dot` of the coefficients of outer with the powers."""
+    one :func:`_combination` of the powers with the coefficients of outer."""
     re, im, den = outer._re, outer._im, outer._den
-    return _dot([(p, _series([re[k]] + [0] * n, [im[k]] + [0] * n, den, n))
-                 for k, p in enumerate(powers[:n + 1]) if re[k] or im[k]], n)
+    return _combination([((re[k], im[k], den), p, 0)
+                         for k, p in enumerate(powers[:n + 1]) if re[k] or im[k]], n)
 
 
 class _Coeffs(list):
@@ -463,7 +497,7 @@ class Series:
     def __mul__(self, other):
         if not isinstance(other, Series):
             return self._scaled(*_scalar(other))
-        return _dot([(self, other)], self.n)
+        return _dot([(1, self, other)], self.n)
 
     __rmul__ = __mul__
 
@@ -501,12 +535,7 @@ class Series:
     # -- calculus ---------------------------------------------------------
 
     def derivative(self):
-        n = self.n
-        if n == 0:
-            return Series.zero(0)
-        return _series([k * x for k, x in enumerate(self._re[1:], 1)],
-                       [k * x for k, x in enumerate(self._im[1:], 1)],
-                       self._den, n - 1)
+        return _combination([(1, self, 1)], self.n)
 
     def compose(self, inner: "Series"):
         """self(inner(t)); requires inner(0) = 0."""

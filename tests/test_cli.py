@@ -323,6 +323,20 @@ class TestEvalInputContracts:
         assert out == "" and len(lines) == 1
         assert lines[0].startswith("error:") and "nests too deeply" in lines[0]
 
+    def test_out_of_memory_exits_2(self, monkeypatch, capsys):
+        # verify jets --order 100000000000 runs out of memory building its
+        # first series; the suite is replaced so that nothing is allocated
+        from thetakernels import cli
+
+        def exhausted(args):
+            raise MemoryError
+        monkeypatch.setattr(cli, "_suite_jets", exhausted)
+        assert cli.main(["verify", "jets", "--order", "100000000000"]) == 2
+        out, err = capsys.readouterr()
+        lines = err.strip().splitlines()
+        assert out == "" and len(lines) == 1
+        assert lines[0].startswith("error:") and "memory" in lines[0]
+
     @pytest.mark.parametrize("flag", ["--theta-tol", "--tol"])
     def test_bergman_takes_no_theta_tol(self, curve_file, flag):
         # Klein's closed form sums no theta series
@@ -444,7 +458,7 @@ FUZZ_VALUES = {
                  "const.json"]),
     "--quadrature-tol": (["1e-11", "1e-6"],
                          ["1e-300", "0", "-1", "nan", "inf", "x"]),
-    "--theta-tol": (["1e-12"], ["1e-300", "0", "-1", "nan", "x"]),
+    "--theta-tol": (["1e-12"], ["1e-300", "0", "-1", "nan", "inf", "x"]),
     "--tol": (["1e-12"], ["0"]),
     "--collision-tol": (["1e-6", "0.5"], ["0", "inf", "x"]),
     "--seed": (["0", "3"], ["-1", "x"]),
@@ -543,6 +557,9 @@ REPRODUCED_INPUTS = [
      "0.3", "--order", "7"],
     ["eval", "bergman", "--curve", "curve.json", "--x1", "2.0", "--x2",
      "-2.0", "--e", "0.3", "--z", "1", "--omega", "[[1]]"],
+    # a tolerance of inf sets no accuracy target
+    ["eval", "theta", "--omega", "[[1]]", "--z", "0.1", "--theta-tol", "inf"],
+    ["periods", "--curve", "curve.json", "--quadrature-tol", "inf"],
 ]
 
 

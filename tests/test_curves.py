@@ -250,25 +250,30 @@ class TestThomae:
     def spread(cls, c):
         """(max - min) / max of theta[m](0)^4 over the Thomae products,
         both sorted, after checking that exactly the expected even theta
-        constants vanish: one at genus 3, none below."""
+        constants vanish: all but the C(2g+2, g+1)/2 of the Thomae
+        products, so none below genus 3, one at genus 3 and ten at 4."""
         g = c.genus
         evens = [m for m in Characteristic.all(g) if m.parity == 0]
         vals, expos, _ = theta_batch(np.zeros((len(evens), g)), c.omega,
                                      evens, [0] * len(evens), DEFAULT_TOL)
         fourth = np.sort([abs(v[0] * math.exp(x)) ** 4
                           for v, x in zip(vals, expos)])
-        if g == 3:
-            assert fourth[0] < 1e-40 * fourth[-1] <= fourth[1]
-            fourth = fourth[1:]
-        else:
-            assert fourth[0] >= 1e-40 * fourth[-1]
-        ratio = fourth / cls.thomae_products(c.branch_points, g)
+        vanishing = len(evens) - math.comb(2 * g + 2, g + 1) // 2
+        assert np.all(fourth[:vanishing] < 1e-40 * fourth[-1])
+        assert fourth[vanishing] >= 1e-40 * fourth[-1]
+        ratio = (fourth[vanishing:]
+                 / cls.thomae_products(c.branch_points, g))
         return (np.max(ratio) - np.min(ratio)) / np.max(ratio)
 
     @settings(max_examples=16, deadline=None)
     @given(data=st.data())
     def test_even_theta_constants(self, random_curves, data):
         assert self.spread(data.draw(random_curves)) <= 1e-10
+
+    @pytest.mark.parametrize("f", [[0, -1] + [0] * 7 + [1],   # x^9 - x
+                                   [-1] + [0] * 9 + [1]])     # x^10 - 1
+    def test_genus_4(self, f):
+        assert self.spread(build_curve(f)) <= 1e-10
 
 
 class TestCloseRootPairs:

@@ -10,7 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from thetakernels.errors import (DiagonalValueMismatch, NotMonic,
-                                 NotMonicOn2Delta, TraceNotZero)
+                                 NotMonicOn2Delta, TraceNotZero,
+                                 WeightMismatch)
 from thetakernels.jets import (ConnectionJet, DiffOperator, JetKernel,
                                build_oper, change_coordinate,
                                companion_connection, connection_from_kernel,
@@ -20,7 +21,8 @@ from thetakernels.jets import (ConnectionJet, DiffOperator, JetKernel,
                                projective_jet, quadratic_S, quadratic_S_jet,
                                rescale_shift, tensor_power, trace_map,
                                _chart_difference, _expansion_mul,
-                               _gamma_from_chart, _mat_zero, _taylor_shift,
+                               _gamma_from_chart, _mat_id, _mat_zero,
+                               _taylor_shift,
                                projective_chart)
 from thetakernels.series import QC, Series
 
@@ -196,6 +198,76 @@ class TestFusedProducts:
             n = min([n] + [x.n for f in (a, b) for row in f.coeff(k) for x in row])
             want.coeffs[k] = [[x.truncate(min(n, x.n)) for x in row] for row in mat]
         assert_identical(_expansion_mul(a, b), want)
+
+
+def prefix_truncated(jet, s):
+    """``jet`` with slot k cut to the lowest series order among the slots
+    0..k of ``s``, the orders a power of ``s`` can claim."""
+    n, out = math.inf, []
+    for k, mat in enumerate(jet.coeffs):
+        n = min(n, s.scalar_coeff(k).n)
+        out.append([[mat[0][0].truncate(min(n, mat[0][0].n))]])
+    return JetKernel(1, jet.weight, jet.pole, out)
+
+
+def term_by_term_power(s, alpha):
+    """s^alpha from term-by-term products: |alpha| factors of ``s``, or of
+    its reciprocal solved one slot at a time for alpha < 0, and the
+    binomial series sum_k C(alpha, k) (s - 1)^k for a fractional alpha."""
+    m, n = s.order, s.series_order
+    one = mu_nu(0, m, n)
+    if alpha.denominator != 1:
+        x = s - one
+        out = term = one
+        for k in range(1, m):
+            term = prefix_truncated(term_by_term_mul(term, x), s)
+            out = out + term.scale(math.prod(alpha - i for i in range(k))
+                                   / math.factorial(k))
+        return prefix_truncated(out, s)
+    base = s
+    if alpha < 0:
+        a = [mat[0][0] for mat in s.coeffs]
+        inv = [a[0].reciprocal()]
+        for k in range(1, m):
+            acc = sum((qc_mul(a[j], inv[k - j]) for j in range(1, k + 1)),
+                      Series.zero(n))
+            inv.append(qc_mul(acc, inv[0]) * -1)
+        base = JetKernel(1, -s.weight, -s.pole, [[[x]] for x in inv])
+    out = one
+    for _ in range(abs(int(alpha))):
+        out = prefix_truncated(term_by_term_mul(out, base), s)
+    return prefix_truncated(out, s)
+
+
+class TestPowerRecurrence:
+    """Miller's recurrence gives the values and truncation orders of
+    term-by-term products, zero slots and differing slot orders included."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data(), st.sampled_from(
+        [Fraction(k) for k in range(-3, 4)]
+        + [Fraction(k, 2) for k in (-3, -1, 1, 3)]))
+    def test_power_matches_term_by_term(self, data, alpha):
+        # up to five slots, a quarter of them zero, at orders 2-6
+        orders = data.draw(st.lists(st.integers(2, 6), min_size=2, max_size=5))
+        coeffs = [data.draw(small_series(n, unit=not k)) if k == 0 or
+                  data.draw(st.integers(0, 3)) else Series.zero(n)
+                  for k, n in enumerate(orders)]
+        if alpha.denominator != 1:
+            coeffs[0] = Series.const(1, orders[0])
+        weight = 0 if alpha.denominator != 1 else data.draw(st.integers(0, 3))
+        s = JetKernel(1, weight, weight, [[[x]] for x in coeffs])
+        assert_identical(tensor_power(s, alpha), term_by_term_power(s, alpha))
+
+    @pytest.mark.parametrize("s,alpha,error", [
+        (JetKernel(2, 0, 0, [_mat_id(2, 4)]), 2, WeightMismatch),
+        (JetKernel(1, 0, 0, [[[poly([0, 1], 4)]]]), -1, ZeroDivisionError),
+        (JetKernel(1, 0, 0, [[[poly([2], 4)]]]), Fraction(1, 2), ValueError),
+        (mu_nu(1, 2, 4), Fraction(1, 2), ValueError),
+    ])
+    def test_unsupported_powers_raise(self, s, alpha, error):
+        with pytest.raises(error):
+            tensor_power(s, alpha)
 
 
 def per_slot_change_coordinate(s, w):

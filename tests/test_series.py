@@ -6,7 +6,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from thetakernels.jets import ConnectionJet, DiffOperator
-from thetakernels.series import QC, Series, _compose, _dot, _powers
+from thetakernels.series import (QC, Series, _combination, _compose, _dot,
+                                 _powers)
 
 
 class TestQC:
@@ -290,6 +291,10 @@ def qc_connection_solve(gamma, initial, order_n):
 
 
 SCALARS = st.one_of(GAUSSIAN, st.integers(-2**70, 2**70), RATIONALS)
+WEIGHTS = st.one_of(st.integers(-5, 5), RATIONALS)
+# a Gaussian-rational weight (re, im, den), as _compose passes its
+# coefficients: not reduced, den > 0
+GAUSSIAN_TRIPLES = st.tuples(NUMERATORS, NUMERATORS, DENOMINATORS)
 
 
 def canonical(s):
@@ -351,14 +356,34 @@ class TestIntegerKernelProperties:
         assert (a * 2 * Fraction(1, 2)).ints == a.ints
 
     @settings(max_examples=100, deadline=None)
-    @given(st.lists(st.tuples(series(), series()), max_size=4), st.integers(0, 10))
-    def test_sum_of_products(self, pairs, n):
+    @given(st.lists(st.tuples(WEIGHTS, series(), series()), max_size=4),
+           st.integers(0, 10))
+    def test_sum_of_products(self, terms, n):
         # one reduction over the common denominator gives the sum of the
         # term-by-term products, at the lowest order among n and the operands
-        want = Series.zero(min([n] + [x.n for pair in pairs for x in pair]))
-        for a, b in pairs:
-            want = schoolbook_add(want, schoolbook_mul(a, b))
-        got = _dot(pairs, n)
+        want = Series.zero(min([n] + [x.n for _, a, b in terms for x in (a, b)]))
+        for c, a, b in terms:
+            want = schoolbook_add(want, schoolbook_mul(schoolbook_mul(a, b), c))
+        got = _dot(terms, n)
+        assert same(got, want) and canonical(got)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.tuples(st.one_of(WEIGHTS, GAUSSIAN_TRIPLES), series(),
+                              st.integers(0, 4)), max_size=4),
+           st.integers(0, 10))
+    def test_combination_of_derivatives(self, terms, n):
+        # the add / scale / derivative chain that the sum kernel replaces:
+        # each x^(k) / k! from k derivatives (order 0 stays order 0) and a
+        # scaling, summed onto a zero series of order n
+        want = Series.zero(n)
+        for c, x, k in terms:
+            if type(c) is tuple:
+                c = QC(Fraction(c[0], c[2]), Fraction(c[1], c[2]))
+            for _ in range(k):
+                x = schoolbook_derivative(x)
+            want = schoolbook_add(want, schoolbook_mul(
+                x, QC.of(c) * Fraction(1, math.factorial(k))))
+        got = _combination(terms, n)
         assert same(got, want) and canonical(got)
 
     @settings(max_examples=60, deadline=None)
