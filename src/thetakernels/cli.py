@@ -659,6 +659,10 @@ def main(argv=None) -> int:
     except MemoryError:
         sys.stderr.write("error: out of memory; use a smaller order or input\n")
         return 2
+    except OverflowError as exc:
+        sys.stderr.write(f"error: a result is not finite in double "
+                         f"precision ({exc})\n")
+        return 2
     except (ThetaKernelsError, ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2

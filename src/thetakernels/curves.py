@@ -275,7 +275,7 @@ class HyperellipticCurve:
         kernels' odd characteristic and its theta gradient at 0, and the
         Abel images under ("abel", x, sheet), which :meth:`abel_images`
         reads and stores itself.  Entries are never dropped; data that
-        depends on a class or a pair goes in a :meth:`slot`.
+        depends on a class or a pair goes in a slot (:meth:`held`).
 
         compute() runs outside the lock; when two threads miss at once,
         both compute the same deterministic value and the first one
@@ -289,35 +289,20 @@ class HyperellipticCurve:
                 hit = self._memo.setdefault(key, value)
         return hit
 
-    def slot(self, kind, key, compute):
-        """The value of compute() for ``key``, kept in one entry per
-        ``kind`` that holds the last key computed, so the curve keeps one
-        value per kind however many keys are asked for (the kernels keep
-        the Klein coordinates of the last class under "klein" and the
-        prime form of the last pair under "pair").
-
-        compute() runs outside the lock and its value replaces the entry;
-        a compute() that raises leaves the entry as it was.  The entry is
-        read (:meth:`held`) and written (:meth:`hold`) as one (key, value)
-        pair under the lock, so threads asking for different keys each get
-        the value of their own key.
-        """
-        value = self.held(kind, key)
-        if value is None:
-            value = compute()
-            self.hold(kind, key, value)
-        return value
-
     def held(self, kind, key):
-        """The value the ``kind`` entry of :meth:`slot` holds for ``key``,
-        or None when it holds another key or none."""
+        """The value the ``kind`` slot holds for ``key``, or None when it
+        holds another key or none.  A slot keeps the last (key, value)
+        stored (:meth:`hold`), read and written as one pair under the
+        lock, so threads asking for different keys each get their own
+        key's value: the kernels keep c(e) of the last class under
+        "klein" and E(x, y) of the last pair under "pair"."""
         with self._lock:
             hit = self._slots.get(kind)
         return hit[1] if hit is not None and hit[0] == key else None
 
     def hold(self, kind, key, value):
-        """Make ``value`` (never None) the ``kind`` entry of :meth:`slot`,
-        for ``key``."""
+        """Make ``value`` (never None) the ``kind`` slot's entry, for
+        ``key`` (:meth:`held`)."""
         with self._lock:
             self._slots[kind] = (key, value)
 
@@ -676,12 +661,6 @@ class HyperellipticCurve:
                 totals[k] += part
                 ys[k] = y
         return list(zip(totals, ys))
-
-    def _integrate_path(self, waypoints, y0, tol):
-        """Integral of the normalized differentials along the polygon
-        ``waypoints``, and y at its end, continued from y0 at its start
-        (None when the start is b_0): :meth:`_integrate_paths` of one."""
-        return self._integrate_paths([waypoints], y0, tol)[0]
 
     # -- Abel map -------------------------------------------------------------
 

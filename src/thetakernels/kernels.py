@@ -24,17 +24,12 @@ A point is on the theta divisor when ``theta._on_divisor`` says so:
 |theta| is below ``theta.THETA_FLOOR`` (read at call time) times the
 scale of its lattice sum, or that scale is 0.  The curve's one odd
 characteristic and its theta gradient at 0 are kept in the curve's memo
-(:meth:`HyperellipticCurve.memo`), next to its Abel images.  The Klein
-coordinates c(e) of the last class asked for are kept in the curve's
-"klein" slot (:meth:`HyperellipticCurve.slot`), one g x g matrix that
-:func:`klein_coordinates` and :func:`wirtinger_connection` share; the
-Klein kernel's theta call also carries the order-2 row of its first
-class when the slot lacks it, and fills the slot.  The "pair" slot
-keeps the prime form E(x, y) of the last pair, so the Szego and Klein
-kernels and the prime form at one pair share it, and the kernels' theta
-calls carry the prime form's row only when the slot lacks it.  Both
-Abel images of a pair come from one
-:meth:`HyperellipticCurve.abel_images` call.
+(:meth:`HyperellipticCurve.memo`), next to its Abel images; its
+"klein" slot keeps c(e) of the last class asked for and its "pair" slot
+E(x, y) of the last pair (:meth:`HyperellipticCurve.held`).  Every
+kernel that reads them takes its theta data from :func:`_kernel_thetas`,
+which sends the rows the slots lack in one ``theta_batch`` call and
+fills them.
 """
 
 from __future__ import annotations
@@ -52,8 +47,7 @@ from .errors import (ConstraintViolation, InadmissiblePoint,
                      OnDiagonal, PointOnTheta, SquareRootBranchUnresolvable)
 from .theta import (DEFAULT_TOL, Characteristic, RiemannMatrix,
                     ScaledComplex, _on_divisor, _triu_indices,
-                    hessian_numerators, log_theta_hessian, log_theta_hessians,
-                    theta_batch, theta_value)
+                    hessian_numerators, log_theta_hessians, theta_batch)
 
 GRADIENT_FLOOR = 1e-8
 
@@ -190,28 +184,15 @@ def prime_form(curve: HyperellipticCurve, x: SurfacePoint, y: SurfacePoint,
     E(x,y)/(t(x)-t(y)) -> 1 along the diagonal.  Weight (-1/2, -1/2).
     The signs of the half-densities come from the pair (x, y) alone
     (:func:`_h_product`), so a value never depends on earlier calls.
-    The curve's "pair" slot keeps E of the last pair, keyed by
-    (tol, x, y), which this reads and fills.  OnDiagonal for coinciding points,
-    InadmissiblePoint for a point with y = 0.
+    The value comes from the curve's "pair" slot, or from one
+    ``theta_batch`` call that fills it (:func:`_kernel_thetas`).
+    OnDiagonal for coinciding points, InadmissiblePoint for a point with
+    y = 0.
     """
     _require_off_diagonal(x, y, "prime form")
-    _require_off_branch(x, y)
-    delta = select_odd_characteristic(curve)
-    key = (tol, x, y)
-    value = curve.held("pair", key)
-    if value is None:
-        ax, ay = curve.abel_images((x, y))
-        th = theta_value(ax - ay, curve.omega, delta, tol=tol)
-        value = _prime_form_value(curve, delta, x, y, th, tol)
-        curve.hold("pair", key, value)
+    _, value, _ = _kernel_thetas(curve, tol, pair=(x, y))
     return KernelValue(value=value, weight=(-0.5, -0.5),
                        chart_x=_chart(x), chart_y=_chart(y))
-
-
-def _prime_form_value(curve, delta, x, y, th: ScaledComplex, tol):
-    """E(x, y) from th = theta[delta](A(x) - A(y))."""
-    hxy = _h_product(curve, delta, x, y, tol)
-    return complex(th.mantissa * math.exp(th.exponent) / hxy)
 
 
 def bergman_kernel(curve: HyperellipticCurve, x: SurfacePoint,
@@ -279,62 +260,76 @@ def szego_kernel(curve: HyperellipticCurve, e, x: SurfacePoint,
     residue normalization 1.  Weight (1/2, 1/2).  One ``theta_batch``
     call evaluates theta(e), theta(A(y)-A(x)+e) and, when the curve's
     "pair" slot lacks E(x, y), the prime form's theta[delta](A(x)-A(y))
-    (:func:`_szego_values`).  InadmissiblePoint for a point with y = 0.
+    (:func:`_kernel_thetas`).  InadmissiblePoint for a point with y = 0.
     """
-    val, = _szego_values(curve, [_class_vector(e, curve.genus)], x, y, tol)
+    (val,), _, _ = _kernel_thetas(curve, tol, [_class_vector(e, curve.genus)],
+                                  pair=(x, y))
     return KernelValue(value=val, weight=(0.5, 0.5),
                        chart_x=_chart(x), chart_y=_chart(y))
 
 
-def _szego_values(curve, es, x, y, tol, klein=False):
-    """The Szego kernel value of each class of ``es`` at (x, y).
+def _kernel_thetas(curve, tol, es=(), pair=None, klein=None):
+    """``(szego, prime, c)`` from the curve's slots and at most one
+    ``theta_batch`` call, which carries only the rows the slots lack.
 
-    One theta_batch call gives theta(e) and theta(A(y)-A(x)+e) for every
-    class, theta[delta](A(x)-A(y)) for the prime form when the curve's
-    "pair" slot lacks E(x, y) (which then fills it)
-    and, with ``klein``, c(e) of the first class when the curve's "klein"
-    slot lacks it (stored there unless e is on the theta divisor).  Both
-    Abel images come from one ``abel_images`` call.  InadmissiblePoint
-    for a y = 0 point comes before any Abel map; then, class by class,
-    PointOnTheta for a class on the theta divisor, then OnDiagonal.
+    ``szego`` holds the Szego kernel value at the pair (x, y) of each
+    class of ``es``; ``prime`` is E(x, y) from the "pair" slot, or from
+    theta[delta](A(x)-A(y)), which fills it (None without a pair); ``c``
+    is c(klein) from the "klein" slot, or from an order-2 row that fills
+    it, or the PointOnTheta that row gives, which leaves the slot as it
+    was (None without ``klein``).  InadmissiblePoint for a y = 0 point
+    comes before any Abel map; then, class by class, PointOnTheta for a
+    class on the theta divisor, and OnDiagonal after the first class.
     """
-    _require_off_branch(x, y)
-    g = curve.genus
-    delta = select_odd_characteristic(curve)
-    ax, ay = curve.abel_images((x, y))
-    w = ay - ax
-    zero, n = Characteristic.zero(g), 2 * len(es)
-    pair = (tol, x, y)
-    prime = curve.held("pair", pair)
-    rows = [v for e in es for v in (e, w + e)]
-    chars = [zero] * n
-    if prime is None:
-        rows.append(ax - ay)
-        chars.append(delta)
-    key = _klein_key(es[0], tol)
-    fill = int(klein and curve.held("klein", key) is None)  # 0 or 1 rows
-    vals, expos, scales = theta_batch(
-        np.array(rows + [es[0]] * fill), curve.omega,
-        chars + [zero] * fill, [0] * len(rows) + [2] * fill, tol)
-    if fill:
-        (c,), (error,) = log_theta_hessians(g, vals[-1:], scales[-1:])
+    rows, prime, c = [], None, None   # rows of (z, char, order)
+    if pair is not None:
+        x, y = pair
+        _require_off_branch(x, y)
+        delta = select_odd_characteristic(curve)
+        pair_key = (tol, x, y)
+        prime = curve.held("pair", pair_key)
+        if es or prime is None:
+            ax, ay = curve.abel_images(pair)
+            zero = Characteristic.zero(curve.genus)
+            rows = [(v, zero, 0) for e in es for v in (e, ay - ax + e)]
+        if prime is None:
+            rows.append((ax - ay, delta, 0))
+    if klein is not None:
+        # the divisor test reads THETA_FLOOR at call time, so a changed
+        # floor misses
+        klein_key = (tol, theta.THETA_FLOOR, klein.tobytes())
+        c = curve.held("klein", klein_key)
+        if c is None:
+            rows.append((klein, Characteristic.zero(curve.genus), 2))
+    if rows:
+        z, chars, orders = zip(*rows)
+        vals, expos, scales = theta_batch(np.array(z), curve.omega, chars,
+                                          orders, tol)
+    if klein is not None and c is None:
+        (c,), (error,) = log_theta_hessians(curve.genus, vals[-1:],
+                                            scales[-1:])
         if error is None:
             c.flags.writeable = False
-            curve.hold("klein", key, c)
-    out = []
+            curve.hold("klein", klein_key, c)
+        else:
+            c = error
+    n = 2 * len(es)
+    if pair is not None and prime is None:
+        if n and _on_divisor(vals[0][0], scales[0]):
+            raise PointOnTheta("Szego kernel undefined on the theta divisor")
+        _require_off_diagonal(x, y, "prime form")
+        th = ScaledComplex.make(vals[n][0], expos[n])
+        prime = complex(th.mantissa * math.exp(th.exponent)
+                        / _h_product(curve, delta, x, y, tol))
+        curve.hold("pair", pair_key, prime)
+    szego = []
     for k in range(0, n, 2):
         if _on_divisor(vals[k][0], scales[k]):
             raise PointOnTheta("Szego kernel undefined on the theta divisor")
-        if prime is None:
-            _require_off_diagonal(x, y, "prime form")
-            prime = _prime_form_value(
-                curve, delta, x, y,
-                ScaledComplex.make(vals[n][0], expos[n]), tol)
-            curve.hold("pair", pair, prime)
         num = ScaledComplex.make(vals[k + 1][0], expos[k + 1])
-        out.append(complex(
+        szego.append(complex(
             num.ratio(ScaledComplex.make(vals[k][0], expos[k])) / prime))
-    return out
+    return szego, prime, c
 
 
 def klein_kernel(curve: HyperellipticCurve, e_list, x: SurfacePoint,
@@ -346,7 +341,7 @@ def klein_kernel(curve: HyperellipticCurve, e_list, x: SurfacePoint,
     diagonal pole with unit leading coefficient and weight (n/2, n/2).
     All its theta values, the prime form's only when the curve's "pair"
     slot lacks E(x, y), and c(e) of the first class when its "klein" slot
-    lacks it, come from one ``theta_batch`` call (:func:`_szego_values`).
+    lacks it, come from one ``theta_batch`` call (:func:`_kernel_thetas`).
     InadmissiblePoint for a point with y = 0.
     """
     es = [_class_vector(e, curve.genus) for e in e_list]
@@ -356,7 +351,8 @@ def klein_kernel(curve: HyperellipticCurve, e_list, x: SurfacePoint,
     if np.max(np.abs(coords - np.round(coords))) > 1e-8:
         raise ConstraintViolation("classes do not sum to zero in the Jacobian")
     val = 1.0 + 0.0j
-    for factor in _szego_values(curve, es, x, y, tol, klein=True):
+    for factor in _kernel_thetas(curve, tol, es, pair=(x, y),
+                                 klein=es[0])[0]:
         val *= factor
     n = len(es)
     return KernelValue(value=val, weight=(n / 2.0, n / 2.0),
@@ -372,27 +368,12 @@ def klein_coordinates(curve: HyperellipticCurve, e,
 
 
 def _klein_matrix(curve, e, tol):
-    """c(e), the log-theta Hessian at the class vector e, read-only.
-
-    The curve keeps the matrix of the last class asked for in its
-    "klein" slot (:meth:`HyperellipticCurve.slot`), keyed by
-    :func:`_klein_key`, so the Klein coordinates, the Wirtinger connection
-    and the Klein kernel of one class share one ``theta_batch`` call.
-    A hit holds the bits a recompute gives, and a class on the theta
-    divisor raises PointOnTheta on every call and leaves the slot as it was.
-    """
-    def compute():
-        c = log_theta_hessian(e, curve.omega, tol=tol)
-        c.flags.writeable = False
-        return c
-
-    return curve.slot("klein", _klein_key(e, tol), compute)
-
-
-def _klein_key(e, tol):
-    """The "klein" slot key of the class vector e: the divisor test reads
-    ``theta.THETA_FLOOR`` at call time, so a changed floor misses."""
-    return (tol, theta.THETA_FLOOR, e.tobytes())
+    """c(e) of :func:`_kernel_thetas`, read-only, or its PointOnTheta
+    raised."""
+    c = _kernel_thetas(curve, tol, klein=e)[2]
+    if isinstance(c, PointOnTheta):
+        raise c
+    return c
 
 
 # ----------------------------------------------------------------------
@@ -406,7 +387,7 @@ def wirtinger_connection(curve: HyperellipticCurve, e, p: SurfacePoint,
     The kernel at (x, y) = (p(t1), p(t2)) is 1/(t1-t2)^2 + R/6 + O(t1 -
     t2); R = S_B(p) + 6 omega(p)^T c(e) omega(p), with S_B from Klein's
     closed form and c(e) the Klein coordinates (:func:`_klein_matrix`:
-    one ``theta_batch`` call, none when the curve's slot holds e).
+    one ``theta_batch`` call, none when the curve's "klein" slot holds e).
     PointOnTheta for e on the theta divisor, InadmissiblePoint for a
     point with y = 0.
     """

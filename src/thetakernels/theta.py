@@ -58,13 +58,18 @@ class RiemannMatrix:
         m = np.array(entries, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise NotPositiveDefinite("period matrix must be square")
-        if not np.all(np.isfinite(m)):
-            raise NotPositiveDefinite("period matrix entries must be finite")
-        m = 0.5 * (m + m.T)
+        # a non-finite entry stays so when symmetrized, and the
+        # symmetrization and pi * Im(Omega) can overflow
+        with np.errstate(over="ignore", invalid="ignore"):
+            m = 0.5 * (m + m.T)
+            scaled = math.pi * m.imag
+        if not (np.all(np.isfinite(m)) and np.all(np.isfinite(scaled))):
+            raise NotPositiveDefinite("period matrix entries must be finite, "
+                                      "also when symmetrized and times pi")
         g = m.shape[0]
         y = m.imag
         try:
-            lower = np.linalg.cholesky(math.pi * y)
+            lower = np.linalg.cholesky(scaled)
         except np.linalg.LinAlgError:
             raise NotPositiveDefinite(
                 "imaginary part is not positive definite") from None
@@ -72,6 +77,9 @@ class RiemannMatrix:
         self.dim = g
         self.im = y
         self.im_inv = np.linalg.inv(y)
+        if not np.all(np.isfinite(self.im_inv)):
+            raise NotPositiveDefinite("inverse of the imaginary part is not "
+                                      "finite")
         self.chol = lower.T  # upper triangular T with T^T T = pi * Im(Omega)
         self.sigma_min = float(np.linalg.svd(self.chol, compute_uv=False)[-1])
         self.shortest = self._shortest_vector()
@@ -400,7 +408,8 @@ def theta_batch(z, omega: RiemannMatrix, chars, orders,
     of value_k is at most ``tol * exp(exponents[r])``.  Raises
     ValueError, before any chunk is enumerated, when an entry of z, or of
     a row's lattice centre, is not finite or reaches 2**53 in absolute
-    value.
+    value, and for a row whose terms have lost every digit (a term above
+    e, where each is at most 1 in exact arithmetic).
     """
     _check_tol(tol)
     z = np.asarray(z, dtype=complex)
@@ -434,21 +443,19 @@ def theta_batch(z, omega: RiemannMatrix, chars, orders,
                  (c[:, None, :] @ c[:, :, None])[:, 0, 0]).tolist())]
     # one matrix-vector product per row, as a single-row call makes it
     zb = z + beta
+    bounds = [0]
     # the estimate grows with R, so a call within the budget at its
     # largest radius is one chunk, found without a walk over its rows
     if len(radii) * _expected_points(omega, max(radii, default=0.0)) \
-            <= _CHUNK_POINTS:
-        mantissas, scales = _theta_rows(omega, alpha, zb, c, exponents,
-                                        radii, orders)
-        return mantissas, exponents, scales
-    # a chunk closes before the row that would take it past the budget
-    expected = {R: _expected_points(omega, R) for R in set(radii)}
-    bounds, points = [0], 0.0
-    for r, R in enumerate(radii):
-        points += expected[R]
-        if points > _CHUNK_POINTS and r > bounds[-1]:
-            bounds.append(r)
-            points = expected[R]
+            > _CHUNK_POINTS:
+        # a chunk closes before the row that would take it past the budget
+        expected = {R: _expected_points(omega, R) for R in set(radii)}
+        points = 0.0
+        for r, R in enumerate(radii):
+            points += expected[R]
+            if points > _CHUNK_POINTS and r > bounds[-1]:
+                bounds.append(r)
+                points = expected[R]
     bounds.append(len(radii))
     mantissas, scales = [], []
     for s, e in zip(bounds, bounds[1:]):
@@ -473,8 +480,17 @@ def _theta_rows(omega, alpha, zb, c, exponents, radii, orders):
     for zr, end in zip(zb, ends):
         lin[start:end] = na[start:end] @ zr
         start = end
-    terms = np.exp(1j * math.pi * quad + _TWO_PI_I * lin
-                   - np.repeat(exponents, counts))
+    arg = (1j * math.pi * quad + _TWO_PI_I * lin
+           - np.repeat(exponents, counts))
+    # Re arg = -||T (n + a + c)||^2 <= 0 in exact arithmetic, but far from
+    # the real subspace its parts cancel in large numbers.  A term above
+    # e has no correct digit and its row raises, before exp, a power
+    # product or a square of a sum can overflow; NaN fails the test too.
+    if not arg.real.max(initial=-math.inf) <= 1.0:
+        raise ValueError("theta terms are not finite or have no correct "
+                         "digit: the argument lies too far from the real "
+                         "subspace")
+    terms = np.exp(arg)
     top = max(orders, default=0)
     table = _derivative_table(g, top)[1]
     # (2 pi i na_k)^d is i^d times the real power (2 pi na_k)^d, so the

@@ -260,11 +260,23 @@ class TestEvalInputContracts:
         # the Klein kernel's classes e and -e summed to inf - inf
         ["eval", "klein", "--curve", "CURVE", "--e", "inf", "--x1", "2.0",
          "--x2", "-2.0"],
+        # classes far from the real subspace: a quotient of theta values
+        # overflows, or the lattice terms do
+        ["eval", "klein", "--curve", "QUINTIC", "--e", "1e5j,1e5j", "--x1",
+         "2.0", "--x2", "-2.0"],
+        ["eval", "wirtinger", "--curve", "QUINTIC", "--e", "1e12j,0",
+         "--x1", "2.0"],
+        ["eval", "szego", "--curve", "QUINTIC", "--e", "1e12j,0", "--x1",
+         "2.0", "--x2", "-2.0"],
+        # the symmetrization of Omega overflows, or the inverse of Im Omega
+        ["eval", "theta", "--omega", "[[1e308]]", "--z", "0.1"],
+        ["eval", "theta", "--omega", "[[[0, 1e-310]]]", "--z", "0.1"],
     ])
     def test_non_finite_input_exits_2_without_warning(self, tmp_path, capsys,
                                                       argv):
         from thetakernels import cli
         for name, spec in (("CURVE", CURVE_SPEC),
+                           ("QUINTIC", '{"f": [0, -1, 0, 0, 0, 1]}'),
                            ("NAN_CURVE", '{"f": [0, -1, NaN, 0, 0, 1]}'),
                            ("INF_CURVE", '{"f": [0, -1, Infinity, 0, 0, 1]}')):
             path = tmp_path / f"{name}.json"

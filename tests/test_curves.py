@@ -36,7 +36,7 @@ def routed_defect(c, q, p):
     """Distance from the lattice of A(p) - A(q) minus the integral along
     the routed path from q to p, y continued from q.y; where that path
     ends on the other sheet, p is replaced by its involute."""
-    direct, y_end = c._integrate_path(c._route(q.x, p.x), q.y, 1e-13)
+    direct, y_end = c._integrate_paths([c._route(q.x, p.x)], q.y, 1e-13)[0]
     if abs(y_end - p.y) > abs(y_end + p.y):
         p = c.point(p.x, -p.sheet)
     assert abs(y_end - p.y) <= 1e-6 * max(1.0, abs(p.y))
@@ -420,9 +420,9 @@ class TestAbelMap:
         c = lemniscatic
         p = c.point(2.0 + 0.5j, 1)
         q = c.point(2.5 - 0.4j, 1)
-        direct, _ = c._integrate_path([q.x, p.x], q.y, 1e-13)
+        direct, _ = c._integrate_paths([[q.x, p.x]], q.y, 1e-13)[0]
         mid = 0.5 * (q.x + p.x) + 0.15j
-        bent, _ = c._integrate_path([q.x, mid, p.x], q.y, 1e-13)
+        bent, _ = c._integrate_paths([[q.x, mid, p.x]], q.y, 1e-13)[0]
         assert np.max(np.abs(direct - bent)) < 1e-9
 
     def test_weierstrass_two_torsion(self, lemniscatic, genus2):
@@ -479,7 +479,8 @@ class TestAbelMap:
         c = lemniscatic
         base = c.point(2.0, 1)
         tgt = c.point(2.5, -1)
-        direct, y_end = c._integrate_path([base.x, tgt.x], base.y, 1e-13)
+        direct, y_end = c._integrate_paths([[base.x, tgt.x]], base.y,
+                                           1e-13)[0]
         assert abs(y_end + tgt.y) < 1e-9
         assert integrality(c.abel_map(tgt) - c.abel_map(base) - direct,
                            c.omega) > 0.1

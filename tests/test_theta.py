@@ -512,6 +512,41 @@ class TestThetaValues:
             theta_value((0.1j, 0.2), genus2.omega, deriv=(1, 2))
 
 
+class TestOraclesOnRandomCurves:
+    """Quasi-periodicity and parity of theta for every characteristic at
+    a class a + Omega b of a random curve of degree 3-8, from one
+    theta_batch call.  A characteristic whose theta at the class is
+    below 1e-4 times the scale of its lattice sum is skipped: on and
+    near the theta divisor the sums keep their absolute accuracy, not a
+    relative 1e-10."""
+
+    @settings(max_examples=10, deadline=None)
+    @given(data=st.data())
+    def test_quasi_periodicity_and_parity(self, random_curves, data):
+        c = data.draw(random_curves)
+        om, g = c.omega.entries, c.genus
+        a, b = (np.array([data.draw(st.floats(-0.5, 0.5)) for _ in range(g)])
+                for _ in range(2))
+        k, m = (np.array([data.draw(st.integers(-2, 2)) for _ in range(g)])
+                for _ in range(2))
+        z = a + om @ b
+        chars = list(Characteristic.all(g))
+        vals, expos, scales = theta_batch(
+            np.array([z, z + k + om @ m, -z] * len(chars)), c.omega,
+            [ch for ch in chars for _ in range(3)], [0] * (3 * len(chars)))
+        for i, ch in enumerate(chars):
+            if abs(vals[3 * i][0]) < 1e-4 * scales[3 * i]:
+                continue
+            at, shifted, negated = (ScaledComplex.make(vals[j][0], expos[j])
+                                    for j in range(3 * i, 3 * i + 3))
+            alpha, beta = np.array(ch.alpha) / 2, np.array(ch.beta) / 2
+            factor = np.exp(2j * np.pi * alpha @ k - 1j * np.pi * m @ om @ m
+                            - 2j * np.pi * m @ (z + beta))
+            assert abs(shifted.ratio(at) - factor) <= 1e-10 * abs(factor)
+            sign = -1.0 if ch.parity else 1.0
+            assert abs(negated.ratio(at) - sign) <= 1e-10
+
+
 def test_package_exposes_theta_module():
     import thetakernels
     assert thetakernels.theta.Characteristic is thetakernels.Characteristic
